@@ -3,7 +3,9 @@
 The conditional step law depends on the history only through the weighted
 sum Sigma_n, so the pair (Xi_n, Sigma_n) is simulated in O(1) per step.
 Ensembles use one counter-based RNG stream per replicate: identical output
-for any batching or worker count.
+for any batching or worker count.  Replicate j of seed s (both in
+[0, 2**64)) is Philox4x64-10 under the key (s, j), and its draw d is lane
+d % 4 of Philox block d // 4 + 1, so any draw can be read directly.
 """
 
 import numpy as np

@@ -306,7 +306,10 @@ def simulate_modified_walk(
         y = 0
         if coin < params.p:
             pmf = MemoryLaw(params.beta, t).pmf(np.array(active, dtype=np.int64))
-            p_any = -math.expm1(float(np.log1p(-pmf).sum()))
+            if (pmf == 1.0).any():  # a sure recall; log1p(-1) would be -inf
+                p_any = 1.0
+            else:
+                p_any = -math.expm1(float(np.log1p(-pmf).sum()))
             if rng.random() < p_any:
                 y = 1
         if y:

@@ -37,31 +37,40 @@ class MemoryLaw:
         object.__setattr__(self, "n", int(self.n))
 
     def pmf(self, k):
-        """P(recall = k); k scalar or integer array, zero off {1, ..., n}."""
+        """P(recall = k); k scalar or integer array, zero off {1, ..., n}.
+
+        Values lie in [0, 1]: n = 1 is the point mass at 1, exactly, and
+        rounding in the Gamma ratios is clamped so it never exceeds 1.
+        """
         if isinstance(k, (int, np.integer)):
             if not 1 <= k <= self.n:
                 return 0.0
+            if self.n == 1:
+                return 1.0
             lz = log_poch(float(self.n + 1), self.beta)
             lw = log_poch(float(k), self.beta)
-            return (self.beta + 1.0) / self.n * math.exp(lw - lz)
+            return min((self.beta + 1.0) / self.n * math.exp(lw - lz), 1.0)
         k = np.atleast_1d(np.asarray(k)).astype(np.int64)
         out = np.zeros(k.shape, dtype=np.float64)
         ok = (k >= 1) & (k <= self.n)
         if ok.any():
+            if self.n == 1:
+                out[ok] = 1.0
+                return out
             lw = log_poch(k[ok].astype(np.float64), self.beta)
             lz = log_poch(float(self.n + 1), self.beta)
-            out[ok] = (self.beta + 1.0) / self.n * np.exp(lw - lz)
+            out[ok] = np.minimum((self.beta + 1.0) / self.n * np.exp(lw - lz), 1.0)
         return out
 
     def cdf(self, m):
-        """P(recall <= m) via the telescoped partial sum; exact 0 at 0, 1 at n."""
+        """P(recall <= m) via the telescoped partial sum, in [0, 1]; exact 0 at 0, 1 at n."""
         if isinstance(m, (int, np.integer)):
             if not 0 <= m <= self.n:
                 raise ValueError("cdf argument must lie in {0, ..., n}")
             if m == 0:
                 return 0.0
             lz = log_poch(float(self.n + 1), self.beta)
-            return m / self.n * math.exp(log_poch(float(m + 1), self.beta) - lz)
+            return min(m / self.n * math.exp(log_poch(float(m + 1), self.beta) - lz), 1.0)
         m = np.atleast_1d(np.asarray(m)).astype(np.int64)
         if (m < 0).any() or (m > self.n).any():
             raise ValueError("cdf argument must lie in {0, ..., n}")
@@ -70,7 +79,7 @@ class MemoryLaw:
         if pos.any():
             mp = m[pos].astype(np.float64)
             lz = log_poch(float(self.n + 1), self.beta)
-            out[pos] = mp / self.n * np.exp(log_poch(mp + 1.0, self.beta) - lz)
+            out[pos] = np.minimum(mp / self.n * np.exp(log_poch(mp + 1.0, self.beta) - lz), 1.0)
         return out
 
     def sample(self, u: float) -> int:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .gammaratio import log_poch_ratio, ratio_seq
 from .memory import MemoryLaw
-from .streams import replicate_stream, replicate_streams
+from .streams import uniforms
 
 __all__ = [
     "ModelParams",
@@ -257,14 +257,12 @@ def _collapsed_block(params, n_steps, seed, start, count, checkpoints, record):
     snapshot(1)
     if n_steps == 1:
         return out
-    gens = replicate_streams(seed, start, count)
     guard = params.p + _GUARD_EPS
-    t = 1  # current time; transition t -> t+1 consumes one uniform per replicate
+    t = 1  # current time; transition t -> t+1 consumes draw t-1 of each replicate
     buf = np.empty((count, _SEG_LEN), dtype=np.float64)
     while t < n_steps:
         seg = min(_SEG_LEN, n_steps - t)
-        for j, g in enumerate(gens):
-            buf[j, :seg] = g.random(seg)
+        uniforms(seed, start, count, t - 1, seg, out=buf)
         for col in range(seg):
             coef = params.rate / (t * mu[t])  # mu[t] = mu_{t+1}
             pi = coef * sigma
@@ -323,14 +321,13 @@ def _full_block(params, n_steps, seed, start, count, checkpoints, record):
     snapshot(1)
     if n_steps == 1:
         return out
-    gens = replicate_streams(seed, start, count)
     seg_len = max(1, _SEG_LEN // 2)
     buf = np.empty((count, seg_len, 2), dtype=np.float64)
     t = 1
     while t < n_steps:
         seg = min(seg_len, n_steps - t)
-        for j, g in enumerate(gens):
-            buf[j, :seg] = g.random((seg, 2))  # memory draw then retention coin
+        # memory draw then retention coin: draws 2(t-1) and 2(t-1)+1
+        uniforms(seed, start, count, 2 * (t - 1), 2 * seg, out=buf.reshape(count, -1))
         for col in range(seg):
             if t == 1:
                 k = np.ones(count, dtype=np.int64)  # recall can only hit time 1
@@ -383,13 +380,11 @@ def _coupled_block(params, n_steps, seed, start, count, checkpoints):
     snapshot(1)
     if n_steps == 1:
         return xi_out, lerw_out
-    gens = replicate_streams(seed, start, count)
     buf = np.empty((count, _SEG_LEN), dtype=np.float64)
     t = 1
     while t < n_steps:
         seg = min(_SEG_LEN, n_steps - t)
-        for j, g in enumerate(gens):
-            buf[j, :seg] = g.random(seg)
+        uniforms(seed, start, count, t - 1, seg, out=buf)
         for col in range(seg):
             u = buf[:, col]
             pi = rate / (t * mu[t]) * sigma

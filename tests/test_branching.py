@@ -231,13 +231,15 @@ class TestSimulate:
 
 class TestModifiedWalk:
     def test_second_step_probability(self, rng):
-        bp = BranchingParams(0.35, 2.0)
+        # at t = 1 the only occupied time is recalled surely, so P(X_2 = 1) = p
         n_runs = 20000
-        hits = sum(
-            simulate_modified_walk(bp, 2, rng).xi[-1] == 2 for _ in range(n_runs)
-        )
         se = math.sqrt(0.35 * 0.65 / n_runs)
-        assert hits / n_runs == pytest.approx(0.35, abs=4.5 * se)
+        for beta in (0.5, 1.0, 1.5, 2.0, 3.0):
+            bp = BranchingParams(0.35, beta)
+            hits = sum(
+                simulate_modified_walk(bp, 2, rng).xi[-1] == 2 for _ in range(n_runs)
+            )
+            assert hits / n_runs == pytest.approx(0.35, abs=4.5 * se), beta
 
     def test_mean_dominated_by_branching_types(self, rng):
         # mean step count of the modified walk is at most the mean number of

@@ -101,6 +101,15 @@ class TestSimulateCommand:
         assert rc == 2
         assert list(tmp_path.iterdir()) == []
 
+    def test_seed_outside_64_bits_exit_2(self, tmp_path):
+        # 2**64 would alias seed 0's streams if it were reduced mod 2**64
+        for seed in (-1, 2**64):
+            out = tmp_path / str(seed)
+            rc = main(["simulate", "--p", "0.5", "--beta", "1", "--n", "50",
+                       "--replicates", "10", "--seed", str(seed), "--out", str(out)])
+            assert rc == 2
+            assert not out.exists() or list(out.iterdir()) == []
+
     def test_differential_gate(self, tmp_path):
         rc = main(["simulate", "--p", "0.5", "--beta", "1", "--n", "100",
                    "--replicates", "20000", "--seed", "7", "--differential",

@@ -22,7 +22,22 @@ class TestPmf:
         assert MemoryLaw(0.0, 5).pmf(3) == pytest.approx(0.2, abs=1e-15)
 
     def test_single_point(self):
-        assert MemoryLaw(2.0, 1).pmf(1) == pytest.approx(1.0, abs=1e-15)
+        # exact, not rounded: 1 - pmf feeds log1p in the modified walk
+        for beta in BETA_GRID + [1.5, 2.0]:
+            law = MemoryLaw(beta, 1)
+            assert law.pmf(1) == 1.0
+            assert law.pmf(np.array([0, 1, 2])).tolist() == [0.0, 1.0, 0.0]
+
+    @given(beta=st.floats(-0.99, 10.0), n=st.integers(1, 2000))
+    def test_is_a_probability(self, beta, n):
+        law = MemoryLaw(beta, n)
+        p = law.pmf(np.arange(1, n + 1))
+        assert ((p >= 0.0) & (p <= 1.0)).all()
+        assert p.sum() == pytest.approx(1.0, abs=1e-12)
+        assert 0.0 <= law.pmf(1) <= 1.0 and 0.0 <= law.pmf(n) <= 1.0
+        c = law.cdf(np.arange(0, n + 1))
+        assert ((c >= 0.0) & (c <= 1.0)).all()
+        assert 0.0 <= law.cdf(n - 1) <= 1.0
 
     def test_recency_weighted_case(self):
         # mu_2 = 2, mu_4 = 4 at beta = 1, so pmf(2) = (2/3)*(2/4)

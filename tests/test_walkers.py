@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from erwalk import gammaratio
 from erwalk.analysis import chi_square_vs_law
 from erwalk.exact import enumerate_law, exact_mean_xi
 from erwalk.gammaratio import log_poch, poch_ratio
@@ -198,18 +200,61 @@ class TestRunWalk:
             assert (traj.a >= bound - 1e-9).all()
 
 
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
 class TestEnsembles:
     def test_deterministic_and_worker_independent(self):
-        pms = ModelParams(0.5, 1.0)
-        kwargs = dict(checkpoints=[1, 7, 50], record=("xi", "sigma"))
-        a = run_ensemble(pms, 50, 300, seed=5, **kwargs)
-        b = run_ensemble(pms, 50, 300, seed=5, **kwargs)
-        c = run_ensemble(pms, 50, 300, seed=5, workers=2, block_size=64, **kwargs)
-        d = run_ensemble(pms, 50, 300, seed=5, block_size=17, **kwargs)
-        for key in ("xi", "sigma"):
-            assert np.array_equal(a.arrays[key], b.arrays[key])
-            assert np.array_equal(a.arrays[key], c.arrays[key])
-            assert np.array_equal(a.arrays[key], d.arrays[key])
+        def run(mode, **kw):
+            if mode == "coupled":
+                res = run_coupled_ensemble(ModelParams(0.5, -0.5), 50, 300, seed=5,
+                                           checkpoints=[1, 7, 50], **kw)
+                return (res.xi, res.xi_lerw)
+            res = run_ensemble(ModelParams(0.5, 1.0), 50, 300, seed=5,
+                               checkpoints=[1, 7, 50], mode=mode,
+                               record=("xi", "sigma", "a"), **kw)
+            return tuple(res.arrays[k] for k in ("xi", "sigma", "a"))
+
+        for mode in ("collapsed", "full", "coupled"):
+            a = run(mode)
+            for other in (run(mode), run(mode, workers=2, block_size=64),
+                          run(mode, block_size=17)):
+                for x, y in zip(a, other):
+                    assert np.array_equal(x, y), mode
+
+    # sha256 of the checkpoint arrays, pinned from the engines that built one
+    # Generator per replicate; the checkpoints straddle the first segment
+    # boundary (2048 uniforms), so the second segment reads at offset 2048.
+    # mu_k's last bits depend on how the shared RatioSeq cache was extended
+    # before, so each run starts from an empty cache, as a fresh process does.
+    @pytest.mark.parametrize("mode,want", [
+        ("collapsed", "95512c7c000888d7acf625e2b7ae8d220beac896897690c4982c7dc8eb8c6d6e"),
+        ("full", "f5a09b89cf0b51b4e6974870a38198b1d581978e19232d988dcd483bac0a52c3"),
+        ("coupled", "9dd6646b17e70f732a42fd5c8c63362083b9720b29fc884daa5a192c1c68de89"),
+    ])
+    def test_golden_digests(self, mode, want, monkeypatch):
+        monkeypatch.setattr(gammaratio, "_seq_cache", {})
+        rec = ("xi", "sigma", "a")
+        if mode == "collapsed":
+            res = run_ensemble(ModelParams(0.45, 0.8), 2100, 40, seed=31,
+                               checkpoints=[1, 2, 7, 2048, 2049, 2050, 2100],
+                               record=rec, block_size=16)
+            got = _digest(*(res.arrays[k] for k in rec))
+        elif mode == "full":
+            res = run_ensemble(ModelParams(0.5, 1.0), 1100, 30, seed=7,
+                               checkpoints=[1, 2, 3, 1024, 1025, 1026, 1100],
+                               mode="full", record=rec, block_size=16)
+            got = _digest(*(res.arrays[k] for k in rec))
+        else:
+            res = run_coupled_ensemble(ModelParams(0.5, -0.5), 2100, 40, seed=4,
+                                       checkpoints=[1, 2, 2048, 2049, 2050, 2100],
+                                       block_size=16)
+            got = _digest(res.xi, res.xi_lerw)
+        assert got == want
 
     def test_mean_against_exact(self):
         pms = ModelParams(0.5, 0.0)
