@@ -8,14 +8,15 @@ is unbounded; sampling truncates at a certified tail mass epsilon using the
 closed-form partial sums, and realizes the independent Bernoulli field by
 exact skip sampling (geometric jumps under the running envelope
 q(k, pos+1) >= q(k, y) for y > pos), which has the same law as scanning
-every type but costs O(children + log log cutoff) per particle.
+every type.  The cutoff is solved from the Stirling form of log mu_K rather
+than searched for, so a particle costs O(children) skip steps plus a handful
+of scalar log_poch evaluations (about six for the cutoff, whatever its size).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -116,24 +117,73 @@ def _offspring_tail(k: int, upto, params: BranchingParams):
 MAX_TYPE = 1 << 62
 
 
-@lru_cache(maxsize=1 << 16)
 def offspring_cutoff(k: int, params: BranchingParams) -> int:
-    """Smallest cutoff K with expected discarded mass <= epsilon (<= MAX_TYPE)."""
+    """Certified truncation point K for a type-k particle (at most MAX_TYPE).
+
+    The expected discarded mass is tail(K) = m * mu_k/mu_K.  The result is
+    certified, tail(K) <= epsilon, and locally minimal, tail(K-1) > epsilon
+    when K > k+1; or it is MAX_TYPE with tail(MAX_TYPE) > epsilon.  It is the
+    smallest such K wherever the float tail is monotone in K, which holds
+    for K well below about 1e13.  Beyond that log_poch(K) moves by
+    rounding-level amounts, and another certified K within a few float
+    spacings of it may be returned.
+
+    K solves log_poch(K, beta) >= log_poch(k, beta) + log(m/epsilon) in closed
+    form: the guess exp(target/beta) - (beta-1)/2 from log Gamma(K+beta)/Gamma(K)
+    ~ beta log(K + (beta-1)/2), two Newton steps, then a gallop and bisection
+    on the integers with the exact predicate tail(K) > epsilon.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    hi = k + 1
-    while _offspring_tail(k, float(hi), params) > params.epsilon:
-        if hi >= MAX_TYPE:
-            return MAX_TYPE
-        hi = min(hi * 2, MAX_TYPE)
-    lo = max(k + 1, hi // 2)
-    while hi - lo > 0 and _offspring_tail(k, float(lo), params) > params.epsilon:
+    beta = params.beta
+    m = params.mean_offspring
+    eps = params.epsilon
+    lmu_k = log_poch(float(k), beta)
+
+    def too_short(K: int) -> bool:  # tail(K) > epsilon, as _offspring_tail forms it
+        return m * math.exp(lmu_k - log_poch(float(K), beta)) > eps
+
+    if not too_short(k + 1):
+        return k + 1
+    if k + 1 >= MAX_TYPE:
+        return MAX_TYPE
+    target = lmu_k + math.log(m / eps)
+    if target / beta > 44.0:  # exp(44) > 2**62: the cutoff is past the cap
+        return MAX_TYPE
+    shift = 0.5 * (beta - 1.0)
+    lo_f, hi_f = float(k + 1), float(MAX_TYPE)
+    x = min(max(math.exp(target / beta) - shift, lo_f), hi_f)
+    for _ in range(2):
+        # d/dK log_poch(K, beta) ~ beta / (K + (beta-1)/2)
+        x -= (log_poch(x, beta) - target) * (x + shift) / beta
+        x = min(max(x, lo_f), hi_f)
+    guess = max(math.ceil(x), k + 1)  # float(k + 1) may round below k + 1
+    # bracket: too_short(lo - 1) and not too_short(hi)
+    step = 1
+    if too_short(guess):
+        lo = guess + 1
+        hi = min(guess + step, MAX_TYPE)
+        while too_short(hi):
+            if hi >= MAX_TYPE:
+                return MAX_TYPE
+            lo = hi + 1
+            step *= 2
+            hi = min(guess + step, MAX_TYPE)
+    else:
+        hi = guess
+        lo = max(guess - step, k + 1)
+        while lo > k + 1 and not too_short(lo):
+            hi = lo
+            step *= 2
+            lo = max(guess - step, k + 1)
+        lo += 1  # too_short(lo), known for k + 1
+    while lo < hi:
         mid = (lo + hi) // 2
-        if _offspring_tail(k, float(mid), params) > params.epsilon:
+        if too_short(mid):
             lo = mid + 1
         else:
             hi = mid
-    return lo
+    return hi
 
 
 def sample_offspring(
@@ -149,10 +199,17 @@ def sample_offspring(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    cutoff = offspring_cutoff(k, params)
-    discarded = _offspring_tail(k, float(cutoff), params)
-    log_pref = math.log(params.rate) + log_poch(float(k), params.beta)
+    return _sample_below(k, offspring_cutoff(k, params), params, rng)
+
+
+def _sample_below(
+    k: int, cutoff: int, params: BranchingParams, rng: np.random.Generator
+) -> tuple[np.ndarray, float]:
+    """sample_offspring with the cutoff of type k already computed."""
     beta = params.beta
+    lmu_k = log_poch(float(k), beta)
+    discarded = params.mean_offspring * math.exp(lmu_k - log_poch(float(cutoff), beta))
+    log_pref = math.log(params.rate) + lmu_k
 
     def q(y: int) -> float:
         return math.exp(log_pref - math.log(y - 1.0) - log_poch(float(y), beta))
@@ -175,6 +232,25 @@ def sample_offspring(
             children.append(cand)
         pos = cand
     return np.array(children, dtype=np.int64), discarded
+
+
+def _offspring_cutoff_bisect(k: int, params: BranchingParams) -> int:
+    """Cutoff by doubling then bisection on the tail; reference used in tests."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    hi = k + 1
+    while _offspring_tail(k, float(hi), params) > params.epsilon:
+        if hi >= MAX_TYPE:
+            return MAX_TYPE
+        hi = min(hi * 2, MAX_TYPE)
+    lo = max(k + 1, hi // 2)
+    while hi - lo > 0 and _offspring_tail(k, float(lo), params) > params.epsilon:
+        mid = (lo + hi) // 2
+        if _offspring_tail(k, float(mid), params) > params.epsilon:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def _sample_offspring_scan(
@@ -230,10 +306,11 @@ def simulate(
         gens.append(Population(1, current.copy(), 0.0))
     for gen in range(2, params.max_gen + 1):
         kids = []
-        for k in current:
-            if offspring_cutoff(int(k), params) >= MAX_TYPE:
+        for k in current.tolist():
+            cutoff = offspring_cutoff(k, params)
+            if cutoff >= MAX_TYPE:
                 cap_hits += 1
-            ch, disc = sample_offspring(int(k), params, rng)
+            ch, disc = _sample_below(k, cutoff, params, rng)
             trunc += disc
             if len(ch):
                 kids.append(ch)

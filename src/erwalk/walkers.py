@@ -23,7 +23,7 @@ import numpy as np
 
 from .gammaratio import log_poch_ratio, ratio_seq
 from .memory import MemoryLaw
-from .streams import uniforms
+from .streams import _check_key, uniforms
 
 __all__ = [
     "ModelParams",
@@ -434,6 +434,7 @@ def run_walk(
     The walk is replicate `replicate_index` of the ensemble with master seed
     `seed`, so single runs and ensemble members can be compared directly.
     """
+    _check_key(seed, replicate_index)
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     cps = _check_checkpoints(checkpoints, n_steps)
@@ -503,6 +504,7 @@ def run_ensemble(
     `record` selects which per-replicate checkpoint arrays to keep, from
     {"xi", "sigma", "a"}.
     """
+    _check_key(seed, 0, n_replicates)
     if n_steps < 1 or n_replicates < 1:
         raise ValueError("n_steps and n_replicates must be >= 1")
     cps = _check_checkpoints(checkpoints, n_steps)
@@ -550,6 +552,7 @@ def coupled_run(
     The induced pathwise order (walk >= comparison for beta < 0, <= for
     beta > 0, equality at beta = 0) is asserted at every step.
     """
+    _check_key(seed, replicate_index)
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     cps = _check_checkpoints(checkpoints, n_steps)
@@ -579,6 +582,7 @@ def run_coupled_ensemble(
     block_size: int = _BLOCK_SIZE,
 ) -> CoupledEnsembleResult:
     """Coupled ensemble; raises AssertionError on any pathwise order violation."""
+    _check_key(seed, 0, n_replicates)
     if n_steps < 1 or n_replicates < 1:
         raise ValueError("n_steps and n_replicates must be >= 1")
     cps = _check_checkpoints(checkpoints, n_steps)

@@ -1,11 +1,17 @@
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from erwalk.analysis import chi_square_two_sample
 from erwalk.branching import (
+    MAX_TYPE,
     BranchingParams,
+    _offspring_cutoff_bisect,
     _offspring_tail,
     _sample_offspring_scan,
     offspring_cutoff,
@@ -97,6 +103,31 @@ class TestPartialSums:
             assert _offspring_tail(k, cut, bp) <= bp.epsilon
             if cut > k + 1:
                 assert _offspring_tail(k, cut - 1, bp) > bp.epsilon
+
+    # k log-uniform over [1, 2**62]: draw a bit length, then k within it
+    @given(
+        p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        beta=st.floats(0.05, 10.0),
+        log_eps=st.floats(-12.0, math.log10(0.5)),
+        k=st.integers(0, 61).flatmap(lambda b: st.integers(1 << b, 1 << (b + 1))),
+    )
+    # K ~ 1.55e15: beta/K is at rounding level, so the float tail is not
+    # monotone in K there and only certification is required
+    @example(p=0.2, beta=10.0, log_eps=-8.0, k=286568466660702)
+    # cutoffs just below the cap (K ~ 4.6e18) and just past it
+    @example(p=0.5, beta=1.0, log_eps=-8.0, k=46_000_000_000)
+    @example(p=0.5, beta=1.0, log_eps=-8.0, k=50_000_000_000)
+    def test_cutoff_matches_bisection(self, p, beta, log_eps, k):
+        bp = BranchingParams(p, beta, epsilon=10.0**log_eps)
+        cut = offspring_cutoff(k, bp)
+        want = _offspring_cutoff_bisect(k, bp)
+        if want < 1 << 40:
+            assert cut == want
+        assert min(k + 1, MAX_TYPE) <= cut
+        if _offspring_tail(k, cut, bp) > bp.epsilon:
+            assert cut == MAX_TYPE
+        elif cut > k + 1:
+            assert _offspring_tail(k, cut - 1, bp) > bp.epsilon
 
 
 class TestSampleOffspring:
@@ -227,6 +258,32 @@ class TestSimulate:
                     alive[g] += 1
         probs = [alive[g] / n_runs for g in (5, 10, 20, 40)]
         assert all(a >= b for a, b in zip(probs, probs[1:]))
+
+
+def _branching_digest(results):
+    h = hashlib.sha256()
+    for res in results:
+        h.update(res.generation_sizes.tobytes())
+        for pop in res.generations:
+            h.update(pop.types.tobytes())
+        h.update(struct.pack("<d", res.truncation_mass))
+        h.update(struct.pack("<q", res.cap_hits))
+    return h.hexdigest()
+
+
+# sha256 of whole realized trees, pinned from the doubling/bisection cutoff;
+# (0.5, 1) over 100 runs includes 1001 draws whose cutoff hit MAX_TYPE
+@pytest.mark.parametrize("p,beta,seed,runs,cap_hits,want", [
+    (0.75, 3.0, 41, 30, 0, "249ca4d9ef0db8615ed8575c6b90daa7d671738398c06aa4ac044c97e8b53d15"),
+    (0.5, 2.0, 42, 30, 0, "35864377b44c4c6d04890e00bd128c97054a9427905458cf1a94a3f7eab7be37"),
+    (0.5, 1.0, 43, 100, 1001, "03f3deea1d79da444865b323e7f5c04fdef380c4e801edea0450935e644c1b49"),
+])
+def test_simulate_golden_digests(p, beta, seed, runs, cap_hits, want):
+    bp = BranchingParams(p, beta, max_gen=40, max_pop=300)
+    rng = np.random.default_rng(seed)
+    results = [simulate(bp, rng, keep_generations=True) for _ in range(runs)]
+    assert sum(r.cap_hits for r in results) == cap_hits
+    assert _branching_digest(results) == want
 
 
 class TestModifiedWalk:

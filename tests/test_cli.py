@@ -103,12 +103,14 @@ class TestSimulateCommand:
 
     def test_seed_outside_64_bits_exit_2(self, tmp_path):
         # 2**64 would alias seed 0's streams if it were reduced mod 2**64
+        # n = 1 reads no uniform, so the seed is checked before any engine runs
         for seed in (-1, 2**64):
-            out = tmp_path / str(seed)
-            rc = main(["simulate", "--p", "0.5", "--beta", "1", "--n", "50",
-                       "--replicates", "10", "--seed", str(seed), "--out", str(out)])
-            assert rc == 2
-            assert not out.exists() or list(out.iterdir()) == []
+            for n in ("50", "1"):
+                out = tmp_path / f"{seed}_{n}"
+                rc = main(["simulate", "--p", "0.5", "--beta", "1", "--n", n,
+                           "--replicates", "10", "--seed", str(seed), "--out", str(out)])
+                assert rc == 2
+                assert not out.exists() or list(out.iterdir()) == []
 
     def test_differential_gate(self, tmp_path):
         rc = main(["simulate", "--p", "0.5", "--beta", "1", "--n", "100",

@@ -324,3 +324,21 @@ class TestCheckpoints:
             run_walk(ModelParams(0.5, 1.0), 10, seed=1, checkpoints=[0, 5])
         with pytest.raises(ValueError):
             run_walk(ModelParams(0.5, 1.0), 10, seed=1, checkpoints=[5, 11])
+
+    def test_seed_checked_without_draws(self):
+        # n_steps = 1 reads no uniform; the key is still checked up front
+        pms = ModelParams(0.5, 1.0)
+        calls = [
+            lambda s: run_walk(pms, 1, seed=s),
+            lambda s: run_ensemble(pms, 1, 3, seed=s),
+            lambda s: coupled_run(ModelParams(0.5, -0.5), 1, seed=s),
+            lambda s: run_coupled_ensemble(ModelParams(0.5, -0.5), 1, 3, seed=s),
+        ]
+        for call in calls:
+            for seed in (-5, 2**64):
+                with pytest.raises(ValueError, match="master_seed"):
+                    call(seed)
+            call(2**64 - 1)
+        for index in (-1, 2**64):
+            with pytest.raises(ValueError, match="replicate"):
+                run_walk(pms, 1, seed=0, replicate_index=index)
