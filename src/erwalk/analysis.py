@@ -1,4 +1,10 @@
-"""Phase classification, exponent estimation, and Monte Carlo vs exact gates."""
+"""Phase classification, exponent estimation, and Monte Carlo vs exact gates.
+
+The chi-square p-values come from `scipy.special.chdtrc`, the upper tail
+that `scipy.stats.chi2.sf` evaluates, so importing the package does not load
+`scipy.stats`, whose import used to be most of every command's start-up.
+The tests check both p-values against `scipy.stats` bit for bit.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sp_stats
+from scipy.special import chdtrc
 
 from .exact import ExactLaw, asymptotic_constant
 from .walkers import CRITICAL_TOL, EnsembleResult, ModelParams
@@ -197,7 +203,7 @@ def chi_square_vs_law(samples: np.ndarray, law: ExactLaw) -> float:
     if len(obs) < 2:
         raise ValueError("too few populated bins for a chi-square test")
     stat = float(np.sum((obs - exp) ** 2 / exp))
-    return float(sp_stats.chi2.sf(stat, df=len(obs) - 1))
+    return float(chdtrc(len(obs) - 1, stat))
 
 
 def chi_square_two_sample(a: np.ndarray, b: np.ndarray) -> float:
@@ -230,8 +236,25 @@ def chi_square_two_sample(a: np.ndarray, b: np.ndarray) -> float:
             row_b.append(acc_b)
     if len(row_a) < 2:
         return 1.0  # both samples concentrated on one pooled bin
-    table = np.array([row_a, row_b])
-    return float(sp_stats.chi2_contingency(table)[1])
+    return _contingency_pvalue(np.array([row_a, row_b]))
+
+
+def _contingency_pvalue(table: np.ndarray) -> float:
+    """Pearson chi-square p-value of a 2-D contingency table of counts.
+
+    The arithmetic of `scipy.stats.chi2_contingency(table)[1]`, with Yates'
+    continuity correction when dof == 1, reproduced bit for bit.
+    """
+    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / table.sum()
+    if np.any(expected == 0):
+        raise ValueError("the contingency table has a zero expected count")
+    dof = expected.size - sum(expected.shape) + expected.ndim - 1
+    observed = table
+    if dof == 1:
+        diff = expected - observed
+        observed = observed + np.minimum(0.5, np.abs(diff)) * np.sign(diff)
+    stat = np.sum((observed - expected) ** 2 / expected)
+    return float(chdtrc(dof, stat))
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,9 @@ _FULL_MODE_MAX_STEPS = 4096
 
 _BLOCK_SIZE = 4096
 _SEG_LEN = 2048
+#: segment buffers get this many spare columns: a row pitch of exactly
+#: 2048 doubles (16 KiB) maps every `buf[:, col]` read onto the same cache sets
+_SEG_PAD = 8
 
 
 @dataclass(frozen=True)
@@ -137,7 +140,7 @@ class LerwState:
 def collapsed_step_prob(state: CollapsedState, params: ModelParams) -> float:
     """Conditional step probability pi_n; aborts if it exceeds p (impossible state)."""
     pi = params.rate * state.sigma / (state.n * state.mu_next)
-    if pi > params.p + _GUARD_EPS:
+    if not pi <= params.p + _GUARD_EPS:  # a NaN fails too
         raise RuntimeError(
             f"internal consistency violated: pi_n = {pi} > p = {params.p} at n = {state.n}"
         )
@@ -259,14 +262,14 @@ def _collapsed_block(params, n_steps, seed, start, count, checkpoints, record):
         return out
     guard = params.p + _GUARD_EPS
     t = 1  # current time; transition t -> t+1 consumes draw t-1 of each replicate
-    buf = np.empty((count, _SEG_LEN), dtype=np.float64)
+    buf = np.empty((count, _SEG_LEN + _SEG_PAD), dtype=np.float64)
     while t < n_steps:
         seg = min(_SEG_LEN, n_steps - t)
         uniforms(seed, start, count, t - 1, seg, out=buf)
         for col in range(seg):
             coef = params.rate / (t * mu[t])  # mu[t] = mu_{t+1}
             pi = coef * sigma
-            if pi.max() > guard:
+            if not pi.max() <= guard:  # a NaN fails too
                 raise RuntimeError(
                     f"internal consistency violated: pi_n > p at n = {t}"
                 )
@@ -322,7 +325,7 @@ def _full_block(params, n_steps, seed, start, count, checkpoints, record):
     if n_steps == 1:
         return out
     seg_len = max(1, _SEG_LEN // 2)
-    buf = np.empty((count, seg_len, 2), dtype=np.float64)
+    buf = np.empty((count, seg_len + _SEG_PAD // 2, 2), dtype=np.float64)
     t = 1
     while t < n_steps:
         seg = min(seg_len, n_steps - t)
@@ -380,7 +383,7 @@ def _coupled_block(params, n_steps, seed, start, count, checkpoints):
     snapshot(1)
     if n_steps == 1:
         return xi_out, lerw_out
-    buf = np.empty((count, _SEG_LEN), dtype=np.float64)
+    buf = np.empty((count, _SEG_LEN + _SEG_PAD), dtype=np.float64)
     t = 1
     while t < n_steps:
         seg = min(_SEG_LEN, n_steps - t)

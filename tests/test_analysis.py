@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from scipy import stats as sp_stats
 
 from erwalk.analysis import (
     Regime,
+    _contingency_pvalue,
+    _merge_small_bins,
     build_report,
     chi_square_two_sample,
     chi_square_vs_law,
@@ -12,7 +17,7 @@ from erwalk.analysis import (
     mean_gate,
     stagnation_profile,
 )
-from erwalk.exact import enumerate_law, exact_mean_xi, l2_diagnostic
+from erwalk.exact import ExactLaw, enumerate_law, exact_mean_xi, l2_diagnostic
 from erwalk.walkers import ModelParams, geometric_checkpoints, run_ensemble
 
 
@@ -201,3 +206,59 @@ class TestChiSquareHelpers:
         a = rng.binomial(20, 0.3, size=20000)
         b = rng.binomial(20, 0.33, size=20000)
         assert chi_square_two_sample(a, b) < 1e-3
+
+
+class TestChiSquareOracle:
+    """Both p-values agree bit for bit with `scipy.stats`, the slow oracle."""
+
+    @given(
+        n=st.integers(2, 60),
+        size=st.integers(10, 100_000),
+        tilt=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_vs_law_matches_scipy(self, n, size, tilt, seed):
+        # the tilt moves the samples off the law, so the statistic runs
+        # from near 0 to far in the tail, with df from 1 to n - 1
+        rng = np.random.default_rng(seed)
+        probs = np.concatenate([[0.0], rng.dirichlet(np.ones(n))])
+        law = ExactLaw(n=n, probs=probs)
+        drawn = (1.0 - tilt) * probs + tilt * np.concatenate(
+            [[0.0], rng.dirichlet(np.ones(n))]
+        )
+        samples = rng.choice(n + 1, size=size, p=drawn / drawn.sum())
+        observed = np.bincount(samples, minlength=n + 1)[1:].astype(np.float64)
+        obs, exp = _merge_small_bins(observed, probs[1:] * size)
+        if len(obs) < 2:
+            with pytest.raises(ValueError):
+                chi_square_vs_law(samples, law)
+            return
+        want = sp_stats.chisquare(obs, exp).pvalue
+        assert chi_square_vs_law(samples, law) == want
+
+    @given(
+        k=st.integers(2, 13),
+        scale=st.sampled_from([3, 20, 1000, 10**6]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_contingency_matches_scipy(self, k, scale, seed):
+        # k = 2 runs the Yates branch; scale 3 gives small counts and zeros
+        table = np.random.default_rng(seed).integers(0, scale, size=(2, k))
+        table = table.astype(np.float64)
+        assume(table.sum() > 0)  # 0/0: both give NaN, and no caller has it
+        if (table.sum(axis=0) == 0).any() or (table.sum(axis=1) == 0).any():
+            with pytest.raises(ValueError):
+                sp_stats.chi2_contingency(table)
+            with pytest.raises(ValueError, match="zero expected"):
+                _contingency_pvalue(table)
+            return
+        assert _contingency_pvalue(table) == sp_stats.chi2_contingency(table)[1]
+
+    def test_contingency_yates_and_zero_expected(self):
+        table = np.array([[12.0, 5.0], [9.0, 15.0]])
+        assert _contingency_pvalue(table) == sp_stats.chi2_contingency(table)[1]
+        assert _contingency_pvalue(table) != sp_stats.chi2_contingency(
+            table, correction=False
+        )[1]
+        with pytest.raises(ValueError, match="zero expected"):
+            _contingency_pvalue(np.array([[3.0, 0.0, 4.0], [1.0, 0.0, 2.0]]))

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import erwalk
 import erwalk.report as report_mod
 from erwalk.analysis import build_report
 from erwalk.branching import BranchingParams, simulate
@@ -193,3 +198,22 @@ class TestReportCommand:
         with pytest.raises(SystemExit) as exc:
             main(["report", "--regime", "bogus"])
         assert exc.value.code == 2
+
+
+def test_import_loads_no_heavy_scipy():
+    # importing scipy.stats was most of every command's start-up time
+    code = (
+        "import sys, erwalk, erwalk.cli\n"
+        "print('\\n'.join(sorted(sys.modules)))\n"
+    )
+    src = str(Path(erwalk.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    loaded = proc.stdout.split()
+    assert "erwalk.cli" in loaded and "scipy.special" in loaded
+    heavy = {"scipy.stats", "scipy.optimize", "scipy.sparse", "scipy.linalg"}
+    assert [m for m in loaded if ".".join(m.split(".")[:2]) in heavy] == []

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from erwalk import gammaratio
+from erwalk import gammaratio, walkers
 from erwalk.analysis import chi_square_vs_law
 from erwalk.exact import enumerate_law, exact_mean_xi
 from erwalk.gammaratio import log_poch, poch_ratio
@@ -74,6 +74,24 @@ class TestStepProbability:
         state = CollapsedState(n=3, xi=3, sigma=100.0, a=1.0, mu_next=4.0)
         with pytest.raises(RuntimeError):
             collapsed_step_prob(state, pms)
+
+    def test_guard_rejects_nan(self, monkeypatch):
+        # u < NaN is False: without the guard a NaN would silently take no step
+        pms = ModelParams(0.5, 1.0)
+        state = CollapsedState(n=3, xi=3, sigma=math.nan, a=1.0, mu_next=4.0)
+        with pytest.raises(RuntimeError):
+            collapsed_step_prob(state, pms)
+
+        def mu_with_nan(beta, upto):
+            mu = gammaratio.ratio_seq(beta).values(upto).copy()
+            mu[5] = math.nan
+            return mu
+
+        monkeypatch.setattr(walkers, "_mu_array", mu_with_nan)
+        with pytest.raises(RuntimeError, match="n = 5"):
+            run_ensemble(pms, 50, 10, seed=1)
+        with pytest.raises(RuntimeError, match="n = 5"):
+            run_walk(pms, 50, seed=1)
 
 
 class TestScalarSteps:
