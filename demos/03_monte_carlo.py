@@ -1,7 +1,10 @@
 """Monte Carlo vs exact: the collapsed simulator against the moment engine.
 
 The conditional step law depends on the history only through the weighted
-sum Sigma_n, so the pair (Xi_n, Sigma_n) is simulated in O(1) per step.
+sum Sigma_n, so the pair (Xi_n, Sigma_n) is simulated directly: one uniform
+per replicate and step is still drawn, but each replicate's next up-step is
+found by a tiled search over its row of draws, so the work goes per tile
+and per up-step.
 Ensembles use one counter-based RNG stream per replicate: identical output
 for any batching or worker count.  Replicate j of seed s (both in
 [0, 2**64)) is Philox4x64-10 under the key (s, j), and its draw d is lane

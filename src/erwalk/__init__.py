@@ -1,7 +1,8 @@
 """erwalk: the unidirectional elephant random walk with power-law memory.
 
-A computational-probability toolkit: exact moment theory, O(1)-per-step
-simulators, branching-process and uniform-memory couplings, and a
+A computational-probability toolkit: exact moment theory, simulators that
+find each replicate's next up-step by a tiled search over its uniforms,
+branching-process and uniform-memory couplings, and a
 verification harness reproducing the model's phase diagram at desk scale.
 """
 

@@ -7,7 +7,10 @@ is 0.  Conditionally on the history,
     P(X_{n+1} = 1) = pi_n = p(beta+1) * Sigma_n / (n * mu_{n+1}),
 
 where Sigma_n = sum X_k mu_k, so (Xi_n, Sigma_n) is Markov.  That collapsed
-chain is the production simulator (O(1) per step); the full-history
+chain is the production simulator.  It still draws one uniform per
+replicate and step, but between two up-steps pi_n is a known sequence, so
+it searches each replicate's row of uniforms a tile of steps at a time for
+its next up-step: the work goes per tile and per up-step.  The full-history
 simulator draws the recalled time explicitly and serves as a differential
 oracle.  Ensembles run one counter-based RNG stream per replicate, so
 results are reproducible under any batching or worker count.
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gammaratio import log_poch_ratio, ratio_seq
+from .gammaratio import _ratio_values, log_poch_ratio, ratio_seq
 from .memory import MemoryLaw
 from .streams import _check_key, uniforms
 
@@ -51,11 +54,16 @@ CRITICAL_TOL = 1e-12
 #: the full-history simulator is an oracle; cap its quadratic cost
 _FULL_MODE_MAX_STEPS = 4096
 
-_BLOCK_SIZE = 4096
-_SEG_LEN = 2048
-#: segment buffers get this many spare columns: a row pitch of exactly
-#: 2048 doubles (16 KiB) maps every `buf[:, col]` read onto the same cache sets
-_SEG_PAD = 8
+_BLOCK_SIZE = 2048
+#: draws per replicate and segment fill; every fill loops over the block's
+#: rows in Python, and 2000 still fills a 4000-step run in two
+_SEG_LEN = 2000
+#: time steps per tile of the collapsed engine's up-step search
+_TILE = 64
+#: a tile is searched when its rows expect at most this many up-steps each;
+#: denser tiles run the per-step loop, which is then as fast, and the
+#: search's scratch grows with the share of rows that step
+_SEARCH_MAX_HITS = 0.25
 
 
 @dataclass(frozen=True)
@@ -224,13 +232,105 @@ def _check_checkpoints(checkpoints, n_steps: int) -> np.ndarray:
     return cps
 
 
+def _row_pitch(cols: int) -> int:
+    """Row length of a segment buffer that holds `cols` doubles per row.
+
+    An odd number of 64-byte lines: the per-step loops read the buffer a
+    column at a time, and an even count (16 KiB rows, say) maps those reads
+    onto a fraction of the cache sets.
+    """
+    return 8 * (-(-cols // 8) | 1)
+
+
 def _mu_array(beta: float, upto: int) -> np.ndarray:
     """mu_1, ..., mu_upto as a 0-based array (mu[i] = mu_{i+1})."""
-    return ratio_seq(beta).values(upto)
+    return _ratio_values(beta, upto)
+
+
+def _dense_tile(u, coef, mu, t, xi, sigma, a, guard):
+    """The per-step loop over the columns of `u`, the draws of times t, t + 1, ...
+
+    At time t + i, coef[i] = rate / ((t + i) mu_{t+i+1}) and mu[i] = mu_{t+i+1}.
+    `a` is None when A_n is not recorded.
+    """
+    for col in range(u.shape[1]):
+        pi = coef[col] * sigma
+        if not pi.max() <= guard:  # a NaN fails too
+            raise RuntimeError(
+                f"internal consistency violated: pi_n > p at n = {t + col}"
+            )
+        x = u[:, col] < pi
+        xi += x
+        sigma += x * mu[col]
+        if a is not None:
+            a += pi
+
+
+def _search_tile(u, coef, mu, sigma, guard, h_flat):
+    """The up-steps of one tile, found by comparing whole rows of draws with pi_n.
+
+    Between two up-steps of a replicate its sigma is constant, so its pi_n
+    over the rest of the tile is sigma * coef, and its next up-step is the
+    first column where the draw is below it.  A first pass compares each row
+    with sigma * max(coef), the largest pi_n it has before its first step,
+    to find the few rows that may step at all; then each round searches
+    those rows, and after that the rows that stepped, in the columns after
+    their last step.  Returns the steps as (rows, cols) pairs, one per
+    round, or None if some pi_n of the tile fails the guard; `sigma` is not
+    changed.  `h_flat` is bool scratch of at least u.size entries.
+    """
+    count, w = u.shape
+    top = sigma * coef.max()
+    # rounding is monotone, so top.max() is the largest pi_n of the tile
+    # at the current sigma; a step only raises sigma, so a failure here is
+    # a failure of the true pi_n
+    if not top.max() <= guard:  # a NaN fails too
+        return None
+    h = np.less(u, top[:, None], out=h_flat[: count * w].reshape(count, w))
+    rows = np.unique(np.flatnonzero(h) // w)  # rows with a draw below their bound
+    cols = np.full(rows.size, -1)  # no column spent yet
+    s = sigma[rows]
+    span = np.arange(w)
+    rounds = []
+    while rows.size:
+        p = s[:, None] * coef
+        p[span <= cols[:, None]] = 0.0  # spent columns: p = 0 takes no step
+        if not p.max() <= guard:
+            return None
+        h = u[rows] < p
+        hit = np.flatnonzero(h.any(axis=1))
+        rows, cols = rows[hit], h.argmax(axis=1)[hit]
+        s = s[hit] + mu[cols]
+        if rows.size:
+            rounds.append((rows, cols))
+    return rounds
+
+
+def _tile_a(a, sigma, coef, mu, rounds):
+    """A_n at the end of a searched tile, summed in the per-step loop's order."""
+    count, w = len(a), len(coef)
+    # sigma before each step: the start value, then 0 or mu_{n+1} per step
+    s = np.zeros((count, w + 1))
+    s[:, 0] = sigma
+    for rows, cols in rounds:
+        s[rows, cols + 1] = mu[cols]
+    np.cumsum(s, axis=1, out=s)
+    terms = np.empty((count, w + 1))
+    terms[:, 0] = a
+    np.multiply(s[:, :w], coef, out=terms[:, 1:])
+    return np.cumsum(terms, axis=1)[:, w]
 
 
 def _collapsed_block(params, n_steps, seed, start, count, checkpoints, record):
-    """Advance `count` replicates of the collapsed chain; returns checkpoint arrays."""
+    """Advance `count` replicates of the collapsed chain; returns checkpoint arrays.
+
+    Time is cut into tiles of up to _TILE steps that end at every checkpoint
+    and segment end.  A tile whose mean pi_n at its start predicts at most
+    _SEARCH_MAX_HITS up-steps per row is searched (`_search_tile`); a denser
+    tile, one whose mu is not finite, or one where the search meets a pi_n
+    that fails the guard runs the per-step loop.  Both read the same
+    uniforms and give the same bits.
+    """
     mu = _mu_array(params.beta, n_steps + 1)
     cps = checkpoints
     cp_set = {int(c): i for i, c in enumerate(cps)}
@@ -244,7 +344,7 @@ def _collapsed_block(params, n_steps, seed, start, count, checkpoints, record):
 
     xi = np.ones(count, dtype=np.int64)
     sigma = np.ones(count, dtype=np.float64)
-    a = np.ones(count, dtype=np.float64)
+    a = np.ones(count, dtype=np.float64) if "a" in out else None
 
     def snapshot(t):
         i = cp_set.get(t)
@@ -261,24 +361,43 @@ def _collapsed_block(params, n_steps, seed, start, count, checkpoints, record):
     if n_steps == 1:
         return out
     guard = params.p + _GUARD_EPS
+    stops = iter([int(c) for c in cps if c > 1])
+    stop = next(stops, n_steps)
+    seg_len = min(_SEG_LEN, n_steps - 1)
+    # one allocation holds the segment's draws and the tile scratch after them
+    pitch = _row_pitch(seg_len)
+    flat = np.empty(count * (pitch + _TILE // 8), dtype=np.float64)
+    buf = flat[: count * pitch].reshape(count, pitch)
+    h_flat = flat[count * pitch :].view(np.bool_)
     t = 1  # current time; transition t -> t+1 consumes draw t-1 of each replicate
-    buf = np.empty((count, _SEG_LEN + _SEG_PAD), dtype=np.float64)
     while t < n_steps:
-        seg = min(_SEG_LEN, n_steps - t)
+        t0 = t
+        seg = min(seg_len, n_steps - t)
         uniforms(seed, start, count, t - 1, seg, out=buf)
-        for col in range(seg):
-            coef = params.rate / (t * mu[t])  # mu[t] = mu_{t+1}
-            pi = coef * sigma
-            if not pi.max() <= guard:  # a NaN fails too
-                raise RuntimeError(
-                    f"internal consistency violated: pi_n > p at n = {t}"
-                )
-            x = buf[:, col] < pi
-            xi += x
-            sigma += x * mu[t]
-            a += pi
-            t += 1
-            snapshot(t)
+        mu_seg = mu[t : t + seg]  # mu_seg[i] = mu_{t+i+1}
+        coef_seg = params.rate / (np.arange(t, t + seg) * mu_seg)
+        # an infinite mu_n turns every sigma into NaN in the per-step loop
+        # (0 * inf), which the search would not reproduce
+        finite = bool(np.isfinite(mu_seg).all())
+        while t < t0 + seg:
+            e = min(t + _TILE, t0 + seg, stop)
+            u = buf[:, t - t0 : e - t0]
+            coef, m = coef_seg[t - t0 : e - t0], mu_seg[t - t0 : e - t0]
+            rounds = None
+            if finite and coef[0] * sigma.mean() * _TILE <= _SEARCH_MAX_HITS:
+                rounds = _search_tile(u, coef, m, sigma, guard, h_flat)
+            if rounds is None:
+                _dense_tile(u, coef, m, t, xi, sigma, a, guard)
+            else:
+                if a is not None:
+                    a = _tile_a(a, sigma, coef, m, rounds)
+                for rows, cols in rounds:
+                    xi[rows] += 1
+                    sigma[rows] += m[cols]
+            t = e
+            if t == stop:
+                snapshot(t)
+                stop = next(stops, n_steps)
     return out
 
 
@@ -324,8 +443,8 @@ def _full_block(params, n_steps, seed, start, count, checkpoints, record):
     snapshot(1)
     if n_steps == 1:
         return out
-    seg_len = max(1, _SEG_LEN // 2)
-    buf = np.empty((count, seg_len + _SEG_PAD // 2, 2), dtype=np.float64)
+    seg_len = min(_SEG_LEN // 2, n_steps - 1)
+    buf = np.empty((count, _row_pitch(2 * seg_len) // 2, 2), dtype=np.float64)
     t = 1
     while t < n_steps:
         seg = min(seg_len, n_steps - t)
@@ -383,14 +502,20 @@ def _coupled_block(params, n_steps, seed, start, count, checkpoints):
     snapshot(1)
     if n_steps == 1:
         return xi_out, lerw_out
-    buf = np.empty((count, _SEG_LEN + _SEG_PAD), dtype=np.float64)
+    guard = params.p + _GUARD_EPS
+    seg_len = min(_SEG_LEN, n_steps - 1)
+    buf = np.empty((count, _row_pitch(seg_len)), dtype=np.float64)
     t = 1
     while t < n_steps:
-        seg = min(_SEG_LEN, n_steps - t)
+        seg = min(seg_len, n_steps - t)
         uniforms(seed, start, count, t - 1, seg, out=buf)
         for col in range(seg):
             u = buf[:, col]
             pi = rate / (t * mu[t]) * sigma
+            if not pi.max() <= guard:  # a NaN fails too
+                raise RuntimeError(
+                    f"internal consistency violated: pi_n > p at n = {t}"
+                )
             pi_l = rate / t * xi_l
             x = u < pi
             x_l = u < pi_l

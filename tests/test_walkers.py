@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from erwalk import gammaratio, walkers
 from erwalk.analysis import chi_square_vs_law
 from erwalk.exact import enumerate_law, exact_mean_xi
 from erwalk.gammaratio import log_poch, poch_ratio
-from erwalk.streams import replicate_stream
+from erwalk.streams import replicate_stream, uniforms
 from erwalk.walkers import (
     CollapsedState,
     FullState,
@@ -83,7 +85,7 @@ class TestStepProbability:
             collapsed_step_prob(state, pms)
 
         def mu_with_nan(beta, upto):
-            mu = gammaratio.ratio_seq(beta).values(upto).copy()
+            mu = gammaratio._ratio_values(beta, upto)
             mu[5] = math.nan
             return mu
 
@@ -92,6 +94,11 @@ class TestStepProbability:
             run_ensemble(pms, 50, 10, seed=1)
         with pytest.raises(RuntimeError, match="n = 5"):
             run_walk(pms, 50, seed=1)
+        coupled = ModelParams(0.5, 0.5)  # the coupling needs p(beta+1) < 1
+        with pytest.raises(RuntimeError, match="n = 5"):
+            coupled_run(coupled, 50, seed=1)
+        with pytest.raises(RuntimeError, match="n = 5"):
+            run_coupled_ensemble(coupled, 50, 10, seed=1)
 
 
 class TestScalarSteps:
@@ -225,6 +232,14 @@ def _digest(*arrays):
     return h.hexdigest()
 
 
+def _golden_full_digest():
+    rec = ("xi", "sigma", "a")
+    res = run_ensemble(ModelParams(0.5, 1.0), 1100, 30, seed=7,
+                       checkpoints=[1, 2, 3, 1024, 1025, 1026, 1100],
+                       mode="full", record=rec, block_size=16)
+    return _digest(*(res.arrays[k] for k in rec))
+
+
 class TestEnsembles:
     def test_deterministic_and_worker_independent(self):
         def run(mode, **kw):
@@ -245,17 +260,14 @@ class TestEnsembles:
                     assert np.array_equal(x, y), mode
 
     # sha256 of the checkpoint arrays, pinned from the engines that built one
-    # Generator per replicate; the checkpoints straddle the first segment
-    # boundary (2048 uniforms), so the second segment reads at offset 2048.
-    # mu_k's last bits depend on how the shared RatioSeq cache was extended
-    # before, so each run starts from an empty cache, as a fresh process does.
+    # Generator per replicate; the checkpoints straddle draw 2048, the
+    # segment length when they were pinned.
     @pytest.mark.parametrize("mode,want", [
         ("collapsed", "95512c7c000888d7acf625e2b7ae8d220beac896897690c4982c7dc8eb8c6d6e"),
         ("full", "f5a09b89cf0b51b4e6974870a38198b1d581978e19232d988dcd483bac0a52c3"),
         ("coupled", "9dd6646b17e70f732a42fd5c8c63362083b9720b29fc884daa5a192c1c68de89"),
     ])
-    def test_golden_digests(self, mode, want, monkeypatch):
-        monkeypatch.setattr(gammaratio, "_seq_cache", {})
+    def test_golden_digests(self, mode, want):
         rec = ("xi", "sigma", "a")
         if mode == "collapsed":
             res = run_ensemble(ModelParams(0.45, 0.8), 2100, 40, seed=31,
@@ -263,16 +275,48 @@ class TestEnsembles:
                                record=rec, block_size=16)
             got = _digest(*(res.arrays[k] for k in rec))
         elif mode == "full":
-            res = run_ensemble(ModelParams(0.5, 1.0), 1100, 30, seed=7,
-                               checkpoints=[1, 2, 3, 1024, 1025, 1026, 1100],
-                               mode="full", record=rec, block_size=16)
-            got = _digest(*(res.arrays[k] for k in rec))
+            got = _golden_full_digest()
         else:
             res = run_coupled_ensemble(ModelParams(0.5, -0.5), 2100, 40, seed=4,
                                        checkpoints=[1, 2, 2048, 2049, 2050, 2100],
                                        block_size=16)
             got = _digest(res.xi, res.xi_lerw)
         assert got == want
+
+    # the same pins across the segment boundaries of 2000 uniforms (1000
+    # steps in full mode), computed with the per-step engines of 2048
+    @pytest.mark.parametrize("mode,want", [
+        ("collapsed", "81bc7b4b3add17f849f5103f56f64a98643ea627a6174d9d2a2b2d488313c86c"),
+        ("full", "fc20f6f2e2f6c420877d080760deef798b316debc8616590d5fc5c9a4ef5703f"),
+        ("coupled", "09cfc3caa04fd09db7352472201636668fd5d4d1da69a9a8959bea9845b6ba66"),
+    ])
+    def test_golden_digests_segment_2000(self, mode, want):
+        rec = ("xi", "sigma", "a")
+        cps = [1, 1999, 2000, 2001, 2002, 4000, 4001, 4002, 4100]
+        if mode == "collapsed":
+            res = run_ensemble(ModelParams(0.45, 0.8), 4100, 40, seed=31,
+                               checkpoints=cps, record=rec, block_size=16)
+            got = _digest(*(res.arrays[k] for k in rec))
+        elif mode == "full":
+            res = run_ensemble(ModelParams(0.5, 1.0), 2100, 30, seed=7,
+                               checkpoints=[1, 999, 1000, 1001, 1002, 2000, 2001, 2002, 2100],
+                               mode="full", record=rec, block_size=16)
+            got = _digest(*(res.arrays[k] for k in rec))
+        else:
+            res = run_coupled_ensemble(ModelParams(0.5, -0.5), 4100, 40, seed=4,
+                                       checkpoints=cps, block_size=16)
+            got = _digest(res.xi, res.xi_lerw)
+        assert got == want
+
+    def test_output_independent_of_ratio_seq_history(self, monkeypatch):
+        # the shared RatioSeq's last bits depend on the lengths it was grown
+        # to; the engines' mu must not, or a fresh process and one that made
+        # an unrelated shorter call write different sigma
+        monkeypatch.setattr(gammaratio, "_seq_cache", {})
+        gammaratio.ratio_seq(1.0).values(51)
+        assert _golden_full_digest() == (
+            "f5a09b89cf0b51b4e6974870a38198b1d581978e19232d988dcd483bac0a52c3"
+        )
 
     def test_mean_against_exact(self):
         pms = ModelParams(0.5, 0.0)
@@ -303,6 +347,185 @@ class TestEnsembles:
         # engine guard active on every step of every replicate
         for p, beta in [(0.2, -0.5), (0.8, 3.0), (0.5, 0.5)]:
             run_ensemble(ModelParams(p, beta), 300, 200, seed=8, checkpoints=[300])
+
+
+def _per_step_collapsed_block(params, n_steps, seed, start, count, checkpoints, record):
+    """The collapsed engine as one numpy pass per time step, as it was before
+    the tiled search: the reference for `walkers._collapsed_block`."""
+    mu = walkers._mu_array(params.beta, n_steps + 1)
+    cps = checkpoints
+    cp_set = {int(c): i for i, c in enumerate(cps)}
+    out = {}
+    if "xi" in record:
+        out["xi"] = np.empty((count, len(cps)), dtype=np.int64)
+    if "sigma" in record:
+        out["sigma"] = np.empty((count, len(cps)), dtype=np.float64)
+    if "a" in record:
+        out["a"] = np.empty((count, len(cps)), dtype=np.float64)
+
+    xi = np.ones(count, dtype=np.int64)
+    sigma = np.ones(count, dtype=np.float64)
+    a = np.ones(count, dtype=np.float64)
+
+    def snapshot(t):
+        i = cp_set.get(t)
+        if i is None:
+            return
+        if "xi" in out:
+            out["xi"][:, i] = xi
+        if "sigma" in out:
+            out["sigma"][:, i] = sigma
+        if "a" in out:
+            out["a"][:, i] = a
+
+    snapshot(1)
+    if n_steps == 1:
+        return out
+    guard = params.p + walkers._GUARD_EPS
+    t = 1  # current time; transition t -> t+1 consumes draw t-1 of each replicate
+    buf = np.empty((count, 2048 + 8), dtype=np.float64)
+    while t < n_steps:
+        seg = min(2048, n_steps - t)
+        uniforms(seed, start, count, t - 1, seg, out=buf)
+        for col in range(seg):
+            coef = params.rate / (t * mu[t])  # mu[t] = mu_{t+1}
+            pi = coef * sigma
+            if not pi.max() <= guard:  # a NaN fails too
+                raise RuntimeError(
+                    f"internal consistency violated: pi_n > p at n = {t}"
+                )
+            x = buf[:, col] < pi
+            xi += x
+            sigma += x * mu[t]
+            a += pi
+            t += 1
+            snapshot(t)
+    return out
+
+
+def _compare_with_per_step(params, n_steps, seed, start, count, cps, bad_at=None,
+                           bad=math.nan):
+    """Run the engine and its reference, with mu_{n+1} = `bad` at n = `bad_at`.
+
+    Returns how often each path ran and whether the guard raised.
+    """
+    paths = {"dense": 0, "search": 0, "raised": False}
+    search, dense = walkers._search_tile, walkers._dense_tile
+
+    def counted_search(*args):
+        rounds = search(*args)
+        paths["search"] += rounds is not None
+        return rounds
+
+    def counted_dense(*args):
+        paths["dense"] += 1
+        return dense(*args)
+
+    def mu_with_bad(beta, upto):
+        mu = gammaratio._ratio_values(beta, upto)
+        mu[bad_at] = bad
+        return mu
+
+    rec = ("xi", "sigma", "a")
+    args = (params, n_steps, seed, start, count, cps)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walkers, "_search_tile", counted_search)
+        mp.setattr(walkers, "_dense_tile", counted_dense)
+        if bad_at is not None:
+            mp.setattr(walkers, "_mu_array", mu_with_bad)
+        try:
+            want = _per_step_collapsed_block(*args, rec)
+        except RuntimeError as err:
+            with pytest.raises(RuntimeError) as got:
+                walkers._collapsed_block(*args, rec)
+            assert str(got.value) == str(err)
+            paths["raised"] = True
+            return paths
+        got = walkers._collapsed_block(*args, rec)
+        lean = walkers._collapsed_block(*args, ("xi", "sigma"))
+    for name in rec:
+        assert np.array_equal(got[name], want[name]), name
+    for name in lean:
+        assert np.array_equal(lean[name], want[name]), name
+    return paths
+
+
+class TestCollapsedKernel:
+    """The tiled up-step search against the per-step loop, bit for bit."""
+
+    @given(
+        p=st.floats(0.001, 0.99),
+        beta=st.floats(-0.99, 5.0),
+        n_steps=st.one_of(
+            st.sampled_from([2, 3, 64, 65, 1999, 2000, 2001, 2002, 2100, 4001, 4100]),
+            st.integers(2, 700),
+        ),
+        count=st.sampled_from([1, 2, 17, 300]),
+        seed=st.integers(0, 2**64 - 1),
+        start=st.integers(0, 2**40),
+        nan_at=st.one_of(st.none(), st.none(), st.integers(0, 2**20)),
+        data=st.data(),
+    )
+    @example(p=0.5, beta=1.0, n_steps=2100, count=300, seed=3, start=0,
+             nan_at=None, data=None).via("critical: per-step loop, then search")
+    @example(p=0.003, beta=3.0, n_steps=700, count=17, seed=3, start=0,
+             nan_at=400, data=None).via("a NaN in a searched tile")
+    def test_matches_per_step_loop(self, p, beta, n_steps, count, seed, start, nan_at,
+                                   data):
+        if data is None:
+            cps = walkers.geometric_checkpoints(n_steps)
+        else:
+            kind = data.draw(st.sampled_from(["every", "random", "geometric"]))
+            if kind == "every":
+                cps = np.arange(1, n_steps + 1)
+            elif kind == "random":
+                drawn = data.draw(st.lists(st.integers(1, n_steps), min_size=1, max_size=12))
+                cps = np.unique(drawn)
+            else:
+                cps = walkers.geometric_checkpoints(n_steps)
+        if nan_at is not None:
+            nan_at = 1 + nan_at % (n_steps - 1)  # mu[nan_at] = mu_{n+1} at n = nan_at
+        _compare_with_per_step(ModelParams(p, beta), n_steps, seed, start, count, cps,
+                               nan_at)
+
+    def test_guard_in_searched_tiles(self):
+        # p = 0.003: every tile is searched.  A tiny mu_401 makes pi_400 > p
+        # for every replicate, so both engines must raise naming n = 400.
+        paths = _compare_with_per_step(ModelParams(0.003, 3.0), 700, 3, 0, 17,
+                                       walkers.geometric_checkpoints(700), 400, 1e-300)
+        assert paths["raised"] and paths["search"] > 0 and paths["dense"] == 1
+
+    def test_infinite_mu_takes_the_per_step_loop(self):
+        # at an infinite mu the per-step loop turns every sigma into NaN
+        # (0 * inf) and raises one step later; a search would step over it
+        with np.errstate(invalid="ignore"):
+            paths = _compare_with_per_step(ModelParams(0.003, 3.0), 700, 3, 0, 17,
+                                           walkers.geometric_checkpoints(700), 400,
+                                           math.inf)
+        assert paths["raised"]
+
+    def test_search_declines_when_pi_fails_the_guard(self):
+        u = np.full((3, 8), 0.5)
+        coef, mu, sigma = np.full(8, 1e-3), np.ones(8), np.ones(3)
+        scratch = np.empty(24, dtype=bool)
+        # pi_n = 1e-3 above a guard of 1e-4, though no draw is below it
+        assert walkers._search_tile(u, coef, mu, sigma, 1e-4, scratch) is None
+        u[1, 2] = 0.0  # row 1 steps at column 2
+        rounds = walkers._search_tile(u, coef, mu, sigma, 0.5, scratch)
+        assert [(list(r), list(c)) for r, c in rounds] == [([1], [2])]
+        mu[2] = 1e6  # the step lifts row 1's later pi_n past the guard
+        assert walkers._search_tile(u, coef, mu, sigma, 0.5, scratch) is None
+        assert (sigma == 1.0).all()
+
+    @pytest.mark.parametrize("p,beta,dense,search", [
+        (0.5, -0.5, True, False),  # Xi_n grows like n^0.75: pi_n stays large
+        (0.5, 1.0, True, True),  # critical: pi_n falls below the search's bound
+        (0.003, 3.0, False, True),  # localized, tiny p: pi_n is small from the start
+    ])
+    def test_takes_both_paths(self, p, beta, dense, search):
+        paths = _compare_with_per_step(ModelParams(p, beta), 3000, 11, 5, 300,
+                                       walkers.geometric_checkpoints(3000))
+        assert (paths["dense"] > 0, paths["search"] > 0) == (dense, search)
 
 
 class TestCoupling:
