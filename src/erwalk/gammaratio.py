@@ -207,28 +207,6 @@ class RatioSeq:
         return self._log[:n].copy()
 
 
-def _ratio_values(xi: float, n: int) -> np.ndarray:
-    """[c_1, ..., c_n], bit for bit what a fresh `RatioSeq(xi).values(n)` returns.
-
-    The shared `ratio_seq(xi)` grows its table in chunks, so its last bits
-    depend on the lengths earlier callers asked for; this depends on
-    (xi, n) alone.
-    """
-    xi = _check_xi(xi)
-    n = _check_n(n)
-    if n > RatioSeq.MAX_CACHE:
-        raise ValueError(f"bulk extraction capped at {RatioSeq.MAX_CACHE} entries")
-    k = np.arange(1, n, dtype=np.float64)
-    top = min(n, 10_000)  # RatioSeq's default linear_threshold
-    out = np.empty(n)
-    out[0] = 1.0
-    out[1:top] = np.cumprod((k[: top - 1] + xi) / k[: top - 1])
-    if n > top:
-        log_c = np.cumsum(np.log1p(xi / k).astype(np.longdouble))  # log c_2 ... c_n
-        out[top:] = np.exp(log_c[top - 1 :].astype(np.float64))
-    return out
-
-
 _seq_cache: dict[float, RatioSeq] = {}
 _seq_cache_lock = threading.Lock()
 _SEQ_CACHE_MAX = 64

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gammaratio import _ratio_values, log_poch_ratio, ratio_seq
+from .gammaratio import RatioSeq, log_poch_ratio, ratio_seq
 from .memory import MemoryLaw
 from .streams import _check_key, uniforms
 
@@ -243,8 +243,13 @@ def _row_pitch(cols: int) -> int:
 
 
 def _mu_array(beta: float, upto: int) -> np.ndarray:
-    """mu_1, ..., mu_upto as a 0-based array (mu[i] = mu_{i+1})."""
-    return _ratio_values(beta, upto)
+    """mu_1, ..., mu_upto as a 0-based array (mu[i] = mu_{i+1}).
+
+    A fresh RatioSeq, not the shared `ratio_seq(beta)`: that one grows its
+    table in chunks, so its last bits depend on the lengths earlier callers
+    asked for, and the engines' output must depend on (beta, upto) alone.
+    """
+    return RatioSeq(beta).values(upto)
 
 
 def _dense_tile(u, coef, mu, t, xi, sigma, a, guard):

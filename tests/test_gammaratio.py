@@ -8,7 +8,6 @@ from scipy.special import gammaln
 
 from erwalk.gammaratio import (
     RatioSeq,
-    _ratio_values,
     gamma_ratio_sum,
     log_poch,
     log_poch_ratio,
@@ -89,22 +88,6 @@ class TestPochRatio:
             assert vals[n - 1] == seq.value(n)
         logs = seq.log_values(2000)
         assert np.allclose(np.log(vals[10:]), logs[10:], rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("xi", [-0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 7.3])
-    def test_stateless_values_match_fresh_sequence(self, xi):
-        # the linear range ends at 10**4; past it the values come from logs
-        for n in (1, 2, 13, 1001, 10**4, 10**4 + 1, 54321, 2 * 10**5):
-            want = RatioSeq(xi).values(n)
-            assert np.array_equal(_ratio_values(xi, n).view(np.uint64),
-                                  want.view(np.uint64)), n
-
-    def test_stateless_values_checks(self):
-        with pytest.raises(ValueError):
-            _ratio_values(-1.0, 10)
-        with pytest.raises(ValueError):
-            _ratio_values(0.5, 0)
-        with pytest.raises(ValueError, match="capped"):
-            _ratio_values(0.5, RatioSeq.MAX_CACHE + 1)
 
     def test_streaming_past_cache_cap(self):
         seq = RatioSeq(0.5)

@@ -85,7 +85,7 @@ class TestStepProbability:
             collapsed_step_prob(state, pms)
 
         def mu_with_nan(beta, upto):
-            mu = gammaratio._ratio_values(beta, upto)
+            mu = gammaratio.RatioSeq(beta).values(upto)
             mu[5] = math.nan
             return mu
 
@@ -422,7 +422,7 @@ def _compare_with_per_step(params, n_steps, seed, start, count, cps, bad_at=None
         return dense(*args)
 
     def mu_with_bad(beta, upto):
-        mu = gammaratio._ratio_values(beta, upto)
+        mu = gammaratio.RatioSeq(beta).values(upto)
         mu[bad_at] = bad
         return mu
 
