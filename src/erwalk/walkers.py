@@ -55,8 +55,9 @@ CRITICAL_TOL = 1e-12
 _FULL_MODE_MAX_STEPS = 4096
 
 _BLOCK_SIZE = 2048
-#: draws per replicate and segment fill; every fill loops over the block's
-#: rows in Python, and 2000 still fills a 4000-step run in two
+#: draws per replicate and segment fill; rows this long are re-keyed one at
+#: a time (short ones go to the streams' array kernel), so each fill pays a
+#: fixed cost per row, and 2000 still fills a 4000-step run in two
 _SEG_LEN = 2000
 #: time steps per tile of the collapsed engine's up-step search
 _TILE = 64

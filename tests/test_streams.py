@@ -3,10 +3,32 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from erwalk.streams import replicate_stream, uniforms
+from erwalk import streams
+from erwalk.streams import (
+    _KERNEL_CHUNK,
+    _KERNEL_MAX_LENGTH,
+    _KERNEL_MIN_ROWS,
+    _philox_rows,
+    _rekeyed_rows,
+    replicate_stream,
+    uniforms,
+)
 
 SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
 STARTS = st.one_of(st.sampled_from([0, 2**63]), st.integers(0, 2**63))
+#: (count, length) pairs: a few rows, short or long, which are re-keyed; and
+#: blocks just below, at and above the kernel's row and length thresholds,
+#: some long enough to cross its chunk boundary
+_NEAR_MAX = st.integers(_KERNEL_MAX_LENGTH - 4, _KERNEL_MAX_LENGTH + 2)
+#: one row more than a kernel pass holds when each row spans 12 Philox blocks
+_PAST_CHUNK = _KERNEL_CHUNK // 12 + 1
+SHAPES = st.one_of(
+    st.tuples(st.integers(0, 4), st.one_of(st.integers(0, 9), st.integers(4097, 4500))),
+    st.tuples(st.integers(_KERNEL_MIN_ROWS - 2, _KERNEL_MIN_ROWS + 2), st.one_of(st.integers(0, 9), _NEAR_MAX)),
+    st.tuples(st.integers(_PAST_CHUNK, _PAST_CHUNK + 300), _NEAR_MAX),
+)
+#: the last offset below 2**66 whose counters pass 2**64 within 20 draws
+CARRY_OFFSET = 4 * (2**64 - 1) - 8
 
 
 def oracle(seed, start, count, offset, length):
@@ -21,12 +43,12 @@ class TestUniforms:
     @given(
         seed=SEEDS,
         start=STARTS,
-        count=st.integers(0, 4),
+        shape=SHAPES,
         offset=st.one_of(st.integers(0, 9), st.integers(0, 5000)),
-        length=st.one_of(st.integers(0, 9), st.integers(4097, 4500)),
         given_out=st.booleans(),
     )
-    def test_matches_replicate_stream(self, seed, start, count, offset, length, given_out):
+    def test_matches_replicate_stream(self, seed, start, shape, offset, given_out):
+        count, length = shape
         want = oracle(seed, start, count, offset, length)
         if given_out:
             out = np.full((count, length + 3), -1.0)
@@ -55,6 +77,8 @@ class TestUniforms:
         (-1, 0, 2, 0, 3),  # negative seed
         (2**64, 0, 2, 0, 3),  # seed outside the key space
         (1, 2**64 - 1, 2, 0, 3),  # replicate index 2**64
+        (1, 0, 2, 2**66, 3),  # counter word 0 past 2**64 before the first block
+        (1, 0, 300, 2**66 + 5, 3),  # the same for a block the kernel fills
     ])
     def test_rejects_bad_arguments(self, args):
         with pytest.raises(ValueError):
@@ -64,6 +88,71 @@ class TestUniforms:
     def test_rejects_wrong_out_shape(self, shape):
         with pytest.raises(ValueError):
             uniforms(1, 0, 2, 0, 5, out=np.empty(shape))
+
+    @pytest.mark.parametrize("count", [2, _KERNEL_MIN_ROWS])  # re-keyed and kernel
+    @pytest.mark.parametrize("make", [
+        lambda c: np.zeros((c, 7), dtype=np.float32),
+        lambda c: np.zeros((c, 7), dtype=np.int64),
+        lambda c: np.zeros((c, 7), order="F"),
+        lambda c: np.zeros((c, 14))[:, ::2],
+    ], ids=["float32", "int64", "fortran", "strided"])
+    def test_rejects_wrong_out_layout(self, count, make):
+        out = make(count)
+        before = out.copy()
+        with pytest.raises(ValueError, match="float64 with contiguous rows"):
+            uniforms(1, 0, count, 0, 5, out=out)
+        assert np.array_equal(out, before)  # nothing written
+
+    @pytest.mark.parametrize("count,length,kernel", [
+        (1, 11, False),
+        (_KERNEL_MIN_ROWS - 1, 11, False),
+        (_KERNEL_MIN_ROWS, 11, True),
+        (_KERNEL_MIN_ROWS, _KERNEL_MAX_LENGTH, True),
+        (_KERNEL_MIN_ROWS, _KERNEL_MAX_LENGTH + 1, False),
+        (2048, 2000, False),
+    ])
+    def test_dispatch_on_shape(self, monkeypatch, count, length, kernel):
+        taken = []
+        monkeypatch.setattr(streams, "_philox_rows", lambda *a: taken.append(True))
+        monkeypatch.setattr(streams, "_rekeyed_rows", lambda *a: taken.append(False))
+        for offset in (0, 3, 10**6):
+            uniforms(5, 17, count, offset, length)
+        assert taken == [kernel] * 3
+
+
+class TestPhiloxKernel:
+    """The array kernel against numpy's Philox, re-keyed per row."""
+
+    @staticmethod
+    def both(seed, start, count, offset, length):
+        got = np.full((count, length), -1.0)
+        want = np.full((count, length), -2.0)
+        _philox_rows(seed, start, offset, got)
+        _rekeyed_rows(seed, start, offset, want)
+        return got, want
+
+    @given(
+        seed=SEEDS,
+        start=st.integers(0, 2**64 - 1),
+        count=st.integers(0, 40),
+        offset=st.one_of(st.integers(0, 9), st.integers(0, 2**40), st.integers(2**66 - 400, 2**66 - 1)),
+        length=st.one_of(st.integers(0, 9), st.integers(0, 80)),
+        chunk=st.sampled_from([1, 7, 64, _KERNEL_CHUNK]),
+    )
+    def test_matches_rekeyed_rows(self, seed, start, count, offset, length, chunk):
+        count = min(count, 2**64 - start)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(streams, "_KERNEL_CHUNK", chunk)  # passes of 1 row up to whole blocks
+            got, want = self.both(seed, start, count, offset, length)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("offset", [CARRY_OFFSET, CARRY_OFFSET + 3, 2**66 - 1])
+    def test_counter_carry(self, offset):
+        # the window's counters pass 2**64, so word 0 carries into word 1;
+        # no Generator read from draw 0 can reach these draws
+        got, want = self.both(2**64 - 1, 2**64 - 5, 5, offset, 20)
+        assert np.array_equal(got, want)
+        assert np.array_equal(uniforms(2**64 - 1, 2**64 - _KERNEL_MIN_ROWS, _KERNEL_MIN_ROWS, offset, 20)[-5:], want)
 
 
 class TestReplicateStream:
