@@ -1,10 +1,14 @@
-"""Monte Carlo vs exact: the collapsed simulator against the moment engine.
+"""Monte Carlo vs exact: the simulators against the moment engine.
 
 The conditional step law depends on the history only through the weighted
-sum Sigma_n, so the pair (Xi_n, Sigma_n) is simulated directly: one uniform
-per replicate and step is still drawn, but each replicate's next up-step is
-found by a tiled search over its row of draws, so the work goes per tile
-and per up-step.
+sum Sigma_n, so the pair (Xi_n, Sigma_n) is simulated directly, by one of
+two engines.  `collapsed` (the default of `run_ensemble`) reads one uniform
+per replicate and step and finds each replicate's next up-step by a tiled
+search over its row of draws.  `events` draws the next up-step itself: a
+geometric gap under an envelope of pi_n, thinned to the true pi_n, so its
+work goes per candidate up-step and it is far faster where up-steps are
+sparse (`erwalk simulate --mode auto` picks it there).  The two agree in
+law, not in bits.
 Ensembles use one counter-based RNG stream per replicate: identical output
 for any batching or worker count.  Replicate j of seed s (both in
 [0, 2**64)) is Philox4x64-10 under the key (s, j), and its draw d is lane
@@ -35,12 +39,13 @@ print("M_n is the martingale normalization of sigma; it converges a.s.\n")
 print("=== ensemble means audited against the exact engine ===")
 for p, beta in [(0.5, 0.0), (0.5, 1.0), (0.5, 2.0)]:
     pms = ModelParams(p, beta)
-    res = run_ensemble(pms, 2000, 20000, seed=7, checkpoints=[2000])
-    rep = build_report(res)
     exact = exact_mean_xi(2000, pms)
-    gate = compare_mc_exact(rep, exact, 2000)
-    print(f"beta = {beta:+.1f}: mc {rep.mean_xi[-1]:9.4f}  exact {exact:9.4f}  "
-          f"z = {gate.z:+.2f}  {'ok' if gate.passed else 'FAIL'}")
+    for mode in ("collapsed", "events"):
+        res = run_ensemble(pms, 2000, 20000, seed=7, checkpoints=[2000], mode=mode)
+        rep = build_report(res)
+        gate = compare_mc_exact(rep, exact, 2000)
+        print(f"beta = {beta:+.1f} {mode:>9}: mc {rep.mean_xi[-1]:9.4f}  "
+              f"exact {exact:9.4f}  z = {gate.z:+.2f}  {'ok' if gate.passed else 'FAIL'}")
 print()
 
 print("=== reproducibility: same seed, different worker counts ===")

@@ -22,6 +22,9 @@ from . import __version__, analysis, exact, report, serialize
 from .walkers import ModelParams, geometric_checkpoints, run_ensemble, run_walk
 
 _OUT_ENV = "ERWALK_OUT_DIR"
+#: `--mode auto` runs the events engine up to this many expected up-steps
+#: per step, else the collapsed engine; README has the timings behind it
+AUTO_EVENTS_MAX_RATE = 0.04
 
 
 def _fail_usage(msg: str) -> int:
@@ -94,7 +97,7 @@ def _cmd_simulate(args) -> int:
         "n": 10_000,
         "replicates": 10_000,
         "seed": None,
-        "mode": "collapsed",
+        "mode": "auto",
         "checkpoint_ratio": 1.2,
         "out": None,
         "format": "csv",
@@ -113,13 +116,14 @@ def _cmd_simulate(args) -> int:
     try:
         for params in grid:
             cps = geometric_checkpoints(int(cfg["n"]), float(cfg["checkpoint_ratio"]))
+            mode = resolve_mode(cfg["mode"], params, int(cfg["n"]))
             res = run_ensemble(
                 params,
                 int(cfg["n"]),
                 int(cfg["replicates"]),
                 int(cfg["seed"]),
                 checkpoints=cps,
-                mode=cfg["mode"],
+                mode=mode,
                 record=("xi", "sigma"),
                 workers=int(cfg["workers"]),
             )
@@ -137,7 +141,7 @@ def _cmd_simulate(args) -> int:
                     )
                 )
             traj = run_walk(
-                params, int(cfg["n"]), int(cfg["seed"]), checkpoints=cps, mode=cfg["mode"]
+                params, int(cfg["n"]), int(cfg["seed"]), checkpoints=cps, mode=mode
             )
             outputs.add(
                 serialize.write_trajectory_csv(
@@ -146,7 +150,7 @@ def _cmd_simulate(args) -> int:
             )
             print(f"simulate {_tag(params)}: {cfg['replicates']} replicates to n = {cfg['n']}")
             if cfg["differential"]:
-                ok = _differential_check(params, cfg)
+                ok = _differential_check(params, cfg, mode)
                 failed_gate |= not ok
     except Exception as err:  # remove partial outputs, then report
         outputs.discard_all()
@@ -155,23 +159,41 @@ def _cmd_simulate(args) -> int:
     return 1 if failed_gate else 0
 
 
-def _differential_check(params: ModelParams, cfg: dict) -> bool:
-    """Full vs collapsed law agreement, judged against the enumeration oracle."""
+def resolve_mode(mode: str, params: ModelParams, n: int) -> str:
+    """The engine that `--mode auto` runs for `params` to horizon `n`.
+
+    The events engine costs per candidate up-step and the collapsed engine
+    per step, so `auto` takes events when the walk expects at most
+    AUTO_EVENTS_MAX_RATE up-steps per step, (E[Xi_n] - 1)/(n - 1).
+    """
+    if mode != "auto":
+        return mode
+    if n < 2:
+        return "collapsed"
+    rate = (exact.exact_mean_xi(n, params) - 1.0) / (n - 1)
+    return "events" if rate <= AUTO_EVENTS_MAX_RATE else "collapsed"
+
+
+def _differential_check(params: ModelParams, cfg: dict, engine: str) -> bool:
+    """Law of the engine the run used vs the full-history oracle, both judged
+    against the enumeration oracle; a full run is compared with collapsed."""
     n = int(cfg["differential_n"])
     reps = int(cfg["replicates"])
     seed = int(cfg["seed"])
+    if engine == "full":
+        engine = "collapsed"
     xi = {}
-    for mode in ("collapsed", "full"):
+    for mode in (engine, "full"):
         res = run_ensemble(
             params, n, reps, seed, checkpoints=[n], mode=mode, record=("xi",)
         )
         xi[mode] = res.arrays["xi"][:, -1]
-    p_two = analysis.chi_square_two_sample(xi["collapsed"], xi["full"])
+    p_two = analysis.chi_square_two_sample(xi[engine], xi["full"])
     ok = p_two > 1e-3
-    print(f"differential full-vs-collapsed at n = {n}: p = {p_two:.4g}")
+    print(f"differential full-vs-{engine} at n = {n}: p = {p_two:.4g}")
     if n <= exact.ENUMERATION_MAX_STEPS:
         law, _ = exact.enumerate_law(params, n)
-        for mode in ("collapsed", "full"):
+        for mode in (engine, "full"):
             p_val = analysis.chi_square_vs_law(xi[mode], law)
             ok &= p_val > 1e-3
             print(f"differential {mode}-vs-enumeration: p = {p_val:.4g}")
@@ -407,7 +429,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int)
     sp.add_argument("--replicates", type=int)
     sp.add_argument("--seed", type=int)
-    sp.add_argument("--mode", choices=["collapsed", "full"])
+    sp.add_argument(
+        "--mode",
+        choices=["auto", "collapsed", "events", "full"],
+        help="engine: events draws each replicate's next up-step by thinning, "
+        "collapsed steps through every time, full draws every recall (an "
+        "oracle); auto (default) takes events when E[Xi_n] - 1 is at most "
+        f"{AUTO_EVENTS_MAX_RATE:g} (n - 1), else collapsed",
+    )
     sp.add_argument("--checkpoint-ratio", dest="checkpoint_ratio", type=float)
     sp.add_argument("--format", choices=["csv", "json"])
     sp.add_argument("--workers", type=int)
@@ -416,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--differential",
         action="store_const",
         const=True,
-        help="check full vs collapsed vs enumeration laws",
+        help="check the engine's law against the full engine and enumeration",
     )
     sp.add_argument("--differential-n", dest="differential_n", type=int)
     sp.set_defaults(fn=_cmd_simulate)

@@ -142,21 +142,21 @@ class RatioSeq:
         return len(self._log)
 
     def _extend(self, n: int) -> None:
+        # Each extension rebuilds the tables from c_1.  cumprod and cumsum
+        # run in order, so the entries have the bits of a cold `values(n)`
+        # whatever lengths earlier callers asked for; chaining a new chunk
+        # onto the last entry would not.  Doubling keeps the total work linear.
         with self._lock:
             have = len(self._log)
             if have >= n:
                 return
             target = min(max(2 * have, n), self.MAX_CACHE)
-            k = np.arange(have, target, dtype=np.float64)
-            if have < self.linear_threshold:
-                top = min(target, self.linear_threshold)
-                klin = k[: top - have]
-                lin = self._lin[-1] * np.cumprod((klin + self.xi) / klin)
-                self._lin = np.concatenate([self._lin, lin])
-            steps = np.log1p(self.xi / k).astype(np.longdouble)
-            cum = self._acc + np.cumsum(steps)
+            k = np.arange(1, target, dtype=np.float64)
+            klin = k[: max(self.linear_threshold, 1) - 1]
+            self._lin = np.concatenate([[1.0], np.cumprod((klin + self.xi) / klin)])
+            cum = np.cumsum(np.log1p(self.xi / k).astype(np.longdouble))
             self._acc = cum[-1]
-            self._log = np.concatenate([self._log, cum.astype(np.float64)])
+            self._log = np.concatenate([[0.0], cum.astype(np.float64)])
 
     def _tail_log(self, n: int) -> float:
         # stream past the cache cap without storing

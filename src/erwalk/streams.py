@@ -41,13 +41,19 @@ draws; everything else is re-keyed.  Measured on a 2-core Xeon VM (numpy
 0.70 / 0.75 ms; 128 x 22 0.32 / 0.33 ms; 64 x 4 0.15 / 0.18 ms.  The
 ensemble engines' short-horizon segments (11 or 22 draws per replicate at
 n = 12) take the kernel; their 2000-draw segments stay re-keyed.
+
+Rows of any replicates.  `uniform_rows` reads the same window for a list
+of replicate indices instead of a run, with the same two fills.  The
+events engine of `walkers` uses it: its candidate k of replicate r reads
+draws 2k (the geometric gap) and 2k + 1 (the thinning coin), and each fill
+reads up to 48 draws (24 candidates) of just the replicates still running.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["replicate_stream", "uniforms"]
+__all__ = ["replicate_stream", "uniform_rows", "uniforms"]
 
 _KEY_SPACE = 1 << 64
 #: from offset 2**66 on, the counter of the block before the window (offset // 4)
@@ -102,6 +108,32 @@ def uniforms(
     columns are filled and returned as a view.
     """
     _check_key(master_seed, start, count)
+    keys = np.arange(count, dtype=np.uint64) + np.uint64(start)
+    return _fill(master_seed, keys, offset, length, out)
+
+
+def uniform_rows(
+    master_seed: int,
+    replicates,
+    offset: int,
+    length: int,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """`uniforms` for any replicates: row j holds draws offset, ...,
+    offset + length - 1 of replicate `replicates[j]`.
+
+    `replicates` is a 1-d array of nonnegative integers below 2**64; `out`
+    is as for `uniforms`.
+    """
+    keys = np.asarray(replicates)
+    if keys.ndim != 1 or (keys.size and (keys.dtype.kind not in "iu" or keys.min() < 0)):
+        raise ValueError("replicates must be a 1-d array of indices in [0, 2**64)")
+    _check_key(master_seed, 0)
+    return _fill(master_seed, keys.astype(np.uint64), offset, length, out)
+
+
+def _fill(master_seed, keys, offset, length, out) -> np.ndarray:
+    count = len(keys)
     if offset < 0 or length < 0:
         raise ValueError("offset and length must be nonnegative")
     if offset >= _MAX_OFFSET:
@@ -114,14 +146,14 @@ def uniforms(
         raise ValueError(f"out must be float64 with contiguous rows, got {out.dtype}, strides {out.strides}")
     block = out[:, :length]
     if count >= _KERNEL_MIN_ROWS and length <= _KERNEL_MAX_LENGTH:
-        _philox_rows(master_seed, start, offset, block)
+        _philox_rows(master_seed, keys, offset, block)
     else:
-        _rekeyed_rows(master_seed, start, offset, block)
+        _rekeyed_rows(master_seed, keys, offset, block)
     return block
 
 
-def _rekeyed_rows(master_seed: int, start: int, offset: int, block: np.ndarray) -> None:
-    """Fill row j of `block` by re-keying one numpy Philox to (master_seed, start + j)."""
+def _rekeyed_rows(master_seed: int, keys: np.ndarray, offset: int, block: np.ndarray) -> None:
+    """Fill row j of `block` by re-keying one numpy Philox to (master_seed, keys[j])."""
     # Setting the state is far cheaper than constructing a Philox, whose
     # SeedSequence pulls OS entropy.
     bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
@@ -137,8 +169,8 @@ def _rekeyed_rows(master_seed: int, start: int, offset: int, block: np.ndarray) 
         "uinteger": 0,
     }
     skip = offset % 4
-    for j in range(block.shape[0]):
-        key[1] = start + j
+    for j, index in enumerate(keys):
+        key[1] = index
         bitgen.state = state
         if skip:
             gen.random(skip)
@@ -167,7 +199,7 @@ def _mulhilo(a, hi, lo, t, u) -> None:
     np.add(hi, u, out=hi)
 
 
-def _philox_rows(master_seed: int, start: int, offset: int, block: np.ndarray) -> None:
+def _philox_rows(master_seed: int, keys: np.ndarray, offset: int, block: np.ndarray) -> None:
     """Fill `block` as `_rekeyed_rows` does, computing Philox4x64-10 for every
     (row, block) pair of a pass of rows at once with uint64 array operations."""
     count, length = block.shape
@@ -195,7 +227,7 @@ def _philox_rows(master_seed: int, start: int, offset: int, block: np.ndarray) -
         a, b, hi, lo, t, u = scratch[..., :n]
         k = key[..., :n]
         k[0] = master_seed
-        k[1, 0] = np.arange(n, dtype=np.uint64) + np.uint64(start + r0)
+        k[1, 0] = keys[r0:r0 + n]
         np.bitwise_xor(a1, k, out=a)
         np.copyto(b, lo1[::-1])
         for _ in range(_PHILOX_ROUNDS - 1):

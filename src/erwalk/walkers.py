@@ -7,13 +7,22 @@ is 0.  Conditionally on the history,
     P(X_{n+1} = 1) = pi_n = p(beta+1) * Sigma_n / (n * mu_{n+1}),
 
 where Sigma_n = sum X_k mu_k, so (Xi_n, Sigma_n) is Markov.  That collapsed
-chain is the production simulator.  It still draws one uniform per
-replicate and step, but between two up-steps pi_n is a known sequence, so
-it searches each replicate's row of uniforms a tile of steps at a time for
-its next up-step: the work goes per tile and per up-step.  The full-history
-simulator draws the recalled time explicitly and serves as a differential
-oracle.  Ensembles run one counter-based RNG stream per replicate, so
-results are reproducible under any batching or worker count.
+chain is what the production simulators run, with two engines:
+
+* `events` jumps from up-step to up-step.  Between two up-steps pi_n is
+  Sigma times a decreasing sequence, so a geometric gap under an envelope,
+  thinned to the true pi_n, draws the next up-step directly: the work goes
+  per candidate up-step, whatever the horizon.  It wins where up-steps are
+  sparse (the critical and localized phases).
+* `collapsed` reads one uniform per replicate and step; it searches each
+  replicate's row of uniforms a tile of steps at a time for its next
+  up-step, so the work goes per tile and per up-step.  It wins on dense
+  walks and short horizons, and it is the bit-pinned reference.
+
+The two read their streams differently, so they agree in law, not in bits.
+The full-history simulator draws the recalled time explicitly and serves
+as a differential oracle.  Ensembles run one counter-based RNG stream per
+replicate, so results are reproducible under any batching or worker count.
 """
 
 from __future__ import annotations
@@ -24,9 +33,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gammaratio import RatioSeq, log_poch_ratio, ratio_seq
+from .gammaratio import log_poch_ratio, ratio_seq
 from .memory import MemoryLaw
-from .streams import _check_key, uniforms
+from .streams import _check_key, uniform_rows, uniforms
 
 __all__ = [
     "ModelParams",
@@ -59,6 +68,9 @@ _BLOCK_SIZE = 2048
 #: a time (short ones go to the streams' array kernel), so each fill pays a
 #: fixed cost per row, and 2000 still fills a 4000-step run in two
 _SEG_LEN = 2000
+#: draws per replicate and fill of the events engine, two per candidate; the
+#: streams' array kernel takes rows of up to 48
+_EVENT_FILL = 48
 #: time steps per tile of the collapsed engine's up-step search
 _TILE = 64
 #: a tile is searched when its rows expect at most this many up-steps each;
@@ -246,11 +258,11 @@ def _row_pitch(cols: int) -> int:
 def _mu_array(beta: float, upto: int) -> np.ndarray:
     """mu_1, ..., mu_upto as a 0-based array (mu[i] = mu_{i+1}).
 
-    A fresh RatioSeq, not the shared `ratio_seq(beta)`: that one grows its
-    table in chunks, so its last bits depend on the lengths earlier callers
-    asked for, and the engines' output must depend on (beta, upto) alone.
+    The shared `ratio_seq(beta)` rebuilds its table from mu_1 whenever it
+    grows, so these bits depend on (beta, upto) alone, not on the lengths
+    earlier callers asked for.
     """
-    return RatioSeq(beta).values(upto)
+    return ratio_seq(beta).values(upto)
 
 
 def _dense_tile(u, coef, mu, t, xi, sigma, a, guard):
@@ -407,6 +419,98 @@ def _collapsed_block(params, n_steps, seed, start, count, checkpoints, record):
     return out
 
 
+def _events_block(params, n_steps, seed, start, count, checkpoints, record):
+    """Advance `count` replicates of the collapsed chain from up-step to up-step.
+
+    Between two up-steps of a replicate its pi_n is sigma * coef[n], with
+    coef[n] = rate / (n mu_{n+1}), and coef strictly decreases for every
+    beta > -1: (n+1) mu_{n+2} / (n mu_{n+1}) = (n+1+beta)/n.  So from time t
+    the envelope lam = sigma * env[t], with env the suffix maximum of coef,
+    bounds every pi_n until the next up-step.  A geometric gap G with
+    parameter lam proposes the time j = t + G, which is an up-step with
+    probability pi_j / lam (thinning; Lewis and Shedler 1979, Devroye 1986
+    ch. VI), and either way the replicate goes on from t = j + 1 under a
+    tighter envelope.  A replicate is done when its candidate reaches n.
+
+    Candidate k of replicate r reads draws 2k (the gap) and 2k + 1 (the
+    acceptance) of its stream, so its output depends on (seed, r) alone.
+    Every replicate still running is at the same candidate, so one fill of
+    _EVENT_FILL draws for the running rows serves half as many rounds.
+    Checkpoint values are summed from per-checkpoint deltas, and A_n from
+    suffix sums of coef, which stay accurate where the terms are small.
+    """
+    cps = checkpoints
+    width = len(cps) + 1  # up-steps after the last checkpoint land in the extra column
+    d_xi = np.zeros((count, width), dtype=np.int64)
+    d_sigma = np.zeros((count, width))
+    d_w = np.zeros((count, width)) if "a" in record else None
+    n = n_steps
+    mu = _mu_array(params.beta, n)  # mu[j] = mu_{j+1}, the weight of an up-step at j
+    coef = np.zeros(n)  # coef[j] at the times j = 1, ..., n - 1 of a transition
+    coef[1:] = params.rate / (np.arange(1, n) * mu[1:])
+    coef[1:][~np.isfinite(mu[1:])] = np.nan  # fails the guard, as in the step loop
+    env = np.maximum.accumulate(coef[::-1])[::-1]  # a NaN spreads to earlier times
+    tail = np.zeros(n + 1)  # tail[s] = sum of coef[s:n]
+    tail[:n] = np.cumsum(coef[::-1])[::-1]
+    first_cp = np.searchsorted(cps, np.arange(n + 1))  # the first checkpoint >= s
+    guard = params.p + _GUARD_EPS
+    rows = np.arange(count) if n > 1 else np.arange(0)
+    t = np.ones(count, dtype=np.int64)
+    sigma = np.ones(count)
+    buf = np.empty((count, _EVENT_FILL))
+    k = k_end = 0  # the current candidate, and the first one past the fill
+    while rows.size:
+        if k == k_end:
+            # no row needs more candidates than it has times left
+            rounds = min(_EVENT_FILL // 2, n - int(t.min()))
+            keys = np.uint64(start) + rows.astype(np.uint64)
+            uniform_rows(seed, keys, 2 * k, 2 * rounds, out=buf[: rows.size])
+            pos = np.arange(rows.size)  # each row's line of `buf`
+            k0, k_end = k, k + rounds
+        col = 2 * (k - k0)
+        e = env[t]
+        lam = sigma * e
+        if not lam.max() <= guard:  # a NaN fails too
+            # name the first time at which the first failing row's pi_n fails
+            i = np.flatnonzero(~(lam <= guard))[0]
+            at = t[i] + np.flatnonzero(~(sigma[i] * coef[t[i]:] <= guard))[0]
+            raise RuntimeError(f"internal consistency violated: pi_n > p at n = {at}")
+        # lam = 0 (an underflowed coef) gives an infinite gap
+        gap = np.full(rows.size, np.inf)
+        np.divide(np.log1p(-buf[pos, col]), np.log1p(-lam), out=gap, where=lam > 0)
+        j = t + np.floor(gap)
+        go = j < n
+        rows, pos, sigma, e = rows[go], pos[go], sigma[go], e[go]
+        j = j[go].astype(np.int64)
+        up = buf[pos, col + 1] * e < coef[j]
+        if up.any():
+            r, s = rows[up], j[up] + 1  # up-step X_s = 1
+            m = mu[j[up]]
+            b = first_cp[s]
+            d_xi[r, b] += 1
+            d_sigma[r, b] += m
+            if d_w is not None:
+                d_w[r, b] += m * tail[s]
+            sigma[up] += m
+        t = j + 1
+        go = t < n
+        rows, pos, t, sigma = rows[go], pos[go], t[go], sigma[go]
+        k += 1
+    out = {}
+    xi = 1 + np.cumsum(d_xi[:, :-1], axis=1)
+    sigma = 1.0 + np.cumsum(d_sigma[:, :-1], axis=1)
+    if "xi" in record:
+        out["xi"] = xi
+    if "sigma" in record:
+        out["sigma"] = sigma
+    if d_w is not None:
+        # A_c = 1 + sum_{s<c} sigma_s coef[s]; with sigma_s = 1 + the weights of
+        # the up-steps at times <= s this is 1 + tail[1] - sigma_c tail[c] + W_c,
+        # W_c the sum of mu_s tail[s] over the up-steps at times s <= c
+        out["a"] = 1.0 + (tail[1] - sigma * tail[cps] + np.cumsum(d_w[:, :-1], axis=1))
+    return out
+
+
 def _full_block(params, n_steps, seed, start, count, checkpoints, record):
     """Full-history engine: explicit memory draws, two uniforms per step."""
     if n_steps > _FULL_MODE_MAX_STEPS:
@@ -534,6 +638,16 @@ def _coupled_block(params, n_steps, seed, start, count, checkpoints):
     return xi_out, lerw_out
 
 
+_ENGINES = {"collapsed": _collapsed_block, "events": _events_block, "full": _full_block}
+
+
+def _engine(mode: str):
+    try:
+        return _ENGINES[mode]
+    except KeyError:
+        raise ValueError(f"mode must be one of {sorted(_ENGINES)}, got {mode!r}") from None
+
+
 @dataclass
 class Trajectory:
     """Checkpoint records (n, xi, sigma, m, a) of a single walk."""
@@ -572,8 +686,7 @@ def run_walk(
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     cps = _check_checkpoints(checkpoints, n_steps)
-    block = {"collapsed": _collapsed_block, "full": _full_block}[mode]
-    out = block(params, n_steps, seed, replicate_index, 1, cps, ("xi", "sigma", "a"))
+    out = _engine(mode)(params, n_steps, seed, replicate_index, 1, cps, ("xi", "sigma", "a"))
     sigma = out["sigma"][0]
     return Trajectory(
         params=params,
@@ -646,9 +759,8 @@ def run_ensemble(
     unknown = set(record) - {"xi", "sigma", "a"}
     if unknown:
         raise ValueError(f"unknown record fields: {sorted(unknown)}")
-    block_fn = {"collapsed": _collapsed_block, "full": _full_block}[mode]
     parts = _run_blocks(
-        block_fn, (params, n_steps, seed, cps, record), n_replicates, workers, block_size
+        _engine(mode), (params, n_steps, seed, cps, record), n_replicates, workers, block_size
     )
     arrays = {
         name: np.concatenate([p[name] for p in parts], axis=0) for name in record

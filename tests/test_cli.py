@@ -11,7 +11,7 @@ import erwalk
 import erwalk.report as report_mod
 from erwalk.analysis import build_report
 from erwalk.branching import BranchingParams, simulate
-from erwalk.cli import main
+from erwalk.cli import main, resolve_mode
 from erwalk.exact import enumerate_law, propagate_moments
 from erwalk.serialize import (
     config_hash,
@@ -122,6 +122,61 @@ class TestSimulateCommand:
                    "--replicates", "20000", "--seed", "7", "--differential",
                    "--differential-n", "8", "--out", str(tmp_path)])
         assert rc == 0
+
+    def test_differential_checks_the_events_engine(self, tmp_path, capsys):
+        rc = main(["simulate", "--p", "0.5", "--beta", "1", "--n", "12",
+                   "--replicates", "20000", "--seed", "7", "--mode", "events",
+                   "--differential", "--differential-n", "12", "--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert "differential full-vs-events at n = 12" in out
+        assert "differential events-vs-enumeration" in out
+        assert "collapsed" not in out
+        traj = (tmp_path / "trajectory_p0.5_beta1.csv").read_text()
+        assert "mode=events" in traj
+
+    @pytest.mark.parametrize("n,mode", [(2000, "events"), (12, "collapsed")])
+    def test_auto_mode_at_the_benchmark_shapes(self, tmp_path, n, mode):
+        # (0.5, 1) expects 0.0036 up-steps per step to n = 2000 and 0.19 to
+        # n = 12, on either side of AUTO_EVENTS_MAX_RATE
+        reps, beta = 2000, 1.0
+        rc = main(["simulate", "--p", "0.5", "--beta", "1", "--n", str(n),
+                   "--replicates", str(reps), "--seed", "11", "--out", str(tmp_path)])
+        assert rc == 0
+        traj = (tmp_path / "trajectory_p0.5_beta1.csv").read_text().splitlines()
+        assert traj[3].endswith(f" mode={mode}")
+        lines = (tmp_path / "simulate_p0.5_beta1.csv").read_text().splitlines()
+        head = [x for x in lines if not x.startswith("#")][0].split(",")
+        last = dict(zip(head, map(float, lines[-1].split(","))))
+        assert last["n"] == n
+        k = np.arange(1, n)
+        want = 1.0 + beta * np.sum(1.0 / (k + beta))
+        se = np.sqrt(last["var_xi"] / reps)
+        assert abs(last["mean_xi"] - want) <= 4.0 * se
+        se = np.sqrt(last["var_m"] / reps)
+        assert abs(last["mean_m"] - 1.0) <= 4.0 * se
+
+    def test_auto_resolving_to_collapsed_writes_its_rows(self, tmp_path, capsys):
+        # only the config hash, which records the mode asked for, differs
+        args = ["simulate", "--p", "0.5", "--beta", "1", "--n", "12",
+                "--replicates", "3000", "--seed", "3", "--differential"]
+        outs = []
+        for extra in ([], ["--mode", "collapsed"]):
+            out = tmp_path / str(len(outs))
+            assert main(args + extra + ["--out", str(out)]) == 0
+            outs.append((out, capsys.readouterr().out))
+        assert outs[0][1] == outs[1][1]
+        for name in ("simulate_p0.5_beta1.csv", "trajectory_p0.5_beta1.csv"):
+            a, b = ((o / name).read_text().splitlines() for o, _ in outs)
+            assert a[1] != b[1] and a[1].startswith("# config_hash=")
+            assert a[:1] + a[2:] == b[:1] + b[2:]
+
+    def test_resolve_mode(self):
+        pms = ModelParams(0.5, 1.0)
+        assert resolve_mode("auto", pms, 1) == "collapsed"
+        assert resolve_mode("auto", pms, 10**4) == "events"
+        assert resolve_mode("auto", ModelParams(0.8, -0.5), 10**4) == "collapsed"
+        assert resolve_mode("full", pms, 10**4) == "full"
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
+from erwalk import gammaratio
 from erwalk.gammaratio import (
     RatioSeq,
     gamma_ratio_sum,
@@ -169,3 +170,15 @@ class TestPochRatioSum:
 
     def test_empty_sum(self):
         assert poch_ratio_sum(0.5, 1.0, 1) == 0.0
+
+
+def test_shared_table_independent_of_earlier_lengths(monkeypatch):
+    # the shared table grows by doubling; each extension rebuilds it from
+    # c_1, so a value's bits do not depend on what was asked for before
+    monkeypatch.setattr(gammaratio, "_seq_cache", {})
+    cold = [poch_ratio(n, 1.0) for n in range(1, 1102)]
+    monkeypatch.setattr(gammaratio, "_seq_cache", {})
+    gammaratio.ratio_seq(1.0).values(51)
+    warm = [poch_ratio(n, 1.0) for n in range(1, 1102)]
+    assert warm == cold
+    assert cold == RatioSeq(1.0).values(1101).tolist()

@@ -11,6 +11,7 @@ from erwalk.streams import (
     _philox_rows,
     _rekeyed_rows,
     replicate_stream,
+    uniform_rows,
     uniforms,
 )
 
@@ -127,8 +128,9 @@ class TestPhiloxKernel:
     def both(seed, start, count, offset, length):
         got = np.full((count, length), -1.0)
         want = np.full((count, length), -2.0)
-        _philox_rows(seed, start, offset, got)
-        _rekeyed_rows(seed, start, offset, want)
+        keys = np.arange(count, dtype=np.uint64) + np.uint64(start)
+        _philox_rows(seed, keys, offset, got)
+        _rekeyed_rows(seed, keys, offset, want)
         return got, want
 
     @given(
@@ -160,3 +162,27 @@ class TestReplicateStream:
     def test_rejects_keys_outside_64_bits(self, seed, index):
         with pytest.raises(ValueError):
             replicate_stream(seed, index)
+
+
+class TestUniformRows:
+    @pytest.mark.parametrize("count", [3, _KERNEL_MIN_ROWS + 1])  # re-keyed, kernel
+    def test_rows_of_any_replicates(self, count):
+        rng = np.random.default_rng(0)
+        keys = rng.integers(0, 2**64, size=count, dtype=np.uint64)
+        keys[0] = 2**64 - 1
+        got = uniform_rows(2**64 - 1, keys, 5, 20)
+        for j in (0, 1, count - 1):
+            want = uniforms(2**64 - 1, int(keys[j]), 1, 5, 20)[0]
+            assert np.array_equal(got[j], want)
+        block = uniforms(3, 40, count, 0, 12)
+        out = np.full((count, 16), -1.0)
+        assert np.array_equal(uniform_rows(3, np.arange(40, 40 + count), 0, 12, out=out), block)
+        assert (out[:, 12:] == -1.0).all()
+
+    @pytest.mark.parametrize("keys", [[-1], [[1, 2]], [0.5]])
+    def test_rejects_bad_indices(self, keys):
+        with pytest.raises(ValueError, match="replicates"):
+            uniform_rows(1, np.array(keys), 0, 4)
+
+    def test_empty(self):
+        assert uniform_rows(1, np.arange(0), 0, 4).shape == (0, 4)

@@ -90,10 +90,11 @@ class TestStepProbability:
             return mu
 
         monkeypatch.setattr(walkers, "_mu_array", mu_with_nan)
-        with pytest.raises(RuntimeError, match="n = 5"):
-            run_ensemble(pms, 50, 10, seed=1)
-        with pytest.raises(RuntimeError, match="n = 5"):
-            run_walk(pms, 50, seed=1)
+        for mode in ("collapsed", "events"):
+            with pytest.raises(RuntimeError, match="n = 5"):
+                run_ensemble(pms, 50, 10, seed=1, mode=mode)
+            with pytest.raises(RuntimeError, match="n = 5"):
+                run_walk(pms, 50, seed=1, mode=mode)
         coupled = ModelParams(0.5, 0.5)  # the coupling needs p(beta+1) < 1
         with pytest.raises(RuntimeError, match="n = 5"):
             coupled_run(coupled, 50, seed=1)
@@ -333,7 +334,7 @@ class TestEnsembles:
         se = m.std(ddof=1) / math.sqrt(len(m))
         assert m.mean() == pytest.approx(1.0, abs=4.5 * se)
 
-    @pytest.mark.parametrize("mode", ["collapsed", "full"])
+    @pytest.mark.parametrize("mode", ["collapsed", "full", "events"])
     def test_law_matches_enumeration(self, mode):
         pms = ModelParams(0.5, 1.0)
         n = 10
@@ -526,6 +527,123 @@ class TestCollapsedKernel:
         paths = _compare_with_per_step(ModelParams(p, beta), 3000, 11, 5, 300,
                                        walkers.geometric_checkpoints(3000))
         assert (paths["dense"] > 0, paths["search"] > 0) == (dense, search)
+
+
+#: one parameter point per regime of report.REGIMES
+_REGIME_PARAMS = [
+    pytest.param(0.5, -0.5, id="negative_beta"),
+    pytest.param(0.5, 0.0, id="zero_beta"),
+    pytest.param(0.5, 0.5, id="sub_critical_positive"),
+    pytest.param(0.5, 1.0, id="critical"),
+    pytest.param(0.5, 2.0, id="localized"),
+]
+
+
+class TestEventsEngine:
+    """The thinning engine: exact in law, reproducible bit for bit."""
+
+    @pytest.mark.parametrize("p,beta", _REGIME_PARAMS)
+    def test_law_matches_enumeration(self, p, beta):
+        pms = ModelParams(p, beta)
+        n = 16
+        res = run_ensemble(pms, n, 10**5, seed=202, checkpoints=[n], mode="events",
+                           record=("xi",))
+        law, _ = enumerate_law(pms, n)
+        p_val = chi_square_vs_law(res.arrays["xi"][:, -1], law)
+        assert p_val > 1e-3, f"law rejected: p = {p_val}"
+
+    @pytest.mark.parametrize("p,beta", _REGIME_PARAMS)
+    def test_means_against_exact(self, p, beta):
+        # E[A_n] = E[Xi_n]: Xi_n - A_n is a martingale started at 0
+        pms = ModelParams(p, beta)
+        n = 10**4
+        res = run_ensemble(pms, n, 2000, seed=17, checkpoints=[n], mode="events",
+                           record=("xi", "a"))
+        want = exact_mean_xi(n, pms)
+        for name in ("xi", "a"):
+            x = res.arrays[name][:, -1]
+            se = x.std(ddof=1) / math.sqrt(len(x))
+            assert x.mean() == pytest.approx(want, abs=4.5 * se), name
+
+    def test_martingale_mean_is_one(self):
+        pms = ModelParams(0.4, 0.5)
+        res = run_ensemble(pms, 400, 4000, seed=3, checkpoints=[400], mode="events")
+        m = res.martingale()[:, -1]
+        se = m.std(ddof=1) / math.sqrt(len(m))
+        assert m.mean() == pytest.approx(1.0, abs=4.5 * se)
+
+    def test_block_size_and_workers_independent(self):
+        # blocks of 300 and 700 rows fill by the streams' array kernel,
+        # blocks of 17 re-key per row; both read the same draws
+        rec = ("xi", "sigma", "a")
+        cps = [1, 2, 7, 50, 999, 3000]
+
+        def run(**kw):
+            res = run_ensemble(ModelParams(0.5, 0.0), 3000, 700, seed=5, checkpoints=cps,
+                               mode="events", record=rec, **kw)
+            return [res.arrays[k] for k in rec]
+
+        want = run()
+        for kw in ({"block_size": 17}, {"block_size": 300, "workers": 2}):
+            for x, y in zip(want, run(**kw)):
+                assert np.array_equal(x, y), kw
+        traj = run_walk(ModelParams(0.5, 0.0), 3000, seed=5, checkpoints=cps,
+                        mode="events", replicate_index=411)
+        for x, y in zip(want, (traj.xi, traj.sigma, traj.a)):
+            assert np.array_equal(x[411], y)
+
+    def test_horizon_prefix(self):
+        # a replicate's up-steps before n do not depend on the horizon
+        pms = ModelParams(0.5, 1.0)
+        cps = walkers.geometric_checkpoints(2000)
+        rec = ("xi", "sigma", "a")
+        short = run_ensemble(pms, 2000, 500, seed=8, checkpoints=cps, mode="events",
+                             record=rec)
+        long = run_ensemble(pms, 4000, 500, seed=8, checkpoints=np.append(cps, 4000),
+                            mode="events", record=rec)
+        for name in ("xi", "sigma"):
+            assert np.array_equal(short.arrays[name], long.arrays[name][:, :-1]), name
+        # A_n sums coef from the horizon back, so only its last bits move
+        assert np.allclose(short.arrays["a"], long.arrays["a"][:, :-1], rtol=1e-12, atol=0)
+        assert (long.arrays["xi"][:, -1] > long.arrays["xi"][:, -2]).any()
+
+    def test_horizon_one(self):
+        pms = ModelParams(0.5, 1.0)
+        res = run_ensemble(pms, 1, 5, seed=1, mode="events", record=("xi", "sigma", "a"))
+        assert (res.arrays["xi"] == 1).all()
+        assert (res.arrays["sigma"] == 1.0).all() and (res.arrays["a"] == 1.0).all()
+        traj = run_walk(pms, 1, seed=1, mode="events")
+        for got in (traj.n, traj.xi, traj.sigma, traj.m, traj.a):
+            assert got.tolist() == [1]
+
+    def test_horizon_two(self):
+        # P(X_2 = 1) = p exactly, and then Sigma_2 = 1 + mu_2 = 2 + beta
+        pms = ModelParams(0.35, 2.0)
+        reps = 20000
+        res = run_ensemble(pms, 2, reps, seed=4, mode="events",
+                           record=("xi", "sigma", "a"))
+        xi, sigma, a = (res.arrays[k][:, -1] for k in ("xi", "sigma", "a"))
+        assert set(xi.tolist()) <= {1, 2}
+        assert np.array_equal(sigma, np.where(xi == 2, 4.0, 1.0))
+        assert a == pytest.approx(1.35, rel=1e-14)
+        se = math.sqrt(0.35 * 0.65 / reps)
+        assert (xi == 2).mean() == pytest.approx(0.35, abs=4.5 * se)
+
+    @pytest.mark.parametrize("bad,at", [(1e-300, 400), (math.inf, 400)])
+    def test_guard_names_the_failing_step(self, monkeypatch, bad, at):
+        # a tiny mu_401 puts pi_400 far above p; an infinite one makes it NaN
+        def mu_with_bad(beta, upto):
+            mu = gammaratio.RatioSeq(beta).values(upto)
+            mu[at] = bad
+            return mu
+
+        monkeypatch.setattr(walkers, "_mu_array", mu_with_bad)
+        with pytest.raises(RuntimeError, match=f"n = {at}"):
+            run_ensemble(ModelParams(0.003, 3.0), 700, 17, seed=3, mode="events")
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="mode"):
+            run_ensemble(ModelParams(0.5, 1.0), 10, 3, seed=1, mode="auto")
 
 
 class TestCoupling:
