@@ -16,8 +16,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, analysis, exact, report, serialize
 from .walkers import ModelParams, geometric_checkpoints, run_ensemble, run_walk
 
@@ -220,14 +218,19 @@ def _cmd_exact(args) -> int:
     try:
         if cfg["critical"]:
             ps = cfg["p"] if isinstance(cfg["p"], list) else [cfg["p"]]
-            grid = [ModelParams(float(p), float(p) / (1.0 - float(p))) for p in ps]
+            base = [ModelParams(float(p), 0.0) for p in ps]  # checks p first
+            grid = [ModelParams(pm.p, pm.critical_beta) for pm in base]
         else:
             grid = _param_grid(cfg)
         n_max = int(cfg["n"])
+        degree = int(cfg["degree"])
+        if degree >= 1 and n_max < 100:
+            # the L2 diagnostic that comes with the moments needs n >= 100
+            raise ValueError("n_max must be >= 100 for a meaningful diagnostic")
         for params in grid:
             cps = geometric_checkpoints(n_max, float(cfg["checkpoint_ratio"]))
             label = classify_label(params)
-            means = np.array([exact.exact_mean_xi(int(c), params) for c in cps])
+            means = exact._mean_table(params, cps)
             lines = [
                 f"# erwalk {__version__} schema v{serialize.SCHEMA_VERSION}",
                 f"# config_hash={serialize.config_hash(_hashable(cfg))}",
@@ -276,10 +279,8 @@ def _cmd_exact(args) -> int:
             outputs.add(path)
             print(f"exact {_tag(params)}: mean table at {len(cps)} checkpoints")
 
-            if int(cfg["degree"]) >= 1:
-                tables = exact.propagate_moments(
-                    params, n_max, int(cfg["degree"]), checkpoints=cps
-                )
+            if degree >= 1:
+                tables, diag = exact._moments_and_l2(params, n_max, degree, cps)
                 if cfg["format"] == "json":
                     outputs.add(
                         serialize.write_moments_json(
@@ -305,7 +306,6 @@ def _cmd_exact(args) -> int:
                             _hashable(cfg),
                         )
                     )
-                diag = exact.l2_diagnostic(params, n_max)
                 payload = {
                     "bounded": diag.bounded,
                     "sup_m2": diag.sup_m2,

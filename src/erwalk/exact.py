@@ -11,6 +11,15 @@ one-step recursions that close over total degree, so a single propagator
 reproduces every moment up to degree d exactly (up to rounding); each
 recursion x_{n+1} = (1 + xi/n) x_n + f_n is solved in scaled space
 x_n / c_n(xi), where the update is a plain cumulative sum.
+
+The propagator streams over n in chunks of `_CHUNK` steps, so it holds
+O(_CHUNK) doubles whatever the horizon.  Each sequential scan (the cumprods
+behind mu_n and c_n(xi), and every moment's cumulative sum) carries its last
+value into the next chunk by prepending it to that chunk's scan, which keeps
+each add and multiply in the order of a whole-array scan: the streamed
+moments are bit-identical to those of `_propagate_vectors`, which builds the
+full trajectories at once and is kept as the oracle the pass is tested
+against.  One pass serves both the moment tables and the L2 diagnostic.
 """
 
 from __future__ import annotations
@@ -41,6 +50,11 @@ __all__ = [
 
 ENUMERATION_MAX_STEPS = 16
 
+# steps per chunk of the streamed propagator.  A chunk works on ~30 arrays of
+# this length; on a 2-core VM 2^14-2^15 ran fastest, 2^12 and 2^17 ~20% slower
+# (per-chunk overhead below, cache misses above)
+_CHUNK = 1 << 15
+
 
 def exact_mean_xi(n: int, params: ModelParams) -> float:
     """Exact E[Xi_n], choosing the critical or telescoped branch."""
@@ -50,6 +64,22 @@ def exact_mean_xi(n: int, params: ModelParams) -> float:
         # sum_{k=0}^{n-1} beta/(k+beta) = 1 + beta * sum_{k=1}^{n-1} 1/(k+beta)
         return 1.0 + params.beta * poch_ratio_sum(params.beta, params.beta, n)
     return 1.0 + params.rate * poch_ratio_sum(params.rate, params.beta, n)
+
+
+def _mean_table(params: ModelParams, cps) -> np.ndarray:
+    """exact_mean_xi at each checkpoint in `cps`.
+
+    On the critical line every mean is a prefix of one harmonic sum, so the
+    reciprocals 1/(k+beta) are formed once up to max(cps) and each checkpoint
+    sums its prefix slice, with the bits of the per-call sum.
+    """
+    if not params.is_critical:
+        return np.array([exact_mean_xi(int(c), params) for c in cps])
+    beta = params.beta
+    inv = np.arange(1, int(max(cps)), dtype=np.float64)
+    inv += beta
+    np.divide(1.0, inv, out=inv)  # in place: one array of max(cps) doubles
+    return np.array([1.0 + beta * float(np.sum(inv[: int(c) - 1])) for c in cps])
 
 
 def limit_mean_xi(params: ModelParams) -> float:
@@ -158,19 +188,102 @@ def _propagate_vectors(params: ModelParams, n_max: int, degree: int):
     return moments
 
 
+def _stream_moments(params: ModelParams, n_max: int, degree: int, picks):
+    """Every moment of `_propagate_vectors` at the 0-based indices `picks`.
+
+    Walks the n_max - 1 steps in chunks of `_CHUNK`, building mu_{n+1}, its
+    powers, pi_n / Sigma_n and c_n(b rate) for one chunk at a time.  A
+    chunk's arrays span indices s..e, where index s re-forms the previous
+    chunk's last value from the carried scan states.  Returns
+    (moments, cvals, sup_m2): moments maps (a, b) to its values at `picks`,
+    cvals maps b to c_n(b rate) at `picks`, and sup_m2 is the maximum over
+    all n of E[Sigma_n^2] / c_n(rate)^2 (None below degree 2).
+    """
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    # raw moments reach ~n^{degree*beta}; refuse inputs that cannot be held
+    if degree * max(params.beta, params.rate, 1.0) * math.log10(max(n_max, 2)) > 290:
+        raise OverflowError(
+            "requested moments exceed double range; lower degree or n_max"
+        )
+    rate = params.rate
+    order = _moment_order(degree)
+    picks = np.asarray(picks, dtype=np.int64)
+    by_index = np.argsort(picks, kind="stable")
+    sorted_picks = picks[by_index]
+    # every value at n = 1 is 1; each later index is written by one chunk
+    moments = {key: np.ones(len(picks)) for key in [(0, 0), *order]}
+    cvals = {b: np.ones(len(picks)) for b in range(degree + 1)}
+    maxima = [1.0]
+    mu_carry = 1.0
+    c_carry = dict.fromkeys(range(degree + 1), 1.0)
+    sum_carry = dict.fromkeys(order, 0.0)
+    ext = {key: np.ones(1) for key in order}
+    for s in range(0, n_max - 1, _CHUNK):
+        e = min(s + _CHUNK, n_max - 1)
+        k = np.arange(s + 1, e + 1, dtype=np.float64)
+        mu_next = np.cumprod(np.concatenate(([mu_carry], (k + params.beta) / k)))[1:]
+        mu_carry = mu_next[-1]
+        mu_pow = {0: np.ones(e - s), 1: mu_next}
+        for power in range(2, degree + 1):
+            mu_pow[power] = mu_pow[power - 1] * mu_next
+        pref = rate / (k * mu_next)
+        cx = {}
+        for b in range(degree + 1):
+            cx[b] = np.cumprod(np.concatenate(([c_carry[b]], (k + b * rate) / k)))
+            c_carry[b] = cx[b][-1]
+        ext = {(0, 0): np.ones(e - s + 1)}
+        for (a, b) in order:
+            f = np.zeros(e - s)
+            for i in range(a + 1):
+                for j in range(b + 1):
+                    if (i, j) == (a, b) or (i, j) == (a, b - 1):
+                        continue
+                    w = comb(a, i) * comb(b, j)
+                    f += w * mu_pow[b - j] * ext[(i, j + 1)][:-1]
+            f *= pref
+            z = np.cumsum(np.concatenate(([sum_carry[(a, b)]], f / cx[b][1:])))
+            sum_carry[(a, b)] = z[-1]
+            ext[(a, b)] = (1.0 + z) * cx[b]
+        if degree >= 2:
+            maxima.append(np.max(ext[(0, 2)][1:] / cx[1][1:] ** 2))
+        lo = np.searchsorted(sorted_picks, s + 1)
+        hi = np.searchsorted(sorted_picks, e, side="right")
+        dest, src = by_index[lo:hi], sorted_picks[lo:hi] - s
+        for key in order:
+            moments[key][dest] = ext[key][src]
+        for b in range(degree + 1):
+            cvals[b][dest] = cx[b][src]
+    for (a, b) in order:
+        if not np.isfinite(ext[(a, b)][-1]):
+            raise OverflowError(
+                f"moment ({a},{b}) overflowed at n = {n_max}; lower degree or n_max"
+            )
+    sup_m2 = float(np.max(maxima)) if degree >= 2 else None
+    return moments, cvals, sup_m2
+
+
+def _moment_tables(moments, degree: int, cps) -> list[MomentTable]:
+    """MomentTables at `cps` from moment values picked at cps - 1."""
+    tables = []
+    for t, cp in enumerate(cps):
+        m = np.full((degree + 1, degree + 1), np.nan)
+        for (a, b), vals in moments.items():
+            if a + b <= degree:
+                m[a, b] = vals[t]
+        tables.append(MomentTable(degree=degree, n=int(cp), m=m))
+    return tables
+
+
 def propagate_moments(
     params: ModelParams, n_max: int, degree: int, checkpoints=None
 ) -> list[MomentTable]:
     """Exact joint moments for all a + b <= degree at the given checkpoints."""
     cps = _check_checkpoints(checkpoints, n_max)
-    vectors = _propagate_vectors(params, n_max, degree)
-    tables = []
-    for cp in cps:
-        m = np.full((degree + 1, degree + 1), np.nan)
-        for (a, b), vec in vectors.items():
-            m[a, b] = vec[cp - 1]
-        tables.append(MomentTable(degree=degree, n=int(cp), m=m))
-    return tables
+    moments, _, _ = _stream_moments(params, n_max, degree, cps - 1)
+    return _moment_tables(moments, degree, cps)
 
 
 @dataclass
@@ -198,39 +311,50 @@ def l2_diagnostic(params: ModelParams, n_max: int) -> L2Diagnostic:
     0.02 resolution margin) mean a bounded martingale.  That reproduces the
     phase criterion beta < p/(1-p).
     """
+    return _moments_and_l2(params, n_max, 2, np.empty(0, dtype=np.int64))[1]
+
+
+def _moments_and_l2(params: ModelParams, n_max: int, degree: int, cps):
+    """`propagate_moments(params, n_max, degree, cps)` and
+    `l2_diagnostic(params, n_max)` from one streamed pass of degree
+    max(degree, 2), whose first six moments are the degree-2 ones."""
     if n_max < 100:
         raise ValueError("n_max must be >= 100 for a meaningful diagnostic")
-    rate = params.rate
-    vectors = _propagate_vectors(params, n_max, 2)
-    m02 = vectors[(0, 2)]
-    k = np.arange(1, n_max, dtype=np.float64)
-    c1 = np.concatenate([[1.0], np.cumprod((k + rate) / k)])
-    c2 = np.concatenate([[1.0], np.cumprod((k + 2.0 * rate) / k)])
-    m2 = m02 / c1**2
-    cps = _check_checkpoints(None, n_max)
+    l2_cps = _check_checkpoints(None, n_max)
     # tail increments of E[L_n] = E[Sigma_n^2]/c_n(2 rate), fitted over the
     # last two decades
-    ell = m02 / c2
     lo = max(2, n_max // 100)
     ns = np.unique(np.geomspace(lo, n_max - 1, 64).astype(np.int64))
-    inc = ell[ns] - ell[ns - 1]
+    decade_lo = max(1, n_max // 10)
+    parts = [cps - 1, l2_cps - 1, ns, ns - 1, np.array([decade_lo - 1, n_max - 1])]
+    moments, cvals, sup_m2 = _stream_moments(
+        params, n_max, max(degree, 2), np.concatenate(parts)
+    )
+    bounds = np.cumsum([len(part) for part in parts])[:-1]
+    m02 = np.split(moments[(0, 2)], bounds)
+    c1 = np.split(cvals[1], bounds)
+    c2 = np.split(cvals[2], bounds)
+    tables = _moment_tables(
+        {key: vals[: len(cps)] for key, vals in moments.items()}, degree, cps
+    )
+    inc = m02[2] / c2[2] - m02[3] / c2[3]
     valid = inc > 0
     slope = float(
         np.polyfit(np.log(ns[valid].astype(float)), np.log(inc[valid]), 1)[0]
     )
-    decade_lo = max(1, n_max // 10)
-    increase = float(m2[n_max - 1] - m2[decade_lo - 1])
-    return L2Diagnostic(
+    decade = m02[4] / c1[4] ** 2
+    diag = L2Diagnostic(
         params=params,
         n_max=n_max,
-        sup_m2=float(np.max(m2)),
+        sup_m2=sup_m2,
         bounded=slope < -1.0 - 0.02,
-        last_decade_increase=increase,
+        last_decade_increase=float(decade[1] - decade[0]),
         increment_exponent=slope,
-        expected_exponent=params.beta - rate - 1.0,
-        checkpoints=cps,
-        m2=m2[cps - 1],
+        expected_exponent=params.beta - params.rate - 1.0,
+        checkpoints=l2_cps,
+        m2=m02[1] / c1[1] ** 2,
     )
+    return tables, diag
 
 
 @dataclass

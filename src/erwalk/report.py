@@ -53,7 +53,7 @@ class Gate:
 
 def _exponent_gate(regime, params, target, n_max=10**5, tol=0.05):
     cps = geometric_checkpoints(n_max)
-    means = np.array([exact.exact_mean_xi(int(n), params) for n in cps])
+    means = exact._mean_table(params, cps)
     fit = analysis.fit_exponent(cps, means, window=(10**3, n_max))
     ok = abs(fit.slope - target) <= tol
     return Gate(

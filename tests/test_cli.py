@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -196,6 +197,65 @@ class TestSimulateCommand:
         assert rc == 2
 
 
+# sha256 of every file `erwalk exact` writes, recorded from the whole-array
+# propagator before it was streamed in chunks
+EXACT_GOLDEN = [
+    (
+        ["--critical", "--p", "0.3", "0.5", "0.7", "--n", "200000", "--degree", "3"],
+        {
+            "exact_critical_ratios_p0.3_beta0.428571.csv":
+                "9646d9497f43188eaabf40b72775318c43160c0c1d2aac31335e9caefdcd967c",
+            "exact_critical_ratios_p0.5_beta1.csv":
+                "f705ce2e362909192450ec670daa72c365dcf4ff4759b80104e22df05b2e2baa",
+            "exact_critical_ratios_p0.7_beta2.33333.csv":
+                "62f8ef8989842ce18cd336704f4ff39ba369f39de49b57d80d9f37e09975e7d8",
+            "exact_l2_p0.3_beta0.428571.json":
+                "abdbf3454aaedd4d8cf225e924adefb3251dbad15fe7e9055aaba8611eea2d09",
+            "exact_l2_p0.5_beta1.json":
+                "28a36d57067692788eae6da750bfe69b9e6fbd420e720f0170f8306090a8e516",
+            "exact_l2_p0.7_beta2.33333.json":
+                "91b1fc9e08f9d206c5bd2686d4ade592001016a60528e6b08197000b59cfed0e",
+            "exact_mean_p0.3_beta0.428571.csv":
+                "12e0a009075f5e13b27e12b711421604e9791c10c7cfb3360a22084d0d8d3ab5",
+            "exact_mean_p0.5_beta1.csv":
+                "93892ba7121f82af9546ee75a2f5cb946bb74eed598fba1d6ca569ca8bb3d454",
+            "exact_mean_p0.7_beta2.33333.csv":
+                "0842db6a6af8dc62d6a3498c5b71fa51fed79f726a3c579dad85f8586320227f",
+            "exact_moments_p0.3_beta0.428571.csv":
+                "d86e37ebc17f76f86631e2e181887a1c96a02d5a821c559fe5e3836f65e8c76c",
+            "exact_moments_p0.5_beta1.csv":
+                "4776b1be36642357aa60f231569493a77b7727533b7199843d0686dc1d01b4e0",
+            "exact_moments_p0.7_beta2.33333.csv":
+                "6f861ac4073652c6f775d6941768a017415d1b0a46e735837b9512d648998ac7",
+        },
+    ),
+    (
+        ["--critical", "--p", "0.5", "--n", "20000", "--degree", "3", "--format", "json"],
+        {
+            "exact_critical_ratios_p0.5_beta1.csv":
+                "8766de69cc01c9fa283a0467e790baf7fb655938d501fc3b9393dcb2b870062c",
+            "exact_l2_p0.5_beta1.json":
+                "9c87bb65db368297fa1078c48514fcc65752173fdb2b27e1ecf5ef226ca3b267",
+            "exact_mean_p0.5_beta1.json":
+                "b1494c0bf6a3b7e58344a9e7ac1dc8bdd38c4702c5690e7012b9cd66030fbfe1",
+            "exact_moments_p0.5_beta1.json":
+                "9f0f5e0ae24eb25988ff78b784985cc8592708d193b74d30bb1917e1c4f0d8ba",
+        },
+    ),
+    (
+        ["--p", "0.5", "--beta", "0.5", "--n", "20000", "--degree", "1"],
+        {
+            "exact_l2_p0.5_beta0.5.json":
+                "ab74bfbcd3b53ef2f00c681bbc5ff9898399c0ada3ad6c879473a03d45493a99",
+            "exact_mean_p0.5_beta0.5.csv":
+                "d6ec96cff8236c45c65463a98e117f4a44a3191ed37eac676951c7b6c23b95c7",
+            "exact_moments_p0.5_beta0.5.csv":
+                "bce46d8632ac16b765bd36ad21bd36d75934c7bb55798081f202c0c35a56c27c",
+        },
+    ),
+]
+
+
 class TestExactCommand:
     def test_mean_table_with_limit_column(self, tmp_path):
         rc = main(["exact", "--p", "0.5", "--beta", "2", "--n", "10000",
@@ -223,6 +283,35 @@ class TestExactCommand:
         assert "exact_l2_p0.5_beta1.json" in names
         header = (tmp_path / "exact_critical_ratios_p0.5_beta1.csv").read_text()
         assert "n,r10,r11,r20,r21,r22,r30,r31,r32,r33" in header
+
+    @pytest.mark.parametrize(
+        "args,want", EXACT_GOLDEN, ids=["critical", "json", "degree1"]
+    )
+    def test_golden_digests(self, tmp_path, args, want):
+        assert main(["exact", *args, "--out", str(tmp_path)]) == 0
+        got = {
+            f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in tmp_path.iterdir()
+        }
+        assert got == want
+
+    @pytest.mark.parametrize("p", ["1.0", "0"])
+    def test_critical_p_outside_unit_interval(self, tmp_path, capsys, p):
+        rc = main(["exact", "--critical", "--p", p, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "p must lie in (0, 1)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_moments_below_diagnostic_horizon_rejected_up_front(
+        self, tmp_path, capsys
+    ):
+        rc = main(["exact", "--critical", "--p", "0.5", "--n", "50",
+                   "--degree", "1", "--out", str(tmp_path)])
+        assert rc == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "n_max must be >= 100" in out.err
+        assert not tmp_path.exists() or list(tmp_path.iterdir()) == []
 
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
+import erwalk.exact as exact_mod
 from erwalk.exact import (
     ENUMERATION_MAX_STEPS,
+    _mean_table,
     _propagate_vectors,
     asymptotic_constant,
     enumerate_law,
@@ -15,7 +18,7 @@ from erwalk.exact import (
     lower_bound_prob_one,
     propagate_moments,
 )
-from erwalk.walkers import ModelParams
+from erwalk.walkers import ModelParams, _check_checkpoints, geometric_checkpoints
 
 # arbitrary-precision evaluations recorded as goldens
 GOLDEN_AMPLITUDE_05_05 = 2.8928181692641542851  # 4 * Gamma(1.5) / Gamma(0.75)
@@ -188,6 +191,110 @@ class TestPropagator:
         (table,) = propagate_moments(pms, 1000, 2, checkpoints=[1000])
         raw = table.m[0, 2]
         assert table.scaled(0, 2, pms.beta) == pytest.approx(raw / 1000.0**2)
+
+
+STREAM_PARAMS = [
+    ModelParams(0.5, -0.5),
+    ModelParams(0.5, 0.0),
+    ModelParams(0.3, 3 / 7),
+    ModelParams(0.5, 1.0),
+    ModelParams(0.5, 2.0),
+]
+
+
+def _l2_whole_array(params, n_max):
+    """The L2 diagnostic as computed from whole trajectories, kept verbatim
+    as the reference for the streamed pass."""
+    rate = params.rate
+    vectors = _propagate_vectors(params, n_max, 2)
+    m02 = vectors[(0, 2)]
+    k = np.arange(1, n_max, dtype=np.float64)
+    c1 = np.concatenate([[1.0], np.cumprod((k + rate) / k)])
+    c2 = np.concatenate([[1.0], np.cumprod((k + 2.0 * rate) / k)])
+    m2 = m02 / c1**2
+    cps = _check_checkpoints(None, n_max)
+    ell = m02 / c2
+    lo = max(2, n_max // 100)
+    ns = np.unique(np.geomspace(lo, n_max - 1, 64).astype(np.int64))
+    inc = ell[ns] - ell[ns - 1]
+    valid = inc > 0
+    slope = float(
+        np.polyfit(np.log(ns[valid].astype(float)), np.log(inc[valid]), 1)[0]
+    )
+    decade_lo = max(1, n_max // 10)
+    increase = float(m2[n_max - 1] - m2[decade_lo - 1])
+    return {
+        "params": params,
+        "n_max": n_max,
+        "sup_m2": float(np.max(m2)),
+        "bounded": slope < -1.0 - 0.02,
+        "last_decade_increase": increase,
+        "increment_exponent": slope,
+        "expected_exponent": params.beta - rate - 1.0,
+        "checkpoints": cps,
+        "m2": m2[cps - 1],
+    }
+
+
+class TestStreamedPass:
+    """The chunked propagator against the whole-array oracle, bit for bit."""
+
+    @pytest.mark.parametrize("chunk", [7, 64])
+    @pytest.mark.parametrize(
+        "pms", STREAM_PARAMS, ids=lambda p: f"p{p.p}b{p.beta:.3g}"
+    )
+    def test_moments_match_oracle_at_every_index(self, monkeypatch, chunk, pms):
+        monkeypatch.setattr(exact_mod, "_CHUNK", chunk)
+        for n_max in (1, 2, chunk, chunk + 1, 3 * chunk + 2):
+            for degree in (1, 2, 3, 4):
+                ref = _propagate_vectors(pms, n_max, degree)
+                tables = propagate_moments(
+                    pms, n_max, degree, checkpoints=np.arange(1, n_max + 1)
+                )
+                for (a, b), vec in ref.items():
+                    got = np.array([t.m[a, b] for t in tables])
+                    assert np.array_equal(got, vec), (n_max, degree, (a, b))
+
+    @pytest.mark.parametrize("n_max", [100, 10**4, 3 * exact_mod._CHUNK + 2])
+    @pytest.mark.parametrize(
+        "pms", [ModelParams(0.3, 3 / 7), ModelParams(0.5, 0.5), ModelParams(0.5, 2.0)],
+        ids=lambda p: f"p{p.p}b{p.beta:.3g}",
+    )
+    def test_l2_matches_whole_array_diagnostic(self, pms, n_max):
+        got = l2_diagnostic(pms, n_max)
+        for field, want in _l2_whole_array(pms, n_max).items():
+            assert np.array_equal(getattr(got, field), want), field
+
+    def test_tables_and_l2_from_one_pass(self, monkeypatch):
+        monkeypatch.setattr(exact_mod, "_CHUNK", 64)
+        pms = ModelParams(0.5, 1.0)
+        cps = geometric_checkpoints(1000)
+        for degree in (1, 3):
+            tables, diag = exact_mod._moments_and_l2(pms, 1000, degree, cps)
+            ref = propagate_moments(pms, 1000, degree, checkpoints=cps)
+            for got, want in zip(tables, ref, strict=True):
+                assert got.n == want.n
+                assert np.array_equal(got.m, want.m, equal_nan=True)
+            for field, want in _l2_whole_array(pms, 1000).items():
+                assert np.array_equal(getattr(diag, field), want), field
+
+    @pytest.mark.parametrize("pms", GRID, ids=lambda p: f"p{p.p}b{p.beta:.3g}")
+    def test_mean_table_matches_per_call_means(self, pms):
+        cps = geometric_checkpoints(10**5)
+        want = [exact_mean_xi(int(c), pms) for c in cps]
+        assert np.array_equal(_mean_table(pms, cps), want)
+
+    def test_memory_stays_chunk_sized(self):
+        # whole-array trajectories at this size peaked near 175 MiB
+        pms = ModelParams(0.5, 1.0)
+        tracemalloc.start()
+        try:
+            propagate_moments(pms, 10**6, 3)
+            l2_diagnostic(pms, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestEnumeration:
