@@ -10,7 +10,7 @@ telescoping identities everything else is built on.
 
 import numpy as np
 
-from erwalk import MemoryLaw, gamma_ratio_sum, poch_ratio, ratio_seq
+from erwalk import MemoryLaw, c_values, gamma_ratio_sum, poch_ratio
 
 print("=== weight sequence c_n(xi) ===")
 for xi in (-0.5, 0.0, 1.0, 2.0):
@@ -46,7 +46,7 @@ direct = sum(math.exp(gammaln(k + a) - gammaln(k + b)) for k in range(lo, hi + 1
 print(f"sum Gamma(k+{a})/Gamma(k+{b}), k={lo}..{hi}:")
 print(f"  closed form {closed:.12f}  vs  direct loop {direct:.12f}")
 
-seq = ratio_seq(1.0)
-total = sum(seq.value(k) for k in range(1, 21))
+mu = c_values(1.0, 21)  # mu_1, ..., mu_21 at beta = 1
+total = sum(mu[:20])
 print(f"\nsum of mu_k (beta = 1) for k = 1..20: {total:.1f}")
-print(f"identity n*mu_(n+1)/(beta+1) gives:   {20 * seq.value(21) / 2:.1f}")
+print(f"identity n*mu_(n+1)/(beta+1) gives:   {20 * mu[20] / 2:.1f}")

@@ -47,40 +47,31 @@ from .exact import (
     propagate_moments,
 )
 from .gammaratio import (
-    RatioSeq,
+    c_values,
     gamma_ratio_sum,
     log_poch,
     log_poch_ratio,
     poch_ratio,
     poch_ratio_sum,
-    ratio_seq,
 )
 from .memory import MemoryLaw
 from .streams import replicate_stream
 from .walkers import (
-    CollapsedState,
     CoupledTrajectory,
     EnsembleResult,
-    FullState,
-    LerwState,
     ModelParams,
     Trajectory,
-    collapsed_step_prob,
     coupled_run,
     geometric_checkpoints,
     run_coupled_ensemble,
     run_ensemble,
     run_walk,
-    step_collapsed,
-    step_full,
-    step_lerw,
 )
 
 __all__ = [
     "__version__",
     # gamma kernel
-    "RatioSeq",
-    "ratio_seq",
+    "c_values",
     "poch_ratio",
     "log_poch",
     "log_poch_ratio",
@@ -90,13 +81,6 @@ __all__ = [
     "MemoryLaw",
     # walkers
     "ModelParams",
-    "CollapsedState",
-    "FullState",
-    "LerwState",
-    "collapsed_step_prob",
-    "step_collapsed",
-    "step_full",
-    "step_lerw",
     "geometric_checkpoints",
     "Trajectory",
     "run_walk",

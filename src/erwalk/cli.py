@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -126,18 +125,10 @@ def _cmd_simulate(args) -> int:
                 workers=int(cfg["workers"]),
             )
             rep = analysis.build_report(res, confidence_z=float(cfg["sigma_level"]))
-            if cfg["format"] == "json":
-                outputs.add(
-                    serialize.write_ensemble_json(
-                        out_dir / f"simulate_{_tag(params)}.json", rep, _hashable(cfg)
-                    )
-                )
-            else:
-                outputs.add(
-                    serialize.write_ensemble_csv(
-                        out_dir / f"simulate_{_tag(params)}.csv", rep, _hashable(cfg)
-                    )
-                )
+            as_json = cfg["format"] == "json"
+            write = serialize.write_ensemble_json if as_json else serialize.write_ensemble_csv
+            ext = "json" if as_json else "csv"
+            outputs.add(write(out_dir / f"simulate_{_tag(params)}.{ext}", rep, _hashable(cfg)))
             traj = run_walk(
                 params, int(cfg["n"]), int(cfg["seed"]), checkpoints=cps, mode=mode
             )
@@ -227,113 +218,37 @@ def _cmd_exact(args) -> int:
         if degree >= 1 and n_max < 100:
             # the L2 diagnostic that comes with the moments needs n >= 100
             raise ValueError("n_max must be >= 100 for a meaningful diagnostic")
+        as_json = cfg["format"] == "json"
+        ext = "json" if as_json else "csv"
+        config = _hashable(cfg)
         for params in grid:
+            tag = _tag(params)
             cps = geometric_checkpoints(n_max, float(cfg["checkpoint_ratio"]))
-            label = classify_label(params)
             means = exact._mean_table(params, cps)
-            lines = [
-                f"# erwalk {__version__} schema v{serialize.SCHEMA_VERSION}",
-                f"# config_hash={serialize.config_hash(_hashable(cfg))}",
-                "# seed=exact",
-                f"# regime={label}",
-            ]
             localized = params.beta > params.critical_beta and not params.is_critical
             lim = exact.limit_mean_xi(params) if localized else None
-            if cfg["format"] == "json":
-                rows = [
-                    {"n": int(c), "mean_xi": float(m)} for c, m in zip(cps, means)
-                ]
-                if localized:
-                    for row in rows:
-                        row["limit"] = float(lim)
-                        row["gap"] = float(lim - row["mean_xi"])
-                payload = {
-                    "meta": {
-                        "tool": "erwalk",
-                        "version": __version__,
-                        "schema": serialize.SCHEMA_VERSION,
-                        "config_hash": serialize.config_hash(_hashable(cfg)),
-                        "seed": "exact",
-                        "regime": label,
-                    },
-                    "params": {"p": params.p, "beta": params.beta},
-                    "rows": rows,
-                }
-                path = out_dir / f"exact_mean_{_tag(params)}.json"
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-            else:
-                if localized:
-                    lines.append("n,mean_xi,limit,gap")
-                    for c, m in zip(cps, means):
-                        lines.append(
-                            f"{c},{float(m)!r},{float(lim)!r},{float(lim - m)!r}"
-                        )
-                else:
-                    lines.append("n,mean_xi")
-                    for c, m in zip(cps, means):
-                        lines.append(f"{c},{float(m)!r}")
-                path = out_dir / f"exact_mean_{_tag(params)}.csv"
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text("\n".join(lines) + "\n")
-            outputs.add(path)
-            print(f"exact {_tag(params)}: mean table at {len(cps)} checkpoints")
+            write = serialize.write_mean_table_json if as_json else serialize.write_mean_table_csv
+            outputs.add(
+                write(out_dir / f"exact_mean_{tag}.{ext}", params, cps, means, config,
+                      classify_label(params), lim)
+            )
+            print(f"exact {tag}: mean table at {len(cps)} checkpoints")
 
             if degree >= 1:
                 tables, diag = exact._moments_and_l2(params, n_max, degree, cps)
-                if cfg["format"] == "json":
-                    outputs.add(
-                        serialize.write_moments_json(
-                            out_dir / f"exact_moments_{_tag(params)}.json",
-                            tables,
-                            _hashable(cfg),
-                        )
-                    )
-                else:
-                    outputs.add(
-                        serialize.write_moments_csv(
-                            out_dir / f"exact_moments_{_tag(params)}.csv",
-                            tables,
-                            _hashable(cfg),
-                        )
-                    )
+                write = serialize.write_moments_json if as_json else serialize.write_moments_csv
+                outputs.add(write(out_dir / f"exact_moments_{tag}.{ext}", tables, config))
                 if params.is_critical:
                     outputs.add(
-                        _write_critical_ratios(
-                            out_dir / f"exact_critical_ratios_{_tag(params)}.csv",
-                            params,
-                            tables,
-                            _hashable(cfg),
+                        serialize.write_critical_ratios_csv(
+                            out_dir / f"exact_critical_ratios_{tag}.csv", params, tables, config
                         )
                     )
-                payload = {
-                    "bounded": diag.bounded,
-                    "sup_m2": diag.sup_m2,
-                    "last_decade_increase": diag.last_decade_increase,
-                    "increment_exponent": diag.increment_exponent,
-                    "expected_exponent": diag.expected_exponent,
-                }
-                path = out_dir / f"exact_l2_{_tag(params)}.json"
-                path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-                outputs.add(path)
+                outputs.add(serialize.write_l2_json(out_dir / f"exact_l2_{tag}.json", diag))
             if cfg["enumerate"]:
                 law, _ = exact.enumerate_law(params, min(n_max, 12))
-                if cfg["format"] == "json":
-                    outputs.add(
-                        serialize.write_law_json(
-                            out_dir / f"exact_law_{_tag(params)}.json",
-                            law,
-                            _hashable(cfg),
-                        )
-                    )
-                else:
-                    outputs.add(
-                        serialize.write_law_csv(
-                            out_dir / f"exact_law_{_tag(params)}.csv",
-                            law,
-                            _hashable(cfg),
-                        )
-                    )
+                write = serialize.write_law_json if as_json else serialize.write_law_csv
+                outputs.add(write(out_dir / f"exact_law_{tag}.{ext}", law, config))
     except Exception as err:
         outputs.discard_all()
         print(f"error: {err}", file=sys.stderr)
@@ -343,29 +258,6 @@ def _cmd_exact(args) -> int:
 
 def classify_label(params: ModelParams) -> str:
     return analysis.classify_phase(params).regime.value
-
-
-def _write_critical_ratios(path, params, tables, cfg) -> Path:
-    beta = params.beta
-    cols = [(k, l) for k in (1, 2, 3) for l in range(k + 1) if k <= tables[0].degree]
-    lines = [
-        f"# erwalk {__version__} schema v{serialize.SCHEMA_VERSION}",
-        f"# config_hash={serialize.config_hash(_hashable(cfg))}",
-        "# seed=exact",
-        "n," + ",".join(f"r{k}{l}" for k, l in cols),
-    ]
-    for t in tables:
-        if t.n < 2:
-            continue
-        vals = []
-        for k, l in cols:
-            denom = t.n ** (l * beta) * math.log(t.n) ** (2 * k - 1 - l)
-            vals.append(repr(float(t.m[k - l, l]) / denom))
-        lines.append(f"{t.n}," + ",".join(vals))
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
-    return path
 
 
 def _cmd_report(args) -> int:
@@ -397,13 +289,7 @@ def _cmd_report(args) -> int:
         all_ok &= g.passed
         print(f"{g.regime:<24} {g.name:<{width}}  {verdict:<7}  {g.detail}")
     if cfg["out"]:
-        out = Path(cfg["out"]) / "report.json"
-        out.parent.mkdir(parents=True, exist_ok=True)
-        payload = [
-            {"regime": g.regime, "gate": g.name, "passed": g.passed, "detail": g.detail}
-            for g in gates
-        ]
-        out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        serialize.write_report_json(Path(cfg["out"]) / "report.json", gates)
     print("overall:", "PASS" if all_ok else "FAIL")
     return 0 if all_ok else 1
 

@@ -31,7 +31,7 @@ from math import comb
 import numpy as np
 from scipy.special import gammaln
 
-from .gammaratio import log_poch, log_poch_ratio, poch_ratio_sum
+from .gammaratio import c_values, log_poch, log_poch_ratio, poch_ratio_sum
 from .walkers import ModelParams, _check_checkpoints
 
 __all__ = [
@@ -382,8 +382,7 @@ def enumerate_law(params: ModelParams, n: int, degree: int = 3):
     # bits[:, t-1] = X_{t+1} for t = 1..n-1
     path_ids = np.arange(n_paths, dtype=np.uint32)
     rate = params.rate
-    k = np.arange(1, n + 1, dtype=np.float64)
-    mu = np.concatenate([[1.0], np.cumprod((k + params.beta) / k)])  # mu_1..mu_{n+1}
+    mu = c_values(params.beta, n + 1)  # mu_1..mu_{n+1}
 
     prob = np.ones(n_paths)
     xi = np.ones(n_paths, dtype=np.int64)

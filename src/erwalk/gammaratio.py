@@ -7,9 +7,11 @@ Everything in this package is built on the normalized rising factorial
 which satisfies c_1 = 1 and c_{n+1}/c_n = (n + xi)/n.  The memory weights of
 the walk are mu_n = c_n(beta).  Two evaluation paths are provided:
 
-* a recurrence path (`RatioSeq`, `poch_ratio`) that multiplies the one-step
+* a recurrence path (`c_values`, `poch_ratio`) that multiplies the one-step
   ratios, switching to log-space accumulation past a threshold so that large
-  exponents cannot overflow, and
+  exponents cannot overflow; it is stateless, so callers that need the
+  weights more than once (the walkers) compute the array once and pass it
+  on, and
 * a direct path (`log_poch`, `log_poch_ratio`) that forms the log-Gamma
   difference through a cancellation-free Stirling expansion, O(1) per call.
 
@@ -20,20 +22,24 @@ suite pins them against an arbitrary-precision oracle.
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 from scipy.special import gammaln
 
 __all__ = [
-    "RatioSeq",
-    "ratio_seq",
+    "c_values",
     "poch_ratio",
     "log_poch",
     "log_poch_ratio",
     "gamma_ratio_sum",
     "poch_ratio_sum",
 ]
+
+# c_values multiplies the one-step ratios up to this index, then sums logs
+# in chunks of _LOG_CHUNK terms (2^15: 20 ms at n = 1e6 on a 2-core Xeon VM,
+# against 33 ms for one whole-array pass)
+_LINEAR_MAX = 10_000
+_LOG_CHUNK = 1 << 15
 
 # Below this argument the plain gammaln difference is already cancellation-free.
 _DIRECT_MIN = 32.0
@@ -117,121 +123,47 @@ def log_poch_ratio(n, xi: float):
     return log_poch(n, xi) - gammaln(xi + 1.0)
 
 
-class RatioSeq:
-    """Lazily extendable sequence c_1(xi), c_2(xi), ... built by recurrence.
+def c_values(xi: float, n) -> np.ndarray:
+    """Array [c_1(xi), ..., c_n(xi)] by recurrence from c_1 = 1.
 
-    Values up to `linear_threshold` are accumulated by direct multiplication;
-    beyond it the recurrence runs in log space (the one-step ratio becomes
-    log1p(xi/n)) with an extended-precision carry so that no error builds up
-    over millions of terms.  Extension is synchronized; reads of already
-    materialized entries are safe from concurrent threads.
+    Entries up to _LINEAR_MAX multiply the one-step ratios (k + xi)/k; later
+    ones are exp of the extended-precision running sum of log1p(xi/k), also
+    from k = 1, so no error builds up over millions of terms.  Both scans
+    run in order, so every entry depends on (xi, its index) alone, not on n.
+    The sum runs in chunks of _LOG_CHUNK terms, each adding the carry to its
+    first term: the same additions in the same order as one whole-array
+    cumsum, in cache-sized scratch.
     """
-
-    #: entries beyond this are computed on the fly instead of cached
-    MAX_CACHE = 1 << 23
-
-    def __init__(self, xi: float, linear_threshold: int = 10_000):
-        self.xi = _check_xi(xi)
-        self.linear_threshold = int(linear_threshold)
-        self._lock = threading.Lock()
-        self._lin = np.ones(1)              # c_1 = 1
-        self._log = np.zeros(1)
-        self._acc = np.longdouble(0.0)      # exact log c at cache end
-
-    def __len__(self) -> int:
-        return len(self._log)
-
-    def _extend(self, n: int) -> None:
-        # Each extension rebuilds the tables from c_1.  cumprod and cumsum
-        # run in order, so the entries have the bits of a cold `values(n)`
-        # whatever lengths earlier callers asked for; chaining a new chunk
-        # onto the last entry would not.  Doubling keeps the total work linear.
-        with self._lock:
-            have = len(self._log)
-            if have >= n:
-                return
-            target = min(max(2 * have, n), self.MAX_CACHE)
-            k = np.arange(1, target, dtype=np.float64)
-            klin = k[: max(self.linear_threshold, 1) - 1]
-            self._lin = np.concatenate([[1.0], np.cumprod((klin + self.xi) / klin)])
-            cum = np.cumsum(np.log1p(self.xi / k).astype(np.longdouble))
-            self._acc = cum[-1]
-            self._log = np.concatenate([[0.0], cum.astype(np.float64)])
-
-    def _tail_log(self, n: int) -> float:
-        # stream past the cache cap without storing
-        acc = self._acc
-        pos = len(self._log)
-        chunk = 1 << 20
-        while pos < n:
-            hi = min(pos + chunk, n)
-            k = np.arange(pos, hi, dtype=np.float64)
-            acc = acc + np.log1p(self.xi / k).astype(np.longdouble).sum()
-            pos = hi
-        return float(acc)
-
-    def log_value(self, n) -> float:
-        n = _check_n(n)
-        if n > self.MAX_CACHE:
-            self._extend(self.MAX_CACHE)
-            return self._tail_log(n)
-        if n > len(self._log):
-            self._extend(n)
-        return float(self._log[n - 1])
-
-    def value(self, n) -> float:
-        n = _check_n(n)
-        if n <= self.linear_threshold:
-            if n > len(self._lin):
-                self._extend(n)
-            return float(self._lin[n - 1])
-        return math.exp(self.log_value(n))
-
-    def values(self, n) -> np.ndarray:
-        """Array [c_1, ..., c_n] (copy)."""
-        n = _check_n(n)
-        if n > self.MAX_CACHE:
-            raise ValueError(f"bulk extraction capped at {self.MAX_CACHE} entries")
-        self._extend(n)
-        if n <= len(self._lin):
-            return self._lin[:n].copy()
-        out = np.exp(self._log[:n])
-        out[: len(self._lin)] = self._lin
-        return out
-
-    def log_values(self, n) -> np.ndarray:
-        n = _check_n(n)
-        if n > self.MAX_CACHE:
-            raise ValueError(f"bulk extraction capped at {self.MAX_CACHE} entries")
-        self._extend(n)
-        return self._log[:n].copy()
-
-
-_seq_cache: dict[float, RatioSeq] = {}
-_seq_cache_lock = threading.Lock()
-_SEQ_CACHE_MAX = 64
-
-
-def ratio_seq(xi: float) -> RatioSeq:
-    """Shared RatioSeq for `xi`, created on first use."""
     xi = _check_xi(xi)
-    with _seq_cache_lock:
-        seq = _seq_cache.get(xi)
-        if seq is None:
-            if len(_seq_cache) >= _SEQ_CACHE_MAX:
-                _seq_cache.clear()
-            seq = RatioSeq(xi)
-            _seq_cache[xi] = seq
-    return seq
+    n = _check_n(n)
+    out = np.empty(n)
+    m = min(n, _LINEAR_MAX)
+    k = np.arange(1, m, dtype=np.float64)
+    out[0] = 1.0
+    out[1:m] = np.cumprod((k + xi) / k)
+    if n <= _LINEAR_MAX:
+        return out
+    log_c = np.longdouble(0.0)  # log c_1
+    for lo in range(1, n, _LOG_CHUNK):
+        hi = min(lo + _LOG_CHUNK, n)
+        k = np.arange(lo, hi, dtype=np.float64)
+        s = np.log1p(xi / k).astype(np.longdouble)
+        s[0] += log_c
+        np.cumsum(s, out=s)  # s[i] = log c_{lo+i+1}
+        log_c = s[-1]
+        if hi > _LINEAR_MAX:
+            a = max(lo, _LINEAR_MAX)
+            out[a:hi] = np.exp(s[a - lo :].astype(np.float64))
+    return out
 
 
 def poch_ratio(n, xi: float) -> float:
-    """c_n(xi) = Gamma(n+xi) / (Gamma(n) Gamma(xi+1)), by cached recurrence.
+    """c_n(xi) = Gamma(n+xi) / (Gamma(n) Gamma(xi+1)), by recurrence (`c_values`).
 
-    Relative error <= 1e-12 for n <= 1e7 and |xi| <= 10.  Raises ValueError
-    for xi <= -1 or n < 1.
+    Relative error <= 1e-12 for n <= 1e7 and |xi| <= 10; the work and memory
+    are O(n).  Raises ValueError for xi <= -1 or n < 1.
     """
-    return ratio_seq(xi).value(n)
+    return float(c_values(xi, n)[-1])
 
 
 def gamma_ratio_sum(a: float, b: float, n_lo: int, n_hi: int) -> float:

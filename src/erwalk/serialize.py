@@ -1,14 +1,18 @@
 """CSV/JSON emission with frozen schemas (see docs/file_formats.md, schema v1).
 
-Every file carries a metadata header: tool version, a hash of the resolved
-configuration, and the master seed.  Nothing time-dependent is written, so
-reruns with the same configuration are byte-identical.
+Every file the package writes goes through a `write_*` function here, and
+each returns the `Path` it wrote.  Every file but two carries a metadata
+header: tool version, a hash of the resolved configuration, and the master
+seed; the martingale diagnostic and the verification report carry none.
+Nothing time-dependent is written, so reruns with the same configuration
+are byte-identical.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +20,8 @@ import numpy as np
 from . import __version__
 from .analysis import EnsembleReport
 from .branching import BranchingResult
-from .exact import ExactLaw, MomentTable
-from .walkers import Trajectory
+from .exact import ExactLaw, L2Diagnostic, MomentTable
+from .walkers import ModelParams, Trajectory
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -30,6 +34,11 @@ __all__ = [
     "write_law_json",
     "write_moments_csv",
     "write_moments_json",
+    "write_mean_table_csv",
+    "write_mean_table_json",
+    "write_critical_ratios_csv",
+    "write_l2_json",
+    "write_report_json",
     "write_branching_census_csv",
     "write_branching_summary_json",
 ]
@@ -177,6 +186,85 @@ def write_moments_json(path, tables: list[MomentTable], config: dict, seed="exac
             for t in tables
         ],
     }
+    return _write(path, [json.dumps(payload, indent=2, sort_keys=True)])
+
+
+def write_mean_table_csv(
+    path, params: ModelParams, cps, means, config: dict, regime: str, limit=None,
+    seed="exact",
+) -> Path:
+    """Exact E[Xi_n] at `cps`; a localized walk's table adds its limit and gap.
+
+    `params` goes only into the JSON variant; both take the same arguments.
+    """
+    lines = _header_lines(config, seed)
+    lines.append(f"# regime={regime}")
+    if limit is None:
+        lines.append("n,mean_xi")
+        lines += [f"{c},{float(m)!r}" for c, m in zip(cps, means)]
+    else:
+        lines.append("n,mean_xi,limit,gap")
+        lines += [
+            f"{c},{float(m)!r},{float(limit)!r},{float(limit - m)!r}"
+            for c, m in zip(cps, means)
+        ]
+    return _write(path, lines)
+
+
+def write_mean_table_json(
+    path, params: ModelParams, cps, means, config: dict, regime: str, limit=None,
+    seed="exact",
+) -> Path:
+    rows = [{"n": int(c), "mean_xi": float(m)} for c, m in zip(cps, means)]
+    if limit is not None:
+        for row in rows:
+            row["limit"] = float(limit)
+            row["gap"] = float(limit - row["mean_xi"])
+    payload = {
+        "meta": {**_meta(config, seed), "regime": regime},
+        "params": {"p": params.p, "beta": params.beta},
+        "rows": rows,
+    }
+    return _write(path, [json.dumps(payload, indent=2, sort_keys=True)])
+
+
+def write_critical_ratios_csv(
+    path, params: ModelParams, tables: list[MomentTable], config: dict, seed="exact"
+) -> Path:
+    """E[Xi^(k-l) Sigma^l] / (n^(l beta) (log n)^(2k-1-l)) on the critical line."""
+    beta = params.beta
+    cols = [(k, l) for k in (1, 2, 3) for l in range(k + 1) if k <= tables[0].degree]
+    lines = _header_lines(config, seed)
+    lines.append("n," + ",".join(f"r{k}{l}" for k, l in cols))
+    for t in tables:
+        if t.n < 2:
+            continue
+        vals = []
+        for k, l in cols:
+            denom = t.n ** (l * beta) * math.log(t.n) ** (2 * k - 1 - l)
+            vals.append(repr(float(t.m[k - l, l]) / denom))
+        lines.append(f"{t.n}," + ",".join(vals))
+    return _write(path, lines)
+
+
+def write_l2_json(path, diag: L2Diagnostic) -> Path:
+    """The martingale diagnostic's verdict and rates; no `meta` object."""
+    payload = {
+        "bounded": diag.bounded,
+        "sup_m2": diag.sup_m2,
+        "last_decade_increase": diag.last_decade_increase,
+        "increment_exponent": diag.increment_exponent,
+        "expected_exponent": diag.expected_exponent,
+    }
+    return _write(path, [json.dumps(payload, indent=2, sort_keys=True)])
+
+
+def write_report_json(path, gates) -> Path:
+    """One object per `report.Gate` of a run of the battery; no `meta` object."""
+    payload = [
+        {"regime": g.regime, "gate": g.name, "passed": g.passed, "detail": g.detail}
+        for g in gates
+    ]
     return _write(path, [json.dumps(payload, indent=2, sort_keys=True)])
 
 

@@ -23,6 +23,14 @@ The two read their streams differently, so they agree in law, not in bits.
 The full-history simulator draws the recalled time explicitly and serves
 as a differential oracle.  Ensembles run one counter-based RNG stream per
 replicate, so results are reproducible under any batching or worker count.
+
+Each public entry point checks its key, horizon (at most MAX_STEPS) and
+checkpoints before any work, computes mu = c_values(beta, n_steps + 1)
+once, and hands it to every block.  The per-step engines (collapsed, full,
+and the coupling) are a set-up plus a kernel that advances their state
+over a tile of steps; `_drive` owns the draws, the tiles and the
+checkpoint records.  A single walk is a one-replicate run (`run_walk`):
+there are no scalar step functions.
 """
 
 from __future__ import annotations
@@ -33,19 +41,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gammaratio import log_poch_ratio, ratio_seq
+from .gammaratio import c_values, log_poch_ratio
 from .memory import MemoryLaw
 from .streams import _check_key, uniform_rows, uniforms
 
 __all__ = [
+    "MAX_STEPS",
     "ModelParams",
-    "CollapsedState",
-    "FullState",
-    "LerwState",
-    "collapsed_step_prob",
-    "step_collapsed",
-    "step_full",
-    "step_lerw",
     "geometric_checkpoints",
     "Trajectory",
     "run_walk",
@@ -60,6 +62,9 @@ __all__ = [
 _GUARD_EPS = 1e-9
 #: |beta - p/(1-p)| below this counts as exactly critical
 CRITICAL_TOL = 1e-12
+#: the longest horizon a simulator takes; each run holds mu_1..mu_{n+1} and a
+#: few more arrays of n doubles per block
+MAX_STEPS = 1 << 23
 #: the full-history simulator is an oracle; cap its quadratic cost
 _FULL_MODE_MAX_STEPS = 4096
 
@@ -112,110 +117,6 @@ class ModelParams:
         return self.rate - self.beta
 
 
-@dataclass
-class CollapsedState:
-    """Markov state (n, Xi_n, Sigma_n) plus the running conditional-mean sum A_n."""
-
-    n: int
-    xi: int
-    sigma: float
-    a: float
-    mu_next: float  # mu_{n+1}, carried so each step is O(1)
-
-    @classmethod
-    def initial(cls, params: ModelParams) -> "CollapsedState":
-        # X_1 = 1 deterministically: Sigma_1 = mu_1 = 1, A_1 = 1, mu_2 = 1 + beta
-        return cls(n=1, xi=1, sigma=1.0, a=1.0, mu_next=1.0 + params.beta)
-
-
-@dataclass
-class FullState:
-    """Explicit history of steps; xi and sigma are kept in sync incrementally."""
-
-    history: np.ndarray
-    xi: int
-    sigma: float
-    a: float
-
-    @classmethod
-    def initial(cls) -> "FullState":
-        return cls(history=np.array([1], dtype=np.uint8), xi=1, sigma=1.0, a=1.0)
-
-    @property
-    def n(self) -> int:
-        return len(self.history)
-
-
-@dataclass
-class LerwState:
-    """State of the uniform-memory comparison walk."""
-
-    n: int
-    xi: int
-
-    @classmethod
-    def initial(cls) -> "LerwState":
-        return cls(n=1, xi=1)
-
-
-def collapsed_step_prob(state: CollapsedState, params: ModelParams) -> float:
-    """Conditional step probability pi_n; aborts if it exceeds p (impossible state)."""
-    pi = params.rate * state.sigma / (state.n * state.mu_next)
-    if not pi <= params.p + _GUARD_EPS:  # a NaN fails too
-        raise RuntimeError(
-            f"internal consistency violated: pi_n = {pi} > p = {params.p} at n = {state.n}"
-        )
-    return pi
-
-
-def step_collapsed(
-    state: CollapsedState, params: ModelParams, rng: np.random.Generator
-) -> CollapsedState:
-    """One transition of the collapsed (Xi, Sigma) chain."""
-    pi = collapsed_step_prob(state, params)
-    x = 1 if rng.random() < pi else 0
-    n1 = state.n + 1
-    return CollapsedState(
-        n=n1,
-        xi=state.xi + x,
-        sigma=state.sigma + x * state.mu_next,
-        a=state.a + pi,
-        mu_next=state.mu_next * (n1 + params.beta) / n1,
-    )
-
-
-def step_full(
-    state: FullState, params: ModelParams, rng: np.random.Generator
-) -> FullState:
-    """One transition of the full-history walk.
-
-    Consumes two uniforms in fixed order: the memory draw, then the
-    retention coin.
-    """
-    n = state.n
-    law = MemoryLaw(params.beta, n)
-    k = law.sample(rng.random())
-    coin = rng.random()
-    x = 1 if (coin < params.p and state.history[k - 1]) else 0
-    mu_next = ratio_seq(params.beta).value(n + 1)
-    pi = params.rate * state.sigma / (n * mu_next)
-    return FullState(
-        history=np.append(state.history, np.uint8(x)),
-        xi=state.xi + x,
-        sigma=state.sigma + x * mu_next,
-        a=state.a + pi,
-    )
-
-
-def step_lerw(state: LerwState, rate: float, rng: np.random.Generator) -> LerwState:
-    """One transition of the uniform-memory walk with retention rate `rate`."""
-    if not 0.0 < rate < 1.0:
-        raise ValueError(f"rate must lie in (0, 1), got {rate}")
-    pi = rate * state.xi / state.n
-    x = 1 if rng.random() < pi else 0
-    return LerwState(n=state.n + 1, xi=state.xi + x)
-
-
 def geometric_checkpoints(n_max: int, ratio: float = 1.2) -> np.ndarray:
     """Geometrically spaced checkpoint times 1, ..., n_max (inclusive, unique)."""
     if n_max < 1:
@@ -245,6 +146,18 @@ def _check_checkpoints(checkpoints, n_steps: int) -> np.ndarray:
     return cps
 
 
+def _check_run(seed, n_steps: int, checkpoints, start: int = 0, n_replicates: int = 1):
+    """Check a simulator call's key, horizon and checkpoints before any work."""
+    _check_key(seed, start, n_replicates)
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    if n_replicates < 1:
+        raise ValueError("n_replicates must be >= 1")
+    if n_steps > MAX_STEPS:
+        raise ValueError(f"n_steps = {n_steps} exceeds the cap MAX_STEPS = {MAX_STEPS}")
+    return _check_checkpoints(checkpoints, n_steps)
+
+
 def _row_pitch(cols: int) -> int:
     """Row length of a segment buffer that holds `cols` doubles per row.
 
@@ -253,16 +166,6 @@ def _row_pitch(cols: int) -> int:
     onto a fraction of the cache sets.
     """
     return 8 * (-(-cols // 8) | 1)
-
-
-def _mu_array(beta: float, upto: int) -> np.ndarray:
-    """mu_1, ..., mu_upto as a 0-based array (mu[i] = mu_{i+1}).
-
-    The shared `ratio_seq(beta)` rebuilds its table from mu_1 whenever it
-    grows, so these bits depend on (beta, upto) alone, not on the lengths
-    earlier callers asked for.
-    """
-    return ratio_seq(beta).values(upto)
 
 
 def _dense_tile(u, coef, mu, t, xi, sigma, a, guard):
@@ -339,79 +242,48 @@ def _tile_a(a, sigma, coef, mu, rounds):
     return np.cumsum(terms, axis=1)[:, w]
 
 
-def _collapsed_block(params, n_steps, seed, start, count, checkpoints, record):
-    """Advance `count` replicates of the collapsed chain; returns checkpoint arrays.
+def _drive(kernel, state, record, draws, n_steps, seed, checkpoints, start, count):
+    """Run a per-step engine over one block; returns its checkpoint arrays.
 
-    Time is cut into tiles of up to _TILE steps that end at every checkpoint
-    and segment end.  A tile whose mean pi_n at its start predicts at most
-    _SEARCH_MAX_HITS up-steps per row is searched (`_search_tile`); a denser
-    tile, one whose mu is not finite, or one where the search meets a pi_n
-    that fails the guard runs the per-step loop.  Both read the same
-    uniforms and give the same bits.
+    `state` maps names to the per-replicate arrays that `kernel(u, t, e)`
+    advances in place from time t to time e; u holds the draws of the
+    transitions t, ..., e - 1, one column per step: shape (count, e - t) at
+    `draws` = 1, (count, e - t, 2) at 2.  Transition t reads draws
+    draws * (t - 1), ... of each replicate's stream.  The driver fills
+    segments of _SEG_LEN draws per replicate, cuts them into tiles of at most
+    _TILE steps that end at every checkpoint and segment end, and copies the
+    arrays named in `record` at each checkpoint.  It runs on to n_steps after
+    the last checkpoint, so every step meets its guard.
     """
-    mu = _mu_array(params.beta, n_steps + 1)
-    cps = checkpoints
-    cp_set = {int(c): i for i, c in enumerate(cps)}
-    out = {}
-    if "xi" in record:
-        out["xi"] = np.empty((count, len(cps)), dtype=np.int64)
-    if "sigma" in record:
-        out["sigma"] = np.empty((count, len(cps)), dtype=np.float64)
-    if "a" in record:
-        out["a"] = np.empty((count, len(cps)), dtype=np.float64)
-
-    xi = np.ones(count, dtype=np.int64)
-    sigma = np.ones(count, dtype=np.float64)
-    a = np.ones(count, dtype=np.float64) if "a" in out else None
+    cp_index = {int(c): i for i, c in enumerate(checkpoints)}
+    out = {
+        name: np.empty((count, len(checkpoints)), dtype=state[name].dtype)
+        for name in record
+    }
 
     def snapshot(t):
-        i = cp_set.get(t)
-        if i is None:
-            return
-        if "xi" in out:
-            out["xi"][:, i] = xi
-        if "sigma" in out:
-            out["sigma"][:, i] = sigma
-        if "a" in out:
-            out["a"][:, i] = a
+        i = cp_index.get(t)
+        if i is not None:
+            for name in record:
+                out[name][:, i] = state[name]
 
     snapshot(1)
     if n_steps == 1:
         return out
-    guard = params.p + _GUARD_EPS
-    stops = iter([int(c) for c in cps if c > 1])
+    seg_len = min(_SEG_LEN // draws, n_steps - 1)
+    pitch = _row_pitch(draws * seg_len)
+    buf = np.empty((count, pitch))
+    cols = buf if draws == 1 else buf.reshape(count, pitch // draws, draws)
+    stops = iter([int(c) for c in checkpoints if c > 1])
     stop = next(stops, n_steps)
-    seg_len = min(_SEG_LEN, n_steps - 1)
-    # one allocation holds the segment's draws and the tile scratch after them
-    pitch = _row_pitch(seg_len)
-    flat = np.empty(count * (pitch + _TILE // 8), dtype=np.float64)
-    buf = flat[: count * pitch].reshape(count, pitch)
-    h_flat = flat[count * pitch :].view(np.bool_)
-    t = 1  # current time; transition t -> t+1 consumes draw t-1 of each replicate
+    t = 1
     while t < n_steps:
         t0 = t
         seg = min(seg_len, n_steps - t)
-        uniforms(seed, start, count, t - 1, seg, out=buf)
-        mu_seg = mu[t : t + seg]  # mu_seg[i] = mu_{t+i+1}
-        coef_seg = params.rate / (np.arange(t, t + seg) * mu_seg)
-        # an infinite mu_n turns every sigma into NaN in the per-step loop
-        # (0 * inf), which the search would not reproduce
-        finite = bool(np.isfinite(mu_seg).all())
+        uniforms(seed, start, count, draws * (t - 1), draws * seg, out=buf)
         while t < t0 + seg:
             e = min(t + _TILE, t0 + seg, stop)
-            u = buf[:, t - t0 : e - t0]
-            coef, m = coef_seg[t - t0 : e - t0], mu_seg[t - t0 : e - t0]
-            rounds = None
-            if finite and coef[0] * sigma.mean() * _TILE <= _SEARCH_MAX_HITS:
-                rounds = _search_tile(u, coef, m, sigma, guard, h_flat)
-            if rounds is None:
-                _dense_tile(u, coef, m, t, xi, sigma, a, guard)
-            else:
-                if a is not None:
-                    a = _tile_a(a, sigma, coef, m, rounds)
-                for rows, cols in rounds:
-                    xi[rows] += 1
-                    sigma[rows] += m[cols]
+            kernel(cols[:, t - t0 : e - t0], t, e)
             t = e
             if t == stop:
                 snapshot(t)
@@ -419,7 +291,44 @@ def _collapsed_block(params, n_steps, seed, start, count, checkpoints, record):
     return out
 
 
-def _events_block(params, n_steps, seed, start, count, checkpoints, record):
+def _collapsed_block(params, mu, n_steps, seed, checkpoints, record, start, count):
+    """Advance `count` replicates of the collapsed chain; returns checkpoint arrays.
+
+    A tile whose mean pi_n at its start predicts at most _SEARCH_MAX_HITS
+    up-steps per row is searched (`_search_tile`); a denser tile, one whose
+    mu is not finite, or one where the search meets a pi_n that fails the
+    guard runs the per-step loop.  Both read the same uniforms and give the
+    same bits.
+    """
+    xi = np.ones(count, dtype=np.int64)
+    sigma = np.ones(count)
+    a = np.ones(count) if "a" in record else None
+    coef = np.zeros(n_steps)  # coef[n] = rate / (n mu_{n+1}), so pi_n = coef[n] sigma
+    coef[1:] = params.rate / (np.arange(1, n_steps) * mu[1:n_steps])
+    guard = params.p + _GUARD_EPS
+    h_flat = np.empty(count * _TILE, dtype=np.bool_)  # the search's scratch
+
+    def kernel(u, t, e):
+        c, m = coef[t:e], mu[t:e]  # m[i] = mu_{t+i+1}
+        rounds = None
+        # an infinite mu_n turns every sigma into NaN in the per-step loop
+        # (0 * inf), which the search would not reproduce
+        if np.isfinite(m).all() and c[0] * sigma.mean() * _TILE <= _SEARCH_MAX_HITS:
+            rounds = _search_tile(u, c, m, sigma, guard, h_flat)
+        if rounds is None:
+            _dense_tile(u, c, m, t, xi, sigma, a, guard)
+            return
+        if a is not None:
+            a[:] = _tile_a(a, sigma, c, m, rounds)
+        for rows, cols in rounds:
+            xi[rows] += 1
+            sigma[rows] += m[cols]
+
+    state = {"xi": xi, "sigma": sigma, "a": a}
+    return _drive(kernel, state, record, 1, n_steps, seed, checkpoints, start, count)
+
+
+def _events_block(params, mu, n_steps, seed, checkpoints, record, start, count):
     """Advance `count` replicates of the collapsed chain from up-step to up-step.
 
     Between two up-steps of a replicate its pi_n is sigma * coef[n], with
@@ -445,14 +354,15 @@ def _events_block(params, n_steps, seed, start, count, checkpoints, record):
     d_sigma = np.zeros((count, width))
     d_w = np.zeros((count, width)) if "a" in record else None
     n = n_steps
-    mu = _mu_array(params.beta, n)  # mu[j] = mu_{j+1}, the weight of an up-step at j
+    mu = mu[:n]  # mu[j] = mu_{j+1}, the weight of an up-step at j
     coef = np.zeros(n)  # coef[j] at the times j = 1, ..., n - 1 of a transition
     coef[1:] = params.rate / (np.arange(1, n) * mu[1:])
     coef[1:][~np.isfinite(mu[1:])] = np.nan  # fails the guard, as in the step loop
     env = np.maximum.accumulate(coef[::-1])[::-1]  # a NaN spreads to earlier times
     tail = np.zeros(n + 1)  # tail[s] = sum of coef[s:n]
     tail[:n] = np.cumsum(coef[::-1])[::-1]
-    first_cp = np.searchsorted(cps, np.arange(n + 1))  # the first checkpoint >= s
+    # first_cp[s] = the first checkpoint >= s, for s = 0, ..., n
+    first_cp = np.repeat(np.arange(width), np.diff(cps, prepend=-1, append=n))
     guard = params.p + _GUARD_EPS
     rows = np.arange(count) if n > 1 else np.arange(0)
     t = np.ones(count, dtype=np.int64)
@@ -511,134 +421,88 @@ def _events_block(params, n_steps, seed, start, count, checkpoints, record):
     return out
 
 
-def _full_block(params, n_steps, seed, start, count, checkpoints, record):
-    """Full-history engine: explicit memory draws, two uniforms per step."""
+def _full_block(params, mu, n_steps, seed, checkpoints, record, start, count):
+    """Full-history engine: explicit memory draws, two uniforms per step.
+
+    Step n reads the memory draw, then the retention coin.
+    """
     if n_steps > _FULL_MODE_MAX_STEPS:
         raise ValueError(
             f"full-history mode is an oracle, capped at {_FULL_MODE_MAX_STEPS} steps"
         )
-    mu = _mu_array(params.beta, n_steps + 1)
     # cdf_rows[t] = closed-form memory CDF over {1..t} at history length t
     cdf_rows = [None, None] + [
         MemoryLaw(params.beta, t).cdf(np.arange(1, t + 1)) for t in range(2, n_steps)
     ]
-    cps = checkpoints
-    cp_set = {int(c): i for i, c in enumerate(cps)}
-    out = {}
-    if "xi" in record:
-        out["xi"] = np.empty((count, len(cps)), dtype=np.int64)
-    if "sigma" in record:
-        out["sigma"] = np.empty((count, len(cps)), dtype=np.float64)
-    if "a" in record:
-        out["a"] = np.empty((count, len(cps)), dtype=np.float64)
-
     hist = np.zeros((count, n_steps), dtype=np.uint8)
     hist[:, 0] = 1
     xi = np.ones(count, dtype=np.int64)
-    sigma = np.ones(count, dtype=np.float64)
-    a = np.ones(count, dtype=np.float64)
+    sigma = np.ones(count)
+    a = np.ones(count)
     rows = np.arange(count)
 
-    def snapshot(t):
-        i = cp_set.get(t)
-        if i is None:
-            return
-        if "xi" in out:
-            out["xi"][:, i] = xi
-        if "sigma" in out:
-            out["sigma"][:, i] = sigma
-        if "a" in out:
-            out["a"][:, i] = a
-
-    snapshot(1)
-    if n_steps == 1:
-        return out
-    seg_len = min(_SEG_LEN // 2, n_steps - 1)
-    buf = np.empty((count, _row_pitch(2 * seg_len) // 2, 2), dtype=np.float64)
-    t = 1
-    while t < n_steps:
-        seg = min(seg_len, n_steps - t)
-        # memory draw then retention coin: draws 2(t-1) and 2(t-1)+1
-        uniforms(seed, start, count, 2 * (t - 1), 2 * seg, out=buf.reshape(count, -1))
-        for col in range(seg):
-            if t == 1:
+    # the kernels update the driver's state arrays in place (np.add with out=)
+    def kernel(u, t, e):
+        for n in range(t, e):
+            draw = u[:, n - t]
+            if n == 1:
                 k = np.ones(count, dtype=np.int64)  # recall can only hit time 1
             else:
-                k = np.searchsorted(cdf_rows[t], buf[:, col, 0], side="right") + 1
+                k = np.searchsorted(cdf_rows[n], draw[:, 0], side="right") + 1
             x_mem = hist[rows, k - 1]
-            x = ((buf[:, col, 1] < params.p) & (x_mem == 1)).astype(np.uint8)
-            a += params.rate / (t * mu[t]) * sigma  # pi_t, before sigma updates
-            hist[:, t] = x
-            xi += x
-            sigma += x * mu[t]
-            t += 1
-            snapshot(t)
-    return out
+            x = ((draw[:, 1] < params.p) & (x_mem == 1)).astype(np.uint8)
+            np.add(a, params.rate / (n * mu[n]) * sigma, out=a)  # pi_n, before sigma moves
+            hist[:, n] = x
+            np.add(xi, x, out=xi)
+            np.add(sigma, x * mu[n], out=sigma)
+
+    state = {"xi": xi, "sigma": sigma, "a": a}
+    return _drive(kernel, state, record, 2, n_steps, seed, checkpoints, start, count)
 
 
-def _coupled_block(params, n_steps, seed, start, count, checkpoints):
-    """Collapsed chain and comparison walk driven by one shared uniform per step."""
+def _coupled_block(params, mu, n_steps, seed, checkpoints, record, start, count):
+    """Collapsed chain and comparison walk driven by one shared uniform per step.
+
+    The pathwise order is asserted after every step.
+    """
     rate = params.rate
     if not 0.0 < rate < 1.0:
         raise ValueError(
             f"coupling needs p(beta+1) in (0, 1) to be a probability, got {rate}"
         )
-    mu = _mu_array(params.beta, n_steps + 1)
-    cps = checkpoints
-    cp_set = {int(c): i for i, c in enumerate(cps)}
-    xi_out = np.empty((count, len(cps)), dtype=np.int64)
-    lerw_out = np.empty((count, len(cps)), dtype=np.int64)
-
     xi = np.ones(count, dtype=np.int64)
-    sigma = np.ones(count, dtype=np.float64)
+    sigma = np.ones(count)
     xi_l = np.ones(count, dtype=np.int64)
-
-    def snapshot(t):
-        i = cp_set.get(t)
-        if i is not None:
-            xi_out[:, i] = xi
-            lerw_out[:, i] = xi_l
-
-    def check_order(t):
-        if params.beta < 0.0:
-            ok = bool(np.all(xi >= xi_l))
-        elif params.beta > 0.0:
-            ok = bool(np.all(xi <= xi_l))
-        else:
-            ok = bool(np.all(xi == xi_l))
-        if not ok:
-            raise AssertionError(f"pathwise coupling order violated at n = {t}")
-
-    snapshot(1)
-    if n_steps == 1:
-        return xi_out, lerw_out
     guard = params.p + _GUARD_EPS
-    seg_len = min(_SEG_LEN, n_steps - 1)
-    buf = np.empty((count, _row_pitch(seg_len)), dtype=np.float64)
-    t = 1
-    while t < n_steps:
-        seg = min(seg_len, n_steps - t)
-        uniforms(seed, start, count, t - 1, seg, out=buf)
-        for col in range(seg):
-            u = buf[:, col]
-            pi = rate / (t * mu[t]) * sigma
+    if params.beta < 0.0:
+        in_order = np.greater_equal
+    elif params.beta > 0.0:
+        in_order = np.less_equal
+    else:
+        in_order = np.equal
+
+    def kernel(u, t, e):
+        for n in range(t, e):
+            v = u[:, n - t]
+            pi = rate / (n * mu[n]) * sigma
             if not pi.max() <= guard:  # a NaN fails too
                 raise RuntimeError(
-                    f"internal consistency violated: pi_n > p at n = {t}"
+                    f"internal consistency violated: pi_n > p at n = {n}"
                 )
-            pi_l = rate / t * xi_l
-            x = u < pi
-            x_l = u < pi_l
-            xi += x
-            sigma += x * mu[t]
-            xi_l += x_l
-            t += 1
-            check_order(t)
-            snapshot(t)
-    return xi_out, lerw_out
+            x = v < pi
+            np.add(xi_l, v < rate / n * xi_l, out=xi_l)
+            np.add(xi, x, out=xi)
+            np.add(sigma, x * mu[n], out=sigma)
+            if not in_order(xi, xi_l).all():
+                raise AssertionError(f"pathwise coupling order violated at n = {n + 1}")
+
+    state = {"xi": xi, "xi_lerw": xi_l}
+    return _drive(kernel, state, record, 1, n_steps, seed, checkpoints, start, count)
 
 
 _ENGINES = {"collapsed": _collapsed_block, "events": _events_block, "full": _full_block}
+#: what the coupled engine records
+_COUPLED = ("xi", "xi_lerw")
 
 
 def _engine(mode: str):
@@ -682,11 +546,10 @@ def run_walk(
     The walk is replicate `replicate_index` of the ensemble with master seed
     `seed`, so single runs and ensemble members can be compared directly.
     """
-    _check_key(seed, replicate_index)
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    cps = _check_checkpoints(checkpoints, n_steps)
-    out = _engine(mode)(params, n_steps, seed, replicate_index, 1, cps, ("xi", "sigma", "a"))
+    cps = _check_run(seed, n_steps, checkpoints, replicate_index)
+    engine = _engine(mode)
+    mu = c_values(params.beta, n_steps + 1)
+    out = engine(params, mu, n_steps, seed, cps, ("xi", "sigma", "a"), replicate_index, 1)
     sigma = out["sigma"][0]
     return Trajectory(
         params=params,
@@ -719,19 +582,16 @@ class EnsembleResult:
         return sigma * np.exp(-log_c)[None, :]
 
 
-def _run_blocks(block_fn, args_common, n_replicates, workers, block_size):
+def _run_blocks(engine, args, n_replicates, workers, block_size):
+    """`engine(*args, start, count)` for each block of replicates, in order."""
     blocks = [
         (start, min(block_size, n_replicates - start))
         for start in range(0, n_replicates, block_size)
     ]
     if workers is None or workers <= 1 or len(blocks) == 1:
-        return [block_fn(*args_common[:3], start, count, *args_common[3:])
-                for start, count in blocks]
+        return [engine(*args, start, count) for start, count in blocks]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(block_fn, *args_common[:3], start, count, *args_common[3:])
-            for start, count in blocks
-        ]
+        futures = [pool.submit(engine, *args, start, count) for start, count in blocks]
         return [f.result() for f in futures]
 
 
@@ -751,16 +611,15 @@ def run_ensemble(
     `record` selects which per-replicate checkpoint arrays to keep, from
     {"xi", "sigma", "a"}.
     """
-    _check_key(seed, 0, n_replicates)
-    if n_steps < 1 or n_replicates < 1:
-        raise ValueError("n_steps and n_replicates must be >= 1")
-    cps = _check_checkpoints(checkpoints, n_steps)
+    cps = _check_run(seed, n_steps, checkpoints, 0, n_replicates)
+    engine = _engine(mode)
     record = tuple(record)
     unknown = set(record) - {"xi", "sigma", "a"}
     if unknown:
         raise ValueError(f"unknown record fields: {sorted(unknown)}")
+    mu = c_values(params.beta, n_steps + 1)
     parts = _run_blocks(
-        _engine(mode), (params, n_steps, seed, cps, record), n_replicates, workers, block_size
+        engine, (params, mu, n_steps, seed, cps, record), n_replicates, workers, block_size
     )
     arrays = {
         name: np.concatenate([p[name] for p in parts], axis=0) for name in record
@@ -798,13 +657,11 @@ def coupled_run(
     The induced pathwise order (walk >= comparison for beta < 0, <= for
     beta > 0, equality at beta = 0) is asserted at every step.
     """
-    _check_key(seed, replicate_index)
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    cps = _check_checkpoints(checkpoints, n_steps)
-    xi, xi_l = _coupled_block(params, n_steps, seed, replicate_index, 1, cps)
+    cps = _check_run(seed, n_steps, checkpoints, replicate_index)
+    mu = c_values(params.beta, n_steps + 1)
+    out = _coupled_block(params, mu, n_steps, seed, cps, _COUPLED, replicate_index, 1)
     return CoupledTrajectory(
-        params=params, seed=seed, n=cps, xi=xi[0], xi_lerw=xi_l[0]
+        params=params, seed=seed, n=cps, xi=out["xi"][0], xi_lerw=out["xi_lerw"][0]
     )
 
 
@@ -828,18 +685,17 @@ def run_coupled_ensemble(
     block_size: int = _BLOCK_SIZE,
 ) -> CoupledEnsembleResult:
     """Coupled ensemble; raises AssertionError on any pathwise order violation."""
-    _check_key(seed, 0, n_replicates)
-    if n_steps < 1 or n_replicates < 1:
-        raise ValueError("n_steps and n_replicates must be >= 1")
-    cps = _check_checkpoints(checkpoints, n_steps)
+    cps = _check_run(seed, n_steps, checkpoints, 0, n_replicates)
+    mu = c_values(params.beta, n_steps + 1)
     parts = _run_blocks(
-        _coupled_block, (params, n_steps, seed, cps), n_replicates, workers, block_size
+        _coupled_block, (params, mu, n_steps, seed, cps, _COUPLED), n_replicates, workers,
+        block_size,
     )
     return CoupledEnsembleResult(
         params=params,
         seed=seed,
         n_replicates=n_replicates,
         checkpoints=cps,
-        xi=np.concatenate([p[0] for p in parts], axis=0),
-        xi_lerw=np.concatenate([p[1] for p in parts], axis=0),
+        xi=np.concatenate([p["xi"] for p in parts], axis=0),
+        xi_lerw=np.concatenate([p["xi_lerw"] for p in parts], axis=0),
     )

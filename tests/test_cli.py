@@ -10,10 +10,11 @@ import pytest
 
 import erwalk
 import erwalk.report as report_mod
+from erwalk import serialize
 from erwalk.analysis import build_report
 from erwalk.branching import BranchingParams, simulate
 from erwalk.cli import main, resolve_mode
-from erwalk.exact import enumerate_law, propagate_moments
+from erwalk.exact import enumerate_law, exact_mean_xi, l2_diagnostic, propagate_moments
 from erwalk.serialize import (
     config_hash,
     write_branching_census_csv,
@@ -24,7 +25,7 @@ from erwalk.serialize import (
     write_moments_csv,
     write_trajectory_csv,
 )
-from erwalk.walkers import ModelParams, run_ensemble, run_walk
+from erwalk.walkers import MAX_STEPS, ModelParams, run_ensemble, run_walk
 
 
 class TestSerialize:
@@ -75,6 +76,48 @@ class TestSerialize:
         assert set(payload["summary"]) >= {
             "extinct", "censored", "distinct_types", "truncation_mass",
         }
+
+
+# sha256 of every file `erwalk simulate` and `erwalk report --out` write,
+# recorded before the writers moved into serialize and the engines shared one
+# driver: --mode auto running events, collapsed with --format json, a
+# --differential run (auto runs collapsed at n = 12), and one report regime
+CLI_GOLDEN = [
+    (
+        ["simulate", "--p", "0.5", "--beta", "1", "--n", "2000", "--replicates", "2000", "--seed", "11"],
+        {
+            "simulate_p0.5_beta1.csv":
+                "2badceb30a257cfaa22dfbcc17e4823926db7f208f785596c4d48455aefac7fb",
+            "trajectory_p0.5_beta1.csv":
+                "000f7ea7d367deaa1ebba3e348583e36616a25a1aa48133b948edc2a4ddfdc70",
+        },
+    ),
+    (
+        ["simulate", "--p", "0.5", "--beta", "-0.5", "--n", "300", "--replicates", "400", "--seed", "42", "--mode", "collapsed", "--format", "json"],
+        {
+            "simulate_p0.5_beta-0.5.json":
+                "ffaf65ab6256f020a76f124cf773f925c452feab78341dc7be66428185818502",
+            "trajectory_p0.5_beta-0.5.csv":
+                "b84d5795e6178f98161e218b9735bffff26e88c55b9759a69cf23f02150a03fa",
+        },
+    ),
+    (
+        ["simulate", "--p", "0.5", "--beta", "1", "--n", "12", "--replicates", "3000", "--seed", "3", "--differential"],
+        {
+            "simulate_p0.5_beta1.csv":
+                "1fc03ac9ccb1161c0a26c24f1bbe5024db8d9566cead6f8eb23f862e58f26e66",
+            "trajectory_p0.5_beta1.csv":
+                "dc0138d7343c5545cf86901a41479dbd786b3a000ec34bb8f434cee4d3640d6a",
+        },
+    ),
+    (
+        ["report", "--regime", "critical", "--scale", "0.1"],
+        {
+            "report.json":
+                "6a826cab0785037e54d3d4b1be7dd0f823e76f8af1733bc4dd63557d6de4ed21",
+        },
+    ),
+]
 
 
 class TestSimulateCommand:
@@ -188,6 +231,26 @@ class TestSimulateCommand:
         assert rc == 0
         names = {p.name for p in (tmp_path / "o").iterdir()}
         assert "simulate_p0.5_beta2.csv" in names  # flag beat config
+
+    @pytest.mark.parametrize(
+        "args,want", CLI_GOLDEN, ids=["events", "collapsed-json", "differential", "report"]
+    )
+    def test_golden_digests(self, tmp_path, args, want):
+        assert main([*args, "--out", str(tmp_path)]) == 0
+        got = {
+            f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in tmp_path.iterdir()
+        }
+        assert got == want
+
+    def test_horizon_past_the_cap_exit_2(self, tmp_path, capsys):
+        rc = main(["simulate", "--p", "0.5", "--beta", "1",
+                   "--n", str(MAX_STEPS + 1), "--replicates", "10", "--seed", "1",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "n_steps" in err and str(MAX_STEPS) in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -342,6 +405,77 @@ class TestReportCommand:
         with pytest.raises(SystemExit) as exc:
             main(["report", "--regime", "bogus"])
         assert exc.value.code == 2
+
+
+def test_every_file_goes_through_serialize(tmp_path, monkeypatch):
+    written = []
+    write = serialize._write
+
+    def recording_write(path, lines):
+        written.append(Path(path))
+        return write(path, lines)
+
+    monkeypatch.setattr(serialize, "_write", recording_write)
+    runs = [
+        ["simulate", "--p", "0.5", "--beta", "1", "--n", "100", "--replicates", "50",
+         "--seed", "1"],
+        ["simulate", "--p", "0.5", "--beta", "1", "--n", "100", "--replicates", "50",
+         "--seed", "1", "--format", "json"],
+        ["exact", "--p", "0.5", "--beta", "2", "--n", "1000", "--degree", "2",
+         "--enumerate"],
+        ["exact", "--p", "0.5", "--beta", "2", "--n", "1000", "--degree", "2",
+         "--enumerate", "--format", "json"],
+        ["exact", "--critical", "--p", "0.5", "--n", "1000", "--degree", "3"],
+        ["exact", "--critical", "--p", "0.5", "--n", "1000", "--degree", "3",
+         "--format", "json"],
+        ["report", "--regime", "localized", "--scale", "0.05"],
+    ]
+    for i, args in enumerate(runs):
+        out = tmp_path / str(i)
+        main([*args, "--out", str(out)])
+        files = sorted(out.iterdir())
+        assert files and sorted(p for p in written if p.parent == out) == files, args
+    names = {p.name for p in written}
+    for stem in ("simulate_", "trajectory_", "exact_mean_", "exact_moments_",
+                 "exact_critical_ratios_", "exact_l2_", "exact_law_", "report"):
+        assert any(n.startswith(stem) for n in names), stem
+
+
+def test_writers_return_their_path(tmp_path, rng):
+    # perfbench's tracing reads the size of the file each writer returns
+    pms = ModelParams(0.5, 1.0)
+    traj = run_walk(pms, 100, seed=1, checkpoints=[1, 10, 100])
+    rep = build_report(run_ensemble(pms, 50, 100, seed=2, checkpoints=[1, 50]))
+    law, _ = enumerate_law(pms, 6)
+    cps = np.array([1, 10, 200])
+    tables = propagate_moments(pms, 200, 3, checkpoints=cps)
+    diag = l2_diagnostic(pms, 200)
+    means = [exact_mean_xi(int(n), pms) for n in cps]
+    branching = simulate(BranchingParams(0.5, 2.0, max_gen=30), rng, keep_generations=True)
+    gates = report_mod.run_gates(regimes=["localized"], scale=0.05)
+    args = {
+        "write_trajectory_csv": (traj, {}),
+        "write_trajectory_json": (traj, {}),
+        "write_ensemble_csv": (rep, {}),
+        "write_ensemble_json": (rep, {}),
+        "write_law_csv": (law, {}),
+        "write_law_json": (law, {}),
+        "write_moments_csv": (tables, {}),
+        "write_moments_json": (tables, {}),
+        "write_mean_table_csv": (pms, cps, means, {}, "critical", 2.0),
+        "write_mean_table_json": (pms, cps, means, {}, "critical"),
+        "write_critical_ratios_csv": (pms, tables, {}),
+        "write_l2_json": (diag,),
+        "write_report_json": (gates,),
+        "write_branching_census_csv": (branching, {}, 7),
+        "write_branching_summary_json": (branching, {}, 7),
+    }
+    writers = [name for name in serialize.__all__ if name.startswith("write_")]
+    assert sorted(writers) == sorted(args)
+    for name in writers:
+        path = tmp_path / "sub" / name
+        got = getattr(serialize, name)(path, *args[name])
+        assert isinstance(got, Path) and got == path and got.stat().st_size > 0, name
 
 
 def test_import_loads_no_heavy_scipy():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,9 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from erwalk import gammaratio
 from erwalk.gammaratio import (
-    RatioSeq,
+    c_values,
     gamma_ratio_sum,
     log_poch,
     log_poch_ratio,
@@ -75,28 +75,83 @@ class TestPochRatio:
         assert math.exp(log_poch_ratio(n, xi)) == pytest.approx(want, rel=1e-12)
 
     def test_one_step_ratio_exact(self):
-        # spans the linear-to-log-space threshold of the cached recurrence
+        # spans the switch from products to summed logs at index 10^4
         for xi in (-0.7, 0.4, 2.5):
-            seq = RatioSeq(xi)
+            vals = c_values(xi, 50_001)
             for n in (1, 2, 9_998, 9_999, 10_000, 10_001, 50_000):
-                ratio = seq.value(n + 1) / seq.value(n)
+                ratio = vals[n] / vals[n - 1]
                 assert ratio == pytest.approx((n + xi) / n, rel=1e-13)
 
-    def test_bulk_values_match_scalar(self):
-        seq = RatioSeq(1.3)
-        vals = seq.values(2000)
-        for n in (1, 2, 500, 2000):
-            assert vals[n - 1] == seq.value(n)
-        logs = seq.log_values(2000)
-        assert np.allclose(np.log(vals[10:]), logs[10:], rtol=0, atol=1e-12)
 
-    def test_streaming_past_cache_cap(self):
-        seq = RatioSeq(0.5)
-        n = seq.MAX_CACHE + 50_000
-        got = seq.log_value(n)
-        want = log_poch_ratio(n, 0.5)
-        assert got == pytest.approx(want, rel=1e-10)
-        assert len(seq) <= seq.MAX_CACHE
+# sha256 of c_1(xi), ..., c_n(xi), recorded from the cached recurrence that
+# c_values replaced; the lengths straddle its switch to summed logs at 10^4
+C_VALUES_GOLDEN = {
+    (-0.99, 1): "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+    (-0.99, 2): "56d0337786df9030a5d83f99f78af7ba0bd70cda8f38fd0aa62bc5e01f63f4b8",
+    (-0.99, 9999): "1bacb76ba3d55f42dbc0b0197658718a1301c8c35f29a92c4330b2bd46e63e47",
+    (-0.99, 10000): "b30946e253c0a4ab6cd33d1fe69b197bf704146c9f06b285cecb2ec701399c50",
+    (-0.99, 10001): "0c561a3faefe47cf76025d587ffff8fc28cb4d7f758e7a3c9e9d2990ccf80635",
+    (-0.99, 123457): "0bc67611847076bb8823b85e035af87ae93909fa03606299dac6d73eae1f1c77",
+    (-0.5, 1): "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+    (-0.5, 2): "7ded32179961d3df64ab9071d95eed3a7b5efc1750a16bdc02db400678278fab",
+    (-0.5, 9999): "55fd6d2cfaf60d9b3078ff768258ea7812326050d4ff840f103ac807de37895b",
+    (-0.5, 10000): "825aeefc09eca6f8038ee94cc5c6801e2a118f47c22418e9aa1c5387a176286b",
+    (-0.5, 10001): "d63d0446d777d6b357b84213570e5e144991fc1000cff16eebd1b70a0257c467",
+    (-0.5, 123457): "eaaaa297e151f8d6cb6676c731bcb2eec88518cccc30313a3ff77e77ba9d99b3",
+    (0.0, 1): "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+    (0.0, 2): "5f07eef034c5a21fedede8ef2f970fefbcc8ea44c02fd970117dacbee5483005",
+    (0.0, 9999): "49880d13a0e430599ab859703ef76e74cacc08f79cb1f8f6f6145e1ab8f0f78b",
+    (0.0, 10000): "37895d84a413e2ff48ab788e8d576c42d7511ab125de1f5feb225d15ca7c8e59",
+    (0.0, 10001): "8f013b953053cb5338abbb33ae21d5cf6c4e24bb01c9d9787a5d1dd99cc5e4c9",
+    (0.0, 123457): "24468fc8264baec1cf25d4cda354108c80375aa4608f4e05e6f87471554dbe46",
+    (0.3, 1): "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+    (0.3, 2): "4aa06060a935f207f9d18596521f833330d026f0bd31502e8b34a26b479cbc0b",
+    (0.3, 9999): "8e131552a351cb5de468fb0096f625451000a8b1d6c043752cbf48fda64e9fdf",
+    (0.3, 10000): "e7a6292b8d92b5f1ed0ba08ad81501b6a3d62cd6c4eb7ea4bdab2f8aeb0cb118",
+    (0.3, 10001): "80483c83c5dc3facad4de111f50175cdf7da6a4ad1960eb3d372ef0f79bd4850",
+    (0.3, 123457): "ddd01d28b64601b4b39730c01f36b2f699d715ab6dd7741aeea3e320c335070d",
+    (1.0, 1): "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+    (1.0, 2): "dc91ce9a50ddc828740aa26743716897fdb2bb64f1db662fe263a59be56145ae",
+    (1.0, 9999): "453027c91538c5f94dcf76b9505cea2cd09e4000e5999db61870c8054fa5477a",
+    (1.0, 10000): "46ef6ea70ad89bdcf1da7228cb7653200e297f2c0d8bf031944d265baa69c50c",
+    (1.0, 10001): "b1a169a1e71daa54ac58543fb568046ba15eb58f75582c2a41979729647ff04a",
+    (1.0, 123457): "e9bdf32195dd921924ea72161162971af40ab0756ecbfd266faa089c8256a926",
+    (3.0, 1): "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+    (3.0, 2): "61333f2fb3305d797c8979e7930a25f4d5c37377bcf5ef016254e3472fbc4b6c",
+    (3.0, 9999): "f61590525cda7a922a1639db9bbb22e258a3fd38ed5275b9716a5da00c856bd1",
+    (3.0, 10000): "17acf0d265e298e202f046debe9aba080936597c3d3c6b520501f8214c74bfd4",
+    (3.0, 10001): "b0fe9d517204312b6b21f606e0167133fdfcf29eea0983f00f5a4c136e214e25",
+    (3.0, 123457): "2eea6a4589ae3fa8a2a40bc70b75baa76d9b6d445301f4074453381e580bc1eb",
+    (9.5, 1): "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+    (9.5, 2): "11d90bcadf229e51075136c9a07cdfac357b65d4b40c35d3a383afcaf89d14c7",
+    (9.5, 9999): "6b63bd2c539c1453ddd5177d745fc9eb819080c7932664b53d60888fe6f315b7",
+    (9.5, 10000): "d88465b2a7d90c3e0e3fa413618ecf6b3ee7da291da56ede253551b1fb73919f",
+    (9.5, 10001): "8a151326c9cc4a71313d4642e425dfba45287459548a2a707cda7062a9420361",
+    (9.5, 123457): "7d05c00c8e2f9cefaae4025b48258dcf08788de745e48d63288a6d3a84cc727a",
+}
+
+
+class TestCValues:
+    @pytest.mark.parametrize("xi,n", list(C_VALUES_GOLDEN))
+    def test_golden_digests(self, xi, n):
+        got = c_values(xi, n)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert hashlib.sha256(got.tobytes()).hexdigest() == C_VALUES_GOLDEN[xi, n]
+
+    def test_prefix_independent_of_length(self):
+        # both scans run in order, so c_k does not depend on how many follow
+        long = c_values(0.3, 30_001)
+        for n in (1, 2, 9_999, 10_000, 10_001, 30_000):
+            assert np.array_equal(c_values(0.3, n), long[:n])
+
+    def test_matches_poch_ratio_and_domain(self):
+        vals = c_values(1.7, 12_000)
+        for n in (1, 5, 10_000, 12_000):
+            assert poch_ratio(n, 1.7) == vals[n - 1]
+        with pytest.raises(ValueError):
+            c_values(-1.0, 5)
+        with pytest.raises(ValueError):
+            c_values(0.5, 0)
 
 
 class TestGammaRatioSum:
@@ -170,15 +225,3 @@ class TestPochRatioSum:
 
     def test_empty_sum(self):
         assert poch_ratio_sum(0.5, 1.0, 1) == 0.0
-
-
-def test_shared_table_independent_of_earlier_lengths(monkeypatch):
-    # the shared table grows by doubling; each extension rebuilds it from
-    # c_1, so a value's bits do not depend on what was asked for before
-    monkeypatch.setattr(gammaratio, "_seq_cache", {})
-    cold = [poch_ratio(n, 1.0) for n in range(1, 1102)]
-    monkeypatch.setattr(gammaratio, "_seq_cache", {})
-    gammaratio.ratio_seq(1.0).values(51)
-    warm = [poch_ratio(n, 1.0) for n in range(1, 1102)]
-    assert warm == cold
-    assert cold == RatioSeq(1.0).values(1101).tolist()

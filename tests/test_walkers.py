@@ -6,26 +6,59 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from erwalk import gammaratio, walkers
+from erwalk import walkers
 from erwalk.analysis import chi_square_vs_law
 from erwalk.exact import enumerate_law, exact_mean_xi
-from erwalk.gammaratio import log_poch, poch_ratio
+from erwalk.gammaratio import c_values, log_poch, poch_ratio
+from erwalk.memory import MemoryLaw
 from erwalk.streams import replicate_stream, uniforms
 from erwalk.walkers import (
-    CollapsedState,
-    FullState,
-    LerwState,
     ModelParams,
-    collapsed_step_prob,
     coupled_run,
     geometric_checkpoints,
     run_coupled_ensemble,
     run_ensemble,
     run_walk,
-    step_collapsed,
-    step_full,
-    step_lerw,
 )
+
+
+def _scalar_collapsed(params, n_steps, rng):
+    """The collapsed chain one step and one draw at a time: Xi_n and Sigma_n
+    for n = 1, ..., n_steps, the oracle of the collapsed engine."""
+    xi, sigma, mu_next = 1, 1.0, 1.0 + params.beta  # X_1 = 1, mu_2 = 1 + beta
+    xs, sigmas = [xi], [sigma]
+    for n in range(1, n_steps):
+        pi = params.rate * sigma / (n * mu_next)
+        assert pi <= params.p + walkers._GUARD_EPS
+        x = 1 if rng.random() < pi else 0
+        xi += x
+        sigma += x * mu_next
+        mu_next *= (n + 1 + params.beta) / (n + 1)
+        xs.append(xi)
+        sigmas.append(sigma)
+    return xs, sigmas
+
+
+def _scalar_full(params, n_steps, rng):
+    """The walk with its whole history: each step recalls a time k by
+    inverting the memory CDF (`MemoryLaw.sample`), then flips the retention
+    coin; Xi_n for n = 1, ..., n_steps, the oracle of the full engine."""
+    hist = [1]
+    for n in range(1, n_steps):
+        k = MemoryLaw(params.beta, n).sample(rng.random())
+        coin = rng.random()
+        hist.append(1 if (coin < params.p and hist[k - 1]) else 0)
+    return np.cumsum(hist).tolist()
+
+
+def _with_bad_mu(at, bad):
+    """A stand-in for `c_values` that sets mu[at] = mu_{at+1} to `bad`."""
+    def bad_c_values(xi, n):
+        mu = c_values(xi, n)
+        mu[at] = bad
+        return mu
+
+    return bad_c_values
 
 
 class TestModelParams:
@@ -49,98 +82,93 @@ class TestModelParams:
 
 class TestStepProbability:
     def test_initial_step_prob_is_p(self):
-        # pi_1 = p(beta+1)/mu_2 = p since mu_2 = 1 + beta
+        # pi_1 = p(beta+1)/mu_2 = p since mu_2 = 1 + beta, and A_2 = A_1 + pi_1;
+        # at these points p(beta+1)/(beta+1) rounds back to p exactly
         for p, beta in [(0.5, 1.0), (0.2, -0.5), (0.8, 4.0), (0.3, 0.0)]:
-            state = CollapsedState.initial(ModelParams(p, beta))
-            assert collapsed_step_prob(state, ModelParams(p, beta)) == pytest.approx(
-                p, rel=1e-14
-            )
+            pms = ModelParams(p, beta)
+            for seed in (0, 1):
+                assert run_walk(pms, 2, seed).a[-1] == 1 + p
+                assert run_walk(pms, 2, seed, mode="full").a[-1] == 1 + p
 
     def test_uniform_memory_reduces_to_fraction(self):
-        # beta = 0: pi_n = p * xi / n
+        # beta = 0: pi_n = p * xi / n, the increment of A_n
         pms = ModelParams(0.4, 0.0)
-        state = CollapsedState(n=10, xi=3, sigma=3.0, a=2.0, mu_next=1.0)
-        assert collapsed_step_prob(state, pms) == pytest.approx(0.4 * 3 / 10)
+        n = np.arange(1, 301)
+        traj = run_walk(pms, 300, seed=3, checkpoints=n)
+        assert np.diff(traj.a) == pytest.approx(0.4 * traj.xi[:-1] / n[:-1], rel=1e-14)
 
     def test_all_ones_history_gives_p(self):
         # sigma at its maximum n mu_{n+1}/(beta+1) makes pi_n = p exactly
         pms = ModelParams(0.6, 1.0)
         n = 7
-        mu = [poch_ratio(k, 1.0) for k in range(1, n + 2)]
+        mu = c_values(1.0, n + 1)
         sigma = sum(mu[:n])
-        state = CollapsedState(n=n, xi=n, sigma=sigma, a=1.0, mu_next=mu[n])
-        assert collapsed_step_prob(state, pms) == pytest.approx(pms.p, rel=1e-12)
+        assert pms.rate * sigma / (n * mu[n]) == pytest.approx(pms.p, rel=1e-12)
 
-    def test_guard_rejects_impossible_state(self):
-        pms = ModelParams(0.5, 1.0)
-        state = CollapsedState(n=3, xi=3, sigma=100.0, a=1.0, mu_next=4.0)
-        with pytest.raises(RuntimeError):
-            collapsed_step_prob(state, pms)
+    def test_guard_rejects_impossible_state(self, monkeypatch):
+        # a tiny mu_6 puts pi_5 far above p, in every engine
+        monkeypatch.setattr(walkers, "c_values", _with_bad_mu(5, 1e-300))
+        _assert_guard_fails_at_5()
 
     def test_guard_rejects_nan(self, monkeypatch):
         # u < NaN is False: without the guard a NaN would silently take no step
-        pms = ModelParams(0.5, 1.0)
-        state = CollapsedState(n=3, xi=3, sigma=math.nan, a=1.0, mu_next=4.0)
-        with pytest.raises(RuntimeError):
-            collapsed_step_prob(state, pms)
+        monkeypatch.setattr(walkers, "c_values", _with_bad_mu(5, math.nan))
+        _assert_guard_fails_at_5()
 
-        def mu_with_nan(beta, upto):
-            mu = gammaratio.RatioSeq(beta).values(upto)
-            mu[5] = math.nan
-            return mu
 
-        monkeypatch.setattr(walkers, "_mu_array", mu_with_nan)
+def _assert_guard_fails_at_5():
+    # with checkpoints [1, 2] the failing step comes after the last one: the
+    # engines still run to the horizon
+    pms = ModelParams(0.5, 1.0)
+    coupled = ModelParams(0.5, 0.5)  # the coupling needs p(beta+1) < 1
+    for cps in (None, [1, 2]):
         for mode in ("collapsed", "events"):
             with pytest.raises(RuntimeError, match="n = 5"):
-                run_ensemble(pms, 50, 10, seed=1, mode=mode)
+                run_ensemble(pms, 50, 10, seed=1, checkpoints=cps, mode=mode)
             with pytest.raises(RuntimeError, match="n = 5"):
-                run_walk(pms, 50, seed=1, mode=mode)
-        coupled = ModelParams(0.5, 0.5)  # the coupling needs p(beta+1) < 1
+                run_walk(pms, 50, seed=1, checkpoints=cps, mode=mode)
         with pytest.raises(RuntimeError, match="n = 5"):
-            coupled_run(coupled, 50, seed=1)
+            coupled_run(coupled, 50, seed=1, checkpoints=cps)
         with pytest.raises(RuntimeError, match="n = 5"):
-            run_coupled_ensemble(coupled, 50, 10, seed=1)
+            run_coupled_ensemble(coupled, 50, 10, seed=1, checkpoints=cps)
 
 
 class TestScalarSteps:
-    def test_second_step_probability(self, rng):
+    """Single transitions, read off one-replicate runs to n = 2."""
+
+    def test_second_step_probability(self):
         # P(X_2 = 1) = p exactly: the memory can only recall time 1
         pms = ModelParams(0.35, 2.0)
-        hits = sum(
-            step_full(FullState.initial(), pms, rng).xi == 2 for _ in range(20000)
-        )
+        res = run_ensemble(pms, 2, 20000, seed=6, mode="full", record=("xi",))
+        hits = (res.arrays["xi"][:, -1] == 2).sum()
         se = math.sqrt(0.35 * 0.65 / 20000)
         assert hits / 20000 == pytest.approx(0.35, abs=4.5 * se)
 
     def test_collapsed_step_updates(self):
+        # the first draw of a replicate against pi_1 = 0.5 decides its step
         pms = ModelParams(0.5, 1.0)
+        u = uniforms(3, 0, 40, 0, 1)[:, 0]
+        up, down = int(np.flatnonzero(u < 0.5)[0]), int(np.flatnonzero(u >= 0.5)[0])
+        traj = run_walk(pms, 2, seed=3, replicate_index=up)
+        assert (traj.n[-1], traj.xi[-1]) == (2, 2)
+        assert traj.sigma[-1] == 1.0 + 2.0  # mu_2 = 2 at beta = 1
+        assert traj.a[-1] == 1.5
+        traj = run_walk(pms, 2, seed=3, replicate_index=down)
+        assert (traj.n[-1], traj.xi[-1]) == (2, 1)
+        assert traj.sigma[-1] == 1.0 and traj.a[-1] == 1.5
 
-        class FakeRng:
-            def __init__(self, u):
-                self.u = u
+    def test_lerw_rate_domain(self):
+        # the comparison walk steps with probability rate * xi / n
+        for beta in (1.0, 1.5):  # rate = 1, 1.25
+            with pytest.raises(ValueError, match="coupling"):
+                coupled_run(ModelParams(0.5, beta), 10, seed=1)
+            with pytest.raises(ValueError, match="coupling"):
+                run_coupled_ensemble(ModelParams(0.5, beta), 10, 3, seed=1)
 
-            def random(self):
-                return self.u
-
-        state = CollapsedState.initial(pms)
-        up = step_collapsed(state, pms, FakeRng(0.49))  # u < pi_1 = 0.5: step
-        assert (up.n, up.xi) == (2, 2)
-        assert up.sigma == pytest.approx(1.0 + 2.0)  # mu_2 = 2 at beta = 1
-        assert up.a == pytest.approx(1.5)
-        down = step_collapsed(state, pms, FakeRng(0.51))
-        assert (down.n, down.xi) == (2, 1)
-        assert down.sigma == 1.0
-
-    def test_lerw_rate_domain(self, rng):
-        with pytest.raises(ValueError):
-            step_lerw(LerwState.initial(), 1.0, rng)
-        with pytest.raises(ValueError):
-            step_lerw(LerwState.initial(), 0.0, rng)
-
-    def test_lerw_first_step(self, rng):
-        hits = sum(
-            step_lerw(LerwState.initial(), 0.7, rng).xi == 2 for _ in range(20000)
-        )
+    def test_lerw_first_step(self):
+        # the comparison walk's first step has probability rate = 0.7
+        res = run_coupled_ensemble(ModelParams(0.35, 1.0), 2, 20000, seed=2)
+        hits = (res.xi_lerw[:, -1] == 2).sum()
         se = math.sqrt(0.7 * 0.3 / 20000)
         assert hits / 20000 == pytest.approx(0.7, abs=4.5 * se)
 
@@ -174,41 +202,29 @@ class TestRunWalk:
         assert traj.xi[0] == 1
 
     def test_matches_scalar_stepping(self):
-        # the ensemble engine and the public one-step API consume uniforms
+        # the engine and a scalar loop over the same stream consume uniforms
         # identically, so replicate 5 must reproduce bit for bit
         pms = ModelParams(0.45, 0.8)
         traj = run_walk(pms, 120, seed=31, checkpoints=np.arange(1, 121),
                         replicate_index=5)
-        rng = replicate_stream(31, 5)
-        state = CollapsedState.initial(pms)
-        xs, sigmas = [state.xi], [state.sigma]
-        for _ in range(119):
-            state = step_collapsed(state, pms, rng)
-            xs.append(state.xi)
-            sigmas.append(state.sigma)
+        xs, sigmas = _scalar_collapsed(pms, 120, replicate_stream(31, 5))
         assert np.array_equal(traj.xi, xs)
-        assert np.allclose(traj.sigma, sigmas, rtol=0, atol=0)
+        assert np.array_equal(traj.sigma, sigmas)
 
     def test_full_mode_matches_scalar_stepping(self):
         pms = ModelParams(0.45, 0.8)
         traj = run_walk(pms, 40, seed=13, checkpoints=np.arange(1, 41),
                         mode="full", replicate_index=2)
-        rng = replicate_stream(13, 2)
-        state = FullState.initial()
-        xs = [state.xi]
-        for _ in range(39):
-            state = step_full(state, pms, rng)
-            xs.append(state.xi)
-        assert np.array_equal(traj.xi, xs)
+        assert np.array_equal(traj.xi, _scalar_full(pms, 40, replicate_stream(13, 2)))
 
-    def test_full_state_sigma_consistency(self, rng):
+    def test_full_state_sigma_consistency(self):
+        # Sigma_n = sum of mu_k over the up-steps k <= n
         pms = ModelParams(0.5, 1.5)
-        state = FullState.initial()
-        for _ in range(60):
-            state = step_full(state, pms, rng)
-        mu = np.array([poch_ratio(k, 1.5) for k in range(1, state.n + 1)])
-        recomputed = float(np.dot(state.history, mu))
-        assert state.sigma == pytest.approx(recomputed, abs=1e-9)
+        traj = run_walk(pms, 60, seed=4, checkpoints=np.arange(1, 61), mode="full")
+        steps = np.concatenate([[1], np.diff(traj.xi)])
+        mu = c_values(1.5, 60)
+        assert traj.sigma == pytest.approx(np.cumsum(steps * mu), abs=1e-9)
+        assert 1 < traj.xi[-1] < 60
 
     def test_conditional_mean_sum_lower_bound(self):
         # for beta < 0 every trajectory has A_n >= p(beta+1) sum_{k=2..n} P(recall_k = 1)
@@ -309,16 +325,6 @@ class TestEnsembles:
             got = _digest(res.xi, res.xi_lerw)
         assert got == want
 
-    def test_output_independent_of_ratio_seq_history(self, monkeypatch):
-        # the shared RatioSeq's last bits depend on the lengths it was grown
-        # to; the engines' mu must not, or a fresh process and one that made
-        # an unrelated shorter call write different sigma
-        monkeypatch.setattr(gammaratio, "_seq_cache", {})
-        gammaratio.ratio_seq(1.0).values(51)
-        assert _golden_full_digest() == (
-            "f5a09b89cf0b51b4e6974870a38198b1d581978e19232d988dcd483bac0a52c3"
-        )
-
     def test_mean_against_exact(self):
         pms = ModelParams(0.5, 0.0)
         res = run_ensemble(pms, 500, 4000, seed=77, checkpoints=[500])
@@ -350,10 +356,10 @@ class TestEnsembles:
             run_ensemble(ModelParams(p, beta), 300, 200, seed=8, checkpoints=[300])
 
 
-def _per_step_collapsed_block(params, n_steps, seed, start, count, checkpoints, record):
+def _per_step_collapsed_block(params, mu, n_steps, seed, checkpoints, record, start,
+                              count):
     """The collapsed engine as one numpy pass per time step, as it was before
     the tiled search: the reference for `walkers._collapsed_block`."""
-    mu = walkers._mu_array(params.beta, n_steps + 1)
     cps = checkpoints
     cp_set = {int(c): i for i, c in enumerate(cps)}
     out = {}
@@ -422,28 +428,24 @@ def _compare_with_per_step(params, n_steps, seed, start, count, cps, bad_at=None
         paths["dense"] += 1
         return dense(*args)
 
-    def mu_with_bad(beta, upto):
-        mu = gammaratio.RatioSeq(beta).values(upto)
+    mu = c_values(params.beta, n_steps + 1)
+    if bad_at is not None:
         mu[bad_at] = bad
-        return mu
-
-    rec = ("xi", "sigma", "a")
-    args = (params, n_steps, seed, start, count, cps)
+    rec, lean_rec = ("xi", "sigma", "a"), ("xi", "sigma")
+    head, tail = (params, mu, n_steps, seed, cps), (start, count)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(walkers, "_search_tile", counted_search)
         mp.setattr(walkers, "_dense_tile", counted_dense)
-        if bad_at is not None:
-            mp.setattr(walkers, "_mu_array", mu_with_bad)
         try:
-            want = _per_step_collapsed_block(*args, rec)
+            want = _per_step_collapsed_block(*head, rec, *tail)
         except RuntimeError as err:
             with pytest.raises(RuntimeError) as got:
-                walkers._collapsed_block(*args, rec)
+                walkers._collapsed_block(*head, rec, *tail)
             assert str(got.value) == str(err)
             paths["raised"] = True
             return paths
-        got = walkers._collapsed_block(*args, rec)
-        lean = walkers._collapsed_block(*args, ("xi", "sigma"))
+        got = walkers._collapsed_block(*head, rec, *tail)
+        lean = walkers._collapsed_block(*head, lean_rec, *tail)
     for name in rec:
         assert np.array_equal(got[name], want[name]), name
     for name in lean:
@@ -632,12 +634,7 @@ class TestEventsEngine:
     @pytest.mark.parametrize("bad,at", [(1e-300, 400), (math.inf, 400)])
     def test_guard_names_the_failing_step(self, monkeypatch, bad, at):
         # a tiny mu_401 puts pi_400 far above p; an infinite one makes it NaN
-        def mu_with_bad(beta, upto):
-            mu = gammaratio.RatioSeq(beta).values(upto)
-            mu[at] = bad
-            return mu
-
-        monkeypatch.setattr(walkers, "_mu_array", mu_with_bad)
+        monkeypatch.setattr(walkers, "c_values", _with_bad_mu(at, bad))
         with pytest.raises(RuntimeError, match=f"n = {at}"):
             run_ensemble(ModelParams(0.003, 3.0), 700, 17, seed=3, mode="events")
 
@@ -683,6 +680,30 @@ class TestCheckpoints:
             run_walk(ModelParams(0.5, 1.0), 10, seed=1, checkpoints=[0, 5])
         with pytest.raises(ValueError):
             run_walk(ModelParams(0.5, 1.0), 10, seed=1, checkpoints=[5, 11])
+
+    def test_horizon_capped_before_any_work(self, monkeypatch):
+        # c_values would allocate the whole horizon; the cap is checked first
+        class Reached(Exception):
+            pass
+
+        def no_c_values(xi, n):
+            raise Reached
+
+        monkeypatch.setattr(walkers, "c_values", no_c_values)
+        pms, cps = ModelParams(0.5, -0.5), [1]
+        calls = [
+            lambda n: run_walk(pms, n, seed=1, checkpoints=cps),
+            lambda n: run_ensemble(pms, n, 3, seed=1, checkpoints=cps),
+            lambda n: coupled_run(pms, n, seed=1, checkpoints=cps),
+            lambda n: run_coupled_ensemble(pms, n, 3, seed=1, checkpoints=cps),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"n_steps = {walkers.MAX_STEPS + 1}.*"
+                               f"MAX_STEPS = {walkers.MAX_STEPS}"):
+                call(walkers.MAX_STEPS + 1)
+            with pytest.raises(Reached):
+                call(walkers.MAX_STEPS)
+        assert walkers.MAX_STEPS == 1 << 23
 
     def test_seed_checked_without_draws(self):
         # n_steps = 1 reads no uniform; the key is still checked up front
