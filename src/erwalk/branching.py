@@ -10,7 +10,8 @@ exact skip sampling (geometric jumps under the running envelope
 q(k, pos+1) >= q(k, y) for y > pos), which has the same law as scanning
 every type.  The cutoff is solved from the Stirling form of log mu_K rather
 than searched for, so a particle costs O(children) skip steps plus a handful
-of scalar log_poch evaluations (about six for the cutoff, whatever its size).
+of scalar log_poch evaluations (one for log mu_k, shared with the sampler,
+and about two for the cutoff, whatever its size).
 """
 
 from __future__ import annotations
@@ -50,12 +51,13 @@ class BranchingParams:
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"p must lie in (0, 1), got {self.p}")
-        if not self.beta > 0.0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
-        if self.max_gen < 1 or self.max_pop < 1:
-            raise ValueError("max_gen and max_pop must be >= 1")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        for cap in (self.max_gen, self.max_pop):
+            if not isinstance(cap, (int, np.integer)) or cap < 1:
+                raise ValueError(f"max_gen and max_pop must be integers >= 1, got {cap!r}")
 
     @property
     def rate(self) -> float:
@@ -116,6 +118,17 @@ def _offspring_tail(k: int, upto, params: BranchingParams):
 #: here and the (larger) discarded mass is still recorded per draw
 MAX_TYPE = 1 << 62
 
+# below this the float tail is monotone in K and the Stirling guess is close
+# to the cutoff; from here up the search starts after two Newton steps
+_NEWTON_MIN = float(1 << 43)
+
+
+def _particle_type(k) -> int:
+    """Particle type k as a Python int; numpy integers pass, anything else raises."""
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    return int(k)
+
 
 def offspring_cutoff(k: int, params: BranchingParams) -> int:
     """Certified truncation point K for a type-k particle (at most MAX_TYPE).
@@ -130,60 +143,120 @@ def offspring_cutoff(k: int, params: BranchingParams) -> int:
 
     K solves log_poch(K, beta) >= log_poch(k, beta) + log(m/epsilon) in closed
     form: the guess exp(target/beta) - (beta-1)/2 from log Gamma(K+beta)/Gamma(K)
-    ~ beta log(K + (beta-1)/2), two Newton steps, then a gallop and bisection
-    on the integers with the exact predicate tail(K) > epsilon.
+    ~ beta log(K + (beta-1)/2), then a gallop and bisection on the integers
+    with the exact predicate tail(K) > epsilon.  Below 2**43, where the float
+    tail is monotone, the search starts from the guess itself.  Only from
+    2**43 up do two Newton steps refine the guess first; they fix which
+    certified K the search settles on where the tail is not monotone.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _particle_type(k)
+    return _cutoff_search(params)(k, log_poch(float(k), params.beta))[0]
+
+
+def _cutoff_search(params: BranchingParams):
+    """offspring_cutoff's search as cutoff(k, log_poch(k)) -> (K, log_poch(K))."""
     beta = params.beta
     m = params.mean_offspring
     eps = params.epsilon
-    lmu_k = log_poch(float(k), beta)
-
-    def too_short(K: int) -> bool:  # tail(K) > epsilon, as _offspring_tail forms it
-        return m * math.exp(lmu_k - log_poch(float(K), beta)) > eps
-
-    if not too_short(k + 1):
-        return k + 1
-    if k + 1 >= MAX_TYPE:
-        return MAX_TYPE
-    target = lmu_k + math.log(m / eps)
-    if target / beta > 44.0:  # exp(44) > 2**62: the cutoff is past the cap
-        return MAX_TYPE
+    log_m_eps = math.log(m / eps)
     shift = 0.5 * (beta - 1.0)
-    lo_f, hi_f = float(k + 1), float(MAX_TYPE)
-    x = min(max(math.exp(target / beta) - shift, lo_f), hi_f)
-    for _ in range(2):
-        # d/dK log_poch(K, beta) ~ beta / (K + (beta-1)/2)
-        x -= (log_poch(x, beta) - target) * (x + shift) / beta
-        x = min(max(x, lo_f), hi_f)
-    guess = max(math.ceil(x), k + 1)  # float(k + 1) may round below k + 1
-    # bracket: too_short(lo - 1) and not too_short(hi)
-    step = 1
-    if too_short(guess):
-        lo = guess + 1
-        hi = min(guess + step, MAX_TYPE)
-        while too_short(hi):
-            if hi >= MAX_TYPE:
-                return MAX_TYPE
-            lo = hi + 1
-            step *= 2
+    lp, exp = log_poch, math.exp
+
+    def probe(K: int, lmu_k: float):  # tail(K) > epsilon, as _offspring_tail forms it
+        lp_K = lp(float(K), beta)
+        return m * exp(lmu_k - lp_K) > eps, lp_K
+
+    def cutoff(k: int, lmu_k: float):
+        target = lmu_k + log_m_eps
+        if target / beta > 44.0:  # exp(44) > 2**62: the cutoff is past the cap
+            return MAX_TYPE, lp(float(MAX_TYPE), beta)
+        x = min(max(exp(target / beta) - shift, float(k + 1)), float(MAX_TYPE))
+        if x >= _NEWTON_MIN:
+            for _ in range(2):
+                # d/dK log_poch(K, beta) ~ beta / (K + (beta-1)/2)
+                x -= (lp(x, beta) - target) * (x + shift) / beta
+                x = min(max(x, float(k + 1)), float(MAX_TYPE))
+        guess = max(math.ceil(x), k + 1)  # float(k + 1) may round below k + 1
+        # bracket: too short at lo - 1 and not at hi, whose log_poch is lp_hi
+        step = 1
+        short, lp_hi = probe(guess, lmu_k)
+        if short:
+            lo = guess + 1
             hi = min(guess + step, MAX_TYPE)
-    else:
-        hi = guess
-        lo = max(guess - step, k + 1)
-        while lo > k + 1 and not too_short(lo):
-            hi = lo
-            step *= 2
-            lo = max(guess - step, k + 1)
-        lo += 1  # too_short(lo), known for k + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if too_short(mid):
-            lo = mid + 1
+            while True:
+                short, lp_hi = probe(hi, lmu_k)
+                if not short:
+                    break
+                if hi >= MAX_TYPE:
+                    return MAX_TYPE, lp_hi
+                lo = hi + 1
+                step *= 2
+                hi = min(guess + step, MAX_TYPE)
         else:
-            hi = mid
-    return hi
+            hi = guess
+            lo = max(guess - step, k + 1)
+            while lo < hi:
+                short, lp_lo = probe(lo, lmu_k)
+                if short:
+                    break
+                hi, lp_hi = lo, lp_lo
+                step *= 2
+                lo = max(guess - step, k + 1)
+            if lo == hi:  # hi = k + 1 is not too short, so it is the cutoff
+                return hi, lp_hi
+            lo += 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            short, lp_mid = probe(mid, lmu_k)
+            if short:
+                lo = mid + 1
+            else:
+                hi, lp_hi = mid, lp_mid
+        return hi, lp_hi
+
+    return cutoff
+
+
+def _kernel(params: BranchingParams, rng: np.random.Generator):
+    """Per-particle draw for params on rng: draw(k) -> (children, discarded, K).
+
+    The children are a list of types in increasing order, K is the certified
+    cutoff and discarded = tail(K) reuses the search's log_poch(K).
+    """
+    cutoff = _cutoff_search(params)
+    beta = params.beta
+    m = params.mean_offspring
+    log_rate = math.log(params.rate)
+    lp, exp, log, log1p, ceil = log_poch, math.exp, math.log, math.log1p, math.ceil
+    random = rng.random
+
+    def draw(k: int):
+        lmu_k = lp(float(k), beta)
+        K, lp_K = cutoff(k, lmu_k)
+        log_pref = log_rate + lmu_k  # log q(k, y) = log_pref - log(y-1) - log mu_y
+        children = []
+        pos = k
+        while pos < K:
+            y = pos + 1
+            q_env = exp(log_pref - log(y - 1.0) - lp(float(y), beta))
+            u = random()
+            if u == 0.0:
+                break  # inverse transform puts the next candidate at +infinity
+            # geometric gap by inversion, compared in real arithmetic so that
+            # beyond-cutoff jumps never overflow an integer
+            gap_real = log(u) / log1p(-q_env)
+            if gap_real > K - pos:
+                break
+            gap = max(1, ceil(gap_real))
+            cand = pos + gap
+            if gap == 1 or random() < exp(
+                log_pref - log(cand - 1.0) - lp(float(cand), beta)
+            ) / q_env:
+                children.append(cand)
+            pos = cand
+        return children, m * exp(lmu_k - lp_K), K
+
+    return draw
 
 
 def sample_offspring(
@@ -197,40 +270,7 @@ def sample_offspring(
     q(k, pos+1), and the candidate is accepted with probability
     q(k, cand)/envelope.  Identical in law to a type-by-type scan.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _sample_below(k, offspring_cutoff(k, params), params, rng)
-
-
-def _sample_below(
-    k: int, cutoff: int, params: BranchingParams, rng: np.random.Generator
-) -> tuple[np.ndarray, float]:
-    """sample_offspring with the cutoff of type k already computed."""
-    beta = params.beta
-    lmu_k = log_poch(float(k), beta)
-    discarded = params.mean_offspring * math.exp(lmu_k - log_poch(float(cutoff), beta))
-    log_pref = math.log(params.rate) + lmu_k
-
-    def q(y: int) -> float:
-        return math.exp(log_pref - math.log(y - 1.0) - log_poch(float(y), beta))
-
-    children = []
-    pos = k
-    while pos < cutoff:
-        q_env = q(pos + 1)
-        u = rng.random()
-        if u == 0.0:
-            break  # inverse transform puts the next candidate at +infinity
-        # geometric gap by inversion, compared in real arithmetic so that
-        # beyond-cutoff jumps never overflow an integer
-        gap_real = math.log(u) / math.log1p(-q_env)
-        if gap_real > cutoff - pos:
-            break
-        gap = max(1, math.ceil(gap_real))
-        cand = pos + gap
-        if gap == 1 or rng.random() < q(cand) / q_env:
-            children.append(cand)
-        pos = cand
+    children, discarded, _ = _kernel(params, rng)(_particle_type(k))
     return np.array(children, dtype=np.int64), discarded
 
 
@@ -292,7 +332,9 @@ def simulate(
     """Run the branching process until extinction or a resource cap.
 
     Hitting max_gen or max_pop reports a censored (non-extinct) outcome
-    rather than an error.
+    rather than an error.  This is the bit-pinned reference: for a given
+    Generator state the realized trees are fixed by the golden digests in
+    the tests, so a faster path must draw the same numbers in the same order.
     """
     current = np.array([1], dtype=np.int64)
     sizes = [1]
@@ -304,16 +346,15 @@ def simulate(
     censored = False
     if keep_generations:
         gens.append(Population(1, current.copy(), 0.0))
+    draw = _kernel(params, rng)
     for gen in range(2, params.max_gen + 1):
         kids = []
         for k in current.tolist():
-            cutoff = offspring_cutoff(k, params)
+            ch, disc, cutoff = draw(k)
             if cutoff >= MAX_TYPE:
                 cap_hits += 1
-            ch, disc = _sample_below(k, cutoff, params, rng)
             trunc += disc
-            if len(ch):
-                kids.append(ch)
+            kids += ch
         if not kids:
             current = np.array([], dtype=np.int64)
             sizes.append(0)
@@ -331,7 +372,7 @@ def simulate(
                 cap_hits=cap_hits,
                 generations=gens,
             )
-        current = np.sort(np.concatenate(kids))
+        current = np.sort(np.array(kids, dtype=np.int64))
         sizes.append(len(current))
         seen.update(current.tolist())
         cum_distinct.append(len(seen))

@@ -46,7 +46,7 @@ _DIRECT_MIN = 32.0
 
 # Stirling tail J(z) = sum B_2k / (2k(2k-1) z^{2k-1}); five terms give ~1e-16
 # absolute error for z >= 32.
-_STIRLING = (
+_S1, _S2, _S3, _S4, _S5 = (
     1.0 / 12.0,
     -1.0 / 360.0,
     1.0 / 1260.0,
@@ -70,12 +70,10 @@ def _check_n(n) -> int:
 
 
 def _stirling_tail(z):
+    # Horner from the last coefficient, one multiply-add per term
     zi = 1.0 / z
     z2 = zi * zi
-    s = 0.0
-    for coef in reversed(_STIRLING):
-        s = s * z2 + coef
-    return s * zi
+    return ((((_S5 * z2 + _S4) * z2 + _S3) * z2 + _S2) * z2 + _S1) * zi
 
 
 def log_poch(n, xi: float):

@@ -11,6 +11,7 @@ from erwalk.analysis import chi_square_two_sample
 from erwalk.branching import (
     MAX_TYPE,
     BranchingParams,
+    _cutoff_search,
     _offspring_cutoff_bisect,
     _offspring_tail,
     _sample_offspring_scan,
@@ -21,6 +22,7 @@ from erwalk.branching import (
     simulate,
     simulate_modified_walk,
 )
+from erwalk.gammaratio import log_poch
 from erwalk.memory import MemoryLaw
 
 
@@ -60,6 +62,38 @@ class TestOffspringRate:
             BranchingParams(0.5, 0.0)
         with pytest.raises(ValueError):
             BranchingParams(0.5, -0.5)
+
+    # unchecked, each would surface late: beta = inf as a NaN inside simulate,
+    # epsilon = inf as every cutoff silently k+1, max_gen = 2.5 inside range()
+    @pytest.mark.parametrize("kwargs", [
+        dict(beta=math.inf),
+        dict(beta=math.nan),
+        dict(epsilon=math.inf),
+        dict(epsilon=math.nan),
+        dict(max_gen=2.5),
+        dict(max_gen=40.0),
+        dict(max_pop=1e6),
+        dict(max_pop="100"),
+    ])
+    def test_params_rejected_at_construction(self, kwargs):
+        with pytest.raises(ValueError):
+            BranchingParams(**{"p": 0.5, "beta": 1.0, **kwargs})
+
+    def test_numpy_integer_caps_accepted(self):
+        bp = BranchingParams(0.5, 1.0, max_gen=np.int64(5), max_pop=np.int32(50))
+        assert simulate(bp, np.random.default_rng(0)).generation_sizes.size <= 5
+
+    def test_non_integer_type_rejected(self, rng):
+        bp = BranchingParams(0.5, 1.0)
+        for k in (1.5, 2.0, np.float64(3.0), "4", 0, -2):
+            with pytest.raises(ValueError):
+                sample_offspring(k, bp, rng)
+            with pytest.raises(ValueError):
+                offspring_cutoff(k, bp)
+        for k in (np.int64(3), np.int32(3), np.uint8(3)):
+            assert offspring_cutoff(k, bp) == offspring_cutoff(3, bp)
+            kids, _ = sample_offspring(k, bp, rng)
+            assert kids.dtype == np.int64 and (kids > 3).all()
 
 
 class TestPartialSums:
@@ -128,6 +162,38 @@ class TestPartialSums:
             assert cut == MAX_TYPE
         elif cut > k + 1:
             assert _offspring_tail(k, cut - 1, bp) > bp.epsilon
+
+    # sha256 of the cutoffs over CUTOFF_TYPES, recorded from offspring_cutoff
+    # before its search started from the Stirling guess below 2**43; the
+    # grid holds K = k+1, cutoffs on both sides of 2**43 and MAX_TYPE caps
+    @pytest.mark.parametrize("p,beta,eps,want", [
+        (0.75, 3.0, 1e-8, "a49b99b8f850f38f559578f615ad9eaa9e84644851b2d5c894e5e9cabc42da50"),
+        (0.5, 1.0, 1e-8, "7a77c8b666e64c5b7c8cff72cb835f60a79774564dd6989cba7e5edf9637dc69"),
+        (0.5, 2.0, 1e-6, "b0542f24125244f39e320b61bef95b1c505734843962910a98ba5fc6e2b72638"),
+        (0.3, 0.5, 1e-4, "97edbea866021adcdf31344517f8b485f89d40a66e8d60fba75e93a5e859641d"),
+        (0.2, 10.0, 1e-8, "0160fab19265e9e6ebc69991dccb8703070a3296160479cf457c36112eaca7f9"),
+        (0.5, 1.0, 0.999, "edb5846098ecddbd8eb16acf7f04a3a5fdfdb6fcfca602e3686a10709e18a2c5"),
+        (0.05, 0.2, 1e-3, "687645699bed8e888d832ec7b402d55cf8b3a533574fee877a2120df735382eb"),
+    ])
+    def test_cutoff_search(self, p, beta, eps, want):
+        bp = BranchingParams(p, beta, epsilon=eps)
+        search = _cutoff_search(bp)
+        h = hashlib.sha256()
+        for k in CUTOFF_TYPES:
+            cut, lp_cut = search(k, log_poch(float(k), beta))
+            assert cut == offspring_cutoff(k, bp)
+            # the discarded mass reuses this value, so it must be the same bits
+            assert struct.pack("<d", lp_cut) == struct.pack("<d", log_poch(float(cut), beta))
+            h.update(struct.pack("<q", cut))
+        assert h.hexdigest() == want
+
+
+# types 1..200, then log-uniform (ratio ~1.047) from 201 up to 1e12
+CUTOFF_TYPES = list(range(1, 201))
+_k = 201
+while _k <= 10**12:
+    CUTOFF_TYPES.append(_k)
+    _k = _k * 1047 // 1000 + 1
 
 
 class TestSampleOffspring:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -129,6 +130,36 @@ C_VALUES_GOLDEN = {
     (9.5, 10001): "8a151326c9cc4a71313d4642e425dfba45287459548a2a707cda7062a9420361",
     (9.5, 123457): "7d05c00c8e2f9cefaae4025b48258dcf08788de745e48d63288a6d3a84cc727a",
 }
+
+
+# sha256 of scalar log_poch(n, xi) as little-endian doubles over LOG_POCH_POINTS,
+# recorded before the Stirling tail's Horner loop was unrolled
+LOG_POCH_GOLDEN = {
+    -0.99: "475d80205e40cfb6e7bc4cff1a3aee1aa3ff0864c4528af67677c353cedd12aa",
+    -0.5: "608b3ec849d9c618a9485e31ad644671cbee12e75ba46a44e80d47216360a633",
+    0.0: "9c23f71db97470548bbba030e248d633cd8e13813df00da8a53677d28e95411d",
+    0.3: "d4d14352799f5f0062af4654574f7101f05cc3d8e3882aaf3b0809b14b4d71f0",
+    1.0: "520d066e3c2757a8732d66d47bf5e3f9369edb61318b03a57bea9e2ad358f789",
+    2.0: "fe3d02dcf54def77e0964eeeb379b8773a96829a37bb3f28e31b955da2b7d511",
+    3.0: "4260badaf7739823fd0f35596374160922ef8d3e501d6e130489f562cf5151a8",
+    9.5: "52af1a0752d52425c603c1d1cedaf7f3281401fda2e6877fdfd7e5483267a38d",
+}
+
+# n = 1..3000, then log-uniform integers (ratio ~1.031) up to 1e15, each
+# followed by itself + 0.5 as the Newton steps of the branching cutoff use
+LOG_POCH_POINTS = [float(n) for n in range(1, 3001)]
+_n = 3001
+while _n <= 10**15:
+    LOG_POCH_POINTS += [float(_n), _n + 0.5]
+    _n = _n * 1031 // 1000 + 1
+
+
+@pytest.mark.parametrize("xi", list(LOG_POCH_GOLDEN))
+def test_log_poch_scalar_golden_digests(xi):
+    h = hashlib.sha256()
+    for n in LOG_POCH_POINTS:
+        h.update(struct.pack("<d", log_poch(n, xi)))
+    assert h.hexdigest() == LOG_POCH_GOLDEN[xi]
 
 
 class TestCValues:
