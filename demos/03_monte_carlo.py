@@ -49,9 +49,9 @@ for p, beta in [(0.5, 0.0), (0.5, 1.0), (0.5, 2.0)]:
 print()
 
 print("=== reproducibility: same seed, different worker counts ===")
-a = run_ensemble(pms, 500, 2000, seed=3, checkpoints=[500], workers=1)
-b = run_ensemble(pms, 500, 2000, seed=3, checkpoints=[500], workers=4,
-                 block_size=128)
+# 5000 replicates make three blocks of at most 2048, one task each
+a = run_ensemble(pms, 500, 5000, seed=3, checkpoints=[500], workers=1)
+b = run_ensemble(pms, 500, 5000, seed=3, checkpoints=[500], workers=4)
 same = np.array_equal(a.arrays["xi"], b.arrays["xi"])
 print(f"xi matrices identical across worker counts: {same}\n")
 

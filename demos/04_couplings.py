@@ -8,28 +8,33 @@ assert the order at every step; a single violation would raise.
 
 import numpy as np
 
-from erwalk import ModelParams, coupled_run, run_coupled_ensemble
+from erwalk import ModelParams, run_ensemble
+
+
+def coupled(p, beta, n_steps, n_replicates, seed):
+    """Checkpoints and the (walk, uniform-memory walk) xi matrices."""
+    res = run_ensemble(ModelParams(p, beta), n_steps, n_replicates, seed,
+                       mode="coupled", record=("xi", "xi_lerw"))
+    return res.checkpoints, res.arrays["xi"], res.arrays["xi_lerw"]
+
 
 print("=== one coupled pair, beta = -0.5 (early-time memory) ===")
-traj = coupled_run(ModelParams(0.5, -0.5), 10**4, seed=21)
+n, xi, xi_lerw = coupled(0.5, -0.5, 10**4, 1, seed=21)  # replicate 0 alone
 print("       n     walk   uniform-memory")
-for i in range(0, len(traj.n), 10):
-    print(f"{traj.n[i]:>8,d} {traj.xi[i]:>8,d} {traj.xi_lerw[i]:>10,d}")
+for i in range(0, len(n), 10):
+    print(f"{n[i]:>8,d} {xi[0, i]:>8,d} {xi_lerw[0, i]:>10,d}")
 print("early-memory recall keeps re-finding the guaranteed first step,\n"
       "so the walk stays ahead of its uniform-memory twin.\n")
 
 print("=== ensemble order checks (every step, every path) ===")
 for p, beta, rel in [(0.5, -0.5, ">="), (0.4, 1.0, "<=")]:
-    res = run_coupled_ensemble(ModelParams(p, beta), 10**4, 200, seed=9)
-    if rel == ">=":
-        ok = bool(np.all(res.xi >= res.xi_lerw))
-    else:
-        ok = bool(np.all(res.xi <= res.xi_lerw))
-    final_gap = np.mean(res.xi[:, -1] - res.xi_lerw[:, -1])
+    _, xi, xi_lerw = coupled(p, beta, 10**4, 200, seed=9)
+    ok = bool(np.all(xi >= xi_lerw if rel == ">=" else xi <= xi_lerw))
+    final_gap = np.mean(xi[:, -1] - xi_lerw[:, -1])
     print(f"(p, beta) = ({p}, {beta:+.1f}): walk {rel} twin on all paths: {ok}; "
           f"mean final gap {final_gap:+.1f}")
 print()
 
 print("=== beta = 0: the two processes coincide under shared randomness ===")
-res = run_coupled_ensemble(ModelParams(0.5, 0.0), 2000, 100, seed=9)
-print("identical trajectories:", bool(np.array_equal(res.xi, res.xi_lerw)))
+_, xi, xi_lerw = coupled(0.5, 0.0, 2000, 100, seed=9)
+print("identical trajectories:", bool(np.array_equal(xi, xi_lerw)))

@@ -57,13 +57,10 @@ from .gammaratio import (
 from .memory import MemoryLaw
 from .streams import replicate_stream
 from .walkers import (
-    CoupledTrajectory,
     EnsembleResult,
     ModelParams,
     Trajectory,
-    coupled_run,
     geometric_checkpoints,
-    run_coupled_ensemble,
     run_ensemble,
     run_walk,
 )
@@ -86,9 +83,6 @@ __all__ = [
     "run_walk",
     "EnsembleResult",
     "run_ensemble",
-    "CoupledTrajectory",
-    "coupled_run",
-    "run_coupled_ensemble",
     "replicate_stream",
     # exact engine
     "exact_mean_xi",

@@ -123,6 +123,12 @@ class GateResult:
     detail: str
 
 
+def _check_level(level: float) -> None:
+    """A gate level (in standard errors) must be finite and positive."""
+    if not 0.0 < level < math.inf:
+        raise ValueError(f"sigma level must be finite and > 0, got {level}")
+
+
 def mean_gate(
     mc_mean: float,
     mc_var: float,
@@ -136,6 +142,7 @@ def mean_gate(
     A zero-variance ensemble (every replicate frozen at one value) is
     reported as degenerate and compared by absolute tolerance instead.
     """
+    _check_level(level)
     if mc_var < 0:
         raise ValueError("variance must be nonnegative")
     if mc_var == 0.0:
@@ -170,24 +177,26 @@ def compare_mc_exact(
 
 
 def _merge_small_bins(observed: np.ndarray, expected: np.ndarray, min_expected=5.0):
-    """Pool adjacent bins until every expected count reaches min_expected."""
-    obs, exp = [], []
-    o_acc = e_acc = 0.0
-    for o, e in zip(observed, expected):
-        o_acc += o
-        e_acc += e
-        if e_acc >= min_expected:
-            obs.append(o_acc)
-            exp.append(e_acc)
-            o_acc = e_acc = 0.0
-    if e_acc > 0.0:
-        if exp:
-            obs[-1] += o_acc
-            exp[-1] += e_acc
+    """Pool adjacent bins until every pooled expected count reaches min_expected.
+
+    `observed` is one row of counts or a stack of rows, pooled alike; the
+    remainder left below min_expected at the end joins the last pooled bin.
+    Returns the pooled observed row (or rows) and expected counts.
+    """
+    cols = np.vstack([observed, expected]).T
+    pooled, acc = [], np.zeros(cols.shape[1])
+    for col in cols:
+        acc += col
+        if acc[-1] >= min_expected:
+            pooled.append(acc)
+            acc = np.zeros_like(acc)
+    if acc[-1] > 0.0:
+        if pooled:
+            pooled[-1] += acc
         else:
-            obs.append(o_acc)
-            exp.append(e_acc)
-    return np.array(obs), np.array(exp)
+            pooled.append(acc)
+    table = np.array(pooled).reshape(-1, cols.shape[1]).T
+    return (table[:-1] if np.ndim(observed) > 1 else table[0]), table[-1]
 
 
 def chi_square_vs_law(samples: np.ndarray, law: ExactLaw) -> float:
@@ -218,25 +227,11 @@ def chi_square_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     cb = np.bincount(b, minlength=hi + 1).astype(np.float64)
     na, nb = ca.sum(), cb.sum()
     need = 5.0 * (na + nb) / min(na, nb)  # pooled total making both expecteds >= 5
-    row_a, row_b = [], []
-    acc_a = acc_b = 0.0
-    for o_a, o_b in zip(ca, cb):
-        acc_a += o_a
-        acc_b += o_b
-        if acc_a + acc_b >= need:
-            row_a.append(acc_a)
-            row_b.append(acc_b)
-            acc_a = acc_b = 0.0
-    if acc_a + acc_b > 0:
-        if row_a:
-            row_a[-1] += acc_a
-            row_b[-1] += acc_b
-        else:
-            row_a.append(acc_a)
-            row_b.append(acc_b)
-    if len(row_a) < 2:
+    # the counts are integers, so the pooled totals ca + cb are exact
+    table, _ = _merge_small_bins(np.stack([ca, cb]), ca + cb, need)
+    if table.shape[1] < 2:
         return 1.0  # both samples concentrated on one pooled bin
-    return _contingency_pvalue(np.array([row_a, row_b]))
+    return _contingency_pvalue(table)
 
 
 def _contingency_pvalue(table: np.ndarray) -> float:
@@ -342,6 +337,7 @@ def build_report(
     stagnation_windows=None,
 ) -> EnsembleReport:
     """Summarize an ensemble: means, variances, CIs, optional fit and stagnation."""
+    _check_level(confidence_z)
     xi = result.arrays.get("xi")
     if xi is None:
         raise ValueError("ensemble must record xi")

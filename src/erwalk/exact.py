@@ -31,7 +31,7 @@ from math import comb
 import numpy as np
 from scipy.special import gammaln
 
-from .gammaratio import c_values, log_poch, log_poch_ratio, poch_ratio_sum
+from .gammaratio import _c_carried, c_values, log_poch, log_poch_ratio, poch_ratio_sum
 from .walkers import ModelParams, _check_checkpoints
 
 __all__ = [
@@ -224,7 +224,7 @@ def _stream_moments(params: ModelParams, n_max: int, degree: int, picks):
     for s in range(0, n_max - 1, _CHUNK):
         e = min(s + _CHUNK, n_max - 1)
         k = np.arange(s + 1, e + 1, dtype=np.float64)
-        mu_next = np.cumprod(np.concatenate(([mu_carry], (k + params.beta) / k)))[1:]
+        mu_next = _c_carried(mu_carry, params.beta, k)[1:]
         mu_carry = mu_next[-1]
         mu_pow = {0: np.ones(e - s), 1: mu_next}
         for power in range(2, degree + 1):
@@ -232,7 +232,7 @@ def _stream_moments(params: ModelParams, n_max: int, degree: int, picks):
         pref = rate / (k * mu_next)
         cx = {}
         for b in range(degree + 1):
-            cx[b] = np.cumprod(np.concatenate(([c_carry[b]], (k + b * rate) / k)))
+            cx[b] = _c_carried(c_carry[b], b * rate, k)
             c_carry[b] = cx[b][-1]
         ext = {(0, 0): np.ones(e - s + 1)}
         for (a, b) in order:

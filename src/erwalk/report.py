@@ -12,12 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, branching, exact
-from .walkers import (
-    ModelParams,
-    geometric_checkpoints,
-    run_coupled_ensemble,
-    run_ensemble,
-)
+from .walkers import ModelParams, geometric_checkpoints, run_ensemble
 
 __all__ = ["Gate", "run_gates", "REGIMES"]
 
@@ -78,15 +73,14 @@ def _l2_gate(regime, params, expect_bounded, n_max=10**4):
 
 def _coupling_gate(regime, params, direction, seed, n_steps, n_reps):
     try:
-        res = run_coupled_ensemble(
-            params, n_steps, n_reps, seed, checkpoints=[n_steps]
+        res = run_ensemble(
+            params, n_steps, n_reps, seed, checkpoints=[n_steps], mode="coupled",
+            record=("xi", "xi_lerw"),
         )
     except AssertionError as err:
         return Gate(regime, "pathwise coupling order", False, str(err))
-    if direction == "ge":
-        ok = bool(np.all(res.xi[:, -1] >= res.xi_lerw[:, -1]))
-    else:
-        ok = bool(np.all(res.xi[:, -1] <= res.xi_lerw[:, -1]))
+    xi, xi_lerw = res.arrays["xi"][:, -1], res.arrays["xi_lerw"][:, -1]
+    ok = bool(np.all(xi >= xi_lerw if direction == "ge" else xi <= xi_lerw))
     return Gate(
         regime,
         "pathwise coupling order",
@@ -111,6 +105,7 @@ def run_gates(regimes=None, seed: int = 20240801, scale: float = 1.0, level: flo
     unknown = set(regimes) - set(REGIMES)
     if unknown:
         raise ValueError(f"unknown regimes: {sorted(unknown)}")
+    analysis._check_level(level)
     reps = max(200, int(2000 * scale))
     gates: list[Gate] = []
 

@@ -21,16 +21,19 @@ chain is what the production simulators run, with two engines:
 
 The two read their streams differently, so they agree in law, not in bits.
 The full-history simulator draws the recalled time explicitly and serves
-as a differential oracle.  Ensembles run one counter-based RNG stream per
-replicate, so results are reproducible under any batching or worker count.
+as a differential oracle.  The `coupled` mode runs the collapsed chain and
+the uniform-memory walk of rate p(beta+1) (Harbola, Kumar and Lindenberg
+2014) on one shared uniform per step, and asserts their pathwise order.
+Ensembles run one counter-based RNG stream per replicate, so results are
+reproducible under any worker count.
 
-Each public entry point checks its key, horizon (at most MAX_STEPS) and
-checkpoints before any work, computes mu = c_values(beta, n_steps + 1)
-once, and hands it to every block.  The per-step engines (collapsed, full,
-and the coupling) are a set-up plus a kernel that advances their state
+`run_walk` and `run_ensemble` both go through `_run`: it checks the key,
+horizon (at most MAX_STEPS), checkpoints, mode and recorded fields before
+any work, computes mu = c_values(beta, n_steps + 1) once, and hands it to
+every block of _BLOCK_SIZE replicates.  The per-step engines (collapsed,
+full and coupled) are a set-up plus a kernel that advances their state
 over a tile of steps; `_drive` owns the draws, the tiles and the
-checkpoint records.  A single walk is a one-replicate run (`run_walk`):
-there are no scalar step functions.
+checkpoint records.  A single walk is a one-replicate run.
 """
 
 from __future__ import annotations
@@ -53,9 +56,6 @@ __all__ = [
     "run_walk",
     "EnsembleResult",
     "run_ensemble",
-    "CoupledTrajectory",
-    "coupled_run",
-    "run_coupled_ensemble",
 ]
 
 #: slack for the pi_n <= p internal-consistency guard
@@ -68,6 +68,7 @@ MAX_STEPS = 1 << 23
 #: the full-history simulator is an oracle; cap its quadratic cost
 _FULL_MODE_MAX_STEPS = 4096
 
+#: replicates per engine call; each block is one task when workers > 1
 _BLOCK_SIZE = 2048
 #: draws per replicate and segment fill; rows this long are re-keyed one at
 #: a time (short ones go to the streams' array kernel), so each fill pays a
@@ -78,6 +79,8 @@ _SEG_LEN = 2000
 _EVENT_FILL = 48
 #: time steps per tile of the collapsed engine's up-step search
 _TILE = 64
+#: multiplies per pass of `geometric_checkpoints`
+_CHECKPOINT_CHUNK = 1 << 15
 #: a tile is searched when its rows expect at most this many up-steps each;
 #: denser tiles run the per-step loop, which is then as fast, and the
 #: search's scratch grows with the share of rows that step
@@ -118,44 +121,41 @@ class ModelParams:
 
 
 def geometric_checkpoints(n_max: int, ratio: float = 1.2) -> np.ndarray:
-    """Geometrically spaced checkpoint times 1, ..., n_max (inclusive, unique)."""
+    """Geometrically spaced checkpoint times 1, ..., n_max (inclusive, unique).
+
+    The times are 1, the distinct ceil(ratio^j) below n_max, and n_max, with
+    ratio^j formed by one multiply per j.  When (ratio - 1) n_max <= 1 no
+    step of ratio^j below n_max exceeds 1, so every integer is a time.
+    """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if ratio <= 1.0:
-        raise ValueError("ratio must exceed 1")
-    pts = [1]
-    x = 1.0
+    if not 1.0 < ratio < math.inf:
+        raise ValueError(f"ratio must be finite and exceed 1, got {ratio}")
+    if (ratio - 1.0) * n_max <= 1.0:
+        return np.arange(1, n_max + 1, dtype=np.int64)
+    parts, x = [[1.0, n_max]], 1.0
     while True:
-        x *= ratio
-        v = math.ceil(x)
-        if v >= n_max:
-            break
-        if v > pts[-1]:
-            pts.append(v)
-    if n_max > pts[-1]:
-        pts.append(n_max)
-    return np.array(pts, dtype=np.int64)
+        # about enough multiplies to pass n_max, so x stays finite
+        count = min(_CHECKPOINT_CHUNK, int(math.log(n_max / x) / math.log(ratio)) + 1)
+        xs = np.cumprod(np.concatenate(([x], np.full(count, ratio))))[1:]
+        v = np.ceil(xs)  # nondecreasing
+        parts.append(np.unique(v[v < n_max]))
+        if v[-1] >= n_max:
+            return np.unique(np.concatenate(parts)).astype(np.int64)
+        x = xs[-1]
 
 
 def _check_checkpoints(checkpoints, n_steps: int) -> np.ndarray:
     if checkpoints is None:
         return geometric_checkpoints(n_steps)
-    cps = np.unique(np.asarray(checkpoints, dtype=np.int64))
-    if len(cps) == 0 or cps[0] < 1 or cps[-1] > n_steps:
+    raw = np.ravel(checkpoints)
+    if not (
+        raw.size
+        and raw.dtype.kind in "iuf"
+        and np.all((raw >= 1) & (raw <= n_steps) & (raw == np.floor(raw)))
+    ):
         raise ValueError("checkpoints must be integers in [1, n_steps]")
-    return cps
-
-
-def _check_run(seed, n_steps: int, checkpoints, start: int = 0, n_replicates: int = 1):
-    """Check a simulator call's key, horizon and checkpoints before any work."""
-    _check_key(seed, start, n_replicates)
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    if n_replicates < 1:
-        raise ValueError("n_replicates must be >= 1")
-    if n_steps > MAX_STEPS:
-        raise ValueError(f"n_steps = {n_steps} exceeds the cap MAX_STEPS = {MAX_STEPS}")
-    return _check_checkpoints(checkpoints, n_steps)
+    return np.unique(raw.astype(np.int64))
 
 
 def _row_pitch(cols: int) -> int:
@@ -500,16 +500,55 @@ def _coupled_block(params, mu, n_steps, seed, checkpoints, record, start, count)
     return _drive(kernel, state, record, 1, n_steps, seed, checkpoints, start, count)
 
 
-_ENGINES = {"collapsed": _collapsed_block, "events": _events_block, "full": _full_block}
-#: what the coupled engine records
-_COUPLED = ("xi", "xi_lerw")
+_WALK_FIELDS = ("xi", "sigma", "a")
+#: mode -> (engine, the per-replicate arrays it can record)
+_ENGINES = {
+    "collapsed": (_collapsed_block, _WALK_FIELDS),
+    "events": (_events_block, _WALK_FIELDS),
+    "full": (_full_block, _WALK_FIELDS),
+    "coupled": (_coupled_block, ("xi", "xi_lerw")),
+}
 
 
-def _engine(mode: str):
-    try:
-        return _ENGINES[mode]
-    except KeyError:
-        raise ValueError(f"mode must be one of {sorted(_ENGINES)}, got {mode!r}") from None
+def _run(params, n_steps, seed, checkpoints, mode, record, start, count, workers):
+    """Replicates start, ..., start + count - 1 of a simulator call.
+
+    Checks the key, horizon, checkpoints, mode and fields before any work,
+    then runs the engine of `mode` on blocks of _BLOCK_SIZE replicates, in
+    a process pool when workers > 1.  Returns (checkpoints, {field: array
+    of shape (count, len(checkpoints))}).
+    """
+    _check_key(seed, start, count)
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    if count < 1:
+        raise ValueError("n_replicates must be >= 1")
+    if n_steps > MAX_STEPS:
+        raise ValueError(f"n_steps = {n_steps} exceeds the cap MAX_STEPS = {MAX_STEPS}")
+    cps = _check_checkpoints(checkpoints, n_steps)
+    if mode not in _ENGINES:
+        raise ValueError(f"mode must be one of {sorted(_ENGINES)}, got {mode!r}")
+    engine, fields = _ENGINES[mode]
+    record = tuple(record)
+    unknown = set(record) - set(fields)
+    if unknown:
+        raise ValueError(f"mode {mode!r} cannot record {sorted(unknown)}; it records {fields}")
+    mu = c_values(params.beta, n_steps + 1)
+    args = (params, mu, n_steps, seed, cps, record)
+    end = start + count
+    blocks = [(s, min(_BLOCK_SIZE, end - s)) for s in range(start, end, _BLOCK_SIZE)]
+    if workers is None or workers <= 1 or len(blocks) == 1:
+        parts = [engine(*args, s, c) for s, c in blocks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(engine, *args, s, c) for s, c in blocks]
+            parts = [f.result() for f in futures]
+    return cps, {name: np.concatenate([p[name] for p in parts], axis=0) for name in record}
+
+
+def _martingale(sigma: np.ndarray, n: np.ndarray, rate: float) -> np.ndarray:
+    """M_n = Sigma_n / c_n(rate), with the checkpoint times n along the last axis."""
+    return sigma * np.exp(-log_poch_ratio(n.astype(np.float64), rate))
 
 
 @dataclass
@@ -527,12 +566,6 @@ class Trajectory:
     a: np.ndarray
 
 
-def _martingale_values(sigma: np.ndarray, n: np.ndarray, rate: float) -> np.ndarray:
-    """M_n = Sigma_n / c_n(rate) at checkpoint times."""
-    log_c = log_poch_ratio(n.astype(np.float64), rate)
-    return sigma * np.exp(-log_c)
-
-
 def run_walk(
     params: ModelParams,
     n_steps: int,
@@ -546,10 +579,9 @@ def run_walk(
     The walk is replicate `replicate_index` of the ensemble with master seed
     `seed`, so single runs and ensemble members can be compared directly.
     """
-    cps = _check_run(seed, n_steps, checkpoints, replicate_index)
-    engine = _engine(mode)
-    mu = c_values(params.beta, n_steps + 1)
-    out = engine(params, mu, n_steps, seed, cps, ("xi", "sigma", "a"), replicate_index, 1)
+    cps, out = _run(
+        params, n_steps, seed, checkpoints, mode, _WALK_FIELDS, replicate_index, 1, 1
+    )
     sigma = out["sigma"][0]
     return Trajectory(
         params=params,
@@ -559,7 +591,7 @@ def run_walk(
         n=cps,
         xi=out["xi"][0],
         sigma=sigma,
-        m=_martingale_values(sigma, cps, params.rate),
+        m=_martingale(sigma, cps, params.rate),
         a=out["a"][0],
     )
 
@@ -577,22 +609,7 @@ class EnsembleResult:
 
     def martingale(self) -> np.ndarray:
         """Per-replicate M_n matrix (requires sigma to have been recorded)."""
-        sigma = self.arrays["sigma"]
-        log_c = log_poch_ratio(self.checkpoints.astype(np.float64), self.params.rate)
-        return sigma * np.exp(-log_c)[None, :]
-
-
-def _run_blocks(engine, args, n_replicates, workers, block_size):
-    """`engine(*args, start, count)` for each block of replicates, in order."""
-    blocks = [
-        (start, min(block_size, n_replicates - start))
-        for start in range(0, n_replicates, block_size)
-    ]
-    if workers is None or workers <= 1 or len(blocks) == 1:
-        return [engine(*args, start, count) for start, count in blocks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(engine, *args, start, count) for start, count in blocks]
-        return [f.result() for f in futures]
+        return _martingale(self.arrays["sigma"], self.checkpoints, self.params.rate)
 
 
 def run_ensemble(
@@ -604,26 +621,20 @@ def run_ensemble(
     mode: str = "collapsed",
     record=("xi", "sigma"),
     workers: int = 1,
-    block_size: int = _BLOCK_SIZE,
 ) -> EnsembleResult:
-    """Simulate an ensemble; bit-reproducible for any `workers`/`block_size`.
+    """Simulate an ensemble; bit-reproducible for any `workers`.
 
-    `record` selects which per-replicate checkpoint arrays to keep, from
-    {"xi", "sigma", "a"}.
+    `record` selects which per-replicate checkpoint arrays to keep: any of
+    "xi", "sigma" and "a" in the collapsed, events and full modes.  Mode
+    "coupled" records "xi" and "xi_lerw": the walk and the uniform-memory
+    walk of rate p(beta+1) < 1, driven by one shared uniform per step.
+    Their pathwise order (walk >= comparison for beta < 0, <= for beta > 0,
+    equality at beta = 0) is asserted at every step, and a violation raises
+    AssertionError.
     """
-    cps = _check_run(seed, n_steps, checkpoints, 0, n_replicates)
-    engine = _engine(mode)
-    record = tuple(record)
-    unknown = set(record) - {"xi", "sigma", "a"}
-    if unknown:
-        raise ValueError(f"unknown record fields: {sorted(unknown)}")
-    mu = c_values(params.beta, n_steps + 1)
-    parts = _run_blocks(
-        engine, (params, mu, n_steps, seed, cps, record), n_replicates, workers, block_size
+    cps, arrays = _run(
+        params, n_steps, seed, checkpoints, mode, record, 0, n_replicates, workers
     )
-    arrays = {
-        name: np.concatenate([p[name] for p in parts], axis=0) for name in record
-    }
     return EnsembleResult(
         params=params,
         seed=seed,
@@ -631,71 +642,4 @@ def run_ensemble(
         mode=mode,
         checkpoints=cps,
         arrays=arrays,
-    )
-
-
-@dataclass
-class CoupledTrajectory:
-    """Paired checkpoint records of the walk and its comparison process."""
-
-    params: ModelParams
-    seed: int
-    n: np.ndarray
-    xi: np.ndarray
-    xi_lerw: np.ndarray
-
-
-def coupled_run(
-    params: ModelParams,
-    n_steps: int,
-    seed: int,
-    checkpoints=None,
-    replicate_index: int = 0,
-) -> CoupledTrajectory:
-    """Run the walk and the rate-p(beta+1) uniform-memory walk on shared uniforms.
-
-    The induced pathwise order (walk >= comparison for beta < 0, <= for
-    beta > 0, equality at beta = 0) is asserted at every step.
-    """
-    cps = _check_run(seed, n_steps, checkpoints, replicate_index)
-    mu = c_values(params.beta, n_steps + 1)
-    out = _coupled_block(params, mu, n_steps, seed, cps, _COUPLED, replicate_index, 1)
-    return CoupledTrajectory(
-        params=params, seed=seed, n=cps, xi=out["xi"][0], xi_lerw=out["xi_lerw"][0]
-    )
-
-
-@dataclass
-class CoupledEnsembleResult:
-    params: ModelParams
-    seed: int
-    n_replicates: int
-    checkpoints: np.ndarray
-    xi: np.ndarray
-    xi_lerw: np.ndarray
-
-
-def run_coupled_ensemble(
-    params: ModelParams,
-    n_steps: int,
-    n_replicates: int,
-    seed: int,
-    checkpoints=None,
-    workers: int = 1,
-    block_size: int = _BLOCK_SIZE,
-) -> CoupledEnsembleResult:
-    """Coupled ensemble; raises AssertionError on any pathwise order violation."""
-    cps = _check_run(seed, n_steps, checkpoints, 0, n_replicates)
-    mu = c_values(params.beta, n_steps + 1)
-    parts = _run_blocks(
-        _coupled_block, (params, mu, n_steps, seed, cps, _COUPLED), n_replicates, workers,
-        block_size,
-    )
-    return CoupledEnsembleResult(
-        params=params,
-        seed=seed,
-        n_replicates=n_replicates,
-        checkpoints=cps,
-        xi=np.concatenate([p["xi"] for p in parts], axis=0),
-        xi_lerw=np.concatenate([p["xi_lerw"] for p in parts], axis=0),
     )

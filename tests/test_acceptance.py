@@ -24,7 +24,7 @@ from erwalk.exact import (
     propagate_moments,
 )
 from erwalk.gammaratio import log_poch_ratio
-from erwalk.walkers import ModelParams, run_coupled_ensemble, run_ensemble
+from erwalk.walkers import ModelParams, run_ensemble
 
 GRID = [
     ModelParams(p, b)
@@ -221,11 +221,13 @@ def test_criterion_08_pathwise_coupling_order(p, beta, direction):
     pms = ModelParams(p, beta)
     # the engine asserts the order at every one of the 1e5 steps; any
     # violation raises before results come back
-    res = run_coupled_ensemble(pms, 10**5, 10**3, seed=88001, checkpoints=[10**5])
+    res = run_ensemble(pms, 10**5, 10**3, seed=88001, checkpoints=[10**5],
+                       mode="coupled", record=("xi", "xi_lerw"))
+    xi, xi_lerw = res.arrays["xi"], res.arrays["xi_lerw"]
     if direction == "ge":
-        violations = int(np.sum(res.xi < res.xi_lerw))
+        violations = int(np.sum(xi < xi_lerw))
     else:
-        violations = int(np.sum(res.xi > res.xi_lerw))
+        violations = int(np.sum(xi > xi_lerw))
     check(
         "8",
         f"pathwise order ({direction}) at (p, beta) = ({p}, {beta})",

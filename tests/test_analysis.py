@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -124,6 +126,14 @@ class TestGates:
         assert g.degenerate and g.passed
         g = mean_gate(4.0, 0.0, 1000, 5.0)
         assert g.degenerate and not g.passed
+
+    @pytest.mark.parametrize("level", [math.nan, math.inf, 0.0, -3.0])
+    def test_level_must_be_finite_and_positive(self, level):
+        with pytest.raises(ValueError, match="sigma level"):
+            mean_gate(4.0, 1.0, 1000, 4.0, level=level)
+        res = run_ensemble(ModelParams(0.5, 0.5), 10, 5, seed=1, checkpoints=[10])
+        with pytest.raises(ValueError, match="sigma level"):
+            build_report(res, confidence_z=level)
 
     def test_compare_with_report(self):
         pms = ModelParams(0.5, 2.0)

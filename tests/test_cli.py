@@ -252,6 +252,17 @@ class TestSimulateCommand:
         assert "n_steps" in err and str(MAX_STEPS) in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--checkpoint-ratio", "inf"), ("--checkpoint-ratio", "nan"),
+        ("--sigma-level", "nan"), ("--sigma-level", "-3"), ("--sigma-level", "inf"),
+    ])
+    def test_bad_ratio_or_level_exit_2(self, tmp_path, capsys, flag, value):
+        rc = main(["simulate", "--n", "50", "--replicates", "10", "--seed", "1",
+                   flag, value, "--out", str(tmp_path)])
+        assert rc == 2
+        assert ("ratio" if "ratio" in flag else "sigma level") in capsys.readouterr().err
+        assert not tmp_path.exists() or list(tmp_path.iterdir()) == []
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"nope": 1}))
@@ -376,6 +387,13 @@ class TestExactCommand:
         assert "n_max must be >= 100" in out.err
         assert not tmp_path.exists() or list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("ratio", ["inf", "nan"])
+    def test_bad_checkpoint_ratio_exit_2(self, tmp_path, capsys, ratio):
+        rc = main(["exact", "--p", "0.5", "--beta", "1", "--n", "1000",
+                   "--checkpoint-ratio", ratio, "--out", str(tmp_path)])
+        assert rc == 2
+        assert "ratio must be finite" in capsys.readouterr().err
+
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["exact", "--badflag"])
@@ -400,6 +418,14 @@ class TestReportCommand:
         out = capsys.readouterr().out
         assert rc == 1
         assert "limit of the mean" in out and "FAIL" in out
+
+    @pytest.mark.parametrize("level", ["nan", "0", "-3"])
+    def test_bad_sigma_level_exit_2(self, capsys, level):
+        rc = main(["report", "--regime", "critical", "--scale", "0.2",
+                   "--sigma-level", level])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "sigma level" in captured.err and captured.out == ""
 
     def test_unknown_regime_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

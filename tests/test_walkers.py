@@ -12,14 +12,14 @@ from erwalk.exact import enumerate_law, exact_mean_xi
 from erwalk.gammaratio import c_values, log_poch, poch_ratio
 from erwalk.memory import MemoryLaw
 from erwalk.streams import replicate_stream, uniforms
-from erwalk.walkers import (
-    ModelParams,
-    coupled_run,
-    geometric_checkpoints,
-    run_coupled_ensemble,
-    run_ensemble,
-    run_walk,
-)
+from erwalk.walkers import ModelParams, geometric_checkpoints, run_ensemble, run_walk
+
+
+def _coupled(params, n_steps, n_replicates, seed, **kw):
+    """The (walk, uniform-memory walk) xi matrices of a coupled ensemble."""
+    res = run_ensemble(params, n_steps, n_replicates, seed, mode="coupled",
+                       record=("xi", "xi_lerw"), **kw)
+    return res.arrays["xi"], res.arrays["xi_lerw"]
 
 
 def _scalar_collapsed(params, n_steps, rng):
@@ -127,10 +127,9 @@ def _assert_guard_fails_at_5():
                 run_ensemble(pms, 50, 10, seed=1, checkpoints=cps, mode=mode)
             with pytest.raises(RuntimeError, match="n = 5"):
                 run_walk(pms, 50, seed=1, checkpoints=cps, mode=mode)
-        with pytest.raises(RuntimeError, match="n = 5"):
-            coupled_run(coupled, 50, seed=1, checkpoints=cps)
-        with pytest.raises(RuntimeError, match="n = 5"):
-            run_coupled_ensemble(coupled, 50, 10, seed=1, checkpoints=cps)
+        for reps in (1, 10):
+            with pytest.raises(RuntimeError, match="n = 5"):
+                _coupled(coupled, 50, reps, seed=1, checkpoints=cps)
 
 
 class TestScalarSteps:
@@ -160,15 +159,14 @@ class TestScalarSteps:
     def test_lerw_rate_domain(self):
         # the comparison walk steps with probability rate * xi / n
         for beta in (1.0, 1.5):  # rate = 1, 1.25
-            with pytest.raises(ValueError, match="coupling"):
-                coupled_run(ModelParams(0.5, beta), 10, seed=1)
-            with pytest.raises(ValueError, match="coupling"):
-                run_coupled_ensemble(ModelParams(0.5, beta), 10, 3, seed=1)
+            for reps in (1, 3):
+                with pytest.raises(ValueError, match="coupling"):
+                    _coupled(ModelParams(0.5, beta), 10, reps, seed=1)
 
     def test_lerw_first_step(self):
         # the comparison walk's first step has probability rate = 0.7
-        res = run_coupled_ensemble(ModelParams(0.35, 1.0), 2, 20000, seed=2)
-        hits = (res.xi_lerw[:, -1] == 2).sum()
+        _, xi_lerw = _coupled(ModelParams(0.35, 1.0), 2, 20000, seed=2)
+        hits = (xi_lerw[:, -1] == 2).sum()
         se = math.sqrt(0.7 * 0.3 / 20000)
         assert hits / 20000 == pytest.approx(0.7, abs=4.5 * se)
 
@@ -253,17 +251,17 @@ def _golden_full_digest():
     rec = ("xi", "sigma", "a")
     res = run_ensemble(ModelParams(0.5, 1.0), 1100, 30, seed=7,
                        checkpoints=[1, 2, 3, 1024, 1025, 1026, 1100],
-                       mode="full", record=rec, block_size=16)
+                       mode="full", record=rec)
     return _digest(*(res.arrays[k] for k in rec))
 
 
 class TestEnsembles:
-    def test_deterministic_and_worker_independent(self):
-        def run(mode, **kw):
+    def test_deterministic_and_worker_independent(self, monkeypatch):
+        def run(mode, block_size=walkers._BLOCK_SIZE, **kw):
+            monkeypatch.setattr(walkers, "_BLOCK_SIZE", block_size)
             if mode == "coupled":
-                res = run_coupled_ensemble(ModelParams(0.5, -0.5), 50, 300, seed=5,
-                                           checkpoints=[1, 7, 50], **kw)
-                return (res.xi, res.xi_lerw)
+                return _coupled(ModelParams(0.5, -0.5), 50, 300, seed=5,
+                                checkpoints=[1, 7, 50], **kw)
             res = run_ensemble(ModelParams(0.5, 1.0), 50, 300, seed=5,
                                checkpoints=[1, 7, 50], mode=mode,
                                record=("xi", "sigma", "a"), **kw)
@@ -284,20 +282,19 @@ class TestEnsembles:
         ("full", "f5a09b89cf0b51b4e6974870a38198b1d581978e19232d988dcd483bac0a52c3"),
         ("coupled", "9dd6646b17e70f732a42fd5c8c63362083b9720b29fc884daa5a192c1c68de89"),
     ])
-    def test_golden_digests(self, mode, want):
+    def test_golden_digests(self, monkeypatch, mode, want):
+        monkeypatch.setattr(walkers, "_BLOCK_SIZE", 16)
         rec = ("xi", "sigma", "a")
         if mode == "collapsed":
             res = run_ensemble(ModelParams(0.45, 0.8), 2100, 40, seed=31,
                                checkpoints=[1, 2, 7, 2048, 2049, 2050, 2100],
-                               record=rec, block_size=16)
+                               record=rec)
             got = _digest(*(res.arrays[k] for k in rec))
         elif mode == "full":
             got = _golden_full_digest()
         else:
-            res = run_coupled_ensemble(ModelParams(0.5, -0.5), 2100, 40, seed=4,
-                                       checkpoints=[1, 2, 2048, 2049, 2050, 2100],
-                                       block_size=16)
-            got = _digest(res.xi, res.xi_lerw)
+            got = _digest(*_coupled(ModelParams(0.5, -0.5), 2100, 40, seed=4,
+                                    checkpoints=[1, 2, 2048, 2049, 2050, 2100]))
         assert got == want
 
     # the same pins across the segment boundaries of 2000 uniforms (1000
@@ -307,22 +304,22 @@ class TestEnsembles:
         ("full", "fc20f6f2e2f6c420877d080760deef798b316debc8616590d5fc5c9a4ef5703f"),
         ("coupled", "09cfc3caa04fd09db7352472201636668fd5d4d1da69a9a8959bea9845b6ba66"),
     ])
-    def test_golden_digests_segment_2000(self, mode, want):
+    def test_golden_digests_segment_2000(self, monkeypatch, mode, want):
+        monkeypatch.setattr(walkers, "_BLOCK_SIZE", 16)
         rec = ("xi", "sigma", "a")
         cps = [1, 1999, 2000, 2001, 2002, 4000, 4001, 4002, 4100]
         if mode == "collapsed":
             res = run_ensemble(ModelParams(0.45, 0.8), 4100, 40, seed=31,
-                               checkpoints=cps, record=rec, block_size=16)
+                               checkpoints=cps, record=rec)
             got = _digest(*(res.arrays[k] for k in rec))
         elif mode == "full":
             res = run_ensemble(ModelParams(0.5, 1.0), 2100, 30, seed=7,
                                checkpoints=[1, 999, 1000, 1001, 1002, 2000, 2001, 2002, 2100],
-                               mode="full", record=rec, block_size=16)
+                               mode="full", record=rec)
             got = _digest(*(res.arrays[k] for k in rec))
         else:
-            res = run_coupled_ensemble(ModelParams(0.5, -0.5), 4100, 40, seed=4,
-                                       checkpoints=cps, block_size=16)
-            got = _digest(res.xi, res.xi_lerw)
+            got = _digest(*_coupled(ModelParams(0.5, -0.5), 4100, 40, seed=4,
+                                    checkpoints=cps))
         assert got == want
 
     def test_mean_against_exact(self):
@@ -574,15 +571,16 @@ class TestEventsEngine:
         se = m.std(ddof=1) / math.sqrt(len(m))
         assert m.mean() == pytest.approx(1.0, abs=4.5 * se)
 
-    def test_block_size_and_workers_independent(self):
+    def test_block_size_and_workers_independent(self, monkeypatch):
         # blocks of 300 and 700 rows fill by the streams' array kernel,
         # blocks of 17 re-key per row; both read the same draws
         rec = ("xi", "sigma", "a")
         cps = [1, 2, 7, 50, 999, 3000]
 
-        def run(**kw):
+        def run(block_size=walkers._BLOCK_SIZE, workers=1):
+            monkeypatch.setattr(walkers, "_BLOCK_SIZE", block_size)
             res = run_ensemble(ModelParams(0.5, 0.0), 3000, 700, seed=5, checkpoints=cps,
-                               mode="events", record=rec, **kw)
+                               mode="events", record=rec, workers=workers)
             return [res.arrays[k] for k in rec]
 
         want = run()
@@ -645,25 +643,42 @@ class TestEventsEngine:
 
 class TestCoupling:
     def test_negative_beta_dominates(self):
-        res = run_coupled_ensemble(ModelParams(0.5, -0.5), 3000, 100, seed=4)
-        assert (res.xi >= res.xi_lerw).all()
+        xi, xi_lerw = _coupled(ModelParams(0.5, -0.5), 3000, 100, seed=4)
+        assert (xi >= xi_lerw).all()
 
     def test_positive_beta_dominated(self):
-        res = run_coupled_ensemble(ModelParams(0.4, 1.0), 3000, 100, seed=4)
-        assert (res.xi <= res.xi_lerw).all()
+        xi, xi_lerw = _coupled(ModelParams(0.4, 1.0), 3000, 100, seed=4)
+        assert (xi <= xi_lerw).all()
 
     def test_zero_beta_identical(self):
-        res = run_coupled_ensemble(ModelParams(0.5, 0.0), 1000, 50, seed=12)
-        assert np.array_equal(res.xi, res.xi_lerw)
+        xi, xi_lerw = _coupled(ModelParams(0.5, 0.0), 1000, 50, seed=12)
+        assert np.array_equal(xi, xi_lerw)
 
     def test_rate_must_be_probability(self):
         with pytest.raises(ValueError):
-            coupled_run(ModelParams(0.5, 1.5), 100, seed=1)  # rate = 1.25
+            _coupled(ModelParams(0.5, 1.5), 100, 1, seed=1)  # rate = 1.25
 
     def test_single_run_interface(self):
-        traj = coupled_run(ModelParams(0.5, -0.5), 500, seed=6)
-        assert (traj.xi >= traj.xi_lerw).all()
-        assert traj.n[-1] == 500
+        res = run_ensemble(ModelParams(0.5, -0.5), 500, 1, seed=6, mode="coupled",
+                           record=("xi", "xi_lerw"))
+        assert (res.arrays["xi"] >= res.arrays["xi_lerw"]).all()
+        assert res.checkpoints[-1] == 500 and res.mode == "coupled"
+
+    def test_fields_checked_before_any_work(self, monkeypatch):
+        # each mode records only its own fields; the coupling has no sigma or a
+        def no_c_values(xi, n):
+            raise AssertionError("c_values reached")
+
+        monkeypatch.setattr(walkers, "c_values", no_c_values)
+        pms = ModelParams(0.5, -0.5)
+        with pytest.raises(ValueError, match="cannot record"):
+            run_walk(pms, 10, seed=1, mode="coupled")
+        for rec in (("xi", "sigma"), ("a",)):
+            with pytest.raises(ValueError, match="cannot record"):
+                run_ensemble(pms, 10, 3, seed=1, mode="coupled", record=rec)
+        for mode in ("collapsed", "events", "full"):
+            with pytest.raises(ValueError, match="cannot record"):
+                run_ensemble(pms, 10, 3, seed=1, mode=mode, record=("xi", "xi_lerw"))
 
 
 class TestCheckpoints:
@@ -672,6 +687,47 @@ class TestCheckpoints:
         assert cps[0] == 1
         assert cps[-1] == 10**4
         assert (np.diff(cps) > 0).all()
+
+    @staticmethod
+    def _loop_checkpoints(n_max, ratio):
+        """One Python multiply per factor of ratio: the reference construction."""
+        pts, x = [1], 1.0
+        while True:
+            x *= ratio
+            v = math.ceil(x)
+            if v >= n_max:
+                break
+            if v > pts[-1]:
+                pts.append(v)
+        if n_max > pts[-1]:
+            pts.append(n_max)
+        return pts
+
+    @pytest.mark.parametrize("ratio", [1.001, 1.01, 1.1, 1.2, 1.5, 2.0, 3.0, 11.0, 1e300])
+    def test_geometric_matches_loop(self, ratio):
+        for n_max in (1, 2, 3, 7, 12, 100, 999, 4100, 10**4, 10**5, 10**6, 2**23):
+            got = geometric_checkpoints(n_max, ratio)
+            assert got.dtype == np.int64
+            assert got.tolist() == self._loop_checkpoints(n_max, ratio), n_max
+
+    def test_geometric_edge_ratios(self):
+        # at most one unit apart below n_max: every integer is a checkpoint
+        for ratio in (1 + 1e-7, 1 + 1e-12, 1 + 2**-52):
+            assert geometric_checkpoints(100, ratio).tolist() == list(range(1, 101))
+        assert geometric_checkpoints(10**4, 1.0001).tolist() == list(range(1, 10**4 + 1))
+        for ratio in (math.inf, math.nan, 1.0, 0.5):
+            with pytest.raises(ValueError, match="ratio"):
+                geometric_checkpoints(100, ratio)
+
+    def test_checkpoints_must_be_integral(self):
+        pms = ModelParams(0.5, 1.0)
+        for cps in ([2.5, 9.9], [2, 9.5], [math.nan], [1e30]):
+            with pytest.raises(ValueError, match="integers"):
+                run_ensemble(pms, 10, 3, seed=1, checkpoints=cps)
+            with pytest.raises(ValueError, match="integers"):
+                walkers._check_checkpoints(cps, 10)
+        for cps in ([2.0, 9.0], np.array([2, 9], dtype=np.uint8), [np.int32(9), 2]):
+            assert walkers._check_checkpoints(cps, 10).tolist() == [2, 9]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -694,8 +750,8 @@ class TestCheckpoints:
         calls = [
             lambda n: run_walk(pms, n, seed=1, checkpoints=cps),
             lambda n: run_ensemble(pms, n, 3, seed=1, checkpoints=cps),
-            lambda n: coupled_run(pms, n, seed=1, checkpoints=cps),
-            lambda n: run_coupled_ensemble(pms, n, 3, seed=1, checkpoints=cps),
+            lambda n: _coupled(pms, n, 1, seed=1, checkpoints=cps),
+            lambda n: _coupled(pms, n, 3, seed=1, checkpoints=cps),
         ]
         for call in calls:
             with pytest.raises(ValueError, match=f"n_steps = {walkers.MAX_STEPS + 1}.*"
@@ -711,8 +767,8 @@ class TestCheckpoints:
         calls = [
             lambda s: run_walk(pms, 1, seed=s),
             lambda s: run_ensemble(pms, 1, 3, seed=s),
-            lambda s: coupled_run(ModelParams(0.5, -0.5), 1, seed=s),
-            lambda s: run_coupled_ensemble(ModelParams(0.5, -0.5), 1, 3, seed=s),
+            lambda s: _coupled(ModelParams(0.5, -0.5), 1, 1, seed=s),
+            lambda s: _coupled(ModelParams(0.5, -0.5), 1, 3, seed=s),
         ]
         for call in calls:
             for seed in (-5, 2**64):
