@@ -7,7 +7,7 @@ per replicate and step and finds each replicate's next up-step by a tiled
 search over its row of draws.  `events` draws the next up-step itself: a
 geometric gap under an envelope of pi_n, thinned to the true pi_n, so its
 work goes per candidate up-step and it is far faster where up-steps are
-sparse (`erwalk simulate --mode auto` picks it there).  The two agree in
+sparse (`run_ensemble(mode="auto")` picks it there).  The two agree in
 law, not in bits.
 Ensembles use one counter-based RNG stream per replicate: identical output
 for any batching or worker count.  Replicate j of seed s (both in

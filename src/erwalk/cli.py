@@ -16,12 +16,15 @@ import sys
 from pathlib import Path
 
 from . import __version__, analysis, exact, report, serialize
-from .walkers import ModelParams, geometric_checkpoints, run_ensemble, run_walk
+from .walkers import (
+    AUTO_EVENTS_MAX_RATE,
+    ModelParams,
+    geometric_checkpoints,
+    run_ensemble,
+    run_walk,
+)
 
 _OUT_ENV = "ERWALK_OUT_DIR"
-#: `--mode auto` runs the events engine up to this many expected up-steps
-#: per step, else the collapsed engine; README has the timings behind it
-AUTO_EVENTS_MAX_RATE = 0.04
 
 
 def _fail_usage(msg: str) -> int:
@@ -107,20 +110,20 @@ def _cmd_simulate(args) -> int:
     if cfg["seed"] is None:
         return _fail_usage("simulate requires --seed")
     grid = _param_grid(cfg)
+    analysis._check_level(float(cfg["sigma_level"]))
     out_dir = _out_dir(cfg)
     outputs = _OutputSet()
     failed_gate = False
     try:
         for params in grid:
             cps = geometric_checkpoints(int(cfg["n"]), float(cfg["checkpoint_ratio"]))
-            mode = resolve_mode(cfg["mode"], params, int(cfg["n"]))
             res = run_ensemble(
                 params,
                 int(cfg["n"]),
                 int(cfg["replicates"]),
                 int(cfg["seed"]),
                 checkpoints=cps,
-                mode=mode,
+                mode=cfg["mode"],
                 record=("xi", "sigma"),
                 workers=int(cfg["workers"]),
             )
@@ -130,7 +133,7 @@ def _cmd_simulate(args) -> int:
             ext = "json" if as_json else "csv"
             outputs.add(write(out_dir / f"simulate_{_tag(params)}.{ext}", rep, _hashable(cfg)))
             traj = run_walk(
-                params, int(cfg["n"]), int(cfg["seed"]), checkpoints=cps, mode=mode
+                params, int(cfg["n"]), int(cfg["seed"]), checkpoints=cps, mode=res.mode
             )
             outputs.add(
                 serialize.write_trajectory_csv(
@@ -139,7 +142,9 @@ def _cmd_simulate(args) -> int:
             )
             print(f"simulate {_tag(params)}: {cfg['replicates']} replicates to n = {cfg['n']}")
             if cfg["differential"]:
-                ok = _differential_check(params, cfg, mode)
+                same_n = int(cfg["differential_n"]) == int(cfg["n"])
+                xi_run = res.arrays["xi"][:, -1] if same_n else None
+                ok = _differential_check(params, cfg, res.mode, xi_run)
                 failed_gate |= not ok
     except Exception as err:  # remove partial outputs, then report
         outputs.discard_all()
@@ -148,35 +153,25 @@ def _cmd_simulate(args) -> int:
     return 1 if failed_gate else 0
 
 
-def resolve_mode(mode: str, params: ModelParams, n: int) -> str:
-    """The engine that `--mode auto` runs for `params` to horizon `n`.
-
-    The events engine costs per candidate up-step and the collapsed engine
-    per step, so `auto` takes events when the walk expects at most
-    AUTO_EVENTS_MAX_RATE up-steps per step, (E[Xi_n] - 1)/(n - 1).
-    """
-    if mode != "auto":
-        return mode
-    if n < 2:
-        return "collapsed"
-    rate = (exact.exact_mean_xi(n, params) - 1.0) / (n - 1)
-    return "events" if rate <= AUTO_EVENTS_MAX_RATE else "collapsed"
-
-
-def _differential_check(params: ModelParams, cfg: dict, engine: str) -> bool:
+def _differential_check(params: ModelParams, cfg: dict, ran: str, xi_run=None) -> bool:
     """Law of the engine the run used vs the full-history oracle, both judged
-    against the enumeration oracle; a full run is compared with collapsed."""
+    against the enumeration oracle; a full run is compared with collapsed.
+
+    `xi_run`, when given, is the run's own Xi_n at n = differential_n.  An
+    ensemble of the run's seed, replicates and engine `ran` to that horizon
+    would repeat it bit for bit, so it stands in for that ensemble.
+    """
     n = int(cfg["differential_n"])
     reps = int(cfg["replicates"])
     seed = int(cfg["seed"])
-    if engine == "full":
-        engine = "collapsed"
-    xi = {}
+    engine = "collapsed" if ran == "full" else ran
+    xi = {} if xi_run is None else {ran: xi_run}
     for mode in (engine, "full"):
-        res = run_ensemble(
-            params, n, reps, seed, checkpoints=[n], mode=mode, record=("xi",)
-        )
-        xi[mode] = res.arrays["xi"][:, -1]
+        if mode not in xi:
+            res = run_ensemble(
+                params, n, reps, seed, checkpoints=[n], mode=mode, record=("xi",)
+            )
+            xi[mode] = res.arrays["xi"][:, -1]
     p_two = analysis.chi_square_two_sample(xi[engine], xi["full"])
     ok = p_two > 1e-3
     print(f"differential full-vs-{engine} at n = {n}: p = {p_two:.4g}")

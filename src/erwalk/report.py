@@ -1,12 +1,21 @@
 """Consolidated pass/fail gates mapping each phase regime to its checks.
 
 The gate battery re-derives its own data (exact engine plus light Monte
-Carlo), so a report run is self-contained.  Sizes scale with the `scale`
-parameter; defaults complete in about a minute.
+Carlo), so a report run is self-contained.  Replicate counts scale with
+the `scale` parameter, which must be finite and positive.
+
+Each Monte Carlo ensemble but the coupling runs `run_ensemble(mode="auto")`,
+which picks the engine from the expected up-steps per step.  Four of them
+are sparse and run the events engine: the zero-beta MC mean, the critical
+localization ensemble, and the localized MC-mean and stagnation ensembles.
+The negative-beta stagnation ensemble, (0.5, -0.5) to n = 4000, runs the
+collapsed engine; the coupling gate runs mode "coupled", and the branching
+gate runs `branching.simulate`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +100,7 @@ def _coupling_gate(regime, params, direction, seed, n_steps, n_reps):
 
 def _mc_mean_gate(regime, params, seed, n_steps, n_reps, level):
     res = run_ensemble(
-        params, n_steps, n_reps, seed, checkpoints=[n_steps], record=("xi",)
+        params, n_steps, n_reps, seed, checkpoints=[n_steps], mode="auto", record=("xi",)
     )
     rep = analysis.build_report(res, confidence_z=level)
     g = analysis.compare_mc_exact(rep, exact.exact_mean_xi(n_steps, params), n_steps, level)
@@ -106,6 +115,8 @@ def run_gates(regimes=None, seed: int = 20240801, scale: float = 1.0, level: flo
     if unknown:
         raise ValueError(f"unknown regimes: {sorted(unknown)}")
     analysis._check_level(level)
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"scale must be finite and > 0, got {scale}")
     reps = max(200, int(2000 * scale))
     gates: list[Gate] = []
 
@@ -116,7 +127,7 @@ def run_gates(regimes=None, seed: int = 20240801, scale: float = 1.0, level: flo
         )
         gates.append(_coupling_gate("negative_beta", pms, "ge", seed, 2000, reps))
         res = run_ensemble(
-            pms, 4000, reps, seed + 1, checkpoints=[2000, 4000], record=("xi",)
+            pms, 4000, reps, seed + 1, checkpoints=[2000, 4000], mode="auto", record=("xi",)
         )
         stag = analysis.stagnation_profile(res, [(2000, 4000)])[0]
         gates.append(
@@ -174,7 +185,7 @@ def run_gates(regimes=None, seed: int = 20240801, scale: float = 1.0, level: flo
         bound = exact.lower_bound_prob_one(pms, 10**5)
         n_mc = 2000
         res = run_ensemble(
-            pms, n_mc, reps, seed + 3, checkpoints=[n_mc], record=("xi",)
+            pms, n_mc, reps, seed + 3, checkpoints=[n_mc], mode="auto", record=("xi",)
         )
         freq = float(np.mean(res.arrays["xi"][:, -1] == 1))
         se = np.sqrt(max(freq * (1 - freq), 1e-12) / reps)
@@ -198,7 +209,7 @@ def run_gates(regimes=None, seed: int = 20240801, scale: float = 1.0, level: flo
         )
         gates.append(_mc_mean_gate("localized", pms, seed + 4, 2000, reps, level))
         res = run_ensemble(
-            pms, 4000, reps, seed + 5, checkpoints=[2000, 4000], record=("xi",)
+            pms, 4000, reps, seed + 5, checkpoints=[2000, 4000], mode="auto", record=("xi",)
         )
         stag = analysis.stagnation_profile(res, [(2000, 4000)])[0]
         gates.append(

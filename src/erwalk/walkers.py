@@ -30,9 +30,12 @@ reproducible under any worker count.
 `run_walk` and `run_ensemble` both go through `_run`: it checks the key,
 horizon (at most MAX_STEPS), checkpoints, mode and recorded fields before
 any work, computes mu = c_values(beta, n_steps + 1) once, and hands it to
-every block of _BLOCK_SIZE replicates.  The per-step engines (collapsed,
-full and coupled) are a set-up plus a kernel that advances their state
-over a tile of steps; `_drive` owns the draws, the tiles and the
+every block of _BLOCK_SIZE replicates.  Mode "auto" is resolved there, per
+(params, n_steps) and before any work, by `_resolve_mode`: events when the
+walk expects at most AUTO_EVENTS_MAX_RATE up-steps per step, else
+collapsed; the result records the engine that ran.  The per-step engines
+(collapsed, full and coupled) are a set-up plus a kernel that advances
+their state over a tile of steps; `_drive` owns the draws, the tiles and the
 checkpoint records.  A single walk is a one-replicate run.
 """
 
@@ -67,6 +70,9 @@ CRITICAL_TOL = 1e-12
 MAX_STEPS = 1 << 23
 #: the full-history simulator is an oracle; cap its quadratic cost
 _FULL_MODE_MAX_STEPS = 4096
+#: mode "auto" runs the events engine up to this many expected up-steps
+#: per step, else the collapsed engine; README has the timings behind it
+AUTO_EVENTS_MAX_RATE = 0.04
 
 #: replicates per engine call; each block is one task when workers > 1
 _BLOCK_SIZE = 2048
@@ -510,13 +516,31 @@ _ENGINES = {
 }
 
 
+def _resolve_mode(mode: str, params: ModelParams, n_steps: int) -> str:
+    """The engine that mode `mode` runs for `params` to horizon `n_steps`.
+
+    Any mode but "auto" is its own engine.  The events engine costs per
+    candidate up-step and the collapsed engine per step, so "auto" takes
+    events when the walk expects at most AUTO_EVENTS_MAX_RATE up-steps per
+    step, (E[Xi_n] - 1)/(n - 1).
+    """
+    if mode != "auto":
+        return mode
+    if n_steps < 2:
+        return "collapsed"
+    from .exact import exact_mean_xi  # exact imports this module
+
+    rate = (exact_mean_xi(n_steps, params) - 1.0) / (n_steps - 1)
+    return "events" if rate <= AUTO_EVENTS_MAX_RATE else "collapsed"
+
+
 def _run(params, n_steps, seed, checkpoints, mode, record, start, count, workers):
     """Replicates start, ..., start + count - 1 of a simulator call.
 
     Checks the key, horizon, checkpoints, mode and fields before any work,
-    then runs the engine of `mode` on blocks of _BLOCK_SIZE replicates, in
-    a process pool when workers > 1.  Returns (checkpoints, {field: array
-    of shape (count, len(checkpoints))}).
+    resolves "auto", then runs the engine on blocks of _BLOCK_SIZE
+    replicates, in a process pool when workers > 1.  Returns (checkpoints,
+    engine, {field: array of shape (count, len(checkpoints))}).
     """
     _check_key(seed, start, count)
     if n_steps < 1:
@@ -526,8 +550,9 @@ def _run(params, n_steps, seed, checkpoints, mode, record, start, count, workers
     if n_steps > MAX_STEPS:
         raise ValueError(f"n_steps = {n_steps} exceeds the cap MAX_STEPS = {MAX_STEPS}")
     cps = _check_checkpoints(checkpoints, n_steps)
+    mode = _resolve_mode(mode, params, n_steps)
     if mode not in _ENGINES:
-        raise ValueError(f"mode must be one of {sorted(_ENGINES)}, got {mode!r}")
+        raise ValueError(f"mode must be 'auto' or one of {sorted(_ENGINES)}, got {mode!r}")
     engine, fields = _ENGINES[mode]
     record = tuple(record)
     unknown = set(record) - set(fields)
@@ -543,7 +568,8 @@ def _run(params, n_steps, seed, checkpoints, mode, record, start, count, workers
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(engine, *args, s, c) for s, c in blocks]
             parts = [f.result() for f in futures]
-    return cps, {name: np.concatenate([p[name] for p in parts], axis=0) for name in record}
+    arrays = {name: np.concatenate([p[name] for p in parts], axis=0) for name in record}
+    return cps, mode, arrays
 
 
 def _martingale(sigma: np.ndarray, n: np.ndarray, rate: float) -> np.ndarray:
@@ -578,8 +604,10 @@ def run_walk(
 
     The walk is replicate `replicate_index` of the ensemble with master seed
     `seed`, so single runs and ensemble members can be compared directly.
+    Mode "auto" picks the engine as in `run_ensemble`; `mode` of the result
+    is the engine that ran.
     """
-    cps, out = _run(
+    cps, mode, out = _run(
         params, n_steps, seed, checkpoints, mode, _WALK_FIELDS, replicate_index, 1, 1
     )
     sigma = out["sigma"][0]
@@ -630,9 +658,11 @@ def run_ensemble(
     walk of rate p(beta+1) < 1, driven by one shared uniform per step.
     Their pathwise order (walk >= comparison for beta < 0, <= for beta > 0,
     equality at beta = 0) is asserted at every step, and a violation raises
-    AssertionError.
+    AssertionError.  Mode "auto" runs "events" when the walk expects at most
+    AUTO_EVENTS_MAX_RATE up-steps per step, (E[Xi_n] - 1)/(n - 1), else
+    "collapsed"; `mode` of the result is the engine that ran.
     """
-    cps, arrays = _run(
+    cps, mode, arrays = _run(
         params, n_steps, seed, checkpoints, mode, record, 0, n_replicates, workers
     )
     return EnsembleResult(

@@ -10,10 +10,10 @@ import pytest
 
 import erwalk
 import erwalk.report as report_mod
-from erwalk import serialize
+from erwalk import cli, serialize
 from erwalk.analysis import build_report
 from erwalk.branching import BranchingParams, simulate
-from erwalk.cli import main, resolve_mode
+from erwalk.cli import main
 from erwalk.exact import enumerate_law, exact_mean_xi, l2_diagnostic, propagate_moments
 from erwalk.serialize import (
     config_hash,
@@ -81,7 +81,10 @@ class TestSerialize:
 # sha256 of every file `erwalk simulate` and `erwalk report --out` write,
 # recorded before the writers moved into serialize and the engines shared one
 # driver: --mode auto running events, collapsed with --format json, a
-# --differential run (auto runs collapsed at n = 12), and one report regime
+# --differential run (auto runs collapsed at n = 12), and the two report
+# regimes whose sparse ensembles run the events engine.  Both report digests
+# were pinned after those ensembles moved from collapsed to events
+# (run_ensemble(mode="auto")), once the tests of their law passed
 CLI_GOLDEN = [
     (
         ["simulate", "--p", "0.5", "--beta", "1", "--n", "2000", "--replicates", "2000", "--seed", "11"],
@@ -114,7 +117,14 @@ CLI_GOLDEN = [
         ["report", "--regime", "critical", "--scale", "0.1"],
         {
             "report.json":
-                "6a826cab0785037e54d3d4b1be7dd0f823e76f8af1733bc4dd63557d6de4ed21",
+                "3acf8947b75de1eeda404847bf67c5aa7f0cf370646c27634f660e562bd58694",
+        },
+    ),
+    (
+        ["report", "--regime", "localized", "--scale", "0.05"],
+        {
+            "report.json":
+                "1f418d49d7a37ebe9e8eaee63623190109b2f985db6e99693d0810204aea6a0e",
         },
     ),
 ]
@@ -215,12 +225,43 @@ class TestSimulateCommand:
             assert a[1] != b[1] and a[1].startswith("# config_hash=")
             assert a[:1] + a[2:] == b[:1] + b[2:]
 
-    def test_resolve_mode(self):
-        pms = ModelParams(0.5, 1.0)
-        assert resolve_mode("auto", pms, 1) == "collapsed"
-        assert resolve_mode("auto", pms, 10**4) == "events"
-        assert resolve_mode("auto", ModelParams(0.8, -0.5), 10**4) == "collapsed"
-        assert resolve_mode("full", pms, 10**4) == "full"
+    @pytest.mark.parametrize("mode,engine,calls", [
+        ("auto", "collapsed", ["auto", "full"]),
+        ("events", "events", ["events", "full"]),
+        ("full", "full", ["full", "collapsed"]),
+    ])
+    def test_differential_reuses_the_runs_xi(self, tmp_path, capsys, monkeypatch, mode,
+                                             engine, calls):
+        # at differential_n == n the run's own Xi_n stands in for the ensemble
+        # of its engine; the p-values are those of a forced recomputation
+        modes = []
+
+        def counting(*args, **kw):
+            modes.append(kw["mode"])
+            return run_ensemble(*args, **kw)
+
+        monkeypatch.setattr(cli, "run_ensemble", counting)
+        rc = main(["simulate", "--p", "0.5", "--beta", "1", "--n", "12",
+                   "--replicates", "3000", "--seed", "3", "--mode", mode, "--differential",
+                   "--differential-n", "12", "--out", str(tmp_path)])
+        assert rc == 0
+        printed = [x for x in capsys.readouterr().out.splitlines() if x.startswith("differential")]
+        assert len(printed) == 3 and modes == calls
+        cfg = {"differential_n": 12, "replicates": 3000, "seed": 3}
+        assert cli._differential_check(ModelParams(0.5, 1.0), cfg, engine)
+        assert len(modes) == 4
+        assert capsys.readouterr().out.splitlines() == printed
+
+    def test_sigma_level_checked_before_any_run(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kw):
+            raise AssertionError("run_ensemble reached")
+
+        monkeypatch.setattr(cli, "run_ensemble", no_run)
+        rc = main(["simulate", "--n", "50", "--replicates", "10", "--seed", "1",
+                   "--sigma-level", "nan", "--out", str(tmp_path)])
+        assert rc == 2
+        assert "sigma level" in capsys.readouterr().err
+        assert not tmp_path.exists() or list(tmp_path.iterdir()) == []
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -233,7 +274,7 @@ class TestSimulateCommand:
         assert "simulate_p0.5_beta2.csv" in names  # flag beat config
 
     @pytest.mark.parametrize(
-        "args,want", CLI_GOLDEN, ids=["events", "collapsed-json", "differential", "report"]
+        "args,want", CLI_GOLDEN, ids=["events", "collapsed-json", "differential", "report", "report-localized"]
     )
     def test_golden_digests(self, tmp_path, args, want):
         assert main([*args, "--out", str(tmp_path)]) == 0
@@ -426,6 +467,15 @@ class TestReportCommand:
         assert rc == 2
         captured = capsys.readouterr()
         assert "sigma level" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
+    def test_bad_scale_exit_2(self, tmp_path, capsys, scale):
+        rc = main(["report", "--regime", "localized", "--scale", scale,
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "scale must be finite and > 0" in captured.err and captured.out == ""
+        assert not (tmp_path / "report.json").exists()
 
     def test_unknown_regime_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

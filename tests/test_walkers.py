@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from erwalk import walkers
-from erwalk.analysis import chi_square_vs_law
-from erwalk.exact import enumerate_law, exact_mean_xi
+from erwalk.analysis import chi_square_two_sample, chi_square_vs_law
+from erwalk.exact import enumerate_law, exact_mean_xi, lower_bound_prob_one
 from erwalk.gammaratio import c_values, log_poch, poch_ratio
 from erwalk.memory import MemoryLaw
 from erwalk.streams import replicate_stream, uniforms
@@ -637,8 +638,79 @@ class TestEventsEngine:
             run_ensemble(ModelParams(0.003, 3.0), 700, 17, seed=3, mode="events")
 
     def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            run_ensemble(ModelParams(0.5, 1.0), 10, 3, seed=1, mode="auto")
+        with pytest.raises(ValueError, match="mode must be 'auto' or one of"):
+            run_ensemble(ModelParams(0.5, 1.0), 10, 3, seed=1, mode="bogus")
+
+
+#: seeds of the pooled oracle ensembles, fixed before any of them was run;
+#: one seed per point would be a single correlated draw, so 20 are pooled
+_POOL_SEEDS = range(7001, 7021)
+_POOL_REPS = 20_000
+
+
+def _prob_stays_at_one(params, n):
+    """P(Xi_n = 1) = prod_{t<n} (1 - c_t), c_t = p(beta+1)/(t mu_{t+1}) the
+    step probability at Sigma = 1, with mu_k = Gamma(k+beta)/(Gamma(k) Gamma(1+beta))."""
+    t = np.arange(1, n, dtype=np.float64)
+    log_mu = gammaln(t + 1.0 + params.beta) - gammaln(t + 1.0) - gammaln(1.0 + params.beta)
+    return math.exp(np.log1p(-params.rate / t * np.exp(-log_mu)).sum())
+
+
+class TestAutoMode:
+    """Mode "auto" and the law of the engines it picks between."""
+
+    def test_resolve_mode(self):
+        pms = ModelParams(0.5, 1.0)
+        assert run_ensemble(pms, 1, 3, seed=1, mode="auto").mode == "collapsed"
+        assert run_ensemble(pms, 10**4, 3, seed=1, mode="auto").mode == "events"
+        assert run_ensemble(ModelParams(0.8, -0.5), 10**4, 3, seed=1,
+                            mode="auto").mode == "collapsed"
+        assert run_ensemble(pms, 100, 3, seed=1, mode="full").mode == "full"
+        assert run_walk(pms, 10**4, seed=1, mode="auto").mode == "events"
+
+    def test_auto_is_the_engine_it_picks(self):
+        pms, cps = ModelParams(0.5, 2.0), [1, 50, 2000]
+        auto = run_ensemble(pms, 2000, 300, seed=9, checkpoints=cps, mode="auto",
+                            record=("xi", "sigma", "a"))
+        events = run_ensemble(pms, 2000, 300, seed=9, checkpoints=cps, mode="events",
+                              record=("xi", "sigma", "a"))
+        for name in ("xi", "sigma", "a"):
+            assert np.array_equal(auto.arrays[name], events.arrays[name]), name
+
+    def test_prob_stays_at_one_oracle(self):
+        pms = ModelParams(0.5, 1.0)
+        for n, want in ((2000, 0.296824), (10**4, 0.296705)):
+            got = _prob_stays_at_one(pms, n)
+            assert got == pytest.approx(want, abs=5e-7)
+            # the certified bound's truncated product is the same product
+            assert lower_bound_prob_one(pms, n).truncated == pytest.approx(got, rel=1e-12)
+
+    @pytest.mark.parametrize("mode,p,beta", [
+        ("events", 0.5, 1.0), ("collapsed", 0.5, 1.0), ("events", 0.5, 2.0),
+    ])
+    def test_prob_stays_at_one(self, mode, p, beta):
+        pms, n = ModelParams(p, beta), 2000
+        stay = 0
+        for seed in _POOL_SEEDS:
+            res = run_ensemble(pms, n, _POOL_REPS, seed=seed, checkpoints=[n], mode=mode,
+                               record=("xi",))
+            stay += int(np.count_nonzero(res.arrays["xi"][:, -1] == 1))
+        total = len(_POOL_SEEDS) * _POOL_REPS
+        want = _prob_stays_at_one(pms, n)
+        z = (stay / total - want) / math.sqrt(want * (1.0 - want) / total)
+        assert abs(z) <= 4.0, f"freq {stay / total:.6f} vs {want:.6f}, z = {z:.2f}"
+
+    def test_stagnation_indicator_matches_collapsed(self):
+        # the localized gate's statistic, Xi_4000 == Xi_2000, in law
+        pms = ModelParams(0.5, 2.0)
+        flags = []
+        for mode, seed in (("events", 8101), ("collapsed", 8102)):
+            res = run_ensemble(pms, 4000, 20_000, seed=seed, checkpoints=[2000, 4000],
+                               mode=mode, record=("xi",))
+            xi = res.arrays["xi"]
+            flags.append((xi[:, 1] == xi[:, 0]).astype(np.int64))
+        p_val = chi_square_two_sample(*flags)
+        assert p_val > 1e-3, f"stagnation indicator law rejected: p = {p_val}"
 
 
 class TestCoupling:
