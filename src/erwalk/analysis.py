@@ -205,6 +205,12 @@ def chi_square_vs_law(samples: np.ndarray, law: ExactLaw) -> float:
     `samples` are integer outcomes in {1, ..., law.n}; small-expectation
     bins are pooled to keep the statistic calibrated.
     """
+    samples = np.asarray(samples)
+    if samples.size and not 1 <= samples.min() <= samples.max() <= law.n:
+        raise ValueError(
+            f"samples must lie in {{1, ..., {law.n}}}, got values from "
+            f"{samples.min()} to {samples.max()}"
+        )
     n_samp = len(samples)
     observed = np.bincount(samples, minlength=law.n + 1)[1:].astype(np.float64)
     expected = law.probs[1:] * n_samp
@@ -222,6 +228,11 @@ def chi_square_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     count reaches 5 in every pooled bin, then tested as a 2 x k contingency
     table.
     """
+    a, b = np.asarray(a), np.asarray(b)
+    if not (a.size and b.size):
+        raise ValueError(f"both samples must be nonempty, got sizes {a.size} and {b.size}")
+    if min(a.min(), b.min()) < 0:
+        raise ValueError("samples must be integers in {0, 1, 2, ...}")
     hi = int(max(a.max(), b.max()))
     ca = np.bincount(a, minlength=hi + 1).astype(np.float64)
     cb = np.bincount(b, minlength=hi + 1).astype(np.float64)

@@ -30,7 +30,10 @@ reproducible under any worker count.
 `run_walk` and `run_ensemble` both go through `_run`: it checks the key,
 horizon (at most MAX_STEPS), checkpoints, mode and recorded fields before
 any work, computes mu = c_values(beta, n_steps + 1) once, and hands it to
-every block of _BLOCK_SIZE replicates.  Mode "auto" is resolved there, per
+every block of replicates: _BLOCK_SIZE for the per-step engines, and for
+the events engine as many as a scratch budget of _EVENTS_SCRATCH bytes
+allows (one block for most ensembles), split so that every worker gets
+one.  Mode "auto" is resolved there, per
 (params, n_steps) and before any work, by `_resolve_mode`: events when the
 walk expects at most AUTO_EVENTS_MAX_RATE up-steps per step, else
 collapsed; the result records the engine that ran.  The per-step engines
@@ -74,15 +77,25 @@ _FULL_MODE_MAX_STEPS = 4096
 #: per step, else the collapsed engine; README has the timings behind it
 AUTO_EVENTS_MAX_RATE = 0.04
 
-#: replicates per engine call; each block is one task when workers > 1
+#: replicates per call of a per-step engine (collapsed, full, coupled); each
+#: block is one task when workers > 1
 _BLOCK_SIZE = 2048
 #: draws per replicate and segment fill; rows this long are re-keyed one at
 #: a time (short ones go to the streams' array kernel), so each fill pays a
 #: fixed cost per row, and 2000 still fills a 4000-step run in two
 _SEG_LEN = 2000
 #: draws per replicate and fill of the events engine, two per candidate; the
-#: streams' array kernel takes rows of up to 48
+#: streams' array kernel takes rows of up to 48.  The fill buffer is part of
+#: the engine's per-row scratch (`_events_row_bytes`)
 _EVENT_FILL = 48
+#: bytes of per-row scratch an events block may hold, about the per-step
+#: engines' segment buffer (2048 rows of 2008 doubles); the events engine
+#: pays per round, fill and tail round whatever the rows, so it runs the
+#: fewest blocks this allows
+_EVENTS_SCRATCH = 32 << 20
+#: per-row vectors of the events engine's rounds (the running rows, their
+#: times, sigmas, fill lines, gaps, envelopes and the filtered copies)
+_EVENT_ROW_WORDS = 16
 #: time steps per tile of the collapsed engine's up-step search
 _TILE = 64
 #: multiplies per pass of `geometric_checkpoints`
@@ -351,15 +364,17 @@ def _events_block(params, mu, n_steps, seed, checkpoints, record, start, count):
     acceptance) of its stream, so its output depends on (seed, r) alone.
     Every replicate still running is at the same candidate, so one fill of
     _EVENT_FILL draws for the running rows serves half as many rounds.
-    Checkpoint values are summed from per-checkpoint deltas, and A_n from
-    suffix sums of coef, which stay accurate where the terms are small.
+    Checkpoint values are summed in place from per-checkpoint deltas, and
+    A_n from suffix sums of coef, which stay accurate where the terms are
+    small; the returned arrays are the delta arrays.
     """
     cps = checkpoints
-    width = len(cps) + 1  # up-steps after the last checkpoint land in the extra column
-    d_xi = np.zeros((count, width), dtype=np.int64)
+    width = len(cps)
+    d_xi = np.zeros((count, width), dtype=np.int64) if "xi" in record else None
     d_sigma = np.zeros((count, width))
     d_w = np.zeros((count, width)) if "a" in record else None
     n = n_steps
+    past = cps[-1] < n  # up-steps after the last checkpoint are recorded nowhere
     mu = mu[:n]  # mu[j] = mu_{j+1}, the weight of an up-step at j
     coef = np.zeros(n)  # coef[j] at the times j = 1, ..., n - 1 of a transition
     coef[1:] = params.rate / (np.arange(1, n) * mu[1:])
@@ -368,7 +383,7 @@ def _events_block(params, mu, n_steps, seed, checkpoints, record, start, count):
     tail = np.zeros(n + 1)  # tail[s] = sum of coef[s:n]
     tail[:n] = np.cumsum(coef[::-1])[::-1]
     # first_cp[s] = the first checkpoint >= s, for s = 0, ..., n
-    first_cp = np.repeat(np.arange(width), np.diff(cps, prepend=-1, append=n))
+    first_cp = np.repeat(np.arange(width + 1), np.diff(cps, prepend=-1, append=n))
     guard = params.p + _GUARD_EPS
     rows = np.arange(count) if n > 1 else np.arange(0)
     t = np.ones(count, dtype=np.int64)
@@ -402,28 +417,40 @@ def _events_block(params, mu, n_steps, seed, checkpoints, record, start, count):
         if up.any():
             r, s = rows[up], j[up] + 1  # up-step X_s = 1
             m = mu[j[up]]
+            sigma[up] += m
             b = first_cp[s]
-            d_xi[r, b] += 1
+            if past:
+                keep = b < width
+                r, s, m, b = r[keep], s[keep], m[keep], b[keep]
+            if d_xi is not None:
+                d_xi[r, b] += 1
             d_sigma[r, b] += m
             if d_w is not None:
                 d_w[r, b] += m * tail[s]
-            sigma[up] += m
         t = j + 1
         go = t < n
         rows, pos, t, sigma = rows[go], pos[go], t[go], sigma[go]
         k += 1
     out = {}
-    xi = 1 + np.cumsum(d_xi[:, :-1], axis=1)
-    sigma = 1.0 + np.cumsum(d_sigma[:, :-1], axis=1)
-    if "xi" in record:
-        out["xi"] = xi
+    if d_xi is not None:
+        np.cumsum(d_xi, axis=1, out=d_xi)
+        d_xi += 1
+        out["xi"] = d_xi
+    np.cumsum(d_sigma, axis=1, out=d_sigma)
+    d_sigma += 1.0  # sigma at the checkpoints
     if "sigma" in record:
-        out["sigma"] = sigma
+        out["sigma"] = d_sigma
     if d_w is not None:
         # A_c = 1 + sum_{s<c} sigma_s coef[s]; with sigma_s = 1 + the weights of
         # the up-steps at times <= s this is 1 + tail[1] - sigma_c tail[c] + W_c,
         # W_c the sum of mu_s tail[s] over the up-steps at times s <= c
-        out["a"] = 1.0 + (tail[1] - sigma * tail[cps] + np.cumsum(d_w[:, :-1], axis=1))
+        np.cumsum(d_w, axis=1, out=d_w)
+        v = d_sigma if "sigma" not in record else np.empty_like(d_sigma)
+        np.multiply(d_sigma, tail[cps], out=v)
+        np.subtract(tail[1], v, out=v)
+        np.add(v, d_w, out=d_w)
+        np.add(1.0, d_w, out=d_w)
+        out["a"] = d_w
     return out
 
 
@@ -538,9 +565,14 @@ def _run(params, n_steps, seed, checkpoints, mode, record, start, count, workers
     """Replicates start, ..., start + count - 1 of a simulator call.
 
     Checks the key, horizon, checkpoints, mode and fields before any work,
-    resolves "auto", then runs the engine on blocks of _BLOCK_SIZE
-    replicates, in a process pool when workers > 1.  Returns (checkpoints,
-    engine, {field: array of shape (count, len(checkpoints))}).
+    resolves "auto", then runs the engine on blocks of replicates, in a
+    process pool when workers > 1.  The per-step engines take blocks of
+    _BLOCK_SIZE.  The events engine takes as many rows as _EVENTS_SCRATCH
+    bytes of its per-row scratch allow, but at most count / workers, so
+    every worker gets a block: one block when workers = 1 and the ensemble
+    fits.  A one-block run returns the engine's own arrays; more blocks are
+    copied one by one into the result.  Returns (checkpoints, engine,
+    {field: C-contiguous array of shape (count, len(checkpoints))}).
     """
     _check_key(seed, start, count)
     if n_steps < 1:
@@ -560,16 +592,44 @@ def _run(params, n_steps, seed, checkpoints, mode, record, start, count, workers
         raise ValueError(f"mode {mode!r} cannot record {sorted(unknown)}; it records {fields}")
     mu = c_values(params.beta, n_steps + 1)
     args = (params, mu, n_steps, seed, cps, record)
+    workers = max(workers or 1, 1)
+    if mode == "events":
+        size = max(1, _EVENTS_SCRATCH // _events_row_bytes(len(cps), record))
+        size = min(size, -(-count // workers))  # at least one block per worker
+    else:
+        size = _BLOCK_SIZE
     end = start + count
-    blocks = [(s, min(_BLOCK_SIZE, end - s)) for s in range(start, end, _BLOCK_SIZE)]
-    if workers is None or workers <= 1 or len(blocks) == 1:
-        parts = [engine(*args, s, c) for s, c in blocks]
+    blocks = [(s, min(size, end - s)) for s in range(start, end, size)]
+    if len(blocks) == 1:
+        part = engine(*args, start, count)
+        return cps, mode, {name: part[name] for name in record}
+    arrays = {}
+
+    def place(s, part):
+        for name in record:
+            if name not in arrays:
+                arrays[name] = np.empty((count, len(cps)), dtype=part[name].dtype)
+            arrays[name][s - start : s - start + len(part[name])] = part[name]
+
+    if workers == 1:
+        for s, c in blocks:
+            place(s, engine(*args, s, c))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(engine, *args, s, c) for s, c in blocks]
-            parts = [f.result() for f in futures]
-    arrays = {name: np.concatenate([p[name] for p in parts], axis=0) for name in record}
+            futures = [(s, pool.submit(engine, *args, s, c)) for s, c in blocks]
+            for s, f in futures:
+                place(s, f.result())
     return cps, mode, arrays
+
+
+def _events_row_bytes(n_checkpoints: int, record) -> int:
+    """Scratch bytes per replicate of an events block recording `record`.
+
+    The per-checkpoint delta arrays (sigma's always, xi's and A_n's when
+    recorded), the fill buffer and the rounds' per-row vectors.
+    """
+    deltas = 1 + ("xi" in record) + ("a" in record)
+    return 8 * (deltas * n_checkpoints + _EVENT_FILL + _EVENT_ROW_WORDS)
 
 
 def _martingale(sigma: np.ndarray, n: np.ndarray, rate: float) -> np.ndarray:

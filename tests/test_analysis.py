@@ -217,6 +217,21 @@ class TestChiSquareHelpers:
         b = rng.binomial(20, 0.33, size=20000)
         assert chi_square_two_sample(a, b) < 1e-3
 
+    @pytest.mark.parametrize("bad", [0, 9, -1])
+    def test_goodness_of_fit_rejects_outcomes_outside_the_law(self, bad):
+        law, _ = enumerate_law(ModelParams(0.5, 1.0), 8)
+        samples = np.array([1, 2, 3, bad] * 100)
+        with pytest.raises(ValueError, match=r"samples must lie in \{1, \.\.\., 8\}"):
+            chi_square_vs_law(samples, law)
+
+    def test_two_sample_rejects_empty_or_negative(self):
+        a = np.array([1, 2, 3] * 50)
+        for x, y in ((a, a[:0]), (a[:0], a)):
+            with pytest.raises(ValueError, match="both samples must be nonempty"):
+                chi_square_two_sample(x, y)
+        with pytest.raises(ValueError, match=r"\{0, 1, 2, \.\.\.\}"):
+            chi_square_two_sample(a, -a)
+
 
 class TestChiSquareOracle:
     """Both p-values agree bit for bit with `scipy.stats`, the slow oracle."""

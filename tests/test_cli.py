@@ -284,6 +284,27 @@ class TestSimulateCommand:
         }
         assert got == want
 
+    @pytest.mark.parametrize("mode", ["auto", "collapsed"])
+    def test_workers_write_the_same_bytes(self, tmp_path, mode):
+        # 5000 replicates: two events blocks, or three collapsed ones, over
+        # the pool.  Only the config_hash line may differ, since the config
+        # it hashes records --workers
+        args = ["simulate", "--p", "0.5", "--beta", "1", "--n", "2000",
+                "--replicates", "5000", "--seed", "11", "--mode", mode]
+        files = []
+        for workers in ("1", "2"):
+            out = tmp_path / workers
+            assert main([*args, "--workers", workers, "--out", str(out)]) == 0
+            files.append({f.name: f.read_text().splitlines() for f in out.iterdir()})
+        one, two = files
+        assert sorted(one) == sorted(two) == ["simulate_p0.5_beta1.csv", "trajectory_p0.5_beta1.csv"]
+        ran = "events" if mode == "auto" else mode
+        assert f"mode={ran}" in one["trajectory_p0.5_beta1.csv"][3]
+        for name in one:
+            differ = [a for a, b in zip(one[name], two[name]) if a != b]
+            assert len(one[name]) == len(two[name])
+            assert all(line.startswith("# config_hash=") for line in differ), name
+
     def test_horizon_past_the_cap_exit_2(self, tmp_path, capsys):
         rc = main(["simulate", "--p", "0.5", "--beta", "1",
                    "--n", str(MAX_STEPS + 1), "--replicates", "10", "--seed", "1",

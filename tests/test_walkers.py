@@ -1,5 +1,7 @@
 import hashlib
 import math
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -574,24 +576,94 @@ class TestEventsEngine:
 
     def test_block_size_and_workers_independent(self, monkeypatch):
         # blocks of 300 and 700 rows fill by the streams' array kernel,
-        # blocks of 17 re-key per row; both read the same draws
+        # blocks of 17 re-key per row; both read the same draws.  A block
+        # holds as many rows as the scratch budget has room for
         rec = ("xi", "sigma", "a")
         cps = [1, 2, 7, 50, 999, 3000]
+        row_bytes = walkers._events_row_bytes(len(cps), rec)
 
-        def run(block_size=walkers._BLOCK_SIZE, workers=1):
-            monkeypatch.setattr(walkers, "_BLOCK_SIZE", block_size)
+        def run(block_rows=None, workers=1):
+            if block_rows is not None:
+                monkeypatch.setattr(walkers, "_EVENTS_SCRATCH", block_rows * row_bytes)
             res = run_ensemble(ModelParams(0.5, 0.0), 3000, 700, seed=5, checkpoints=cps,
                                mode="events", record=rec, workers=workers)
             return [res.arrays[k] for k in rec]
 
         want = run()
-        for kw in ({"block_size": 17}, {"block_size": 300, "workers": 2}):
+        for kw in ({"block_rows": 17}, {"block_rows": 300, "workers": 2}):
             for x, y in zip(want, run(**kw)):
                 assert np.array_equal(x, y), kw
+                assert y.flags.c_contiguous, kw
         traj = run_walk(ModelParams(0.5, 0.0), 3000, seed=5, checkpoints=cps,
                         mode="events", replicate_index=411)
         for x, y in zip(want, (traj.xi, traj.sigma, traj.a)):
             assert np.array_equal(x[411], y)
+
+    def test_block_plan(self, monkeypatch):
+        # one events block per worker when the scratch budget has room for
+        # the ensemble; the per-step engines keep blocks of _BLOCK_SIZE
+        calls = []
+
+        def spy_on(mode):
+            engine, fields = walkers._ENGINES[mode]
+
+            def spy(*args):
+                calls.append(args[-2:])  # (start, count)
+                return engine(*args)
+
+            monkeypatch.setitem(walkers._ENGINES, mode, (spy, fields))
+
+        spy_on("events")
+        spy_on("collapsed")
+        # the spies cannot be pickled into worker processes; threads run the
+        # same submissions
+        monkeypatch.setattr(walkers, "ProcessPoolExecutor", ThreadPoolExecutor)
+        pms = ModelParams(0.5, 1.0)
+        runs = []
+        for workers, want in ((1, [(0, 10**4)]), (2, [(0, 5000), (5000, 5000)])):
+            calls.clear()
+            runs.append(run_ensemble(pms, 2000, 10**4, seed=3, mode="events",
+                                     workers=workers))
+            assert calls == want
+        for name in ("xi", "sigma"):
+            assert np.array_equal(runs[0].arrays[name], runs[1].arrays[name])
+        calls.clear()
+        run_ensemble(pms, 50, 5000, seed=3, mode="collapsed", workers=2)
+        assert calls == [(0, 2048), (2048, 2048), (4096, 904)]
+
+    def test_one_block_memory(self):
+        # one block returns the engine's delta arrays, summed in place: the
+        # peak is the result, the fill buffer, a few doubles a row, and 3 MiB
+        # for the streams' kernel pass (2 MiB) and the tables of n.  A copy
+        # of the result or of one field adds 3.7 MiB
+        pms, n, reps = ModelParams(0.5, 1.0), 10**4, 10**4
+        run_ensemble(pms, n, 10, seed=3, mode="events")
+        tracemalloc.start()
+        try:
+            res = run_ensemble(pms, n, reps, seed=3, mode="events")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = sum(x.nbytes for x in res.arrays.values())
+        assert peak <= out + reps * 8 * (walkers._EVENT_FILL + 8) + (3 << 20)
+        for x in res.arrays.values():
+            assert x.flags.c_contiguous and x.shape == (reps, len(res.checkpoints))
+
+    def test_fields_and_checkpoints_before_the_horizon(self):
+        # each field's values do not depend on which others are recorded, or
+        # on checkpoints recorded after them; up-steps past the last
+        # checkpoint still move sigma, but are recorded nowhere
+        pms, n = ModelParams(0.5, 0.0), 3000
+        every = run_ensemble(pms, n, 400, seed=6, checkpoints=[1, 7, 999, n],
+                             mode="events", record=("xi", "sigma", "a"))
+        for rec in (("a",), ("xi", "a"), ("sigma",)):
+            for cps in ([1, 7, 999], [1, 7, 999, n]):
+                res = run_ensemble(pms, n, 400, seed=6, checkpoints=cps, mode="events",
+                                   record=rec)
+                for name in rec:
+                    got = res.arrays[name]
+                    assert np.array_equal(got, every.arrays[name][:, :len(cps)]), (rec, cps)
+                    assert got.flags.c_contiguous
 
     def test_horizon_prefix(self):
         # a replicate's up-steps before n do not depend on the horizon
