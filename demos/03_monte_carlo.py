@@ -3,8 +3,8 @@
 The conditional step law depends on the history only through the weighted
 sum Sigma_n, so the pair (Xi_n, Sigma_n) is simulated directly, by one of
 two engines.  `collapsed` (the default of `run_ensemble`) reads one uniform
-per replicate and step and finds each replicate's next up-step by a tiled
-search over its row of draws.  `events` draws the next up-step itself: a
+per replicate and step and makes one numpy pass per time step, whether or
+not any replicate steps up.  `events` draws the next up-step itself: a
 geometric gap under an envelope of pi_n, thinned to the true pi_n, so its
 work goes per candidate up-step and it is far faster where up-steps are
 sparse (`run_ensemble(mode="auto")` picks it there).  The two agree in

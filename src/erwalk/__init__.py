@@ -1,10 +1,9 @@
 """erwalk: the unidirectional elephant random walk with power-law memory.
 
 A computational-probability toolkit: exact moment theory, simulators that
-draw each replicate's next up-step by thinning or find it by a tiled
-search over its uniforms, branching-process and uniform-memory couplings,
-and a verification harness reproducing the model's phase diagram at desk
-scale.
+draw each replicate's next up-step by thinning or step every replicate
+through every time, branching-process and uniform-memory couplings, and a
+verification harness reproducing the model's phase diagram at desk scale.
 """
 
 __version__ = "0.1.0"

@@ -343,7 +343,7 @@ def simulate(
     cum_distinct = [1]
     trunc = 0.0
     cap_hits = 0
-    censored = False
+    extinct = False
     if keep_generations:
         gens.append(Population(1, current.copy(), 0.0))
     draw = _kernel(params, rng)
@@ -355,39 +355,21 @@ def simulate(
                 cap_hits += 1
             trunc += disc
             kids += ch
-        if not kids:
-            current = np.array([], dtype=np.int64)
-            sizes.append(0)
-            cum_distinct.append(len(seen))
-            if keep_generations:
-                gens.append(Population(gen, current.copy(), trunc))
-            return BranchingResult(
-                params=params,
-                generation_sizes=np.array(sizes, dtype=np.int64),
-                extinct=True,
-                censored=False,
-                distinct_types=len(seen),
-                distinct_by_generation=np.array(cum_distinct, dtype=np.int64),
-                truncation_mass=trunc,
-                cap_hits=cap_hits,
-                generations=gens,
-            )
         current = np.sort(np.array(kids, dtype=np.int64))
         sizes.append(len(current))
         seen.update(current.tolist())
         cum_distinct.append(len(seen))
         if keep_generations:
             gens.append(Population(gen, current.copy(), trunc))
-        if len(current) > params.max_pop:
-            censored = True
+        extinct = not kids
+        if extinct or len(current) > params.max_pop:
             break
-    else:
-        censored = True
+    # a run that did not die out was stopped by max_gen or max_pop
     return BranchingResult(
         params=params,
         generation_sizes=np.array(sizes, dtype=np.int64),
-        extinct=False,
-        censored=censored,
+        extinct=extinct,
+        censored=not extinct,
         distinct_types=len(seen),
         distinct_by_generation=np.array(cum_distinct, dtype=np.int64),
         truncation_mass=trunc,

@@ -19,6 +19,7 @@ from . import __version__, analysis, exact, report, serialize
 from .walkers import (
     AUTO_EVENTS_MAX_RATE,
     ModelParams,
+    _check_workers,
     geometric_checkpoints,
     run_ensemble,
     run_walk,
@@ -57,8 +58,9 @@ def _out_dir(cfg: dict) -> Path:
 
 
 def _hashable(cfg: dict) -> dict:
-    """The semantic configuration: everything except where files land."""
-    return {k: v for k, v in cfg.items() if k not in ("out", "config")}
+    """The semantic configuration: everything except where files land and how
+    many processes write them (outputs are bit-identical for any `workers`)."""
+    return {k: v for k, v in cfg.items() if k not in ("out", "config", "workers")}
 
 
 def _param_grid(cfg: dict) -> list[ModelParams]:
@@ -111,6 +113,7 @@ def _cmd_simulate(args) -> int:
         return _fail_usage("simulate requires --seed")
     grid = _param_grid(cfg)
     analysis._check_level(float(cfg["sigma_level"]))
+    _check_workers(cfg["workers"])
     out_dir = _out_dir(cfg)
     outputs = _OutputSet()
     failed_gate = False
@@ -125,7 +128,7 @@ def _cmd_simulate(args) -> int:
                 checkpoints=cps,
                 mode=cfg["mode"],
                 record=("xi", "sigma"),
-                workers=int(cfg["workers"]),
+                workers=cfg["workers"],
             )
             rep = analysis.build_report(res, confidence_z=float(cfg["sigma_level"]))
             as_json = cfg["format"] == "json"

@@ -14,10 +14,9 @@ chain is what the production simulators run, with two engines:
   thinned to the true pi_n, draws the next up-step directly: the work goes
   per candidate up-step, whatever the horizon.  It wins where up-steps are
   sparse (the critical and localized phases).
-* `collapsed` reads one uniform per replicate and step; it searches each
-  replicate's row of uniforms a tile of steps at a time for its next
-  up-step, so the work goes per tile and per up-step.  It wins on dense
-  walks and short horizons, and it is the bit-pinned reference.
+* `collapsed` reads one uniform per replicate and step and makes one numpy
+  pass per time step, so the work goes per step.  It wins on dense walks
+  and short horizons, and it is the bit-pinned reference.
 
 The two read their streams differently, so they agree in law, not in bits.
 The full-history simulator draws the recalled time explicitly and serves
@@ -28,18 +27,20 @@ Ensembles run one counter-based RNG stream per replicate, so results are
 reproducible under any worker count.
 
 `run_walk` and `run_ensemble` both go through `_run`: it checks the key,
-horizon (at most MAX_STEPS), checkpoints, mode and recorded fields before
-any work, computes mu = c_values(beta, n_steps + 1) once, and hands it to
-every block of replicates: _BLOCK_SIZE for the per-step engines, and for
-the events engine as many as a scratch budget of _EVENTS_SCRATCH bytes
-allows (one block for most ensembles), split so that every worker gets
-one.  Mode "auto" is resolved there, per
-(params, n_steps) and before any work, by `_resolve_mode`: events when the
-walk expects at most AUTO_EVENTS_MAX_RATE up-steps per step, else
-collapsed; the result records the engine that ran.  The per-step engines
-(collapsed, full and coupled) are a set-up plus a kernel that advances
-their state over a tile of steps; `_drive` owns the draws, the tiles and the
-checkpoint records.  A single walk is a one-replicate run.
+worker count, horizon (at most MAX_STEPS), checkpoints, mode and recorded
+fields before any work, computes mu = c_values(beta, n_steps + 1) once,
+and hands it to every block of replicates: _BLOCK_SIZE for the per-step
+engines, and for the events engine as many as a scratch budget of
+_EVENTS_SCRATCH bytes allows (one block for most ensembles), split over
+the workers only into blocks of at least _BLOCK_SIZE.  Mode "auto" is
+resolved there, per (params, n_steps) and before any work, by
+`_resolve_mode`: events when the walk expects at most AUTO_EVENTS_MAX_RATE
+up-steps per step, else collapsed; the result records the engine that
+ran.  The per-step engines (collapsed, full and coupled) are a set-up plus
+a kernel that advances their state one step at a time from one time to a
+later one; `_drive` owns the draws, cuts time at segment ends and
+checkpoints, and records the checkpoints.  A single walk is a
+one-replicate run.
 """
 
 from __future__ import annotations
@@ -96,14 +97,8 @@ _EVENTS_SCRATCH = 32 << 20
 #: per-row vectors of the events engine's rounds (the running rows, their
 #: times, sigmas, fill lines, gaps, envelopes and the filtered copies)
 _EVENT_ROW_WORDS = 16
-#: time steps per tile of the collapsed engine's up-step search
-_TILE = 64
 #: multiplies per pass of `geometric_checkpoints`
 _CHECKPOINT_CHUNK = 1 << 15
-#: a tile is searched when its rows expect at most this many up-steps each;
-#: denser tiles run the per-step loop, which is then as fast, and the
-#: search's scratch grows with the share of rows that step
-_SEARCH_MAX_HITS = 0.25
 
 
 @dataclass(frozen=True)
@@ -187,80 +182,6 @@ def _row_pitch(cols: int) -> int:
     return 8 * (-(-cols // 8) | 1)
 
 
-def _dense_tile(u, coef, mu, t, xi, sigma, a, guard):
-    """The per-step loop over the columns of `u`, the draws of times t, t + 1, ...
-
-    At time t + i, coef[i] = rate / ((t + i) mu_{t+i+1}) and mu[i] = mu_{t+i+1}.
-    `a` is None when A_n is not recorded.
-    """
-    for col in range(u.shape[1]):
-        pi = coef[col] * sigma
-        if not pi.max() <= guard:  # a NaN fails too
-            raise RuntimeError(
-                f"internal consistency violated: pi_n > p at n = {t + col}"
-            )
-        x = u[:, col] < pi
-        xi += x
-        sigma += x * mu[col]
-        if a is not None:
-            a += pi
-
-
-def _search_tile(u, coef, mu, sigma, guard, h_flat):
-    """The up-steps of one tile, found by comparing whole rows of draws with pi_n.
-
-    Between two up-steps of a replicate its sigma is constant, so its pi_n
-    over the rest of the tile is sigma * coef, and its next up-step is the
-    first column where the draw is below it.  A first pass compares each row
-    with sigma * max(coef), the largest pi_n it has before its first step,
-    to find the few rows that may step at all; then each round searches
-    those rows, and after that the rows that stepped, in the columns after
-    their last step.  Returns the steps as (rows, cols) pairs, one per
-    round, or None if some pi_n of the tile fails the guard; `sigma` is not
-    changed.  `h_flat` is bool scratch of at least u.size entries.
-    """
-    count, w = u.shape
-    top = sigma * coef.max()
-    # rounding is monotone, so top.max() is the largest pi_n of the tile
-    # at the current sigma; a step only raises sigma, so a failure here is
-    # a failure of the true pi_n
-    if not top.max() <= guard:  # a NaN fails too
-        return None
-    h = np.less(u, top[:, None], out=h_flat[: count * w].reshape(count, w))
-    rows = np.unique(np.flatnonzero(h) // w)  # rows with a draw below their bound
-    cols = np.full(rows.size, -1)  # no column spent yet
-    s = sigma[rows]
-    span = np.arange(w)
-    rounds = []
-    while rows.size:
-        p = s[:, None] * coef
-        p[span <= cols[:, None]] = 0.0  # spent columns: p = 0 takes no step
-        if not p.max() <= guard:
-            return None
-        h = u[rows] < p
-        hit = np.flatnonzero(h.any(axis=1))
-        rows, cols = rows[hit], h.argmax(axis=1)[hit]
-        s = s[hit] + mu[cols]
-        if rows.size:
-            rounds.append((rows, cols))
-    return rounds
-
-
-def _tile_a(a, sigma, coef, mu, rounds):
-    """A_n at the end of a searched tile, summed in the per-step loop's order."""
-    count, w = len(a), len(coef)
-    # sigma before each step: the start value, then 0 or mu_{n+1} per step
-    s = np.zeros((count, w + 1))
-    s[:, 0] = sigma
-    for rows, cols in rounds:
-        s[rows, cols + 1] = mu[cols]
-    np.cumsum(s, axis=1, out=s)
-    terms = np.empty((count, w + 1))
-    terms[:, 0] = a
-    np.multiply(s[:, :w], coef, out=terms[:, 1:])
-    return np.cumsum(terms, axis=1)[:, w]
-
-
 def _drive(kernel, state, record, draws, n_steps, seed, checkpoints, start, count):
     """Run a per-step engine over one block; returns its checkpoint arrays.
 
@@ -269,10 +190,9 @@ def _drive(kernel, state, record, draws, n_steps, seed, checkpoints, start, coun
     transitions t, ..., e - 1, one column per step: shape (count, e - t) at
     `draws` = 1, (count, e - t, 2) at 2.  Transition t reads draws
     draws * (t - 1), ... of each replicate's stream.  The driver fills
-    segments of _SEG_LEN draws per replicate, cuts them into tiles of at most
-    _TILE steps that end at every checkpoint and segment end, and copies the
-    arrays named in `record` at each checkpoint.  It runs on to n_steps after
-    the last checkpoint, so every step meets its guard.
+    segments of _SEG_LEN draws per replicate, cuts them at the checkpoints,
+    and copies the arrays named in `record` at each checkpoint.  It runs on
+    to n_steps after the last checkpoint, so every step meets its guard.
     """
     cp_index = {int(c): i for i, c in enumerate(checkpoints)}
     out = {
@@ -301,7 +221,7 @@ def _drive(kernel, state, record, draws, n_steps, seed, checkpoints, start, coun
         seg = min(seg_len, n_steps - t)
         uniforms(seed, start, count, draws * (t - 1), draws * seg, out=buf)
         while t < t0 + seg:
-            e = min(t + _TILE, t0 + seg, stop)
+            e = min(t0 + seg, stop)
             kernel(cols[:, t - t0 : e - t0], t, e)
             t = e
             if t == stop:
@@ -313,11 +233,9 @@ def _drive(kernel, state, record, draws, n_steps, seed, checkpoints, start, coun
 def _collapsed_block(params, mu, n_steps, seed, checkpoints, record, start, count):
     """Advance `count` replicates of the collapsed chain; returns checkpoint arrays.
 
-    A tile whose mean pi_n at its start predicts at most _SEARCH_MAX_HITS
-    up-steps per row is searched (`_search_tile`); a denser tile, one whose
-    mu is not finite, or one where the search meets a pi_n that fails the
-    guard runs the per-step loop.  Both read the same uniforms and give the
-    same bits.
+    One numpy pass per time step: pi_n = coef[n] sigma is checked against the
+    guard, then every replicate whose draw is below its pi_n steps up.  This
+    is the bit-pinned reference of the Monte Carlo engines.
     """
     xi = np.ones(count, dtype=np.int64)
     sigma = np.ones(count)
@@ -325,23 +243,17 @@ def _collapsed_block(params, mu, n_steps, seed, checkpoints, record, start, coun
     coef = np.zeros(n_steps)  # coef[n] = rate / (n mu_{n+1}), so pi_n = coef[n] sigma
     coef[1:] = params.rate / (np.arange(1, n_steps) * mu[1:n_steps])
     guard = params.p + _GUARD_EPS
-    h_flat = np.empty(count * _TILE, dtype=np.bool_)  # the search's scratch
 
     def kernel(u, t, e):
-        c, m = coef[t:e], mu[t:e]  # m[i] = mu_{t+i+1}
-        rounds = None
-        # an infinite mu_n turns every sigma into NaN in the per-step loop
-        # (0 * inf), which the search would not reproduce
-        if np.isfinite(m).all() and c[0] * sigma.mean() * _TILE <= _SEARCH_MAX_HITS:
-            rounds = _search_tile(u, c, m, sigma, guard, h_flat)
-        if rounds is None:
-            _dense_tile(u, c, m, t, xi, sigma, a, guard)
-            return
-        if a is not None:
-            a[:] = _tile_a(a, sigma, c, m, rounds)
-        for rows, cols in rounds:
-            xi[rows] += 1
-            sigma[rows] += m[cols]
+        for n in range(t, e):
+            pi = coef[n] * sigma
+            if not pi.max() <= guard:  # a NaN fails too
+                raise RuntimeError(f"internal consistency violated: pi_n > p at n = {n}")
+            x = u[:, n - t] < pi
+            np.add(xi, x, out=xi)
+            np.add(sigma, x * mu[n], out=sigma)
+            if a is not None:
+                np.add(a, pi, out=a)
 
     state = {"xi": xi, "sigma": sigma, "a": a}
     return _drive(kernel, state, record, 1, n_steps, seed, checkpoints, start, count)
@@ -564,21 +476,23 @@ def _resolve_mode(mode: str, params: ModelParams, n_steps: int) -> str:
 def _run(params, n_steps, seed, checkpoints, mode, record, start, count, workers):
     """Replicates start, ..., start + count - 1 of a simulator call.
 
-    Checks the key, horizon, checkpoints, mode and fields before any work,
-    resolves "auto", then runs the engine on blocks of replicates, in a
-    process pool when workers > 1.  The per-step engines take blocks of
-    _BLOCK_SIZE.  The events engine takes as many rows as _EVENTS_SCRATCH
-    bytes of its per-row scratch allow, but at most count / workers, so
-    every worker gets a block: one block when workers = 1 and the ensemble
-    fits.  A one-block run returns the engine's own arrays; more blocks are
-    copied one by one into the result.  Returns (checkpoints, engine,
-    {field: C-contiguous array of shape (count, len(checkpoints))}).
+    Checks the key, counts, horizon, checkpoints, mode and fields before any
+    work, resolves "auto", then runs the engine on blocks of replicates, in
+    a process pool when workers > 1 and there are several blocks.  The
+    per-step engines take blocks of _BLOCK_SIZE.  The events engine takes as
+    many rows as _EVENTS_SCRATCH bytes of its per-row scratch allow, and at
+    most count / workers, so that every worker gets a block, as long as
+    each such block holds _BLOCK_SIZE rows: an ensemble of fewer than
+    2 _BLOCK_SIZE rows runs as one block.  A one-block run returns the engine's own arrays, with no pool;
+    more blocks are copied one by one into the result.  Returns (checkpoints,
+    engine, {field: C-contiguous array of shape (count, len(checkpoints))}).
     """
     _check_key(seed, start, count)
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if count < 1:
         raise ValueError("n_replicates must be >= 1")
+    _check_workers(workers)
     if n_steps > MAX_STEPS:
         raise ValueError(f"n_steps = {n_steps} exceeds the cap MAX_STEPS = {MAX_STEPS}")
     cps = _check_checkpoints(checkpoints, n_steps)
@@ -592,10 +506,12 @@ def _run(params, n_steps, seed, checkpoints, mode, record, start, count, workers
         raise ValueError(f"mode {mode!r} cannot record {sorted(unknown)}; it records {fields}")
     mu = c_values(params.beta, n_steps + 1)
     args = (params, mu, n_steps, seed, cps, record)
-    workers = max(workers or 1, 1)
     if mode == "events":
         size = max(1, _EVENTS_SCRATCH // _events_row_bytes(len(cps), record))
-        size = min(size, -(-count // workers))  # at least one block per worker
+        # a block per worker, but no more blocks than hold _BLOCK_SIZE rows
+        # each: a process pool costs more than a small block saves
+        split = max(1, min(workers, count // _BLOCK_SIZE))
+        size = min(size, -(-count // split))
     else:
         size = _BLOCK_SIZE
     end = start + count
@@ -620,6 +536,11 @@ def _run(params, n_steps, seed, checkpoints, mode, record, start, count, workers
             for s, f in futures:
                 place(s, f.result())
     return cps, mode, arrays
+
+
+def _check_workers(workers) -> None:
+    if not (isinstance(workers, (int, np.integer)) and workers >= 1):
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
 
 
 def _events_row_bytes(n_checkpoints: int, record) -> int:

@@ -102,8 +102,8 @@ def test_criterion_03b_localized_mean_near_limit():
     """Expected to fail: the mean approaches its limit 4 only like n^(-1/2).
 
     4 - E[Xi_n] = 3 c_n(1.5)/c_n(2) ~ 4.51 n^(-1/2), which is 4.5e-2 at
-    n = 1e4; a 1e-3 gap would need n ~ 2.4e7.  The threshold is kept as
-    stated rather than widened.
+    n = 1e4; a 1e-3 gap would need n ~ 4.51^2 1e6 ~ 2.0e7.  The threshold
+    is kept as stated rather than widened.
     """
     exact = exact_mean_xi(10**4, ModelParams(0.5, 2.0))
     gap = abs(exact - 4.0)

@@ -84,33 +84,35 @@ class TestSerialize:
 # --differential run (auto runs collapsed at n = 12), and the two report
 # regimes whose sparse ensembles run the events engine.  Both report digests
 # were pinned after those ensembles moved from collapsed to events
-# (run_ensemble(mode="auto")), once the tests of their law passed
+# (run_ensemble(mode="auto")), once the tests of their law passed.  The six
+# simulate digests were re-pinned when `workers` left the hashed config; the
+# files differ from the earlier pins in their config_hash line or field alone
 CLI_GOLDEN = [
     (
         ["simulate", "--p", "0.5", "--beta", "1", "--n", "2000", "--replicates", "2000", "--seed", "11"],
         {
             "simulate_p0.5_beta1.csv":
-                "2badceb30a257cfaa22dfbcc17e4823926db7f208f785596c4d48455aefac7fb",
+                "2d1f8bc0a43e2a4b2e687abc4a6a6f43bbe0cd0a0f7e20068e496c1ac63b6ca1",
             "trajectory_p0.5_beta1.csv":
-                "000f7ea7d367deaa1ebba3e348583e36616a25a1aa48133b948edc2a4ddfdc70",
+                "305a727916608647fedab828e20b83356be9d4af1a2f7dfc5e162626d5666985",
         },
     ),
     (
         ["simulate", "--p", "0.5", "--beta", "-0.5", "--n", "300", "--replicates", "400", "--seed", "42", "--mode", "collapsed", "--format", "json"],
         {
             "simulate_p0.5_beta-0.5.json":
-                "ffaf65ab6256f020a76f124cf773f925c452feab78341dc7be66428185818502",
+                "6e8a8871acc20c828c3a7e98157933578aa4eda690fdfc074eb919a51de4811f",
             "trajectory_p0.5_beta-0.5.csv":
-                "b84d5795e6178f98161e218b9735bffff26e88c55b9759a69cf23f02150a03fa",
+                "27dbbb92b3accd8494d54ded702df58d41ebf4793d2c694e857239e107205741",
         },
     ),
     (
         ["simulate", "--p", "0.5", "--beta", "1", "--n", "12", "--replicates", "3000", "--seed", "3", "--differential"],
         {
             "simulate_p0.5_beta1.csv":
-                "1fc03ac9ccb1161c0a26c24f1bbe5024db8d9566cead6f8eb23f862e58f26e66",
+                "678342142cb4ed613055eafc5ccaeb991b2d6f8e9512e360f7991288ecb997e9",
             "trajectory_p0.5_beta1.csv":
-                "dc0138d7343c5545cf86901a41479dbd786b3a000ec34bb8f434cee4d3640d6a",
+                "c4a33fe536e04596bb0ef37d6de6090c07179cb12f236564163da386daa33697",
         },
     ),
     (
@@ -287,8 +289,7 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("mode", ["auto", "collapsed"])
     def test_workers_write_the_same_bytes(self, tmp_path, mode):
         # 5000 replicates: two events blocks, or three collapsed ones, over
-        # the pool.  Only the config_hash line may differ, since the config
-        # it hashes records --workers
+        # the pool.  The config hash leaves out --workers, so every byte agrees
         args = ["simulate", "--p", "0.5", "--beta", "1", "--n", "2000",
                 "--replicates", "5000", "--seed", "11", "--mode", mode]
         files = []
@@ -300,10 +301,26 @@ class TestSimulateCommand:
         assert sorted(one) == sorted(two) == ["simulate_p0.5_beta1.csv", "trajectory_p0.5_beta1.csv"]
         ran = "events" if mode == "auto" else mode
         assert f"mode={ran}" in one["trajectory_p0.5_beta1.csv"][3]
-        for name in one:
-            differ = [a for a, b in zip(one[name], two[name]) if a != b]
-            assert len(one[name]) == len(two[name])
-            assert all(line.startswith("# config_hash=") for line in differ), name
+        assert one == two
+
+    @pytest.mark.parametrize("how", ["0", "-3", "config 2.5"])
+    def test_bad_worker_count_exit_2_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                    how):
+        def no_run(*args, **kw):
+            raise AssertionError("run_ensemble reached")
+
+        monkeypatch.setattr(cli, "run_ensemble", no_run)
+        args = ["simulate", "--n", "50", "--replicates", "10", "--seed", "1",
+                "--out", str(tmp_path / "o")]
+        if how.startswith("config"):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"workers": 2.5}))
+            args += ["--config", str(cfg)]
+        else:
+            args += ["--workers", how]
+        assert main(args) == 2
+        assert "workers must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_horizon_past_the_cap_exit_2(self, tmp_path, capsys):
         rc = main(["simulate", "--p", "0.5", "--beta", "1",

@@ -277,6 +277,18 @@ class TestEnsembles:
                 for x, y in zip(a, other):
                     assert np.array_equal(x, y), mode
 
+    @pytest.mark.parametrize("workers", [0, -3, 2.5])
+    def test_bad_worker_counts_rejected_before_any_work(self, monkeypatch, workers):
+        def no_work(*args, **kw):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(walkers, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(walkers, "c_values", no_work)
+        for mode in ("collapsed", "events"):
+            with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+                run_ensemble(ModelParams(0.5, 1.0), 50, 5000, seed=3, mode=mode,
+                             workers=workers)
+
     # sha256 of the checkpoint arrays, pinned from the engines that built one
     # Generator per replicate; the checkpoints straddle draw 2048, the
     # segment length when they were pinned.
@@ -358,8 +370,9 @@ class TestEnsembles:
 
 def _per_step_collapsed_block(params, mu, n_steps, seed, checkpoints, record, start,
                               count):
-    """The collapsed engine as one numpy pass per time step, as it was before
-    the tiled search: the reference for `walkers._collapsed_block`."""
+    """The collapsed engine as one numpy pass per time step, with its own
+    segments of 2048 draws and no driver: the reference for
+    `walkers._collapsed_block`."""
     cps = checkpoints
     cp_set = {int(c): i for i, c in enumerate(cps)}
     out = {}
@@ -414,47 +427,31 @@ def _compare_with_per_step(params, n_steps, seed, start, count, cps, bad_at=None
                            bad=math.nan):
     """Run the engine and its reference, with mu_{n+1} = `bad` at n = `bad_at`.
 
-    Returns how often each path ran and whether the guard raised.
+    Returns whether the guard raised (in both, with the same message).
     """
-    paths = {"dense": 0, "search": 0, "raised": False}
-    search, dense = walkers._search_tile, walkers._dense_tile
-
-    def counted_search(*args):
-        rounds = search(*args)
-        paths["search"] += rounds is not None
-        return rounds
-
-    def counted_dense(*args):
-        paths["dense"] += 1
-        return dense(*args)
-
     mu = c_values(params.beta, n_steps + 1)
     if bad_at is not None:
         mu[bad_at] = bad
     rec, lean_rec = ("xi", "sigma", "a"), ("xi", "sigma")
     head, tail = (params, mu, n_steps, seed, cps), (start, count)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(walkers, "_search_tile", counted_search)
-        mp.setattr(walkers, "_dense_tile", counted_dense)
-        try:
-            want = _per_step_collapsed_block(*head, rec, *tail)
-        except RuntimeError as err:
-            with pytest.raises(RuntimeError) as got:
-                walkers._collapsed_block(*head, rec, *tail)
-            assert str(got.value) == str(err)
-            paths["raised"] = True
-            return paths
-        got = walkers._collapsed_block(*head, rec, *tail)
-        lean = walkers._collapsed_block(*head, lean_rec, *tail)
+    try:
+        want = _per_step_collapsed_block(*head, rec, *tail)
+    except RuntimeError as err:
+        with pytest.raises(RuntimeError) as got:
+            walkers._collapsed_block(*head, rec, *tail)
+        assert str(got.value) == str(err)
+        return True
+    got = walkers._collapsed_block(*head, rec, *tail)
+    lean = walkers._collapsed_block(*head, lean_rec, *tail)
     for name in rec:
         assert np.array_equal(got[name], want[name]), name
     for name in lean:
         assert np.array_equal(lean[name], want[name]), name
-    return paths
+    return False
 
 
 class TestCollapsedKernel:
-    """The tiled up-step search against the per-step loop, bit for bit."""
+    """The collapsed engine under `_drive` against the reference loop, bit for bit."""
 
     @given(
         p=st.floats(0.001, 0.99),
@@ -470,9 +467,9 @@ class TestCollapsedKernel:
         data=st.data(),
     )
     @example(p=0.5, beta=1.0, n_steps=2100, count=300, seed=3, start=0,
-             nan_at=None, data=None).via("critical: per-step loop, then search")
+             nan_at=None, data=None).via("critical, across the first segment end")
     @example(p=0.003, beta=3.0, n_steps=700, count=17, seed=3, start=0,
-             nan_at=400, data=None).via("a NaN in a searched tile")
+             nan_at=400, data=None).via("a NaN mu where pi_n is tiny")
     def test_matches_per_step_loop(self, p, beta, n_steps, count, seed, start, nan_at,
                                    data):
         if data is None:
@@ -491,44 +488,19 @@ class TestCollapsedKernel:
         _compare_with_per_step(ModelParams(p, beta), n_steps, seed, start, count, cps,
                                nan_at)
 
-    def test_guard_in_searched_tiles(self):
-        # p = 0.003: every tile is searched.  A tiny mu_401 makes pi_400 > p
-        # for every replicate, so both engines must raise naming n = 400.
-        paths = _compare_with_per_step(ModelParams(0.003, 3.0), 700, 3, 0, 17,
-                                       walkers.geometric_checkpoints(700), 400, 1e-300)
-        assert paths["raised"] and paths["search"] > 0 and paths["dense"] == 1
+    def test_guard_at_a_tiny_mu(self):
+        # p = 0.003: no replicate is near the guard until a tiny mu_401 makes
+        # pi_400 > p for every replicate, so both must raise naming n = 400
+        assert _compare_with_per_step(ModelParams(0.003, 3.0), 700, 3, 0, 17,
+                                      walkers.geometric_checkpoints(700), 400, 1e-300)
 
     def test_infinite_mu_takes_the_per_step_loop(self):
         # at an infinite mu the per-step loop turns every sigma into NaN
-        # (0 * inf) and raises one step later; a search would step over it
+        # (0 * inf) and raises one step later, in the engine as in the reference
         with np.errstate(invalid="ignore"):
-            paths = _compare_with_per_step(ModelParams(0.003, 3.0), 700, 3, 0, 17,
-                                           walkers.geometric_checkpoints(700), 400,
-                                           math.inf)
-        assert paths["raised"]
-
-    def test_search_declines_when_pi_fails_the_guard(self):
-        u = np.full((3, 8), 0.5)
-        coef, mu, sigma = np.full(8, 1e-3), np.ones(8), np.ones(3)
-        scratch = np.empty(24, dtype=bool)
-        # pi_n = 1e-3 above a guard of 1e-4, though no draw is below it
-        assert walkers._search_tile(u, coef, mu, sigma, 1e-4, scratch) is None
-        u[1, 2] = 0.0  # row 1 steps at column 2
-        rounds = walkers._search_tile(u, coef, mu, sigma, 0.5, scratch)
-        assert [(list(r), list(c)) for r, c in rounds] == [([1], [2])]
-        mu[2] = 1e6  # the step lifts row 1's later pi_n past the guard
-        assert walkers._search_tile(u, coef, mu, sigma, 0.5, scratch) is None
-        assert (sigma == 1.0).all()
-
-    @pytest.mark.parametrize("p,beta,dense,search", [
-        (0.5, -0.5, True, False),  # Xi_n grows like n^0.75: pi_n stays large
-        (0.5, 1.0, True, True),  # critical: pi_n falls below the search's bound
-        (0.003, 3.0, False, True),  # localized, tiny p: pi_n is small from the start
-    ])
-    def test_takes_both_paths(self, p, beta, dense, search):
-        paths = _compare_with_per_step(ModelParams(p, beta), 3000, 11, 5, 300,
-                                       walkers.geometric_checkpoints(3000))
-        assert (paths["dense"] > 0, paths["search"] > 0) == (dense, search)
+            assert _compare_with_per_step(ModelParams(0.003, 3.0), 700, 3, 0, 17,
+                                          walkers.geometric_checkpoints(700), 400,
+                                          math.inf)
 
 
 #: one parameter point per regime of report.REGIMES
@@ -628,8 +600,31 @@ class TestEventsEngine:
         for name in ("xi", "sigma"):
             assert np.array_equal(runs[0].arrays[name], runs[1].arrays[name])
         calls.clear()
+        # three workers would get 1667 rows each; two blocks keep _BLOCK_SIZE
+        run_ensemble(pms, 2000, 5000, seed=3, mode="events", workers=3)
+        assert calls == [(0, 2500), (2500, 2500)]
+        calls.clear()
         run_ensemble(pms, 50, 5000, seed=3, mode="collapsed", workers=2)
         assert calls == [(0, 2048), (2048, 2048), (4096, 904)]
+
+    def test_small_ensembles_start_no_pool(self, monkeypatch):
+        # 700 replicates over 2 workers would be blocks of 350 rows; an
+        # events ensemble is not split under _BLOCK_SIZE rows a worker, so
+        # it runs as one block in this process, with the same bits
+        def no_pool(*args, **kw):
+            raise AssertionError("a process pool was started")
+
+        rec, cps = ("xi", "sigma", "a"), [1, 2, 7, 50, 999, 3000]
+
+        def run(workers):
+            res = run_ensemble(ModelParams(0.5, 0.0), 3000, 700, seed=5, checkpoints=cps,
+                               mode="events", record=rec, workers=workers)
+            return [res.arrays[k] for k in rec]
+
+        want = run(1)
+        monkeypatch.setattr(walkers, "ProcessPoolExecutor", no_pool)
+        for x, y in zip(want, run(2)):
+            assert np.array_equal(x, y)
 
     def test_one_block_memory(self):
         # one block returns the engine's delta arrays, summed in place: the
