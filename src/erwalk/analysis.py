@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .exact import ExactLaw, asymptotic_constant
-from .walkers import CRITICAL_TOL, EnsembleResult, ModelParams
+from .walkers import EnsembleResult, ModelParams
 
 __all__ = [
     "Regime",
@@ -53,9 +53,9 @@ class PhaseLabel:
 
 def classify_phase(params: ModelParams) -> PhaseLabel:
     """Total classification of (p, beta); exactly one regime applies."""
-    if abs(params.beta - params.critical_beta) <= CRITICAL_TOL:
+    if params.is_critical:
         return PhaseLabel(Regime.CRITICAL)
-    if params.beta > params.critical_beta:
+    if params.is_localized:
         return PhaseLabel(Regime.LOCALIZED)
     if params.beta < 0.0:
         regime = Regime.NEGATIVE_BETA

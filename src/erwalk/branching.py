@@ -69,21 +69,13 @@ class BranchingParams:
         return self.rate / self.beta
 
 
-def _log_q(k: int, y, params: BranchingParams):
-    """log q(k, y) for y scalar or array > k."""
-    lmu_k = log_poch(float(k), params.beta)
-    if isinstance(y, (int, float)):
-        return (
-            math.log(params.rate)
-            - math.log(y - 1.0)
-            + lmu_k
-            - log_poch(float(y), params.beta)
-        )
+def _log_q(k: int, y, params: BranchingParams) -> np.ndarray:
+    """log q(k, y) for an array of types y > k."""
     y = np.asarray(y, dtype=np.float64)
     return (
         math.log(params.rate)
         - np.log(y - 1.0)
-        + lmu_k
+        + log_poch(float(k), params.beta)
         - log_poch(y, params.beta)
     )
 
@@ -92,7 +84,7 @@ def offspring_rate(k: int, y: int, params: BranchingParams) -> float:
     """q(k, y) = p(beta+1)/(y-1) * mu_k/mu_y, the chance of a type-y child."""
     if not 1 <= k < y:
         raise ValueError(f"need 1 <= k < y, got k={k}, y={y}")
-    return math.exp(_log_q(k, float(y), params))
+    return float(np.exp(_log_q(k, [y], params))[0])
 
 
 def offspring_partial_sum(k: int, upto: int, params: BranchingParams) -> float:
@@ -103,14 +95,10 @@ def offspring_partial_sum(k: int, upto: int, params: BranchingParams) -> float:
     return -params.mean_offspring * math.expm1(log_ratio)
 
 
-def _offspring_tail(k: int, upto, params: BranchingParams):
+def _offspring_tail(k: int, upto: int, params: BranchingParams) -> float:
     """m - partial sum: expected offspring mass on types > upto."""
-    if isinstance(upto, (int, float)):
-        log_ratio = log_poch(float(k), params.beta) - log_poch(float(upto), params.beta)
-        return params.mean_offspring * math.exp(log_ratio)
-    upto = np.asarray(upto, dtype=np.float64)
-    log_ratio = log_poch(float(k), params.beta) - log_poch(upto, params.beta)
-    return params.mean_offspring * np.exp(log_ratio)
+    log_ratio = log_poch(float(k), params.beta) - log_poch(float(upto), params.beta)
+    return params.mean_offspring * math.exp(log_ratio)
 
 
 #: largest representable particle type; for very small beta the certified

@@ -44,12 +44,43 @@ def _merged(args: argparse.Namespace, defaults: dict) -> dict:
         unknown = set(loaded) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        flags = {action.dest: action for action in args.flags}
+        for key, value in loaded.items():
+            _check_config_value(key, value, flags[key], defaults[key])
         cfg.update(loaded)
     for key in defaults:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
     return cfg
+
+
+def _check_config_value(key: str, value, flag: argparse.Action, default) -> None:
+    """A config value must be what the flag `key` is declared to take.
+
+    That is true or false for a switch, one of the flag's choices, an
+    integer (not a bool) for an int flag, a number for a float flag and a
+    string for any other; a flag that takes several values (nargs="+" or
+    action="append") also takes a nonempty list of them; and a flag whose
+    default is null also takes null.
+    """
+    if value is None and default is None:
+        return
+    if flag.nargs == 0:  # a store_const switch
+        kind, ok = "true or false", lambda v: isinstance(v, bool)
+    elif flag.choices is not None:
+        kind, ok = f"one of {list(flag.choices)}", lambda v: isinstance(v, str) and v in flag.choices
+    else:
+        kind, types = {int: ("an integer", int), float: ("a number", (int, float))}.get(
+            flag.type, ("a string", str)
+        )
+        ok = lambda v: isinstance(v, types) and not isinstance(v, bool)
+    many = flag.nargs == "+" or isinstance(flag, argparse._AppendAction)
+    values = value if many and isinstance(value, list) and value else [value]
+    if not all(map(ok, values)):
+        kind += " or a list of them" if many else ""
+        kind += " or null" if default is None else ""
+        raise ValueError(f"config key {key!r} must be {kind}, got {value!r}")
 
 
 def _out_dir(cfg: dict) -> Path:
@@ -223,12 +254,11 @@ def _cmd_exact(args) -> int:
             tag = _tag(params)
             cps = geometric_checkpoints(n_max, float(cfg["checkpoint_ratio"]))
             means = exact._mean_table(params, cps)
-            localized = params.beta > params.critical_beta and not params.is_critical
-            lim = exact.limit_mean_xi(params) if localized else None
+            lim = exact.limit_mean_xi(params) if params.is_localized else None
             write = serialize.write_mean_table_json if as_json else serialize.write_mean_table_csv
             outputs.add(
                 write(out_dir / f"exact_mean_{tag}.{ext}", params, cps, means, config,
-                      classify_label(params), lim)
+                      analysis.classify_phase(params).regime.value, lim)
             )
             print(f"exact {tag}: mean table at {len(cps)} checkpoints")
 
@@ -252,10 +282,6 @@ def _cmd_exact(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2 if isinstance(err, (ValueError, FileNotFoundError, OverflowError)) else 1
     return 0
-
-
-def classify_label(params: ModelParams) -> str:
-    return analysis.classify_phase(params).regime.value
 
 
 def _cmd_report(args) -> int:
@@ -332,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="check the engine's law against the full engine and enumeration",
     )
     sp.add_argument("--differential-n", dest="differential_n", type=int)
-    sp.set_defaults(fn=_cmd_simulate)
+    sp.set_defaults(fn=_cmd_simulate, flags=sp._actions)
 
     sp = sub.add_parser("exact", help="emit exact means, moments, diagnostics")
     _add_common(sp)
@@ -349,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--checkpoint-ratio", dest="checkpoint_ratio", type=float)
     sp.add_argument("--format", choices=["csv", "json"])
-    sp.set_defaults(fn=_cmd_exact)
+    sp.set_defaults(fn=_cmd_exact, flags=sp._actions)
 
     sp = sub.add_parser("report", help="run the verification gate battery")
     _add_common(sp)
@@ -357,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int)
     sp.add_argument("--scale", type=float, help="replicate-count multiplier")
     sp.add_argument("--sigma-level", dest="sigma_level", type=float)
-    sp.set_defaults(fn=_cmd_report)
+    sp.set_defaults(fn=_cmd_report, flags=sp._actions)
     return parser
 
 

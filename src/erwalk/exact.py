@@ -84,8 +84,8 @@ def _mean_table(params: ModelParams, cps) -> np.ndarray:
 
 def limit_mean_xi(params: ModelParams) -> float:
     """lim E[Xi_n] = beta/(beta - p(beta+1)) in the localized phase."""
-    if not params.beta > params.critical_beta:
-        raise ValueError("the mean has a finite limit only for beta > p/(1-p)")
+    if not params.is_localized:
+        raise ValueError("the mean has a finite limit only for beta > p/(1-p), off the line")
     return params.beta / (params.beta - params.rate)
 
 
@@ -95,7 +95,7 @@ def asymptotic_constant(params: ModelParams) -> float:
     C = Gamma(beta+1) / ((p(beta+1) - beta) * Gamma(p(beta+1))); defined for
     beta < p/(1-p), where the growth exponent is positive.
     """
-    if params.is_critical or params.beta > params.critical_beta:
+    if params.is_critical or params.is_localized:
         raise ValueError(
             "amplitude is defined only below the critical line beta < p/(1-p)"
         )
@@ -133,8 +133,7 @@ def _moment_order(degree: int):
     ]
 
 
-def _propagate_vectors(params: ModelParams, n_max: int, degree: int):
-    """Full moment trajectories: dict (a, b) -> array of E[Xi_n^a Sigma_n^b], n = 1..n_max."""
+def _check_moment_args(params: ModelParams, n_max: int, degree: int) -> None:
     if degree < 1:
         raise ValueError("degree must be >= 1")
     if n_max < 1:
@@ -144,6 +143,11 @@ def _propagate_vectors(params: ModelParams, n_max: int, degree: int):
         raise OverflowError(
             "requested moments exceed double range; lower degree or n_max"
         )
+
+
+def _propagate_vectors(params: ModelParams, n_max: int, degree: int):
+    """Full moment trajectories: dict (a, b) -> array of E[Xi_n^a Sigma_n^b], n = 1..n_max."""
+    _check_moment_args(params, n_max, degree)
     rate = params.rate
     k = np.arange(1, n_max, dtype=np.float64)
     mu_next = np.cumprod((k + params.beta) / k)  # mu_{n+1} for n = 1..n_max-1
@@ -199,15 +203,7 @@ def _stream_moments(params: ModelParams, n_max: int, degree: int, picks):
     cvals maps b to c_n(b rate) at `picks`, and sup_m2 is the maximum over
     all n of E[Sigma_n^2] / c_n(rate)^2 (None below degree 2).
     """
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    # raw moments reach ~n^{degree*beta}; refuse inputs that cannot be held
-    if degree * max(params.beta, params.rate, 1.0) * math.log10(max(n_max, 2)) > 290:
-        raise OverflowError(
-            "requested moments exceed double range; lower degree or n_max"
-        )
+    _check_moment_args(params, n_max, degree)
     rate = params.rate
     order = _moment_order(degree)
     picks = np.asarray(picks, dtype=np.int64)

@@ -12,7 +12,6 @@ sampling possible with O(1) memory even at n = 1e8.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,67 +39,41 @@ class MemoryLaw:
         """P(recall = k); k scalar or integer array, zero off {1, ..., n}.
 
         Values lie in [0, 1]: n = 1 is the point mass at 1, exactly, and
-        rounding in the Gamma ratios is clamped so it never exceeds 1.
+        rounding in the Gamma ratios is clamped so it never exceeds 1.  A
+        scalar k gives the float that the array [k] gives.
         """
-        if isinstance(k, (int, np.integer)):
-            if not 1 <= k <= self.n:
-                return 0.0
-            if self.n == 1:
-                return 1.0
-            lz = log_poch(float(self.n + 1), self.beta)
-            lw = log_poch(float(k), self.beta)
-            return min((self.beta + 1.0) / self.n * math.exp(lw - lz), 1.0)
+        scalar = np.ndim(k) == 0
         k = np.atleast_1d(np.asarray(k)).astype(np.int64)
         out = np.zeros(k.shape, dtype=np.float64)
         ok = (k >= 1) & (k <= self.n)
-        if ok.any():
-            if self.n == 1:
-                out[ok] = 1.0
-                return out
+        if self.n == 1:
+            out[ok] = 1.0
+        elif ok.any():
             lw = log_poch(k[ok].astype(np.float64), self.beta)
             lz = log_poch(float(self.n + 1), self.beta)
             out[ok] = np.minimum((self.beta + 1.0) / self.n * np.exp(lw - lz), 1.0)
-        return out
+        return float(out[0]) if scalar else out
 
     def cdf(self, m):
-        """P(recall <= m) via the telescoped partial sum, in [0, 1]; exact 0 at 0, 1 at n."""
-        if isinstance(m, (int, np.integer)):
-            if not 0 <= m <= self.n:
-                raise ValueError("cdf argument must lie in {0, ..., n}")
-            if m == 0:
-                return 0.0
-            lz = log_poch(float(self.n + 1), self.beta)
-            return min(m / self.n * math.exp(log_poch(float(m + 1), self.beta) - lz), 1.0)
+        """P(recall <= m) via the telescoped partial sum, in [0, 1]; exact 0 at 0,
+        1 at n.  A scalar m gives the float that the array [m] gives."""
+        scalar = np.ndim(m) == 0
         m = np.atleast_1d(np.asarray(m)).astype(np.int64)
         if (m < 0).any() or (m > self.n).any():
             raise ValueError("cdf argument must lie in {0, ..., n}")
-        out = np.zeros(m.shape, dtype=np.float64)
-        pos = m >= 1
-        if pos.any():
-            mp = m[pos].astype(np.float64)
-            lz = log_poch(float(self.n + 1), self.beta)
-            out[pos] = np.minimum(mp / self.n * np.exp(log_poch(mp + 1.0, self.beta) - lz), 1.0)
-        return out
+        mp = m.astype(np.float64)  # m = 0 gives 0 * exp(...) = 0 exactly
+        lz = log_poch(float(self.n + 1), self.beta)
+        out = np.minimum(mp / self.n * np.exp(log_poch(mp + 1.0, self.beta) - lz), 1.0)
+        return float(out[0]) if scalar else out
 
-    def sample(self, u: float) -> int:
-        """Smallest m with cdf(m) > u; deterministic in u, O(log n) cdf calls."""
-        if not 0.0 <= u < 1.0:
-            raise ValueError(f"u must lie in [0, 1), got {u}")
-        lo, hi = 0, self.n          # invariant: cdf(lo) <= u < cdf(hi)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.cdf(mid) > u:
-                hi = mid
-            else:
-                lo = mid
-        return hi
-
-    def sample_many(self, u) -> np.ndarray:
-        """Vectorized `sample` over an array of uniforms."""
-        u = np.asarray(u, dtype=np.float64)
-        if ((u < 0.0) | (u >= 1.0)).any():
+    def sample(self, u):
+        """Smallest m with cdf(m) > u, for one uniform (an int) or an array of
+        them; deterministic in u, O(log n) cdf calls on the whole array."""
+        scalar = np.ndim(u) == 0
+        u = np.atleast_1d(np.asarray(u, dtype=np.float64))
+        if not ((u >= 0.0) & (u < 1.0)).all():
             raise ValueError("uniforms must lie in [0, 1)")
-        lo = np.zeros(u.shape, dtype=np.int64)
+        lo = np.zeros(u.shape, dtype=np.int64)  # invariant: cdf(lo) <= u < cdf(hi)
         hi = np.full(u.shape, self.n, dtype=np.int64)
         while True:
             active = hi - lo > 1
@@ -110,4 +83,4 @@ class MemoryLaw:
             above = self.cdf(mid) > u
             hi = np.where(above & active, mid, hi)
             lo = np.where(~above & active, mid, lo)
-        return hi
+        return int(hi[0]) if scalar else hi

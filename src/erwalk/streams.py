@@ -9,12 +9,12 @@ the 128-bit key (s, j), with seeds and indices in [0, 2**64).  Each uniform
 consumes one 64-bit output word, so draw d of replicate j is lane d % 4 of
 the Philox block at counter d // 4 + 1 (numpy increments the counter before
 it generates a block).  Draw d is therefore a pure function of (s, j, d), and
-`uniforms` reads any window of draws of any run of replicates without
+`uniform_rows` reads any window of draws of any list of replicates without
 building a Generator per replicate; `replicate_stream` is the one-replicate
 reference it is tested against.  Offsets stop below 2**66, where the block
 counter's word 0 would pass 2**64 before the window starts.
 
-Two fills.  `uniforms` computes a block of rows in one of two ways, with
+Two fills.  `uniform_rows` computes a block of rows in one of two ways, with
 the same bits:
 
 * Re-keying: one numpy Philox is set to key (s, j) and counter offset // 4
@@ -42,18 +42,18 @@ draws; everything else is re-keyed.  Measured on a 2-core Xeon VM (numpy
 ensemble engines' short-horizon segments (11 or 22 draws per replicate at
 n = 12) take the kernel; their 2000-draw segments stay re-keyed.
 
-Rows of any replicates.  `uniform_rows` reads the same window for a list
-of replicate indices instead of a run, with the same two fills.  The
-events engine of `walkers` uses it: its candidate k of replicate r reads
-draws 2k (the geometric gap) and 2k + 1 (the thinning coin), and each fill
-reads up to 48 draws (24 candidates) of just the replicates still running.
+Callers.  The per-step engines of `walkers` read a run of replicates
+start, ..., start + count - 1, whose keys they build once per block.  The
+events engine reads just the replicates still running: its candidate k of
+replicate r reads draws 2k (the geometric gap) and 2k + 1 (the thinning
+coin), and each fill reads up to 48 draws (24 candidates).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["replicate_stream", "uniform_rows", "uniforms"]
+__all__ = ["replicate_stream", "uniform_rows"]
 
 _KEY_SPACE = 1 << 64
 #: from offset 2**66 on, the counter of the block before the window (offset // 4)
@@ -69,7 +69,7 @@ _LO32 = np.uint64(0xFFFFFFFF)
 _M_LO = _PHILOX_M & _LO32
 _M_HI = _PHILOX_M >> 32
 
-#: `uniforms` takes the array kernel for blocks of at least this many rows of
+#: `uniform_rows` takes the array kernel for blocks of at least this many rows of
 #: at most this many draws (the measurement is in the module docstring)
 _KERNEL_MIN_ROWS = 256
 _KERNEL_MAX_LENGTH = 48
@@ -91,27 +91,6 @@ def replicate_stream(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def uniforms(
-    master_seed: int,
-    start: int,
-    count: int,
-    offset: int,
-    length: int,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Draws offset, ..., offset + length - 1 of replicates start, ..., start + count - 1.
-
-    Row j of the returned (count, length) block equals
-    `replicate_stream(master_seed, start + j).random(offset + length)[offset:]`
-    bit for bit.  If `out` is given it must be a float64 array of shape
-    (count, m) with m >= length and contiguous rows; its first `length`
-    columns are filled and returned as a view.
-    """
-    _check_key(master_seed, start, count)
-    keys = np.arange(count, dtype=np.uint64) + np.uint64(start)
-    return _fill(master_seed, keys, offset, length, out)
-
-
 def uniform_rows(
     master_seed: int,
     replicates,
@@ -119,17 +98,20 @@ def uniform_rows(
     length: int,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """`uniforms` for any replicates: row j holds draws offset, ...,
-    offset + length - 1 of replicate `replicates[j]`.
+    """Draws offset, ..., offset + length - 1 of the replicates `replicates`.
 
-    `replicates` is a 1-d array of nonnegative integers below 2**64; `out`
-    is as for `uniforms`.
+    `replicates` is a 1-d array of nonnegative integers below 2**64.  Row j
+    of the returned (len(replicates), length) block equals
+    `replicate_stream(master_seed, replicates[j]).random(offset + length)[offset:]`
+    bit for bit.  If `out` is given it must be a float64 array of shape
+    (len(replicates), m) with m >= length and contiguous rows; its first
+    `length` columns are filled and returned as a view.
     """
     keys = np.asarray(replicates)
     if keys.ndim != 1 or (keys.size and (keys.dtype.kind not in "iu" or keys.min() < 0)):
         raise ValueError("replicates must be a 1-d array of indices in [0, 2**64)")
     _check_key(master_seed, 0)
-    return _fill(master_seed, keys.astype(np.uint64), offset, length, out)
+    return _fill(master_seed, keys.astype(np.uint64, copy=False), offset, length, out)
 
 
 def _fill(master_seed, keys, offset, length, out) -> np.ndarray:

@@ -53,7 +53,7 @@ import numpy as np
 
 from .gammaratio import c_values, log_poch_ratio
 from .memory import MemoryLaw
-from .streams import _check_key, uniform_rows, uniforms
+from .streams import _check_key, uniform_rows
 
 __all__ = [
     "MAX_STEPS",
@@ -127,6 +127,11 @@ class ModelParams:
     @property
     def is_critical(self) -> bool:
         return abs(self.beta - self.critical_beta) <= CRITICAL_TOL
+
+    @property
+    def is_localized(self) -> bool:
+        """beta above the phase boundary, and not within CRITICAL_TOL of it."""
+        return self.beta > self.critical_beta and not self.is_critical
 
     @property
     def growth_exponent(self) -> float:
@@ -213,13 +218,14 @@ def _drive(kernel, state, record, draws, n_steps, seed, checkpoints, start, coun
     pitch = _row_pitch(draws * seg_len)
     buf = np.empty((count, pitch))
     cols = buf if draws == 1 else buf.reshape(count, pitch // draws, draws)
+    keys = np.arange(count, dtype=np.uint64) + np.uint64(start)
     stops = iter([int(c) for c in checkpoints if c > 1])
     stop = next(stops, n_steps)
     t = 1
     while t < n_steps:
         t0 = t
         seg = min(seg_len, n_steps - t)
-        uniforms(seed, start, count, draws * (t - 1), draws * seg, out=buf)
+        uniform_rows(seed, keys, draws * (t - 1), draws * seg, out=buf)
         while t < t0 + seg:
             e = min(t0 + seg, stop)
             kernel(cols[:, t - t0 : e - t0], t, e)

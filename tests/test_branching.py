@@ -12,6 +12,7 @@ from erwalk.branching import (
     MAX_TYPE,
     BranchingParams,
     _cutoff_search,
+    _log_q,
     _offspring_cutoff_bisect,
     _offspring_tail,
     _sample_offspring_scan,
@@ -51,6 +52,16 @@ class TestOffspringRate:
         for k in (1, 3, 17):
             for y in (k + 1, k + 2, k + 50, k + 5000):
                 assert 0.0 < offspring_rate(k, y, bp) <= bp.p + 1e-15
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 1.3, 3.0])
+    def test_scalar_gives_the_array_bits(self, beta):
+        bp = BranchingParams(0.5, beta)
+        for k in (1, 2, 7, 12, 31, 100):
+            for y in (k + 1, k + 2, 2 * k + 1, 10 * k + 3, 1000, 10**6):
+                if y > k:
+                    got = offspring_rate(k, y, bp)
+                    assert type(got) is float
+                    assert got == np.exp(_log_q(k, [y], bp))[0]
 
     def test_domain(self):
         bp = BranchingParams(0.5, 1.0)

@@ -319,7 +319,11 @@ class TestSimulateCommand:
         else:
             args += ["--workers", how]
         assert main(args) == 2
-        assert "workers must be an integer >= 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if how.startswith("config"):  # the config's own check, by the flag's type
+            assert "config key 'workers' must be an integer" in err
+        else:
+            assert "workers must be an integer >= 1" in err
         assert not (tmp_path / "o").exists()
 
     def test_horizon_past_the_cap_exit_2(self, tmp_path, capsys):
@@ -348,6 +352,68 @@ class TestSimulateCommand:
         rc = main(["simulate", "--config", str(cfg), "--seed", "1",
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+
+
+class TestConfigValues:
+    """Config file values are checked against the flags' declarations."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        calls = []
+
+        def record(name):
+            return lambda *args, **kw: calls.append(name)
+
+        monkeypatch.setattr(cli, "run_ensemble", record("run_ensemble"))
+        monkeypatch.setattr(cli, "run_walk", record("run_walk"))
+        for name in ("_mean_table", "_moments_and_l2", "enumerate_law"):
+            monkeypatch.setattr(cli.exact, name, record(name))
+        monkeypatch.setattr(cli.report, "run_gates", record("run_gates"))
+        return calls
+
+    @pytest.mark.parametrize("command,config,key", [
+        # each was once coerced or taken as it came, and the run went ahead
+        ("simulate", {"replicates": 10.7, "n": 50.9, "seed": 1.5}, "replicates"),
+        ("simulate", {"format": "xml"}, "format"),
+        ("exact", {"degree": 2.9}, "degree"),
+        ("simulate", {"differential": "no"}, "differential"),
+        ("simulate", {"checkpoint_ratio": "1.5"}, "checkpoint_ratio"),
+        ("simulate", {"p": [0.5, "0.6"]}, "p"),
+        ("simulate", {"beta": []}, "beta"),
+        ("simulate", {"n": True}, "n"),
+        ("simulate", {"mode": None}, "mode"),
+        ("exact", {"critical": 1}, "critical"),
+        ("report", {"seed": 2.0}, "seed"),
+        ("report", {"regime": ["critical", "bogus"]}, "regime"),
+    ], ids=["replicates-n-seed", "format", "degree", "differential", "ratio-string",
+            "p-list", "empty-list", "bool-int", "null-mode", "int-switch",
+            "report-seed", "report-regime"])
+    def test_bad_value_exit_2_before_any_run(self, tmp_path, capsys, spy, command, config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        args = [command, "--config", str(cfg), "--out", str(out)]
+        if command == "simulate" and "seed" not in config:
+            args += ["--seed", "1"]
+        assert main(args) == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
+        assert spy == []
+        assert not out.exists()
+
+    def test_valid_values_run_as_given(self, tmp_path):
+        # ints for float flags, a list for --p, false and null where allowed;
+        # the config hash records each value as the file gave it
+        config = {"p": [0.5], "beta": 1, "n": 60, "replicates": 20, "seed": 4,
+                  "mode": "collapsed", "checkpoint_ratio": 2, "sigma_level": 4,
+                  "format": "csv", "differential": False, "out": None}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        hashed = {k: v for k, v in config.items() if k != "out"}
+        hashed["differential_n"] = 12  # the one default left; workers is not hashed
+        text = (out / "simulate_p0.5_beta1.csv").read_text()
+        assert f"# config_hash={config_hash(hashed)}" in text
 
 
 # sha256 of every file `erwalk exact` writes, recorded from the whole-array
@@ -406,6 +472,24 @@ EXACT_GOLDEN = [
                 "bce46d8632ac16b765bd36ad21bd36d75934c7bb55798081f202c0c35a56c27c",
         },
     ),
+    (
+        ["--p", "0.5", "--beta", "2", "--n", "1000", "--enumerate"],
+        {
+            "exact_law_p0.5_beta2.csv":
+                "6b3967a4a24fea25762743eea31e9333836cd10d441c8ecf3f46b0f508ab9348",
+            "exact_mean_p0.5_beta2.csv":
+                "7f119f024d1921443a61a962442705eb9a6022cdeab903ca7791ea59632658d8",
+        },
+    ),
+    (
+        ["--p", "0.5", "--beta", "2", "--n", "1000", "--enumerate", "--format", "json"],
+        {
+            "exact_law_p0.5_beta2.json":
+                "55b47fc98606fbe46c8db449cd9c2a25102c2221ef13fec27fe1d4c4ed30b009",
+            "exact_mean_p0.5_beta2.json":
+                "52a43187b4bd7c4942ec37a65d79de683c328c092e2184ed66fcefb75d6a18a7",
+        },
+    ),
 ]
 
 
@@ -438,7 +522,7 @@ class TestExactCommand:
         assert "n,r10,r11,r20,r21,r22,r30,r31,r32,r33" in header
 
     @pytest.mark.parametrize(
-        "args,want", EXACT_GOLDEN, ids=["critical", "json", "degree1"]
+        "args,want", EXACT_GOLDEN, ids=["critical", "json", "degree1", "localized", "localized-json"]
     )
     def test_golden_digests(self, tmp_path, args, want):
         assert main(["exact", *args, "--out", str(tmp_path)]) == 0

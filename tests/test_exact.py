@@ -67,6 +67,43 @@ class TestExactMean:
             assert b == pytest.approx(a, rel=1e-4)
 
 
+    @pytest.mark.parametrize("delta", [
+        sign * 10.0**e for e in range(-13, -3) for sign in (1, -1)
+    ])
+    def test_near_critical_against_exact_sum(self, delta):
+        # the telescoped closed form cancels as rate nears beta; a 60-digit
+        # sum of prod_{j<k} (j+x)/(j+y) / (k+y) at x = rate, y = beta is the oracle
+        mp = pytest.importorskip("mpmath")
+        pms = ModelParams(0.5, 1.0 + delta)
+        n = 10**4
+        with mp.workdps(60):
+            x, y = mp.mpf(pms.rate), mp.mpf(pms.beta)
+            total, ratio = mp.mpf(0), mp.mpf(1)
+            for k in range(1, n):
+                total += ratio / (k + y)
+                ratio *= (k + x) / (k + y)
+            want = 1 + x * total
+        got = exact_mean_xi(n, pms)
+        assert abs(got - want) / want < 1e-11
+
+
+class TestLimitMean:
+    @pytest.mark.parametrize("delta", [1e-13, -1e-13])
+    def test_no_limit_in_the_critical_band(self, delta):
+        # classify_phase and exact_mean_xi call these points critical: the
+        # mean grows like log n, so there is no finite limit to report
+        pms = ModelParams(0.5, 1.0 + delta)
+        assert pms.is_critical and not pms.is_localized
+        with pytest.raises(ValueError, match="finite limit"):
+            limit_mean_xi(pms)
+
+    def test_localized_just_past_the_band(self):
+        pms = ModelParams(0.5, 1.0 + 1e-6)
+        assert pms.is_localized
+        # beta / (beta - rate) = (1 + d) / (d / 2) at d = 1e-6
+        assert limit_mean_xi(pms) == pytest.approx(2.0e6 + 2.0, rel=1e-8)
+
+
 class TestAsymptoticConstant:
     def test_zero_beta_simplification(self):
         for p in (0.2, 0.5, 0.8):

@@ -124,21 +124,21 @@ class TestSample:
     def test_sample_many_matches_scalar(self, rng):
         law = MemoryLaw(1.3, 57)
         us = rng.random(300)
-        vec = law.sample_many(us)
+        vec = law.sample(us)
         for u, k in zip(us, vec):
             assert law.sample(float(u)) == k
 
     def test_large_n_sampling(self):
         # closed-form inversion keeps working at 1e8 without materializing weights
         law = MemoryLaw(0.5, 10**8)
-        ks = law.sample_many(np.array([0.0, 0.2, 0.9, 0.999999]))
+        ks = law.sample(np.array([0.0, 0.2, 0.9, 0.999999]))
         assert (np.diff(ks) >= 0).all()
         assert 1 <= ks[0] and ks[-1] <= 10**8
 
     def test_empirical_law_chi_square(self, rng):
         law = MemoryLaw(2.0, 100)
         n_samples = 10**6
-        ks = law.sample_many(rng.random(n_samples))
+        ks = law.sample(rng.random(n_samples))
         observed = np.bincount(ks, minlength=101)[1:].astype(float)
         expected = law.pmf(np.arange(1, 101)) * n_samples
         keep = expected > 5
@@ -149,3 +149,31 @@ class TestSample:
         stat = ((obs - exp) ** 2 / exp).sum()
         p_value = sp_stats.chi2.sf(stat, df=len(obs) - 1)
         assert p_value > 1e-3
+
+
+#: every k of these laws: 7 x (2 + 7 + 12 + 31 + 100 + 1000) = 8064 points
+ONE_PATH_BETAS = [-0.9, -0.5, 0.0, 0.5, 1.0, 1.3, 3.0]
+ONE_PATH_NS = [2, 7, 12, 31, 100, 1000]
+
+
+@pytest.mark.parametrize("beta", ONE_PATH_BETAS)
+def test_scalar_calls_give_the_array_bits(beta):
+    # a scalar argument takes the array path, so it returns that path's value
+    for n in ONE_PATH_NS:
+        law = MemoryLaw(beta, n)
+        ks = np.arange(0, n + 1)
+        pmf, cdf = law.pmf(ks), law.cdf(ks)
+        for k in range(n + 1):
+            got_pmf, got_cdf = law.pmf(k), law.cdf(k)
+            assert type(got_pmf) is float and type(got_cdf) is float
+            assert got_pmf == pmf[k] == law.pmf([k])[0]
+            assert got_cdf == cdf[k] == law.cdf([k])[0]
+        # u at the bin edges cdf(0), ..., cdf(n - 1), where a differently
+        # rounded cdf would move the sample; the array path maps each entry
+        # on its own, so samples[k] is sample([u])[0]
+        us = cdf[:-1]
+        samples = law.sample(us)
+        assert samples.tolist() == list(range(1, n + 1))
+        for u, want in zip(us.tolist(), samples.tolist()):
+            got = law.sample(u)
+            assert type(got) is int and got == want

@@ -8,11 +8,11 @@ from erwalk.streams import (
     _KERNEL_CHUNK,
     _KERNEL_MAX_LENGTH,
     _KERNEL_MIN_ROWS,
+    _check_key,
     _philox_rows,
     _rekeyed_rows,
     replicate_stream,
     uniform_rows,
-    uniforms,
 )
 
 SEEDS = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
@@ -30,6 +30,13 @@ SHAPES = st.one_of(
 )
 #: the last offset below 2**66 whose counters pass 2**64 within 20 draws
 CARRY_OFFSET = 4 * (2**64 - 1) - 8
+
+
+def run_rows(seed, start, count, offset, length, out=None):
+    """Rows of replicates start, ..., start + count - 1, keyed as the per-step
+    engines key a block."""
+    keys = np.arange(count, dtype=np.uint64) + np.uint64(start)
+    return uniform_rows(seed, keys, offset, length, out=out)
 
 
 def oracle(seed, start, count, offset, length):
@@ -53,23 +60,23 @@ class TestUniforms:
         want = oracle(seed, start, count, offset, length)
         if given_out:
             out = np.full((count, length + 3), -1.0)
-            got = uniforms(seed, start, count, offset, length, out=out)
+            got = run_rows(seed, start, count, offset, length, out=out)
             assert np.array_equal(out[:, :length], want)  # filled in place
             assert (out[:, length:] == -1.0).all()  # columns past length untouched
         else:
-            got = uniforms(seed, start, count, offset, length)
+            got = run_rows(seed, start, count, offset, length)
         assert got.shape == (count, length)
         assert np.array_equal(got, want)
 
     def test_segments_concatenate(self):
         # reading a stream in windows gives the same draws as reading it whole
-        whole = uniforms(9, 100, 3, 0, 50)
-        parts = [uniforms(9, 100, 3, o, n) for o, n in [(0, 7), (7, 1), (8, 13), (21, 29)]]
+        whole = run_rows(9, 100, 3, 0, 50)
+        parts = [run_rows(9, 100, 3, o, n) for o, n in [(0, 7), (7, 1), (8, 13), (21, 29)]]
         assert np.array_equal(np.hstack(parts), whole)
 
     def test_batch_independent(self):
-        whole = uniforms(4, 10, 12, 5, 6)
-        assert np.array_equal(uniforms(4, 15, 3, 5, 6), whole[5:8])
+        whole = run_rows(4, 10, 12, 5, 6)
+        assert np.array_equal(run_rows(4, 15, 3, 5, 6), whole[5:8])
 
     @pytest.mark.parametrize("args", [
         (1, 0, 2, -1, 3),  # negative offset
@@ -82,13 +89,18 @@ class TestUniforms:
         (1, 0, 300, 2**66 + 5, 3),  # the same for a block the kernel fills
     ])
     def test_rejects_bad_arguments(self, args):
+        seed, start, count, offset, length = args
         with pytest.raises(ValueError):
-            uniforms(*args)
+            if count < 0 or start + count > 2**64:
+                # a run's range of keys is checked once per call, before any block
+                _check_key(seed, start, count)
+            else:
+                run_rows(*args)
 
     @pytest.mark.parametrize("shape", [(3, 5), (2, 4), (2,), (2, 5, 1)])
     def test_rejects_wrong_out_shape(self, shape):
         with pytest.raises(ValueError):
-            uniforms(1, 0, 2, 0, 5, out=np.empty(shape))
+            run_rows(1, 0, 2, 0, 5, out=np.empty(shape))
 
     @pytest.mark.parametrize("count", [2, _KERNEL_MIN_ROWS])  # re-keyed and kernel
     @pytest.mark.parametrize("make", [
@@ -101,7 +113,7 @@ class TestUniforms:
         out = make(count)
         before = out.copy()
         with pytest.raises(ValueError, match="float64 with contiguous rows"):
-            uniforms(1, 0, count, 0, 5, out=out)
+            run_rows(1, 0, count, 0, 5, out=out)
         assert np.array_equal(out, before)  # nothing written
 
     @pytest.mark.parametrize("count,length,kernel", [
@@ -117,7 +129,7 @@ class TestUniforms:
         monkeypatch.setattr(streams, "_philox_rows", lambda *a: taken.append(True))
         monkeypatch.setattr(streams, "_rekeyed_rows", lambda *a: taken.append(False))
         for offset in (0, 3, 10**6):
-            uniforms(5, 17, count, offset, length)
+            run_rows(5, 17, count, offset, length)
         assert taken == [kernel] * 3
 
 
@@ -154,7 +166,7 @@ class TestPhiloxKernel:
         # no Generator read from draw 0 can reach these draws
         got, want = self.both(2**64 - 1, 2**64 - 5, 5, offset, 20)
         assert np.array_equal(got, want)
-        assert np.array_equal(uniforms(2**64 - 1, 2**64 - _KERNEL_MIN_ROWS, _KERNEL_MIN_ROWS, offset, 20)[-5:], want)
+        assert np.array_equal(run_rows(2**64 - 1, 2**64 - _KERNEL_MIN_ROWS, _KERNEL_MIN_ROWS, offset, 20)[-5:], want)
 
 
 class TestReplicateStream:
@@ -172,9 +184,9 @@ class TestUniformRows:
         keys[0] = 2**64 - 1
         got = uniform_rows(2**64 - 1, keys, 5, 20)
         for j in (0, 1, count - 1):
-            want = uniforms(2**64 - 1, int(keys[j]), 1, 5, 20)[0]
+            want = run_rows(2**64 - 1, int(keys[j]), 1, 5, 20)[0]
             assert np.array_equal(got[j], want)
-        block = uniforms(3, 40, count, 0, 12)
+        block = run_rows(3, 40, count, 0, 12)
         out = np.full((count, 16), -1.0)
         assert np.array_equal(uniform_rows(3, np.arange(40, 40 + count), 0, 12, out=out), block)
         assert (out[:, 12:] == -1.0).all()

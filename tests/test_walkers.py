@@ -14,7 +14,7 @@ from erwalk.analysis import chi_square_two_sample, chi_square_vs_law
 from erwalk.exact import enumerate_law, exact_mean_xi, lower_bound_prob_one
 from erwalk.gammaratio import c_values, log_poch, poch_ratio
 from erwalk.memory import MemoryLaw
-from erwalk.streams import replicate_stream, uniforms
+from erwalk.streams import replicate_stream, uniform_rows
 from erwalk.walkers import ModelParams, geometric_checkpoints, run_ensemble, run_walk
 
 
@@ -149,7 +149,7 @@ class TestScalarSteps:
     def test_collapsed_step_updates(self):
         # the first draw of a replicate against pi_1 = 0.5 decides its step
         pms = ModelParams(0.5, 1.0)
-        u = uniforms(3, 0, 40, 0, 1)[:, 0]
+        u = uniform_rows(3, np.arange(40), 0, 1)[:, 0]
         up, down = int(np.flatnonzero(u < 0.5)[0]), int(np.flatnonzero(u >= 0.5)[0])
         traj = run_walk(pms, 2, seed=3, replicate_index=up)
         assert (traj.n[-1], traj.xi[-1]) == (2, 2)
@@ -406,7 +406,7 @@ def _per_step_collapsed_block(params, mu, n_steps, seed, checkpoints, record, st
     buf = np.empty((count, 2048 + 8), dtype=np.float64)
     while t < n_steps:
         seg = min(2048, n_steps - t)
-        uniforms(seed, start, count, t - 1, seg, out=buf)
+        uniform_rows(seed, np.arange(start, start + count), t - 1, seg, out=buf)
         for col in range(seg):
             coef = params.rate / (t * mu[t])  # mu[t] = mu_{t+1}
             pi = coef * sigma
