@@ -1,7 +1,13 @@
 """Command-line front end: run simulators and exact engines, emit data files,
 and produce consolidated pass/fail reports.
 
-Exit codes: 0 all requested gates pass, 1 a gate failed, 2 usage error.
+Exit codes: 0 when the command ran and every gate it checks passed, 1 when a
+gate failed or the run failed, 2 for a usage error.  `main` is the one place
+that turns a failure into an exit code: a command that stops on an error
+prints one `error:` line and removes every file it wrote, report.json
+included (a failed gate keeps them).  Each `_cmd_*` appends the path of each
+file it writes to the list `main` hands it.
+
 Configuration may come from flags or a JSON config file (flags win); set
 ERWALK_OUT_DIR to change the default output directory.  Outputs are
 deterministic given (config, seed) and carry a metadata header.
@@ -13,10 +19,12 @@ import argparse
 import json
 import os
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 from . import __version__, analysis, exact, report, serialize
 from .walkers import (
+    _FULL_MODE_MAX_STEPS,
     AUTO_EVENTS_MAX_RATE,
     ModelParams,
     _check_workers,
@@ -26,11 +34,6 @@ from .walkers import (
 )
 
 _OUT_ENV = "ERWALK_OUT_DIR"
-
-
-def _fail_usage(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return 2
 
 
 def _merged(args: argparse.Namespace, defaults: dict) -> dict:
@@ -94,36 +97,28 @@ def _hashable(cfg: dict) -> dict:
     return {k: v for k, v in cfg.items() if k not in ("out", "config", "workers")}
 
 
+def _listed(value) -> list:
+    """A flag's value as a list: a config file may give one value bare."""
+    return value if isinstance(value, list) else [value]
+
+
 def _param_grid(cfg: dict) -> list[ModelParams]:
-    ps = cfg["p"] if isinstance(cfg["p"], list) else [cfg["p"]]
-    betas = cfg["beta"] if isinstance(cfg["beta"], list) else [cfg["beta"]]
     # validate the whole grid before any run starts
-    return [ModelParams(float(p), float(b)) for p in ps for b in betas]
+    return [
+        ModelParams(float(p), float(b)) for p in _listed(cfg["p"]) for b in _listed(cfg["beta"])
+    ]
 
 
 def _tag(params: ModelParams) -> str:
     return f"p{params.p:g}_beta{params.beta:g}"
 
 
-class _OutputSet:
-    """Tracks written files so a failed run leaves no partial outputs."""
-
-    def __init__(self):
-        self.paths: list[Path] = []
-
-    def add(self, path: Path) -> Path:
-        self.paths.append(path)
-        return path
-
-    def discard_all(self):
-        for p in self.paths:
-            try:
-                p.unlink()
-            except OSError:
-                pass
+def _writer(kind: str, cfg: dict):
+    """`serialize.write_<kind>_<format>` for the configured format, and its suffix."""
+    return getattr(serialize, f"write_{kind}_{cfg['format']}"), cfg["format"]
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args, written: list) -> int:
     defaults = {
         "p": 0.5,
         "beta": 1.0,
@@ -141,49 +136,47 @@ def _cmd_simulate(args) -> int:
     }
     cfg = _merged(args, defaults)
     if cfg["seed"] is None:
-        return _fail_usage("simulate requires --seed")
+        raise ValueError("simulate requires --seed")
     grid = _param_grid(cfg)
     analysis._check_level(float(cfg["sigma_level"]))
     _check_workers(cfg["workers"])
+    if cfg["differential"] and not 2 <= cfg["differential_n"] <= _FULL_MODE_MAX_STEPS:
+        # the full engine, the differential's oracle, runs at most this far
+        raise ValueError(
+            f"differential_n must be an integer in [2, {_FULL_MODE_MAX_STEPS}],"
+            f" got {cfg['differential_n']}"
+        )
     out_dir = _out_dir(cfg)
-    outputs = _OutputSet()
+    write, ext = _writer("ensemble", cfg)
+    config = _hashable(cfg)
     failed_gate = False
-    try:
-        for params in grid:
-            cps = geometric_checkpoints(int(cfg["n"]), float(cfg["checkpoint_ratio"]))
-            res = run_ensemble(
-                params,
-                int(cfg["n"]),
-                int(cfg["replicates"]),
-                int(cfg["seed"]),
-                checkpoints=cps,
-                mode=cfg["mode"],
-                record=("xi", "sigma"),
-                workers=cfg["workers"],
+    for params in grid:
+        cps = geometric_checkpoints(int(cfg["n"]), float(cfg["checkpoint_ratio"]))
+        res = run_ensemble(
+            params,
+            int(cfg["n"]),
+            int(cfg["replicates"]),
+            int(cfg["seed"]),
+            checkpoints=cps,
+            mode=cfg["mode"],
+            record=("xi", "sigma"),
+            workers=cfg["workers"],
+        )
+        rep = analysis.build_report(res, confidence_z=float(cfg["sigma_level"]))
+        written.append(write(out_dir / f"simulate_{_tag(params)}.{ext}", rep, config))
+        traj = run_walk(
+            params, int(cfg["n"]), int(cfg["seed"]), checkpoints=cps, mode=res.mode
+        )
+        written.append(
+            serialize.write_trajectory_csv(
+                out_dir / f"trajectory_{_tag(params)}.csv", traj, config
             )
-            rep = analysis.build_report(res, confidence_z=float(cfg["sigma_level"]))
-            as_json = cfg["format"] == "json"
-            write = serialize.write_ensemble_json if as_json else serialize.write_ensemble_csv
-            ext = "json" if as_json else "csv"
-            outputs.add(write(out_dir / f"simulate_{_tag(params)}.{ext}", rep, _hashable(cfg)))
-            traj = run_walk(
-                params, int(cfg["n"]), int(cfg["seed"]), checkpoints=cps, mode=res.mode
-            )
-            outputs.add(
-                serialize.write_trajectory_csv(
-                    out_dir / f"trajectory_{_tag(params)}.csv", traj, _hashable(cfg)
-                )
-            )
-            print(f"simulate {_tag(params)}: {cfg['replicates']} replicates to n = {cfg['n']}")
-            if cfg["differential"]:
-                same_n = int(cfg["differential_n"]) == int(cfg["n"])
-                xi_run = res.arrays["xi"][:, -1] if same_n else None
-                ok = _differential_check(params, cfg, res.mode, xi_run)
-                failed_gate |= not ok
-    except Exception as err:  # remove partial outputs, then report
-        outputs.discard_all()
-        print(f"error: {err}", file=sys.stderr)
-        return 2 if isinstance(err, (ValueError, FileNotFoundError)) else 1
+        )
+        print(f"simulate {_tag(params)}: {cfg['replicates']} replicates to n = {cfg['n']}")
+        if cfg["differential"]:
+            same_n = int(cfg["differential_n"]) == int(cfg["n"])
+            xi_run = res.arrays["xi"][:, -1] if same_n else None
+            failed_gate |= not _differential_check(params, cfg, res.mode, xi_run)
     return 1 if failed_gate else 0
 
 
@@ -220,7 +213,7 @@ def _differential_check(params: ModelParams, cfg: dict, ran: str, xi_run=None) -
     return ok
 
 
-def _cmd_exact(args) -> int:
+def _cmd_exact(args, written: list) -> int:
     defaults = {
         "p": 0.5,
         "beta": 1.0,
@@ -234,57 +227,48 @@ def _cmd_exact(args) -> int:
     }
     cfg = _merged(args, defaults)
     out_dir = _out_dir(cfg)
-    outputs = _OutputSet()
-    try:
-        if cfg["critical"]:
-            ps = cfg["p"] if isinstance(cfg["p"], list) else [cfg["p"]]
-            base = [ModelParams(float(p), 0.0) for p in ps]  # checks p first
-            grid = [ModelParams(pm.p, pm.critical_beta) for pm in base]
-        else:
-            grid = _param_grid(cfg)
-        n_max = int(cfg["n"])
-        degree = int(cfg["degree"])
-        if degree >= 1 and n_max < 100:
-            # the L2 diagnostic that comes with the moments needs n >= 100
-            raise ValueError("n_max must be >= 100 for a meaningful diagnostic")
-        as_json = cfg["format"] == "json"
-        ext = "json" if as_json else "csv"
-        config = _hashable(cfg)
-        for params in grid:
-            tag = _tag(params)
-            cps = geometric_checkpoints(n_max, float(cfg["checkpoint_ratio"]))
-            means = exact._mean_table(params, cps)
-            lim = exact.limit_mean_xi(params) if params.is_localized else None
-            write = serialize.write_mean_table_json if as_json else serialize.write_mean_table_csv
-            outputs.add(
-                write(out_dir / f"exact_mean_{tag}.{ext}", params, cps, means, config,
-                      analysis.classify_phase(params).regime.value, lim)
-            )
-            print(f"exact {tag}: mean table at {len(cps)} checkpoints")
+    if cfg["critical"]:
+        base = [ModelParams(float(p), 0.0) for p in _listed(cfg["p"])]  # checks p first
+        grid = [ModelParams(pm.p, pm.critical_beta) for pm in base]
+    else:
+        grid = _param_grid(cfg)
+    n_max = int(cfg["n"])
+    degree = int(cfg["degree"])
+    if degree >= 1 and n_max < 100:
+        # the L2 diagnostic that comes with the moments needs n >= 100
+        raise ValueError("n_max must be >= 100 for a meaningful diagnostic")
+    config = _hashable(cfg)
+    for params in grid:
+        tag = _tag(params)
+        cps = geometric_checkpoints(n_max, float(cfg["checkpoint_ratio"]))
+        means = exact._mean_table(params, cps)
+        lim = exact.limit_mean_xi(params) if params.is_localized else None
+        write, ext = _writer("mean_table", cfg)
+        written.append(
+            write(out_dir / f"exact_mean_{tag}.{ext}", params, cps, means, config,
+                  analysis.classify_phase(params).regime.value, lim)
+        )
+        print(f"exact {tag}: mean table at {len(cps)} checkpoints")
 
-            if degree >= 1:
-                tables, diag = exact._moments_and_l2(params, n_max, degree, cps)
-                write = serialize.write_moments_json if as_json else serialize.write_moments_csv
-                outputs.add(write(out_dir / f"exact_moments_{tag}.{ext}", tables, config))
-                if params.is_critical:
-                    outputs.add(
-                        serialize.write_critical_ratios_csv(
-                            out_dir / f"exact_critical_ratios_{tag}.csv", params, tables, config
-                        )
+        if degree >= 1:
+            tables, diag = exact._moments_and_l2(params, n_max, degree, cps)
+            write, ext = _writer("moments", cfg)
+            written.append(write(out_dir / f"exact_moments_{tag}.{ext}", tables, config))
+            if params.is_critical:
+                written.append(
+                    serialize.write_critical_ratios_csv(
+                        out_dir / f"exact_critical_ratios_{tag}.csv", params, tables, config
                     )
-                outputs.add(serialize.write_l2_json(out_dir / f"exact_l2_{tag}.json", diag))
-            if cfg["enumerate"]:
-                law, _ = exact.enumerate_law(params, min(n_max, 12))
-                write = serialize.write_law_json if as_json else serialize.write_law_csv
-                outputs.add(write(out_dir / f"exact_law_{tag}.{ext}", law, config))
-    except Exception as err:
-        outputs.discard_all()
-        print(f"error: {err}", file=sys.stderr)
-        return 2 if isinstance(err, (ValueError, FileNotFoundError, OverflowError)) else 1
+                )
+            written.append(serialize.write_l2_json(out_dir / f"exact_l2_{tag}.json", diag))
+        if cfg["enumerate"]:
+            law, _ = exact.enumerate_law(params, min(n_max, 12))
+            write, ext = _writer("law", cfg)
+            written.append(write(out_dir / f"exact_law_{tag}.{ext}", law, config))
     return 0
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args, written: list) -> int:
     defaults = {
         "regime": None,
         "seed": 20240801,
@@ -293,18 +277,12 @@ def _cmd_report(args) -> int:
         "out": None,
     }
     cfg = _merged(args, defaults)
-    regimes = cfg["regime"]
-    if regimes is not None and not isinstance(regimes, list):
-        regimes = [regimes]
-    try:
-        gates = report.run_gates(
-            regimes=regimes,
-            seed=int(cfg["seed"]),
-            scale=float(cfg["scale"]),
-            level=float(cfg["sigma_level"]),
-        )
-    except ValueError as err:
-        return _fail_usage(str(err))
+    gates = report.run_gates(
+        regimes=None if cfg["regime"] is None else _listed(cfg["regime"]),
+        seed=int(cfg["seed"]),
+        scale=float(cfg["scale"]),
+        level=float(cfg["sigma_level"]),
+    )
     width = max(len(g.name) for g in gates)
     print(f"{'regime':<24} {'gate':<{width}}  verdict  detail")
     all_ok = True
@@ -313,7 +291,7 @@ def _cmd_report(args) -> int:
         all_ok &= g.passed
         print(f"{g.regime:<24} {g.name:<{width}}  {verdict:<7}  {g.detail}")
     if cfg["out"]:
-        serialize.write_report_json(Path(cfg["out"]) / "report.json", gates)
+        written.append(serialize.write_report_json(Path(cfg["out"]) / "report.json", gates))
     print("overall:", "PASS" if all_ok else "FAIL")
     return 0 if all_ok else 1
 
@@ -388,12 +366,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    written: list[Path] = []
     try:
-        return args.fn(args)
-    except (ValueError, FileNotFoundError) as err:
-        return _fail_usage(str(err))
+        return args.fn(args, written)
+    except Exception as err:  # every command's one failure path
+        for path in written:
+            with suppress(OSError):
+                path.unlink()
+        print(f"error: {err}", file=sys.stderr)
+        return 2 if isinstance(err, (ValueError, FileNotFoundError, OverflowError)) else 1
 
 
 if __name__ == "__main__":

@@ -40,10 +40,11 @@ class MemoryLaw:
 
         Values lie in [0, 1]: n = 1 is the point mass at 1, exactly, and
         rounding in the Gamma ratios is clamped so it never exceeds 1.  A
-        scalar k gives the float that the array [k] gives.
+        scalar k gives the float that the array [k] gives.  Each k must be an
+        integer, of any dtype (2.0 gives the value of 2); 2.5 raises.
         """
         scalar = np.ndim(k) == 0
-        k = np.atleast_1d(np.asarray(k)).astype(np.int64)
+        k = _integers(k, "pmf")
         out = np.zeros(k.shape, dtype=np.float64)
         ok = (k >= 1) & (k <= self.n)
         if self.n == 1:
@@ -56,9 +57,10 @@ class MemoryLaw:
 
     def cdf(self, m):
         """P(recall <= m) via the telescoped partial sum, in [0, 1]; exact 0 at 0,
-        1 at n.  A scalar m gives the float that the array [m] gives."""
+        1 at n.  A scalar m gives the float that the array [m] gives; each m
+        must be an integer, of any dtype."""
         scalar = np.ndim(m) == 0
-        m = np.atleast_1d(np.asarray(m)).astype(np.int64)
+        m = _integers(m, "cdf")
         if (m < 0).any() or (m > self.n).any():
             raise ValueError("cdf argument must lie in {0, ..., n}")
         mp = m.astype(np.float64)  # m = 0 gives 0 * exp(...) = 0 exactly
@@ -84,3 +86,11 @@ class MemoryLaw:
             hi = np.where(above & active, mid, hi)
             lo = np.where(~above & active, mid, lo)
         return int(hi[0]) if scalar else hi
+
+
+def _integers(x, name: str) -> np.ndarray:
+    """`x` as a 1-d array; a non-integral entry (2.5, nan, inf) raises."""
+    x = np.atleast_1d(np.asarray(x))
+    if x.dtype.kind not in "biu" and not np.all(np.isfinite(x) & (np.trunc(x) == x)):
+        raise ValueError(f"{name} argument must be integral, got {x}")
+    return x

@@ -4,10 +4,11 @@ The gate battery re-derives its own data (exact engine plus light Monte
 Carlo), so a report run is self-contained.  Replicate counts scale with
 the `scale` parameter, which must be finite and positive.
 
-Each Monte Carlo ensemble but the coupling runs `run_ensemble(mode="auto")`,
-which picks the engine from the expected up-steps per step.  Four of them
-are sparse and run the events engine: the zero-beta MC mean, the critical
-localization ensemble, and the localized MC-mean and stagnation ensembles.
+Each Monte Carlo ensemble but the coupling runs `run_ensemble(mode="auto")`
+through `_ensemble`, which picks the engine from the expected up-steps per
+step.  Four of them are sparse and run the events engine: the zero-beta MC
+mean, the critical localization ensemble, and the localized MC-mean and
+stagnation ensembles.
 The negative-beta stagnation ensemble, (0.5, -0.5) to n = 4000, runs the
 collapsed engine; the coupling gate runs mode "coupled", and the branching
 gate runs `branching.simulate`.
@@ -57,30 +58,19 @@ class Gate:
 
 def _exponent_gate(regime, params, target, n_max=10**5, tol=0.05):
     cps = geometric_checkpoints(n_max)
-    means = exact._mean_table(params, cps)
-    fit = analysis.fit_exponent(cps, means, window=(10**3, n_max))
-    ok = abs(fit.slope - target) <= tol
-    return Gate(
-        regime,
-        "mean growth exponent",
-        ok,
-        f"slope {fit.slope:.4f} vs {target} (tol {tol})",
-    )
+    fit = analysis.fit_exponent(cps, exact._mean_table(params, cps), window=(10**3, n_max))
+    return Gate(regime, "mean growth exponent", abs(fit.slope - target) <= tol,
+                f"slope {fit.slope:.4f} vs {target} (tol {tol})")
 
 
 def _l2_gate(regime, params, expect_bounded, n_max=10**4):
     d = exact.l2_diagnostic(params, n_max)
-    ok = d.bounded == expect_bounded
-    return Gate(
-        regime,
-        "martingale second moment",
-        ok,
-        f"bounded={d.bounded} (expected {expect_bounded}), "
-        f"increment slope {d.increment_exponent:.3f} vs {d.expected_exponent:.3f}",
-    )
+    return Gate(regime, "martingale second moment", d.bounded == expect_bounded,
+                f"bounded={d.bounded} (expected {expect_bounded}), "
+                f"increment slope {d.increment_exponent:.3f} vs {d.expected_exponent:.3f}")
 
 
-def _coupling_gate(regime, params, direction, seed, n_steps, n_reps):
+def _coupling_gate(regime, params, seed, n_steps, n_reps):
     try:
         res = run_ensemble(
             params, n_steps, n_reps, seed, checkpoints=[n_steps], mode="coupled",
@@ -89,22 +79,30 @@ def _coupling_gate(regime, params, direction, seed, n_steps, n_reps):
     except AssertionError as err:
         return Gate(regime, "pathwise coupling order", False, str(err))
     xi, xi_lerw = res.arrays["xi"][:, -1], res.arrays["xi_lerw"][:, -1]
-    ok = bool(np.all(xi >= xi_lerw if direction == "ge" else xi <= xi_lerw))
-    return Gate(
-        regime,
-        "pathwise coupling order",
-        ok,
-        f"order {direction} held on {n_reps} paths to n = {n_steps}",
+    return Gate(regime, "pathwise coupling order", np.all(xi >= xi_lerw),
+                f"order ge held on {n_reps} paths to n = {n_steps}")
+
+
+def _ensemble(params, n_steps, n_reps, seed, checkpoints):
+    """Xi at `checkpoints` on the engine run_ensemble(mode="auto") picks."""
+    return run_ensemble(
+        params, n_steps, n_reps, seed, checkpoints=checkpoints, mode="auto", record=("xi",)
     )
 
 
 def _mc_mean_gate(regime, params, seed, n_steps, n_reps, level):
-    res = run_ensemble(
-        params, n_steps, n_reps, seed, checkpoints=[n_steps], mode="auto", record=("xi",)
-    )
+    res = _ensemble(params, n_steps, n_reps, seed, [n_steps])
     rep = analysis.build_report(res, confidence_z=level)
     g = analysis.compare_mc_exact(rep, exact.exact_mean_xi(n_steps, params), n_steps, level)
     return Gate(regime, "MC mean vs exact", g.passed, g.detail)
+
+
+def _stagnation_gate(regime, name, params, seed, n_reps, passes):
+    """`passes(f)` judges the stagnant fraction f on [2000, 4000]."""
+    res = _ensemble(params, 4000, n_reps, seed, [2000, 4000])
+    stag = analysis.stagnation_profile(res, [(2000, 4000)])[0]
+    return Gate(regime, name, passes(stag.fraction),
+                f"stagnant fraction {stag.fraction:.4f} on [2000, 4000]")
 
 
 def run_gates(regimes=None, seed: int = 20240801, scale: float = 1.0, level: float = 4.0):
@@ -118,122 +116,70 @@ def run_gates(regimes=None, seed: int = 20240801, scale: float = 1.0, level: flo
     if not 0.0 < scale < math.inf:
         raise ValueError(f"scale must be finite and > 0, got {scale}")
     reps = max(200, int(2000 * scale))
+    n_ref = 10**5
     gates: list[Gate] = []
 
     if "negative_beta" in regimes:
         pms = ModelParams(0.5, -0.5)
-        gates.append(
-            _exponent_gate("negative_beta", pms, GOLDEN["negative_beta_exponent"])
-        )
-        gates.append(_coupling_gate("negative_beta", pms, "ge", seed, 2000, reps))
-        res = run_ensemble(
-            pms, 4000, reps, seed + 1, checkpoints=[2000, 4000], mode="auto", record=("xi",)
-        )
-        stag = analysis.stagnation_profile(res, [(2000, 4000)])[0]
-        gates.append(
-            Gate(
-                "negative_beta",
-                "no late stagnation",
-                stag.fraction < 0.02,
-                f"stagnant fraction {stag.fraction:.4f} on [2000, 4000]",
-            )
-        )
+        gates += [
+            _exponent_gate("negative_beta", pms, GOLDEN["negative_beta_exponent"]),
+            _coupling_gate("negative_beta", pms, seed, 2000, reps),
+            _stagnation_gate("negative_beta", "no late stagnation", pms, seed + 1, reps,
+                             lambda f: f < 0.02),
+        ]
 
     if "zero_beta" in regimes:
         pms = ModelParams(0.5, 0.0)
-        gates.append(_exponent_gate("zero_beta", pms, GOLDEN["zero_beta_exponent"]))
-        gates.append(_l2_gate("zero_beta", pms, expect_bounded=True))
-        gates.append(_mc_mean_gate("zero_beta", pms, seed + 2, 2000, reps, level))
+        gates += [
+            _exponent_gate("zero_beta", pms, GOLDEN["zero_beta_exponent"]),
+            _l2_gate("zero_beta", pms, expect_bounded=True),
+            _mc_mean_gate("zero_beta", pms, seed + 2, 2000, reps, level),
+        ]
 
     if "sub_critical_positive" in regimes:
         pms = ModelParams(0.5, 0.5)
-        gates.append(
-            _exponent_gate(
-                "sub_critical_positive", pms, GOLDEN["sub_critical_exponent"]
-            )
-        )
-        gates.append(_l2_gate("sub_critical_positive", pms, expect_bounded=True))
         amp = exact.asymptotic_constant(pms)
-        n_ref = 10**5
-        ratio = exact.exact_mean_xi(n_ref, pms) / (
-            amp * n_ref**pms.growth_exponent
-        )
-        gates.append(
-            Gate(
-                "sub_critical_positive",
-                "amplitude ratio",
-                0.9 <= ratio <= 1.1,
-                f"exact mean / (C n^kappa) = {ratio:.4f} at n = {n_ref}",
-            )
-        )
+        ratio = exact.exact_mean_xi(n_ref, pms) / (amp * n_ref**pms.growth_exponent)
+        gates += [
+            _exponent_gate("sub_critical_positive", pms, GOLDEN["sub_critical_exponent"]),
+            _l2_gate("sub_critical_positive", pms, expect_bounded=True),
+            Gate("sub_critical_positive", "amplitude ratio", 0.9 <= ratio <= 1.1,
+                 f"exact mean / (C n^kappa) = {ratio:.4f} at n = {n_ref}"),
+        ]
 
     if "critical" in regimes:
         pms = ModelParams(0.5, 1.0)
-        n_ref = 10**5
-        mean = exact.exact_mean_xi(n_ref, pms)
-        ratio = mean / np.log(n_ref)
-        ok = 0.9 <= ratio / GOLDEN["critical_log_slope"] <= 1.15
-        gates.append(
-            Gate(
-                "critical",
-                "log-growth of the mean",
-                ok,
-                f"E[Xi_n]/log n = {ratio:.4f} at n = {n_ref}",
-            )
-        )
-        gates.append(_l2_gate("critical", pms, expect_bounded=False))
-        bound = exact.lower_bound_prob_one(pms, 10**5)
-        n_mc = 2000
-        res = run_ensemble(
-            pms, n_mc, reps, seed + 3, checkpoints=[n_mc], mode="auto", record=("xi",)
-        )
+        ratio = exact.exact_mean_xi(n_ref, pms) / np.log(n_ref)
+        bound = exact.lower_bound_prob_one(pms, n_ref)
+        res = _ensemble(pms, 2000, reps, seed + 3, [2000])
         freq = float(np.mean(res.arrays["xi"][:, -1] == 1))
         se = np.sqrt(max(freq * (1 - freq), 1e-12) / reps)
-        ok = freq >= bound.certified_lower - level * se
-        gates.append(
-            Gate(
-                "critical",
-                "localization probability bound",
-                ok,
-                f"freq(Xi = 1) = {freq:.4f} >= certified {bound.certified_lower:.4f}"
-                f" - {level} se",
-            )
-        )
+        gates += [
+            Gate("critical", "log-growth of the mean",
+                 0.9 <= ratio / GOLDEN["critical_log_slope"] <= 1.15,
+                 f"E[Xi_n]/log n = {ratio:.4f} at n = {n_ref}"),
+            _l2_gate("critical", pms, expect_bounded=False),
+            Gate("critical", "localization probability bound",
+                 freq >= bound.certified_lower - level * se,
+                 f"freq(Xi = 1) = {freq:.4f} >= certified {bound.certified_lower:.4f}"
+                 f" - {level} se"),
+        ]
 
     if "localized" in regimes:
         pms = ModelParams(0.5, 2.0)
         lim = exact.limit_mean_xi(pms)
-        ok = abs(lim - GOLDEN["localized_limit_mean"]) <= 1e-12
-        gates.append(
-            Gate("localized", "limit of the mean", ok, f"limit {lim} vs 4")
-        )
-        gates.append(_mc_mean_gate("localized", pms, seed + 4, 2000, reps, level))
-        res = run_ensemble(
-            pms, 4000, reps, seed + 5, checkpoints=[2000, 4000], mode="auto", record=("xi",)
-        )
-        stag = analysis.stagnation_profile(res, [(2000, 4000)])[0]
-        gates.append(
-            Gate(
-                "localized",
-                "late-window stagnation",
-                stag.fraction > 0.95,
-                f"stagnant fraction {stag.fraction:.4f} on [2000, 4000]",
-            )
-        )
         bp = branching.BranchingParams(0.5, 2.0, max_gen=40)
         rng = np.random.default_rng(seed + 6)
         n_runs = max(200, int(1000 * scale))
-        extinct = sum(
-            branching.simulate(bp, rng).extinct for _ in range(n_runs)
-        )
-        frac = extinct / n_runs
-        gates.append(
-            Gate(
-                "localized",
-                "branching extinction",
-                frac >= 0.99,
-                f"extinct fraction {frac:.4f} over {n_runs} runs (mean offspring 0.75)",
-            )
-        )
+        frac = sum(branching.simulate(bp, rng).extinct for _ in range(n_runs)) / n_runs
+        gates += [
+            Gate("localized", "limit of the mean",
+                 abs(lim - GOLDEN["localized_limit_mean"]) <= 1e-12, f"limit {lim} vs 4"),
+            _mc_mean_gate("localized", pms, seed + 4, 2000, reps, level),
+            _stagnation_gate("localized", "late-window stagnation", pms, seed + 5, reps,
+                             lambda f: f > 0.95),
+            Gate("localized", "branching extinction", frac >= 0.99,
+                 f"extinct fraction {frac:.4f} over {n_runs} runs (mean offspring 0.75)"),
+        ]
 
     return gates

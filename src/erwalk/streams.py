@@ -111,10 +111,7 @@ def uniform_rows(
     if keys.ndim != 1 or (keys.size and (keys.dtype.kind not in "iu" or keys.min() < 0)):
         raise ValueError("replicates must be a 1-d array of indices in [0, 2**64)")
     _check_key(master_seed, 0)
-    return _fill(master_seed, keys.astype(np.uint64, copy=False), offset, length, out)
-
-
-def _fill(master_seed, keys, offset, length, out) -> np.ndarray:
+    keys = keys.astype(np.uint64, copy=False)
     count = len(keys)
     if offset < 0 or length < 0:
         raise ValueError("offset and length must be nonnegative")

@@ -489,9 +489,10 @@ def _run(params, n_steps, seed, checkpoints, mode, record, start, count, workers
     many rows as _EVENTS_SCRATCH bytes of its per-row scratch allow, and at
     most count / workers, so that every worker gets a block, as long as
     each such block holds _BLOCK_SIZE rows: an ensemble of fewer than
-    2 _BLOCK_SIZE rows runs as one block.  A one-block run returns the engine's own arrays, with no pool;
-    more blocks are copied one by one into the result.  Returns (checkpoints,
-    engine, {field: C-contiguous array of shape (count, len(checkpoints))}).
+    2 _BLOCK_SIZE rows runs as one block.  A one-block run returns the
+    engine's own arrays, with no pool; more blocks are copied one by one
+    into the result.  Returns (checkpoints, engine, {field: C-contiguous
+    array of shape (count, len(checkpoints))}).
     """
     _check_key(seed, start, count)
     if n_steps < 1:

@@ -326,6 +326,22 @@ class TestSimulateCommand:
             assert "workers must be an integer >= 1" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value", ["1", "5000"])
+    def test_bad_differential_n_exit_2_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                      value):
+        # 5000 is past the full engine's cap of 4096 steps
+        def no_run(*args, **kw):
+            raise AssertionError("run_ensemble reached")
+
+        monkeypatch.setattr(cli, "run_ensemble", no_run)
+        rc = main(["simulate", "--n", "50", "--replicates", "10", "--seed", "1",
+                   "--differential", "--differential-n", value, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: differential_n must be an integer in [2, 4096], got {value}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_horizon_past_the_cap_exit_2(self, tmp_path, capsys):
         rc = main(["simulate", "--p", "0.5", "--beta", "1",
                    "--n", str(MAX_STEPS + 1), "--replicates", "10", "--seed", "1",
@@ -603,6 +619,60 @@ class TestReportCommand:
         with pytest.raises(SystemExit) as exc:
             main(["report", "--regime", "bogus"])
         assert exc.value.code == 2
+
+
+class TestFailurePath:
+    """`main` turns every command's failure into one `error:` line and an
+    exit code, and removes the files the command wrote."""
+
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--n", "50", "--replicates", "10", "--seed", "1"],
+        ["exact", "--p", "0.5", "--beta", "1", "--n", "100"],
+        ["report", "--regime", "sub_critical_positive"],
+    ], ids=["simulate", "exact", "report"])
+    def test_out_naming_a_regular_file_exit_1(self, tmp_path, capsys, args):
+        out = tmp_path / "taken"
+        out.write_text("kept\n")
+        assert main([*args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert list(tmp_path.iterdir()) == [out] and out.read_text() == "kept\n"
+
+    def test_failed_run_removes_the_files_it_wrote(self, tmp_path, capsys):
+        # the ensemble file is written, then the trajectory's path, a
+        # directory, cannot be
+        (tmp_path / "trajectory_p0.5_beta1.csv").mkdir()
+        rc = main(["simulate", "--p", "0.5", "--beta", "1", "--n", "50",
+                   "--replicates", "10", "--seed", "1", "--out", str(tmp_path)])
+        assert rc == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["trajectory_p0.5_beta1.csv"]
+
+    def test_report_battery_error_exit_1(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kw):
+            raise RuntimeError("ensemble failed")
+
+        monkeypatch.setattr(report_mod, "_ensemble", broken)
+        rc = main(["report", "--regime", "critical", "--out", str(tmp_path)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: ensemble failed\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_module_run_prints_no_traceback(self, tmp_path):
+        out = tmp_path / "taken"
+        out.write_text("")
+        src = str(Path(erwalk.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "erwalk.cli", "report", "--regime",
+             "sub_critical_positive", "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_every_file_goes_through_serialize(tmp_path, monkeypatch):

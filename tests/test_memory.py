@@ -94,6 +94,19 @@ class TestCdf:
             MemoryLaw(0.5, 5).cdf(6)
 
 
+
+@pytest.mark.parametrize("method", ["pmf", "cdf"])
+def test_non_integral_argument_rejected(method):
+    # both used to truncate: pmf(2.5) gave pmf(2) = 0.25 and cdf(-0.5) gave 0
+    law = MemoryLaw(0.0, 4)
+    f = getattr(law, method)
+    for bad in (2.5, -0.5, np.nan, np.inf, [1, 2.5], np.array([3.0, 0.1])):
+        with pytest.raises(ValueError, match="must be integral"):
+            f(bad)
+    # an integral float is the integer it equals, bit for bit
+    assert f(2.0) == f(2) and type(f(2.0)) is float
+    assert f(np.array([1.0, 3.0])).tolist() == f(np.array([1, 3])).tolist()
+
 class TestSample:
     def test_single_point_support(self):
         law = MemoryLaw(0.7, 1)
