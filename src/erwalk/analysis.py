@@ -1,9 +1,11 @@
 """Phase classification, exponent estimation, and Monte Carlo vs exact gates.
 
-The chi-square p-values come from `scipy.special.chdtrc`, the upper tail
-that `scipy.stats.chi2.sf` evaluates, so importing the package does not load
-`scipy.stats`, whose import used to be most of every command's start-up.
-The tests check both p-values against `scipy.stats` bit for bit.
+The chi-square p-values come from `_chi2_sf`, a port of Cephes `igamc`
+(DLMF 8.7, 8.9, 8.11): the upper tail that `scipy.special.chdtrc` and
+`scipy.stats.chi2.sf` evaluate, with the same bits, so importing the package
+loads no scipy module.  Above 40 degrees of freedom, where igamc takes an
+asymptotic branch that is not ported, `_chi2_sf` imports `chdtrc` when
+called.  The tests check both p-values against `scipy.stats` bit for bit.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .exact import ExactLaw, asymptotic_constant
+from .gammaratio import _lgam, _polevl
 from .walkers import EnsembleResult, ModelParams
 
 __all__ = [
@@ -218,7 +220,7 @@ def chi_square_vs_law(samples: np.ndarray, law: ExactLaw) -> float:
     if len(obs) < 2:
         raise ValueError("too few populated bins for a chi-square test")
     stat = float(np.sum((obs - exp) ** 2 / exp))
-    return float(chdtrc(len(obs) - 1, stat))
+    return _chi2_sf(len(obs) - 1, stat)
 
 
 def chi_square_two_sample(a: np.ndarray, b: np.ndarray) -> float:
@@ -260,7 +262,212 @@ def _contingency_pvalue(table: np.ndarray) -> float:
         diff = expected - observed
         observed = observed + np.minimum(0.5, np.abs(diff)) * np.sign(diff)
     stat = np.sum((observed - expected) ** 2 / expected)
-    return float(chdtrc(dof, stat))
+    return _chi2_sf(dof, float(stat))
+
+
+# Chi-square upper tail: Cephes igamc (scipy's, by Moshier and Wilson) for
+# dof <= 40, a = dof/2 <= 20, where igamc never takes its Temme asymptotic
+# branch (a > 20), whose 25 x 25 coefficient table is not ported.
+_MACHEP = 1.11022302462515654042e-16  # 2^-53
+_MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX)
+_MAXITER = 2000
+_BIG = 4.503599627370496e15  # 2^52, rescales the continued fraction
+_BIGINV = 2.22044604925031308085e-16  # 2^-52
+_EULER = 0.577215664901532860606512090082402431
+_CHI2_PORTED_MAX_DOF = 40
+# Lanczos approximation, g and the 13-term rational sum
+# Gamma(x) e^(x+g-0.5) / (x+g-0.5)^(x-0.5), highest power first
+_LANCZOS_G = 6.024680040776729583740234375
+_LANCZOS_NUM = (
+    0.006061842346248906525783753964555936883222,
+    0.5098416655656676188125178644804694509993,
+    19.51992788247617482847860966235652136208,
+    449.9445569063168119446858607650988409623,
+    6955.999602515376140356310115515198987526,
+    75999.29304014542649875303443598909137092,
+    601859.6171681098786670226533699352302507,
+    3481712.15498064590882071018964774556468,
+    14605578.08768506808414169982791359218571,
+    43338889.32467613834773723740590533316085,
+    86363131.28813859145546927288977868422342,
+    103794043.1163445451906271053616070238554,
+    56906521.91347156388090791033559122686859,
+)
+_LANCZOS_DEN = (  # x (x+1) ... (x+11)
+    1.0, 66.0, 1925.0, 32670.0, 357423.0, 2637558.0, 13339535.0,
+    45995730.0, 105258076.0, 150917976.0, 120543840.0, 39916800.0, 0.0,
+)
+# Cephes expm1 on [-0.5, 0.5]: e^x - 1 = 2x P(x^2) / (Q(x^2) - x P(x^2))
+_EXPM1_P = (
+    1.2617719307481059087798e-4,
+    3.0299440770744196129956e-2,
+    9.9999999999999999991025e-1,
+)
+_EXPM1_Q = (
+    3.0019850513866445504159e-6,
+    2.5244834034968410419224e-3,
+    2.2726554820815502876593e-1,
+    2.0000000000000000009025e0,
+)
+# zeta(n) for n = 2..41 as Cephes' Hurwitz zeta(n, 1) gives it; 14 of the
+# 40 are not the correctly rounded value, and lgam1p's bits need these
+_ZETA = (
+    1.6449340668482266, 1.202056903159594, 1.0823232337111381, 1.0369277551433704,
+    1.0173430619844488, 1.008349277381923, 1.0040773561979446, 1.0020083928260826,
+    1.0009945751278182, 1.0004941886041194, 1.0002460865533078, 1.0001227133475785,
+    1.0000612481350586, 1.0000305882363072, 1.0000152822594084, 1.0000076371976376,
+    1.000003817293265, 1.0000019082127163, 1.0000009539620338, 1.0000004769329867,
+    1.0000002384505027, 1.000000119219926, 1.000000059608189, 1.0000000298035034,
+    1.0000000149015549, 1.0000000074507118, 1.000000003725334, 1.0000000018626598,
+    1.0000000009313275, 1.0000000004656628, 1.000000000232831, 1.0000000001164155,
+    1.0000000000582077, 1.0000000000291038, 1.000000000014552, 1.000000000007276,
+    1.000000000003638, 1.000000000001819, 1.0000000000009095, 1.0000000000004547,
+)
+
+
+def _expm1(x: float) -> float:
+    """Cephes expm1; `math.expm1` differs from it by up to 2 ulp."""
+    if x < -0.5 or x > 0.5:
+        return math.exp(x) - 1.0
+    xx = x * x
+    r = x * _polevl(xx, _EXPM1_P)
+    r = r / (_polevl(xx, _EXPM1_Q) - r)
+    return r + r
+
+
+def _lgam1p_taylor(x: float) -> float:
+    """log Gamma(1 + x) for |x| <= 0.5 by its Taylor series in zeta(n)."""
+    if x == 0.0:
+        return 0.0
+    res = -_EULER * x
+    xfac = -x
+    for n in range(2, 42):
+        xfac *= -x
+        coeff = _ZETA[n - 2] * xfac / n
+        res += coeff
+        if abs(coeff) < _MACHEP * abs(res):
+            break
+    return res
+
+
+def _lgam1p(x: float) -> float:
+    """log Gamma(1 + x), without the cancellation near x = 0 and x = 1."""
+    if abs(x) <= 0.5:
+        return _lgam1p_taylor(x)
+    if abs(x - 1.0) < 0.5:
+        return math.log(x) + _lgam1p_taylor(x - 1.0)
+    return _lgam(x + 1.0)
+
+
+def _igam_fac(a: float, x: float) -> float:
+    """x^a e^(-x) / Gamma(a); through the Lanczos sum when x is near a."""
+    if abs(a - x) > 0.4 * abs(a):
+        ax = a * math.log(x) - x - _lgam(a)
+        return 0.0 if ax < -_MAXLOG else math.exp(ax)
+    fac = a + _LANCZOS_G - 0.5
+    if abs(a) > 1.0:  # Cephes ratevl: a polynomial in 1/a
+        y, num, den = 1.0 / a, _LANCZOS_NUM[::-1], _LANCZOS_DEN[::-1]
+    else:
+        y, num, den = a, _LANCZOS_NUM, _LANCZOS_DEN
+    res = math.sqrt(fac / math.exp(1.0)) / (_polevl(y, num) / _polevl(y, den))
+    # Cephes takes another form for a or x >= 200, which a <= 20 never reaches
+    return res * (math.exp(a - x) * math.pow(x / fac, a))
+
+
+def _igam_series(a: float, x: float) -> float:
+    """Regularized lower incomplete Gamma P(a, x), DLMF 8.11.4."""
+    ax = _igam_fac(a, x)
+    if ax == 0.0:
+        return 0.0
+    r, c, ans = a, 1.0, 1.0
+    for _ in range(_MAXITER):
+        r += 1.0
+        c *= x / r
+        ans += c
+        if c <= _MACHEP * ans:
+            break
+    return ans * ax / a
+
+
+def _igamc_continued_fraction(a: float, x: float) -> float:
+    """Regularized upper incomplete Gamma Q(a, x), DLMF 8.9.2."""
+    ax = _igam_fac(a, x)
+    if ax == 0.0:
+        return 0.0
+    y = 1.0 - a
+    z = x + y + 1.0
+    c = 0.0
+    pkm2, qkm2 = 1.0, x
+    pkm1, qkm1 = x + 1.0, z * x
+    ans = pkm1 / qkm1
+    for _ in range(_MAXITER):
+        c += 1.0
+        y += 1.0
+        z += 2.0
+        yc = y * c
+        pk = pkm1 * z - pkm2 * yc
+        qk = qkm1 * z - qkm2 * yc
+        if qk != 0.0:
+            r = pk / qk
+            t = abs((ans - r) / r)
+            ans = r
+        else:
+            t = 1.0
+        pkm2, pkm1 = pkm1, pk
+        qkm2, qkm1 = qkm1, qk
+        if abs(pk) > _BIG:
+            pkm2 *= _BIGINV
+            pkm1 *= _BIGINV
+            qkm2 *= _BIGINV
+            qkm1 *= _BIGINV
+        if t <= _MACHEP:
+            break
+    return ans * ax
+
+
+def _igamc_series(a: float, x: float) -> float:
+    """Q(a, x) for small x, DLMF 8.7.3, free of the cancellation in 1 - P."""
+    fac, total = 1.0, 0.0
+    for n in range(1, _MAXITER):
+        fac *= -x / n
+        term = fac / (a + n)
+        total += term
+        if abs(term) <= _MACHEP * abs(total):
+            break
+    logx = math.log(x)
+    term = -_expm1(a * logx - _lgam1p(a))
+    return term - math.exp(a * logx - _lgam(a)) * total
+
+
+def _chi2_sf(dof, stat: float) -> float:
+    """P(chi^2_dof > stat): `scipy.special.chdtrc(dof, stat)`, bit for bit.
+
+    That is Cephes igamc(dof/2, stat/2), ported for dof <= 40; above, where
+    igamc takes its Temme asymptotic branch, scipy is imported here, so no
+    command pays for loading it unless it tests that many bins.  dof must
+    be a positive integer and stat a number >= 0 (inf gives 0).
+    """
+    if not (dof >= 1 and float(dof).is_integer()):
+        raise ValueError(f"chi-square dof must be a positive integer, got {dof}")
+    if not stat >= 0.0:
+        raise ValueError(f"chi-square statistic must be >= 0, got {stat}")
+    if dof > _CHI2_PORTED_MAX_DOF:
+        from scipy.special import chdtrc
+
+        return float(chdtrc(dof, stat))
+    a, x = dof / 2.0, stat / 2.0
+    if x == 0.0:
+        return 1.0
+    if math.isinf(x):
+        return 0.0
+    # Cephes igamc's choice of method for a <= 20
+    if x > 1.1:
+        if x < a:
+            return 1.0 - _igam_series(a, x)
+        return _igamc_continued_fraction(a, x)
+    if (-0.4 / math.log(x) < a) if x <= 0.5 else (x * 1.1 < a):
+        return 1.0 - _igam_series(a, x)
+    return _igamc_series(a, x)
 
 
 @dataclass(frozen=True)

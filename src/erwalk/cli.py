@@ -16,6 +16,7 @@ deterministic given (config, seed) and carry a metadata header.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -88,7 +89,24 @@ def _check_config_value(key: str, value, flag: argparse.Action, default) -> None
 
 def _out_dir(cfg: dict) -> Path:
     out = cfg.get("out") or os.environ.get(_OUT_ENV) or "erwalk_out"
-    return Path(out)
+    return _writable(Path(out))
+
+
+def _writable(out: Path) -> Path:
+    """`out`, once it is known that the writers can create files under it.
+
+    Checked before any run, so an output path that is a regular file (or
+    lies under one) or an unwritable directory fails a command at once, not
+    after its run.  Nothing is created here; the writers make the directory.
+    """
+    probe = out
+    while not probe.exists():
+        probe = probe.parent
+    if not probe.is_dir():
+        raise FileExistsError(errno.EEXIST, "output path is not a directory", str(probe))
+    if not os.access(probe, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, "output directory is not writable", str(probe))
+    return out
 
 
 def _hashable(cfg: dict) -> dict:
@@ -226,7 +244,6 @@ def _cmd_exact(args, written: list) -> int:
         "checkpoint_ratio": 1.2,
     }
     cfg = _merged(args, defaults)
-    out_dir = _out_dir(cfg)
     if cfg["critical"]:
         base = [ModelParams(float(p), 0.0) for p in _listed(cfg["p"])]  # checks p first
         grid = [ModelParams(pm.p, pm.critical_beta) for pm in base]
@@ -237,6 +254,7 @@ def _cmd_exact(args, written: list) -> int:
     if degree >= 1 and n_max < 100:
         # the L2 diagnostic that comes with the moments needs n >= 100
         raise ValueError("n_max must be >= 100 for a meaningful diagnostic")
+    out_dir = _out_dir(cfg)
     config = _hashable(cfg)
     for params in grid:
         tag = _tag(params)
@@ -277,6 +295,8 @@ def _cmd_report(args, written: list) -> int:
         "out": None,
     }
     cfg = _merged(args, defaults)
+    if cfg["out"]:
+        _writable(Path(cfg["out"]))
     gates = report.run_gates(
         regimes=None if cfg["regime"] is None else _listed(cfg["regime"]),
         seed=int(cfg["seed"]),

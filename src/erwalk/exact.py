@@ -29,9 +29,15 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.special import gammaln
 
-from .gammaratio import _c_carried, c_values, log_poch, log_poch_ratio, poch_ratio_sum
+from .gammaratio import (
+    _c_carried,
+    _lgam,
+    c_values,
+    log_poch,
+    log_poch_ratio,
+    poch_ratio_sum,
+)
 from .walkers import ModelParams, _check_checkpoints
 
 __all__ = [
@@ -99,7 +105,7 @@ def asymptotic_constant(params: ModelParams) -> float:
         raise ValueError(
             "amplitude is defined only below the critical line beta < p/(1-p)"
         )
-    return math.exp(gammaln(params.beta + 1.0) - gammaln(params.rate)) / (
+    return math.exp(_lgam(params.beta + 1.0) - _lgam(params.rate)) / (
         params.rate - params.beta
     )
 
@@ -423,7 +429,7 @@ def lower_bound_prob_one(params: ModelParams, n_terms: int) -> ProductBound:
     if n_terms < 2:
         raise ValueError("n_terms must be >= 2")
     beta = params.beta
-    lg = gammaln(beta + 1.0)
+    lg = _lgam(beta + 1.0)
     ks = np.arange(2, n_terms + 1, dtype=np.float64)
     # P(recall_k = 1) = (beta+1) / ((k-1) mu_k)
     log_pk = math.log(beta + 1.0) - np.log(ks - 1.0) - (log_poch(ks, beta) - lg)

@@ -17,14 +17,20 @@ the walk are mu_n = c_n(beta).  Two evaluation paths are provided:
 
 Both paths are accurate to ~1e-13 relative for n <= 1e7, |xi| <= 10; the test
 suite pins them against an arbitrary-precision oracle.
+
+log Gamma itself is `_lgam`, a port of Cephes `lgam` (Moshier, *Methods and
+Programs for Mathematical Functions*, 1989) for positive arguments: the
+function that `scipy.special.gammaln` evaluates, giving the same bits (the
+tests check both on a pinned grid), without loading `scipy.special`, which
+was most of every command's start-up.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "c_values",
@@ -41,7 +47,7 @@ __all__ = [
 _LINEAR_MAX = 10_000
 _LOG_CHUNK = 1 << 15
 
-# Below this argument the plain gammaln difference is already cancellation-free.
+# Below this argument the plain log-Gamma difference is already cancellation-free.
 _DIRECT_MIN = 32.0
 
 # Stirling tail J(z) = sum B_2k / (2k(2k-1) z^{2k-1}); five terms give ~1e-16
@@ -53,6 +59,86 @@ _S1, _S2, _S3, _S4, _S5 = (
     -1.0 / 1680.0,
     1.0 / 1188.0,
 )
+
+
+# Cephes lgam: A is the Stirling series in 1/x^2 above 13, B/C the rational
+# function of log Gamma on [2, 3); LS2PI = log sqrt(2 pi)
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_LGAM_B = (
+    -1.37825152569120859100e3,
+    -3.88016315134637840924e4,
+    -3.31612992738871184744e5,
+    -1.16237097492762307383e6,
+    -1.72173700820839662146e6,
+    -8.53555664245765465627e5,
+)
+_LGAM_C = (
+    1.0,  # Cephes p1evl's implied leading coefficient; 1.0 * x is exact
+    -3.51815701436523470549e2,
+    -1.70642106651881159223e4,
+    -2.20528590553854454839e5,
+    -1.13933444367982507207e6,
+    -2.53252307177582951285e6,
+    -2.01889141433532773231e6,
+)
+_LS2PI = 0.91893853320467274178
+_MAXLGM = 2.556348e305
+
+
+def _polevl(x: float, coef) -> float:
+    """Cephes polevl: the polynomial with coefficients `coef`, highest power
+    first, by Horner's rule."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+@lru_cache(maxsize=1024)  # the array callers repeat their arguments call after call
+def _lgam(x: float) -> float:
+    """log Gamma(x) for x > 0, Cephes `lgam` operation for operation.
+
+    Below 13 the argument is shifted into [2, 3) by the recurrence, whose
+    product z is carried apart, and log z is added to the B/C rational
+    function there; above, the Stirling series with the A coefficients
+    (two terms from 1000 on, none past 1e8).  x <= 0 and NaN raise; +inf
+    gives inf, as Cephes does.
+    """
+    x = float(x)
+    if not x > 0.0:
+        raise ValueError(f"log Gamma is ported for x > 0 only, got {x}")
+    if x < 13.0:
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x += p - 2.0
+        return math.log(z) + x * _polevl(x, _LGAM_B) / _polevl(x, _LGAM_C)
+    if x > _MAXLGM:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + (
+            (7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+            + 0.0833333333333333333333
+        ) / x
+    return q + _polevl(p, _LGAM_A) / x
 
 
 def _check_xi(xi: float) -> float:
@@ -100,8 +186,8 @@ def log_poch(n, xi: float):
     out = np.empty(n.shape, dtype=np.float64)
     small = n < _DIRECT_MIN
     if small.any():
-        ns = n[small]
-        out[small] = gammaln(ns + xi) - gammaln(ns)
+        # a scalar loop: the package's callers pass at most 31 such entries
+        out[small] = [_lgam(v + xi) - _lgam(v) for v in n[small].tolist()]
     big = ~small
     if big.any():
         nb = n[big]
@@ -118,7 +204,7 @@ def log_poch(n, xi: float):
 def log_poch_ratio(n, xi: float):
     """log c_n(xi): direct (non-recurrent) evaluation via log-Gamma differences."""
     xi = _check_xi(xi)
-    return log_poch(n, xi) - gammaln(xi + 1.0)
+    return log_poch(n, xi) - _lgam(xi + 1.0)
 
 
 def _c_carried(c_first, xi: float, k: np.ndarray) -> np.ndarray:
@@ -230,6 +316,6 @@ def poch_ratio_sum(x: float, y: float, n: int) -> float:
         log_w = np.cumsum(np.log1p((x - y) * inv[:-1]))
         return float(np.sum(np.exp(np.concatenate(([0.0], log_w))) * inv))
     log_ratio = (
-        log_poch(n, x) - log_poch(n, y) + gammaln(y + 1.0) - gammaln(x + 1.0)
+        log_poch(n, x) - log_poch(n, y) + _lgam(y + 1.0) - _lgam(x + 1.0)
     )
     return math.expm1(log_ratio) / (x - y)

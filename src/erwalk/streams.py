@@ -52,6 +52,7 @@ coin), and each fill reads up to 48 draws (24 candidates).
 from __future__ import annotations
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy loads it on first use: keep that out of a run
 
 __all__ = ["replicate_stream", "uniform_rows"]
 

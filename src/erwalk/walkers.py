@@ -50,6 +50,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.ma  # noqa: F401  np.unique (here and in exact) loads it on first call
 
 from .gammaratio import c_values, log_poch_ratio
 from .memory import MemoryLaw

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from scipy import special as sp_special
 from scipy import stats as sp_stats
 
 from erwalk.analysis import (
+    _ZETA,
     Regime,
+    _chi2_sf,
     _contingency_pvalue,
+    _expm1,
     _merge_small_bins,
     build_report,
     chi_square_two_sample,
@@ -287,3 +291,68 @@ class TestChiSquareOracle:
         )[1]
         with pytest.raises(ValueError, match="zero expected"):
             _contingency_pvalue(np.array([[3.0, 0.0, 4.0], [1.0, 0.0, 2.0]]))
+
+
+def _ulps(x):
+    return [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+
+
+def _branch_points(dof):
+    """Statistics at and beside each switch of Cephes igamc for a = dof/2,
+    x = stat/2, near 0 and in the far tail."""
+    a = dof / 2.0
+    pts = [5e-324, 1e-300, 1e-12, 1e-3, 0.3, 1500.0, 1e6, 100.0 * dof,
+           dof + 10.0 * math.sqrt(2.0 * dof)]
+    pts += _ulps(1.0)  # x = 0.5
+    pts += _ulps(2.2)  # x = 1.1
+    pts += _ulps(2.0 * math.exp(-0.4 / a))  # -0.4 / log(x) = a, below x = 0.5
+    pts += _ulps(2.0 * a / 1.1)  # 1.1 x = a
+    pts += _ulps(float(dof))  # the mean, x = a
+    pts += _ulps(0.6 * dof) + _ulps(1.4 * dof)  # |a - x| = 0.4 a, igam_fac
+    return pts
+
+
+class TestChiSquarePort:
+    """`_chi2_sf` is Cephes igamc(dof/2, stat/2), the function behind
+    scipy.special.chdtrc, bit for bit."""
+
+    @pytest.mark.parametrize("dof", range(1, 41))
+    def test_matches_chdtrc(self, dof):
+        rng = np.random.default_rng(dof)
+        stats = np.concatenate([
+            _branch_points(dof),
+            rng.uniform(0.0, 4.0 * dof + 20.0, 400),
+            np.exp(rng.uniform(-30.0, 7.0, 400)),
+        ])
+        got = np.array([_chi2_sf(dof, s) for s in stats])
+        np.testing.assert_array_equal(got, sp_special.chdtrc(dof, stats))
+
+    @pytest.mark.parametrize("dof", [41, 60, 200, 1000])
+    def test_fallback_above_40_dof(self, dof):
+        stats = [0.5 * dof, dof - 1.0, float(dof), dof + 3.0 * math.sqrt(dof), 3.0 * dof]
+        got = [_chi2_sf(dof, s) for s in stats]
+        assert got == [float(sp_special.chdtrc(dof, s)) for s in stats]
+
+    @pytest.mark.parametrize("dof", [1, 2, 7, 40, 41])
+    def test_zero_and_inf_statistic(self, dof):
+        assert _chi2_sf(dof, 0.0) == sp_special.chdtrc(dof, 0.0) == 1.0
+        assert _chi2_sf(dof, math.inf) == sp_special.chdtrc(dof, math.inf) == 0.0
+
+    @pytest.mark.parametrize("dof", [0, -1, 0.5, 1.5, math.nan, math.inf])
+    def test_bad_dof_raises(self, dof):
+        with pytest.raises(ValueError, match="dof"):
+            _chi2_sf(dof, 1.0)
+
+    @pytest.mark.parametrize("stat", [math.nan, -1e-300, -1.0, -math.inf])
+    def test_bad_statistic_raises(self, stat):
+        with pytest.raises(ValueError, match="statistic"):
+            _chi2_sf(3, stat)
+
+    def test_zeta_table_is_cephes(self):
+        # Cephes zeta(n, 1), not the correctly rounded zeta(n), feeds lgam1p
+        assert list(_ZETA) == [float(sp_special.zeta(n, 1.0)) for n in range(2, 42)]
+
+    def test_expm1_is_cephes(self):
+        xs = np.concatenate([np.linspace(-0.6, 0.6, 20_001), _ulps(0.5), _ulps(-0.5)])
+        got = np.array([_expm1(x) for x in xs])
+        np.testing.assert_array_equal(got, sp_special.expm1(xs))

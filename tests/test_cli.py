@@ -638,6 +638,29 @@ class TestFailurePath:
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert list(tmp_path.iterdir()) == [out] and out.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("args, module, first_run", [
+        (["simulate", "--seed", "1"], cli, "run_ensemble"),
+        (["exact"], cli.exact, "_mean_table"),
+        (["report"], cli.report, "run_gates"),
+    ], ids=["simulate", "exact", "report"])
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-file"])
+    def test_unwritable_out_fails_before_any_run(
+        self, tmp_path, capsys, monkeypatch, args, module, first_run, below
+    ):
+        def no_run(*a, **kw):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(module, first_run, no_run)
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        assert main([*args, "--out", str(taken / below)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: [Errno 17] output path is not a directory: '{taken}'\n"
+        )
+        assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "kept\n"
+
     def test_failed_run_removes_the_files_it_wrote(self, tmp_path, capsys):
         # the ensemble file is written, then the trajectory's path, a
         # directory, cannot be
@@ -760,6 +783,38 @@ def test_import_loads_no_heavy_scipy():
         check=True,
     )
     loaded = proc.stdout.split()
-    assert "erwalk.cli" in loaded and "scipy.special" in loaded
-    heavy = {"scipy.stats", "scipy.optimize", "scipy.sparse", "scipy.linalg"}
-    assert [m for m in loaded if ".".join(m.split(".")[:2]) in heavy] == []
+    assert "erwalk.cli" in loaded
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+def test_runs_import_no_new_module(tmp_path):
+    # a module first imported during a run puts start-up cost into its time
+    code = (
+        "import json, sys, erwalk, erwalk.cli\n"
+        "out = sys.argv[1]\n"
+        "runs = [\n"
+        "    ['simulate', '--seed', '3', '--n', '1000', '--replicates', '1000',\n"
+        "     '--out', out],\n"
+        "    ['simulate', '--seed', '3', '--n', '100', '--replicates', '500',\n"
+        "     '--differential', '--differential-n', '12', '--out', out],\n"
+        "    ['exact', '--critical', '--n', '1000', '--degree', '2', '--out', out],\n"
+        "    ['report', '--scale', '0.1'],\n"
+        "]\n"
+        "new = []\n"
+        "for argv in runs:\n"
+        "    before = set(sys.modules)\n"
+        "    rc = erwalk.cli.main(argv)\n"
+        "    new.append([argv[0], rc, sorted(set(sys.modules) - before)])\n"
+        "sys.stderr.write(json.dumps(new))\n"
+    )
+    src = str(Path(erwalk.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True,
+        text=True, check=True,
+    )
+    new = json.loads(proc.stderr)
+    assert [cmd for cmd, _, _ in new] == ["simulate", "simulate", "exact", "report"]
+    assert [mods for _, _, mods in new] == [[], [], [], []]
+    assert [rc for cmd, rc, _ in new if cmd != "report"] == [0, 0, 0]

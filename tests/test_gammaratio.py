@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from erwalk.gammaratio import (
+    _lgam,
     c_values,
     gamma_ratio_sum,
     log_poch,
@@ -256,3 +257,48 @@ class TestPochRatioSum:
 
     def test_empty_sum(self):
         assert poch_ratio_sum(0.5, 1.0, 1) == 0.0
+
+
+# positive arguments for the Cephes lgam port: the dyadic k/64 up to 40, the
+# integers and half-integers up to 2000, every power of two from the least
+# subnormal to 2^1023 (past the overflow threshold), each branch boundary and
+# its neighbours, and inf
+LGAM_GRID = np.concatenate([
+    np.arange(1, 64 * 40 + 1) / 64.0,
+    np.arange(1, 4001) / 2.0,
+    2.0 ** np.arange(-1074, 1024),
+    [np.nextafter(b, d) for b in (2.0, 3.0, 13.0, 1000.0, 1e8, 2.556348e305)
+     for d in (0.0, b, np.inf)],
+    [np.inf],
+])
+# sha256 of scipy.special.gammaln over LGAM_GRID (scipy 1.17.1)
+LGAM_GOLDEN = "84ee9bcedc0151d172d1965299a5c8a08abb0c71b38150dd1ee1cda75a7d21c8"
+
+
+class TestLgamPort:
+    """`_lgam` is Cephes lgam, the function behind scipy.special.gammaln."""
+
+    def test_pinned_grid(self):
+        got = np.array([_lgam(x) for x in LGAM_GRID])
+        assert hashlib.sha256(got.tobytes()).hexdigest() == LGAM_GOLDEN
+        np.testing.assert_array_equal(got, gammaln(LGAM_GRID))
+
+    def test_random_sample_matches_gammaln(self):
+        rng = np.random.default_rng(20261019)
+        xs = np.concatenate([rng.uniform(0.0, 40.0, 20_000),
+                             np.exp(rng.uniform(-20.0, 60.0, 20_000))])
+        got = np.array([_lgam(x) for x in xs])
+        np.testing.assert_array_equal(got, gammaln(xs))
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, -1.5, -3.0, math.nan, -math.inf])
+    def test_outside_the_port_raises(self, x):
+        with pytest.raises(ValueError, match="x > 0"):
+            _lgam(x)
+
+    def test_inf_follows_cephes(self):
+        assert _lgam(math.inf) == gammaln(math.inf) == math.inf
+
+    @pytest.mark.parametrize("xi", [-0.99, -0.5, 0.0, 0.3, 1.0, 9.5])
+    def test_array_branch_gives_the_gammaln_bits(self, xi):
+        n = np.arange(1.0, 32.0)
+        np.testing.assert_array_equal(log_poch(n, xi), gammaln(n + xi) - gammaln(n))
