@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import errno
 import json
+import locale  # noqa: F401  argparse's gettext loads it at the first parse, inside a run
 import os
 import sys
 from contextlib import suppress
@@ -251,6 +252,8 @@ def _cmd_exact(args, written: list) -> int:
         grid = _param_grid(cfg)
     n_max = int(cfg["n"])
     degree = int(cfg["degree"])
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
     if degree >= 1 and n_max < 100:
         # the L2 diagnostic that comes with the moments needs n >= 100
         raise ValueError("n_max must be >= 100 for a meaningful diagnostic")

@@ -12,14 +12,20 @@ reproduces every moment up to degree d exactly (up to rounding); each
 recursion x_{n+1} = (1 + xi/n) x_n + f_n is solved in scaled space
 x_n / c_n(xi), where the update is a plain cumulative sum.
 
-The propagator streams over n in chunks of `_CHUNK` steps, so it holds
-O(_CHUNK) doubles whatever the horizon.  Each sequential scan (the cumprods
-behind mu_n and c_n(xi), and every moment's cumulative sum) carries its last
-value into the next chunk by prepending it to that chunk's scan, which keeps
-each add and multiply in the order of a whole-array scan: the streamed
-moments are bit-identical to those of `_propagate_vectors`, which builds the
-full trajectories at once and is kept as the oracle the pass is tested
-against.  One pass serves both the moment tables and the L2 diagnostic.
+The propagator streams over n in chunks of `_CHUNK` steps through buffers
+allocated once per pass, so it holds O(_CHUNK) doubles whatever the
+horizon.  Each sequential scan (the cumprods behind mu_n and c_n(xi), and
+every moment's cumulative sum) has its own buffer: the carry, the last value
+of the previous chunk, sits in slot 0 and the chunk's terms after it, and
+the scan accumulates in place.  That keeps each add and multiply in the
+order of a whole-array scan, so the streamed moments are bit-identical to
+those of `_propagate_vectors`, which builds the full trajectories at once
+and is kept as the oracle the pass is tested against.  The pass skips only
+work whose result IEEE arithmetic makes exact: c_n(0) is 1 for every n, a
+multiply by 1 (a weight of 1, or mu^0) is the identity, a sum of positive
+terms started at 0 equals its first term, and moment (0, 1), which has no
+inhomogeneous term, equals c_n(rate).  One pass serves both the moment
+tables and the L2 diagnostic.
 """
 
 from __future__ import annotations
@@ -30,15 +36,8 @@ from math import comb
 
 import numpy as np
 
-from .gammaratio import (
-    _c_carried,
-    _lgam,
-    c_values,
-    log_poch,
-    log_poch_ratio,
-    poch_ratio_sum,
-)
-from .walkers import ModelParams, _check_checkpoints
+from .gammaratio import _lgam, c_values, log_poch, poch_ratio_sum
+from .walkers import ModelParams, _check_checkpoints, _sorted_unique
 
 __all__ = [
     "MomentTable",
@@ -56,10 +55,11 @@ __all__ = [
 
 ENUMERATION_MAX_STEPS = 16
 
-# steps per chunk of the streamed propagator.  A chunk works on ~30 arrays of
-# this length; on a 2-core VM 2^14-2^15 ran fastest, 2^12 and 2^17 ~20% slower
-# (per-chunk overhead below, cache misses above)
-_CHUNK = 1 << 15
+# steps per chunk of the streamed propagator, which works on ~25 buffers of
+# this length.  Three critical p at degree 3 with the L2 diagnostic, n = 1e6,
+# best of 15 on a 2-core VM: 2^13 0.264 s, 2^14 0.248 s, 2^15 0.273 s,
+# 2^16 0.305 s (per-chunk overhead below, cache misses above)
+_CHUNK = 1 << 14
 
 
 def exact_mean_xi(n: int, params: ModelParams) -> float:
@@ -201,17 +201,29 @@ def _propagate_vectors(params: ModelParams, n_max: int, degree: int):
 def _stream_moments(params: ModelParams, n_max: int, degree: int, picks):
     """Every moment of `_propagate_vectors` at the 0-based indices `picks`.
 
-    Walks the n_max - 1 steps in chunks of `_CHUNK`, building mu_{n+1}, its
-    powers, pi_n / Sigma_n and c_n(b rate) for one chunk at a time.  A
-    chunk's arrays span indices s..e, where index s re-forms the previous
-    chunk's last value from the carried scan states.  Returns
-    (moments, cvals, sup_m2): moments maps (a, b) to its values at `picks`,
-    cvals maps b to c_n(b rate) at `picks`, and sup_m2 is the maximum over
-    all n of E[Sigma_n^2] / c_n(rate)^2 (None below degree 2).
+    Walks the n_max - 1 steps in chunks of `_CHUNK` over buffers allocated
+    once.  A chunk of L steps fills slots 0..L of each scan buffer: slot 0
+    holds the carry (the previous chunk's last value, or the value at n = 1),
+    slots 1..L the chunk's terms, and the scan accumulates in place.
+    Returns (moments, cvals, sup_m2): moments maps (a, b) to its values at
+    `picks`, cvals maps b to c_n(b rate) at `picks`, and sup_m2 is the
+    maximum over all n of E[Sigma_n^2] / c_n(rate)^2 (None below degree 2).
     """
     _check_moment_args(params, n_max, degree)
     rate = params.rate
     order = _moment_order(degree)
+    # f_n of (a, b) = pi_n/Sigma_n * sum of w mu_{n+1}^e m_n[key], from the
+    # binomial expansion of (Xi+1)^a (Sigma+mu)^b, less the cancelled term
+    # (a, b) and the homogeneous one (a, b-1)
+    terms = {
+        (a, b): [
+            (comb(a, i) * comb(b, j), b - j, (i, j + 1))
+            for i in range(a + 1)
+            for j in range(b + 1)
+            if (i, j) != (a, b) and (i, j) != (a, b - 1)
+        ]
+        for (a, b) in order
+    }
     picks = np.asarray(picks, dtype=np.int64)
     by_index = np.argsort(picks, kind="stable")
     sorted_picks = picks[by_index]
@@ -219,47 +231,85 @@ def _stream_moments(params: ModelParams, n_max: int, degree: int, picks):
     moments = {key: np.ones(len(picks)) for key in [(0, 0), *order]}
     cvals = {b: np.ones(len(picks)) for b in range(degree + 1)}
     maxima = [1.0]
-    mu_carry = 1.0
-    c_carry = dict.fromkeys(range(degree + 1), 1.0)
+
+    size = min(_CHUNK, n_max - 1) + 1
+    k_all = np.arange(1, size, dtype=np.float64)
+    pref_all, tmp_all = np.empty(size - 1), np.empty(size - 1)
+    pow_all = {e: np.empty(size - 1) for e in range(2, degree + 1)}
+    # scan buffers: mu_n, c_n(b rate) for b >= 1 (c_n(0) is 1 for every n,
+    # as (k + 0)/k is 1.0), and each moment's scaled partial sums, turned in
+    # place into its values.  (0, 1) has no f-term, so its values are c_n(rate).
+    mu_all = np.ones(size)
+    c_all = {b: np.ones(size) for b in range(1, degree + 1)}
+    m_all = {key: c_all[1] if key == (0, 1) else np.ones(size) for key in order}
+    ratio_scans = [(mu_all, params.beta), *((c_all[b], b * rate) for b in c_all)]
     sum_carry = dict.fromkeys(order, 0.0)
-    ext = {key: np.ones(1) for key in order}
+    length = 0
     for s in range(0, n_max - 1, _CHUNK):
-        e = min(s + _CHUNK, n_max - 1)
-        k = np.arange(s + 1, e + 1, dtype=np.float64)
-        mu_next = _c_carried(mu_carry, params.beta, k)[1:]
-        mu_carry = mu_next[-1]
-        mu_pow = {0: np.ones(e - s), 1: mu_next}
-        for power in range(2, degree + 1):
-            mu_pow[power] = mu_pow[power - 1] * mu_next
-        pref = rate / (k * mu_next)
-        cx = {}
-        for b in range(degree + 1):
-            cx[b] = _c_carried(c_carry[b], b * rate, k)
-            c_carry[b] = cx[b][-1]
-        ext = {(0, 0): np.ones(e - s + 1)}
-        for (a, b) in order:
-            f = np.zeros(e - s)
-            for i in range(a + 1):
-                for j in range(b + 1):
-                    if (i, j) == (a, b) or (i, j) == (a, b - 1):
-                        continue
-                    w = comb(a, i) * comb(b, j)
-                    f += w * mu_pow[b - j] * ext[(i, j + 1)][:-1]
+        length = min(_CHUNK, n_max - 1 - s)
+        if s:  # the previous chunk was full, its last value in slot -1
+            k_all += _CHUNK  # exact: integers below 2^53
+            for buf, _ in ratio_scans:
+                buf[0] = buf[-1]
+        k = k_all[:length]
+        for buf, xi in ratio_scans:
+            scan = buf[: length + 1]
+            np.add(k, xi, out=scan[1:])
+            np.divide(scan[1:], k, out=scan[1:])
+            np.cumprod(scan, out=scan)  # c_n(xi), one (k + xi)/k per step
+        mu_next = mu_all[1 : length + 1]
+        mu_pow = {1: mu_next}
+        for e in range(2, degree + 1):
+            mu_pow[e] = np.multiply(mu_pow[e - 1], mu_next, out=pow_all[e][:length])
+        pref = pref_all[:length]  # pi_n / Sigma_n = rate / (k mu_{n+1})
+        np.multiply(k, mu_next, out=pref)
+        np.divide(rate, pref, out=pref)
+        cx = {b: buf[: length + 1] for b, buf in c_all.items()}
+        ext = {key: buf[: length + 1] for key, buf in m_all.items()}
+        tmp = tmp_all[:length]
+        for key in order:
+            if not terms[key]:
+                continue
+            b = key[1]
+            z = ext[key]
+            f = z[1:]  # a sum of positive terms: it starts at the first
+            for t, (w, e, src_key) in enumerate(terms[key]):
+                out = tmp if t else f
+                src = ext[src_key][:-1]
+                # w * mu^e * src, skipping the exact factors w = 1 and mu^0
+                if e and w != 1:
+                    np.multiply(mu_pow[e], w, out=out)
+                    np.multiply(out, src, out=out)
+                elif e:
+                    np.multiply(mu_pow[e], src, out=out)
+                elif w != 1:
+                    np.multiply(src, w, out=out)
+                else:
+                    np.copyto(out, src)
+                if t:
+                    f += tmp
             f *= pref
-            z = np.cumsum(np.concatenate(([sum_carry[(a, b)]], f / cx[b][1:])))
-            sum_carry[(a, b)] = z[-1]
-            ext[(a, b)] = (1.0 + z) * cx[b]
+            if b:
+                f /= cx[b][1:]
+            z[0] = sum_carry[key]
+            np.cumsum(z, out=z)
+            sum_carry[key] = z[-1]
+            z += 1.0
+            if b:
+                z *= cx[b]
         if degree >= 2:
-            maxima.append(np.max(ext[(0, 2)][1:] / cx[1][1:] ** 2))
+            np.multiply(cx[1][1:], cx[1][1:], out=tmp)
+            np.divide(ext[(0, 2)][1:], tmp, out=tmp)
+            maxima.append(np.max(tmp))
         lo = np.searchsorted(sorted_picks, s + 1)
-        hi = np.searchsorted(sorted_picks, e, side="right")
+        hi = np.searchsorted(sorted_picks, s + length, side="right")
         dest, src = by_index[lo:hi], sorted_picks[lo:hi] - s
         for key in order:
             moments[key][dest] = ext[key][src]
-        for b in range(degree + 1):
+        for b in cx:
             cvals[b][dest] = cx[b][src]
     for (a, b) in order:
-        if not np.isfinite(ext[(a, b)][-1]):
+        if not np.isfinite(m_all[(a, b)][length]):
             raise OverflowError(
                 f"moment ({a},{b}) overflowed at n = {n_max}; lower degree or n_max"
             )
@@ -326,7 +376,7 @@ def _moments_and_l2(params: ModelParams, n_max: int, degree: int, cps):
     # tail increments of E[L_n] = E[Sigma_n^2]/c_n(2 rate), fitted over the
     # last two decades
     lo = max(2, n_max // 100)
-    ns = np.unique(np.geomspace(lo, n_max - 1, 64).astype(np.int64))
+    ns = _sorted_unique(np.geomspace(lo, n_max - 1, 64).astype(np.int64))
     decade_lo = max(1, n_max // 10)
     parts = [cps - 1, l2_cps - 1, ns, ns - 1, np.array([decade_lo - 1, n_max - 1])]
     moments, cvals, sup_m2 = _stream_moments(

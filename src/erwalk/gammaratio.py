@@ -207,15 +207,6 @@ def log_poch_ratio(n, xi: float):
     return log_poch(n, xi) - _lgam(xi + 1.0)
 
 
-def _c_carried(c_first, xi: float, k: np.ndarray) -> np.ndarray:
-    """c_n(xi) for n = k[0], ..., k[-1] + 1, scanned on from c_first = c_{k[0]}.
-
-    One multiply by (j + xi)/j per j in the float array k, in order: the
-    start of `c_values`, and how a chunked scan carries its last value on.
-    """
-    return np.cumprod(np.concatenate(([c_first], (k + xi) / k)))
-
-
 def c_values(xi: float, n) -> np.ndarray:
     """Array [c_1(xi), ..., c_n(xi)] by recurrence from c_1 = 1.
 
@@ -231,7 +222,8 @@ def c_values(xi: float, n) -> np.ndarray:
     n = _check_n(n)
     out = np.empty(n)
     m = min(n, _LINEAR_MAX)
-    out[:m] = _c_carried(1.0, xi, np.arange(1, m, dtype=np.float64))
+    k = np.arange(1, m, dtype=np.float64)
+    out[:m] = np.cumprod(np.concatenate(([1.0], (k + xi) / k)))
     if n <= _LINEAR_MAX:
         return out
     log_c = np.longdouble(0.0)  # log c_1

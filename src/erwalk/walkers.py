@@ -46,11 +46,10 @@ one-replicate run.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
-import numpy.ma  # noqa: F401  np.unique (here and in exact) loads it on first call
 
 from .gammaratio import c_values, log_poch_ratio
 from .memory import MemoryLaw
@@ -159,9 +158,9 @@ def geometric_checkpoints(n_max: int, ratio: float = 1.2) -> np.ndarray:
         count = min(_CHECKPOINT_CHUNK, int(math.log(n_max / x) / math.log(ratio)) + 1)
         xs = np.cumprod(np.concatenate(([x], np.full(count, ratio))))[1:]
         v = np.ceil(xs)  # nondecreasing
-        parts.append(np.unique(v[v < n_max]))
+        parts.append(_sorted_unique(v[v < n_max]))
         if v[-1] >= n_max:
-            return np.unique(np.concatenate(parts)).astype(np.int64)
+            return _sorted_unique(np.concatenate(parts)).astype(np.int64)
         x = xs[-1]
 
 
@@ -175,7 +174,16 @@ def _check_checkpoints(checkpoints, n_steps: int) -> np.ndarray:
         and np.all((raw >= 1) & (raw <= n_steps) & (raw == np.floor(raw)))
     ):
         raise ValueError("checkpoints must be integers in [1, n_steps]")
-    return np.unique(raw.astype(np.int64))
+    return _sorted_unique(raw.astype(np.int64))
+
+
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """The distinct values of the 1-d array `a`, ascending: np.unique without
+    its masked-array check, which imports numpy.ma on first call."""
+    a = np.sort(a)
+    keep = np.ones(a.shape, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 def _row_pitch(cols: int) -> int:
@@ -373,19 +381,26 @@ def _events_block(params, mu, n_steps, seed, checkpoints, record, start, count):
     return out
 
 
-def _full_block(params, mu, n_steps, seed, checkpoints, record, start, count):
-    """Full-history engine: explicit memory draws, two uniforms per step.
-
-    Step n reads the memory draw, then the retention coin.
-    """
+def _memory_cdf_rows(beta: float, n_steps: int) -> list:
+    """rows[t] = closed-form memory CDF over {1..t} at history length t, for
+    2 <= t < n_steps: the full engine's table, built once per run."""
     if n_steps > _FULL_MODE_MAX_STEPS:
         raise ValueError(
             f"full-history mode is an oracle, capped at {_FULL_MODE_MAX_STEPS} steps"
         )
-    # cdf_rows[t] = closed-form memory CDF over {1..t} at history length t
-    cdf_rows = [None, None] + [
-        MemoryLaw(params.beta, t).cdf(np.arange(1, t + 1)) for t in range(2, n_steps)
+    return [None, None] + [
+        MemoryLaw(beta, t).cdf(np.arange(1, t + 1)) for t in range(2, n_steps)
     ]
+
+
+def _full_block(
+    params, mu, n_steps, seed, checkpoints, record, start, count, *, cdf_rows
+):
+    """Full-history engine: explicit memory draws, two uniforms per step.
+
+    Step n reads the memory draw, which inverts cdf_rows[n]
+    (`_memory_cdf_rows`) into a recalled time, then the retention coin.
+    """
     hist = np.zeros((count, n_steps), dtype=np.uint8)
     hist[:, 0] = 1
     xi = np.ones(count, dtype=np.int64)
@@ -513,6 +528,8 @@ def _run(params, n_steps, seed, checkpoints, mode, record, start, count, workers
     if unknown:
         raise ValueError(f"mode {mode!r} cannot record {sorted(unknown)}; it records {fields}")
     mu = c_values(params.beta, n_steps + 1)
+    if mode == "full":
+        engine = partial(engine, cdf_rows=_memory_cdf_rows(params.beta, n_steps))
     args = (params, mu, n_steps, seed, cps, record)
     if mode == "events":
         size = max(1, _EVENTS_SCRATCH // _events_row_bytes(len(cps), record))
@@ -539,6 +556,8 @@ def _run(params, n_steps, seed, checkpoints, mode, record, start, count, workers
         for s, c in blocks:
             place(s, engine(*args, s, c))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # off the import path
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [(s, pool.submit(engine, *args, s, c)) for s, c in blocks]
             for s, f in futures:

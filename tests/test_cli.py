@@ -566,6 +566,29 @@ class TestExactCommand:
         assert "n_max must be >= 100" in out.err
         assert not tmp_path.exists() or list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_degree_exit_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch, source
+    ):
+        # a negative degree once ran as degree 0: exit 0, mean table only
+        calls = []
+        for name in ("_mean_table", "_moments_and_l2"):
+            monkeypatch.setattr(cli.exact, name, lambda *a, name=name: calls.append(name))
+        out = tmp_path / "o"
+        args = ["exact", "--p", "0.5", "--beta", "1", "--out", str(out)]
+        if source == "flag":
+            args += ["--degree", "-1"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"degree": -1}))
+            args += ["--config", str(cfg)]
+        assert main(args) == 2
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert "degree must be >= 0" in got.err
+        assert calls == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("ratio", ["inf", "nan"])
     def test_bad_checkpoint_ratio_exit_2(self, tmp_path, capsys, ratio):
         rc = main(["exact", "--p", "0.5", "--beta", "1", "--n", "1000",

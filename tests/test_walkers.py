@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import math
 import tracemalloc
@@ -282,12 +283,24 @@ class TestEnsembles:
         def no_work(*args, **kw):
             raise AssertionError("work started")
 
-        monkeypatch.setattr(walkers, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
         monkeypatch.setattr(walkers, "c_values", no_work)
         for mode in ("collapsed", "events"):
             with pytest.raises(ValueError, match="workers must be an integer >= 1"):
                 run_ensemble(ModelParams(0.5, 1.0), 50, 5000, seed=3, mode=mode,
                              workers=workers)
+
+    def test_full_memory_table_built_once_per_run(self, monkeypatch):
+        # the blocks of a run share one CDF table; each block of _BLOCK_SIZE
+        # replicates once rebuilt it
+        monkeypatch.setattr(walkers, "_BLOCK_SIZE", 16)
+        lengths = []
+        cdf = MemoryLaw.cdf
+        monkeypatch.setattr(
+            MemoryLaw, "cdf", lambda law, m: lengths.append(law.n) or cdf(law, m)
+        )
+        run_ensemble(ModelParams(0.5, 1.0), 12, 50, seed=3, mode="full")
+        assert lengths == list(range(2, 12))
 
     # sha256 of the checkpoint arrays, pinned from the engines that built one
     # Generator per replicate; the checkpoints straddle draw 2048, the
@@ -589,7 +602,7 @@ class TestEventsEngine:
         spy_on("collapsed")
         # the spies cannot be pickled into worker processes; threads run the
         # same submissions
-        monkeypatch.setattr(walkers, "ProcessPoolExecutor", ThreadPoolExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
         pms = ModelParams(0.5, 1.0)
         runs = []
         for workers, want in ((1, [(0, 10**4)]), (2, [(0, 5000), (5000, 5000)])):
@@ -622,7 +635,7 @@ class TestEventsEngine:
             return [res.arrays[k] for k in rec]
 
         want = run(1)
-        monkeypatch.setattr(walkers, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         for x, y in zip(want, run(2)):
             assert np.array_equal(x, y)
 
