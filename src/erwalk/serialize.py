@@ -19,7 +19,6 @@ import numpy as np
 
 from . import __version__
 from .analysis import EnsembleReport
-from .branching import BranchingResult
 from .exact import ExactLaw, L2Diagnostic, MomentTable
 from .walkers import ModelParams, Trajectory
 
@@ -39,8 +38,6 @@ __all__ = [
     "write_critical_ratios_csv",
     "write_l2_json",
     "write_report_json",
-    "write_branching_census_csv",
-    "write_branching_summary_json",
 ]
 
 SCHEMA_VERSION = 1
@@ -267,32 +264,3 @@ def write_report_json(path, gates) -> Path:
     ]
     return _write(path, [json.dumps(payload, indent=2, sort_keys=True)])
 
-
-def write_branching_census_csv(path, result: BranchingResult, config: dict, seed) -> Path:
-    if not result.generations:
-        raise ValueError("census export needs a run with keep_generations=True")
-    lines = _header_lines(config, seed)
-    lines.append("generation,count,min_type,max_type")
-    for pop in result.generations:
-        if len(pop.types):
-            lines.append(
-                f"{pop.generation},{len(pop.types)},{pop.types.min()},{pop.types.max()}"
-            )
-        else:
-            lines.append(f"{pop.generation},0,,")
-    return _write(path, lines)
-
-
-def write_branching_summary_json(path, result: BranchingResult, config: dict, seed) -> Path:
-    payload = {
-        "meta": _meta(config, seed),
-        "summary": {
-            "extinct": result.extinct,
-            "censored": result.censored,
-            "generations_survived": int(len(result.generation_sizes)),
-            "distinct_types": result.distinct_types,
-            "truncation_mass": result.truncation_mass,
-            "generation_sizes": result.generation_sizes.tolist(),
-        },
-    }
-    return _write(path, [json.dumps(payload, indent=2, sort_keys=True)])

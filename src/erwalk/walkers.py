@@ -27,18 +27,17 @@ Ensembles run one counter-based RNG stream per replicate, so results are
 reproducible under any worker count.
 
 `run_walk` and `run_ensemble` both go through `_run`: it checks the key,
-worker count, horizon (at most MAX_STEPS), checkpoints, mode and recorded
-fields before any work, computes mu = c_values(beta, n_steps + 1) once,
-and hands it to every block of replicates: _BLOCK_SIZE for the per-step
-engines, and for the events engine as many as a scratch budget of
-_EVENTS_SCRATCH bytes allows (one block for most ensembles), split over
-the workers only into blocks of at least _BLOCK_SIZE.  Mode "auto" is
-resolved there, per (params, n_steps) and before any work, by
-`_resolve_mode`: events when the walk expects at most AUTO_EVENTS_MAX_RATE
-up-steps per step, else collapsed; the result records the engine that
-ran.  The per-step engines (collapsed, full and coupled) are a set-up plus
-a kernel that advances their state one step at a time from one time to a
-later one; `_drive` owns the draws, cuts time at segment ends and
+worker count, horizon (at most MAX_STEPS; _FULL_MODE_MAX_STEPS in mode
+"full"), checkpoints, mode and recorded fields before any work, resolves
+mode "auto" (`_resolve_mode`: events when the walk expects at most
+AUTO_EVENTS_MAX_RATE up-steps per step, else collapsed; the result records
+the engine that ran), and builds one `_Plan` of what every block reads:
+mu = c_values(beta, n_steps + 1), coef, the guard and the full engine's
+table.  Every engine is `engine(plan, start, count)`, run on blocks of
+replicates that `_run` sizes; a process pool gets the plan once per
+worker.  The per-step engines (collapsed, full and coupled) are a set-up
+plus a kernel that advances their state one step at a time from one time
+to a later one; `_drive` owns the draws, cuts time at segment ends and
 checkpoints, and records the checkpoints.  A single walk is a
 one-replicate run.
 """
@@ -47,7 +46,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -196,8 +194,42 @@ def _row_pitch(cols: int) -> int:
     return 8 * (-(-cols // 8) | 1)
 
 
-def _drive(kernel, state, record, draws, n_steps, seed, checkpoints, start, count):
-    """Run a per-step engine over one block; returns its checkpoint arrays.
+@dataclass(frozen=True)
+class _Plan:
+    """What every block of one simulator call reads; engines write nothing to it.
+
+    mu[n] = mu_{n+1}, and coef[n] = rate / (n mu_{n+1}) (coef[0] = 0), so
+    pi_n = coef[n] sigma_n, which must stay at or below `guard`.
+    """
+
+    params: ModelParams
+    n_steps: int
+    seed: int
+    checkpoints: np.ndarray
+    record: tuple
+    mu: np.ndarray
+    coef: np.ndarray
+    guard: float
+    cdf_rows: list | None  # the full engine's table, else None
+
+
+def _plan(params, n_steps, seed, checkpoints, record, mode) -> _Plan:
+    """The plan of a checked call to `mode`; in mode "full", cdf_rows[t] is the
+    memory CDF over {1..t} at history length t, for 2 <= t < n_steps."""
+    mu = c_values(params.beta, n_steps + 1)
+    coef = np.zeros(n_steps)
+    coef[1:] = params.rate / (np.arange(1, n_steps) * mu[1:n_steps])
+    cdf_rows = None
+    if mode == "full":
+        cdf_rows = [None, None] + [
+            MemoryLaw(params.beta, t).cdf(np.arange(1, t + 1)) for t in range(2, n_steps)
+        ]
+    return _Plan(params, n_steps, seed, checkpoints, record, mu, coef,
+                 params.p + _GUARD_EPS, cdf_rows)
+
+
+def _drive(plan, kernel, state, draws, start, count):
+    """Run a per-step engine over one block of `plan`; returns its checkpoint arrays.
 
     `state` maps names to the per-replicate arrays that `kernel(u, t, e)`
     advances in place from time t to time e; u holds the draws of the
@@ -205,9 +237,10 @@ def _drive(kernel, state, record, draws, n_steps, seed, checkpoints, start, coun
     `draws` = 1, (count, e - t, 2) at 2.  Transition t reads draws
     draws * (t - 1), ... of each replicate's stream.  The driver fills
     segments of _SEG_LEN draws per replicate, cuts them at the checkpoints,
-    and copies the arrays named in `record` at each checkpoint.  It runs on
-    to n_steps after the last checkpoint, so every step meets its guard.
+    and copies the arrays named in `plan.record` at each checkpoint.  It runs
+    on to n_steps after the last checkpoint, so every step meets its guard.
     """
+    n_steps, checkpoints, record = plan.n_steps, plan.checkpoints, plan.record
     cp_index = {int(c): i for i, c in enumerate(checkpoints)}
     out = {
         name: np.empty((count, len(checkpoints)), dtype=state[name].dtype)
@@ -234,7 +267,7 @@ def _drive(kernel, state, record, draws, n_steps, seed, checkpoints, start, coun
     while t < n_steps:
         t0 = t
         seg = min(seg_len, n_steps - t)
-        uniform_rows(seed, keys, draws * (t - 1), draws * seg, out=buf)
+        uniform_rows(plan.seed, keys, draws * (t - 1), draws * seg, out=buf)
         while t < t0 + seg:
             e = min(t0 + seg, stop)
             kernel(cols[:, t - t0 : e - t0], t, e)
@@ -245,7 +278,7 @@ def _drive(kernel, state, record, draws, n_steps, seed, checkpoints, start, coun
     return out
 
 
-def _collapsed_block(params, mu, n_steps, seed, checkpoints, record, start, count):
+def _collapsed_block(plan, start, count):
     """Advance `count` replicates of the collapsed chain; returns checkpoint arrays.
 
     One numpy pass per time step: pi_n = coef[n] sigma is checked against the
@@ -254,10 +287,8 @@ def _collapsed_block(params, mu, n_steps, seed, checkpoints, record, start, coun
     """
     xi = np.ones(count, dtype=np.int64)
     sigma = np.ones(count)
-    a = np.ones(count) if "a" in record else None
-    coef = np.zeros(n_steps)  # coef[n] = rate / (n mu_{n+1}), so pi_n = coef[n] sigma
-    coef[1:] = params.rate / (np.arange(1, n_steps) * mu[1:n_steps])
-    guard = params.p + _GUARD_EPS
+    a = np.ones(count) if "a" in plan.record else None
+    mu, coef, guard = plan.mu, plan.coef, plan.guard
 
     def kernel(u, t, e):
         for n in range(t, e):
@@ -271,10 +302,10 @@ def _collapsed_block(params, mu, n_steps, seed, checkpoints, record, start, coun
                 np.add(a, pi, out=a)
 
     state = {"xi": xi, "sigma": sigma, "a": a}
-    return _drive(kernel, state, record, 1, n_steps, seed, checkpoints, start, count)
+    return _drive(plan, kernel, state, 1, start, count)
 
 
-def _events_block(params, mu, n_steps, seed, checkpoints, record, start, count):
+def _events_block(plan, start, count):
     """Advance `count` replicates of the collapsed chain from up-step to up-step.
 
     Between two up-steps of a replicate its pi_n is sigma * coef[n], with
@@ -295,23 +326,21 @@ def _events_block(params, mu, n_steps, seed, checkpoints, record, start, count):
     A_n from suffix sums of coef, which stay accurate where the terms are
     small; the returned arrays are the delta arrays.
     """
-    cps = checkpoints
+    cps, n, record = plan.checkpoints, plan.n_steps, plan.record
     width = len(cps)
     d_xi = np.zeros((count, width), dtype=np.int64) if "xi" in record else None
     d_sigma = np.zeros((count, width))
     d_w = np.zeros((count, width)) if "a" in record else None
-    n = n_steps
     past = cps[-1] < n  # up-steps after the last checkpoint are recorded nowhere
-    mu = mu[:n]  # mu[j] = mu_{j+1}, the weight of an up-step at j
-    coef = np.zeros(n)  # coef[j] at the times j = 1, ..., n - 1 of a transition
-    coef[1:] = params.rate / (np.arange(1, n) * mu[1:])
-    coef[1:][~np.isfinite(mu[1:])] = np.nan  # fails the guard, as in the step loop
+    mu = plan.mu[:n]  # mu[j] = mu_{j+1}, the weight of an up-step at j
+    coef = plan.coef  # coef[j] at the times j = 1, ..., n - 1 of a transition
+    if not np.isfinite(mu).all():  # NaN fails the guard, as in the step loop
+        coef = np.where(np.isfinite(mu), coef, np.nan)  # a copy: the plan's stays
     env = np.maximum.accumulate(coef[::-1])[::-1]  # a NaN spreads to earlier times
     tail = np.zeros(n + 1)  # tail[s] = sum of coef[s:n]
     tail[:n] = np.cumsum(coef[::-1])[::-1]
     # first_cp[s] = the first checkpoint >= s, for s = 0, ..., n
     first_cp = np.repeat(np.arange(width + 1), np.diff(cps, prepend=-1, append=n))
-    guard = params.p + _GUARD_EPS
     rows = np.arange(count) if n > 1 else np.arange(0)
     t = np.ones(count, dtype=np.int64)
     sigma = np.ones(count)
@@ -322,16 +351,16 @@ def _events_block(params, mu, n_steps, seed, checkpoints, record, start, count):
             # no row needs more candidates than it has times left
             rounds = min(_EVENT_FILL // 2, n - int(t.min()))
             keys = np.uint64(start) + rows.astype(np.uint64)
-            uniform_rows(seed, keys, 2 * k, 2 * rounds, out=buf[: rows.size])
+            uniform_rows(plan.seed, keys, 2 * k, 2 * rounds, out=buf[: rows.size])
             pos = np.arange(rows.size)  # each row's line of `buf`
             k0, k_end = k, k + rounds
         col = 2 * (k - k0)
         e = env[t]
         lam = sigma * e
-        if not lam.max() <= guard:  # a NaN fails too
+        if not lam.max() <= plan.guard:  # a NaN fails too
             # name the first time at which the first failing row's pi_n fails
-            i = np.flatnonzero(~(lam <= guard))[0]
-            at = t[i] + np.flatnonzero(~(sigma[i] * coef[t[i]:] <= guard))[0]
+            i = np.flatnonzero(~(lam <= plan.guard))[0]
+            at = t[i] + np.flatnonzero(~(sigma[i] * coef[t[i]:] <= plan.guard))[0]
             raise RuntimeError(f"internal consistency violated: pi_n > p at n = {at}")
         # lam = 0 (an underflowed coef) gives an infinite gap
         gap = np.full(rows.size, np.inf)
@@ -381,27 +410,14 @@ def _events_block(params, mu, n_steps, seed, checkpoints, record, start, count):
     return out
 
 
-def _memory_cdf_rows(beta: float, n_steps: int) -> list:
-    """rows[t] = closed-form memory CDF over {1..t} at history length t, for
-    2 <= t < n_steps: the full engine's table, built once per run."""
-    if n_steps > _FULL_MODE_MAX_STEPS:
-        raise ValueError(
-            f"full-history mode is an oracle, capped at {_FULL_MODE_MAX_STEPS} steps"
-        )
-    return [None, None] + [
-        MemoryLaw(beta, t).cdf(np.arange(1, t + 1)) for t in range(2, n_steps)
-    ]
-
-
-def _full_block(
-    params, mu, n_steps, seed, checkpoints, record, start, count, *, cdf_rows
-):
+def _full_block(plan, start, count):
     """Full-history engine: explicit memory draws, two uniforms per step.
 
-    Step n reads the memory draw, which inverts cdf_rows[n]
-    (`_memory_cdf_rows`) into a recalled time, then the retention coin.
+    Step n reads the memory draw, which inverts plan.cdf_rows[n] into a
+    recalled time, then the retention coin.
     """
-    hist = np.zeros((count, n_steps), dtype=np.uint8)
+    p, mu, coef, cdf_rows = plan.params.p, plan.mu, plan.coef, plan.cdf_rows
+    hist = np.zeros((count, plan.n_steps), dtype=np.uint8)
     hist[:, 0] = 1
     xi = np.ones(count, dtype=np.int64)
     sigma = np.ones(count)
@@ -417,22 +433,22 @@ def _full_block(
             else:
                 k = np.searchsorted(cdf_rows[n], draw[:, 0], side="right") + 1
             x_mem = hist[rows, k - 1]
-            x = ((draw[:, 1] < params.p) & (x_mem == 1)).astype(np.uint8)
-            np.add(a, params.rate / (n * mu[n]) * sigma, out=a)  # pi_n, before sigma moves
+            x = ((draw[:, 1] < p) & (x_mem == 1)).astype(np.uint8)
+            np.add(a, coef[n] * sigma, out=a)  # pi_n, before sigma moves
             hist[:, n] = x
             np.add(xi, x, out=xi)
             np.add(sigma, x * mu[n], out=sigma)
 
     state = {"xi": xi, "sigma": sigma, "a": a}
-    return _drive(kernel, state, record, 2, n_steps, seed, checkpoints, start, count)
+    return _drive(plan, kernel, state, 2, start, count)
 
 
-def _coupled_block(params, mu, n_steps, seed, checkpoints, record, start, count):
+def _coupled_block(plan, start, count):
     """Collapsed chain and comparison walk driven by one shared uniform per step.
 
     The pathwise order is asserted after every step.
     """
-    rate = params.rate
+    rate, mu, coef, guard = plan.params.rate, plan.mu, plan.coef, plan.guard
     if not 0.0 < rate < 1.0:
         raise ValueError(
             f"coupling needs p(beta+1) in (0, 1) to be a probability, got {rate}"
@@ -440,10 +456,9 @@ def _coupled_block(params, mu, n_steps, seed, checkpoints, record, start, count)
     xi = np.ones(count, dtype=np.int64)
     sigma = np.ones(count)
     xi_l = np.ones(count, dtype=np.int64)
-    guard = params.p + _GUARD_EPS
-    if params.beta < 0.0:
+    if plan.params.beta < 0.0:
         in_order = np.greater_equal
-    elif params.beta > 0.0:
+    elif plan.params.beta > 0.0:
         in_order = np.less_equal
     else:
         in_order = np.equal
@@ -451,7 +466,7 @@ def _coupled_block(params, mu, n_steps, seed, checkpoints, record, start, count)
     def kernel(u, t, e):
         for n in range(t, e):
             v = u[:, n - t]
-            pi = rate / (n * mu[n]) * sigma
+            pi = coef[n] * sigma
             if not pi.max() <= guard:  # a NaN fails too
                 raise RuntimeError(
                     f"internal consistency violated: pi_n > p at n = {n}"
@@ -464,7 +479,7 @@ def _coupled_block(params, mu, n_steps, seed, checkpoints, record, start, count)
                 raise AssertionError(f"pathwise coupling order violated at n = {n + 1}")
 
     state = {"xi": xi, "xi_lerw": xi_l}
-    return _drive(kernel, state, record, 1, n_steps, seed, checkpoints, start, count)
+    return _drive(plan, kernel, state, 1, start, count)
 
 
 _WALK_FIELDS = ("xi", "sigma", "a")
@@ -499,12 +514,14 @@ def _run(params, n_steps, seed, checkpoints, mode, record, start, count, workers
     """Replicates start, ..., start + count - 1 of a simulator call.
 
     Checks the key, counts, horizon, checkpoints, mode and fields before any
-    work, resolves "auto", then runs the engine on blocks of replicates, in
-    a process pool when workers > 1 and there are several blocks.  The
-    per-step engines take blocks of _BLOCK_SIZE.  The events engine takes as
-    many rows as _EVENTS_SCRATCH bytes of its per-row scratch allow, and at
-    most count / workers, so that every worker gets a block, as long as
-    each such block holds _BLOCK_SIZE rows: an ensemble of fewer than
+    work, resolves "auto", builds the call's `_Plan`, then runs the engine
+    on blocks of replicates, in a process pool when workers > 1 and there
+    are several blocks; the pool hands each worker the plan once, so a
+    block's task is (engine, start, count).  The per-step engines take
+    blocks of _BLOCK_SIZE.  The events engine takes as many rows as
+    _EVENTS_SCRATCH bytes of its per-row scratch allow, and at most
+    count / workers, so that every worker gets a block, as long as each
+    such block holds _BLOCK_SIZE rows: an ensemble of fewer than
     2 _BLOCK_SIZE rows runs as one block.  A one-block run returns the
     engine's own arrays, with no pool; more blocks are copied one by one
     into the result.  Returns (checkpoints, engine, {field: C-contiguous
@@ -518,6 +535,10 @@ def _run(params, n_steps, seed, checkpoints, mode, record, start, count, workers
     _check_workers(workers)
     if n_steps > MAX_STEPS:
         raise ValueError(f"n_steps = {n_steps} exceeds the cap MAX_STEPS = {MAX_STEPS}")
+    if mode == "full" and n_steps > _FULL_MODE_MAX_STEPS:
+        raise ValueError(
+            f"full-history mode is an oracle, capped at {_FULL_MODE_MAX_STEPS} steps"
+        )
     cps = _check_checkpoints(checkpoints, n_steps)
     mode = _resolve_mode(mode, params, n_steps)
     if mode not in _ENGINES:
@@ -527,10 +548,7 @@ def _run(params, n_steps, seed, checkpoints, mode, record, start, count, workers
     unknown = set(record) - set(fields)
     if unknown:
         raise ValueError(f"mode {mode!r} cannot record {sorted(unknown)}; it records {fields}")
-    mu = c_values(params.beta, n_steps + 1)
-    if mode == "full":
-        engine = partial(engine, cdf_rows=_memory_cdf_rows(params.beta, n_steps))
-    args = (params, mu, n_steps, seed, cps, record)
+    plan = _plan(params, n_steps, seed, cps, record, mode)
     if mode == "events":
         size = max(1, _EVENTS_SCRATCH // _events_row_bytes(len(cps), record))
         # a block per worker, but no more blocks than hold _BLOCK_SIZE rows
@@ -542,7 +560,7 @@ def _run(params, n_steps, seed, checkpoints, mode, record, start, count, workers
     end = start + count
     blocks = [(s, min(size, end - s)) for s in range(start, end, size)]
     if len(blocks) == 1:
-        part = engine(*args, start, count)
+        part = engine(plan, start, count)
         return cps, mode, {name: part[name] for name in record}
     arrays = {}
 
@@ -554,15 +572,28 @@ def _run(params, n_steps, seed, checkpoints, mode, record, start, count, workers
 
     if workers == 1:
         for s, c in blocks:
-            place(s, engine(*args, s, c))
+            place(s, engine(plan, s, c))
     else:
         from concurrent.futures import ProcessPoolExecutor  # off the import path
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [(s, pool.submit(engine, *args, s, c)) for s, c in blocks]
+        with ProcessPoolExecutor(workers, initializer=_set_worker_plan,
+                                 initargs=(plan,)) as pool:
+            futures = [(s, pool.submit(_run_block, engine, s, c)) for s, c in blocks]
             for s, f in futures:
                 place(s, f.result())
     return cps, mode, arrays
+
+
+_worker_plan = None  # the plan of the call that this pool worker serves
+
+
+def _set_worker_plan(plan: _Plan) -> None:
+    global _worker_plan
+    _worker_plan = plan
+
+
+def _run_block(engine, start, count):
+    return engine(_worker_plan, start, count)
 
 
 def _check_workers(workers) -> None:

@@ -154,7 +154,7 @@ def test_criterion_06a_l2_bounded_branch_flattens():
 
     At beta = p/(1-p) - 0.3 the increments of E[M_n^2] decay as
     n^(beta - rate - 1) = n^(-1.15), so the [1e4, 1e5] window still adds
-    ~0.43; an increase below 1e-3 would need n ~ 1e17.  Threshold kept as
+    ~0.43; an increase below 1e-3 would need n ~ 4e22.  Threshold kept as
     stated.  The product's own boundedness verdict (criterion 6d in spirit)
     classifies this regime correctly via the increment exponent.
     """

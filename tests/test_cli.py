@@ -12,13 +12,10 @@ import erwalk
 import erwalk.report as report_mod
 from erwalk import cli, serialize
 from erwalk.analysis import build_report
-from erwalk.branching import BranchingParams, simulate
 from erwalk.cli import main
 from erwalk.exact import enumerate_law, exact_mean_xi, l2_diagnostic, propagate_moments
 from erwalk.serialize import (
     config_hash,
-    write_branching_census_csv,
-    write_branching_summary_json,
     write_ensemble_csv,
     write_ensemble_json,
     write_law_csv,
@@ -65,17 +62,6 @@ class TestSerialize:
         tables = propagate_moments(pms, 100, 2, checkpoints=[1, 10, 100])
         text = write_moments_csv(tmp_path / "m.csv", tables, {}).read_text()
         assert "n,m10,m01,m20,m11,m02" in text
-
-    def test_branching_outputs(self, tmp_path, rng):
-        bp = BranchingParams(0.5, 2.0, max_gen=30)
-        res = simulate(bp, rng, keep_generations=True)
-        census = write_branching_census_csv(tmp_path / "c.csv", res, {}, seed=7)
-        assert "generation,count,min_type,max_type" in census.read_text()
-        summary = write_branching_summary_json(tmp_path / "s.json", res, {}, seed=7)
-        payload = json.loads(summary.read_text())
-        assert set(payload["summary"]) >= {
-            "extinct", "censored", "distinct_types", "truncation_mass",
-        }
 
 
 # sha256 of every file `erwalk simulate` and `erwalk report --out` write,
@@ -755,7 +741,7 @@ def test_every_file_goes_through_serialize(tmp_path, monkeypatch):
         assert any(n.startswith(stem) for n in names), stem
 
 
-def test_writers_return_their_path(tmp_path, rng):
+def test_writers_return_their_path(tmp_path):
     # perfbench's tracing reads the size of the file each writer returns
     pms = ModelParams(0.5, 1.0)
     traj = run_walk(pms, 100, seed=1, checkpoints=[1, 10, 100])
@@ -765,7 +751,6 @@ def test_writers_return_their_path(tmp_path, rng):
     tables = propagate_moments(pms, 200, 3, checkpoints=cps)
     diag = l2_diagnostic(pms, 200)
     means = [exact_mean_xi(int(n), pms) for n in cps]
-    branching = simulate(BranchingParams(0.5, 2.0, max_gen=30), rng, keep_generations=True)
     gates = report_mod.run_gates(regimes=["localized"], scale=0.05)
     args = {
         "write_trajectory_csv": (traj, {}),
@@ -781,8 +766,6 @@ def test_writers_return_their_path(tmp_path, rng):
         "write_critical_ratios_csv": (pms, tables, {}),
         "write_l2_json": (diag,),
         "write_report_json": (gates,),
-        "write_branching_census_csv": (branching, {}, 7),
-        "write_branching_summary_json": (branching, {}, 7),
     }
     writers = [name for name in serialize.__all__ if name.startswith("write_")]
     assert sorted(writers) == sorted(args)

@@ -1,6 +1,7 @@
 import concurrent.futures
 import hashlib
 import math
+import pickle
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -290,6 +291,42 @@ class TestEnsembles:
                 run_ensemble(ModelParams(0.5, 1.0), 50, 5000, seed=3, mode=mode,
                              workers=workers)
 
+    def test_full_horizon_capped_before_any_work(self, monkeypatch):
+        def no_work(*args, **kw):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(walkers, "c_values", no_work)
+        pms, cap = ModelParams(0.5, 1.0), walkers._FULL_MODE_MAX_STEPS
+        calls = [
+            lambda n: run_walk(pms, n, seed=1, checkpoints=[1], mode="full"),
+            lambda n: run_ensemble(pms, n, 5, seed=3, checkpoints=[1], mode="full"),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"capped at {cap} steps"):
+                call(cap + 1)
+            with pytest.raises(AssertionError, match="work started"):
+                call(cap)
+
+    @pytest.mark.parametrize("n", [64, 4096])
+    def test_pool_tasks_carry_no_plan(self, monkeypatch, n):
+        # each worker gets the plan once, from the pool's initializer, so a
+        # block's task (engine, start, count) is a few dozen bytes at any
+        # horizon; the full engine's CDF table alone is 64 MiB at n = 4096
+        sizes = []
+
+        class PicklingPool(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                sizes.append(len(pickle.dumps((fn, args, kwargs))))
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
+        monkeypatch.setattr(walkers, "_worker_plan", None)
+        monkeypatch.setattr(walkers, "_BLOCK_SIZE", 2)
+        res = run_ensemble(ModelParams(0.5, 1.0), n, 4, seed=3, checkpoints=[n],
+                           mode="full", workers=2)
+        assert res.arrays["xi"].shape == (4, 1)
+        assert len(sizes) == 2 and max(sizes) < 4096, sizes
+
     def test_full_memory_table_built_once_per_run(self, monkeypatch):
         # the blocks of a run share one CDF table; each block of _BLOCK_SIZE
         # replicates once rebuilt it
@@ -381,12 +418,13 @@ class TestEnsembles:
             run_ensemble(ModelParams(p, beta), 300, 200, seed=8, checkpoints=[300])
 
 
-def _per_step_collapsed_block(params, mu, n_steps, seed, checkpoints, record, start,
-                              count):
+def _per_step_collapsed_block(plan, start, count):
     """The collapsed engine as one numpy pass per time step, with its own
     segments of 2048 draws and no driver: the reference for
-    `walkers._collapsed_block`."""
-    cps = checkpoints
+    `walkers._collapsed_block`.  It reads the plan's inputs and mu, and forms
+    coef and the guard bound itself."""
+    params, mu, n_steps, seed = plan.params, plan.mu, plan.n_steps, plan.seed
+    cps, record = plan.checkpoints, plan.record
     cp_set = {int(c): i for i, c in enumerate(cps)}
     out = {}
     if "xi" in record:
@@ -438,27 +476,30 @@ def _per_step_collapsed_block(params, mu, n_steps, seed, checkpoints, record, st
 
 def _compare_with_per_step(params, n_steps, seed, start, count, cps, bad_at=None,
                            bad=math.nan):
-    """Run the engine and its reference, with mu_{n+1} = `bad` at n = `bad_at`.
+    """Run the engine and its reference, with mu_{n+1} = `bad` at n = `bad_at`,
+    on the plans that `_run` builds for these arguments.
 
     Returns whether the guard raised (in both, with the same message).
     """
-    mu = c_values(params.beta, n_steps + 1)
-    if bad_at is not None:
-        mu[bad_at] = bad
-    rec, lean_rec = ("xi", "sigma", "a"), ("xi", "sigma")
-    head, tail = (params, mu, n_steps, seed, cps), (start, count)
+    with pytest.MonkeyPatch.context() as mp:
+        if bad_at is not None:
+            mp.setattr(walkers, "c_values", _with_bad_mu(bad_at, bad))
+        plan, lean_plan = [
+            walkers._plan(params, n_steps, seed, cps, rec, "collapsed")
+            for rec in (("xi", "sigma", "a"), ("xi", "sigma"))
+        ]
     try:
-        want = _per_step_collapsed_block(*head, rec, *tail)
+        want = _per_step_collapsed_block(plan, start, count)
     except RuntimeError as err:
         with pytest.raises(RuntimeError) as got:
-            walkers._collapsed_block(*head, rec, *tail)
+            walkers._collapsed_block(plan, start, count)
         assert str(got.value) == str(err)
         return True
-    got = walkers._collapsed_block(*head, rec, *tail)
-    lean = walkers._collapsed_block(*head, lean_rec, *tail)
-    for name in rec:
+    got = walkers._collapsed_block(plan, start, count)
+    lean = walkers._collapsed_block(lean_plan, start, count)
+    for name in plan.record:
         assert np.array_equal(got[name], want[name]), name
-    for name in lean:
+    for name in lean_plan.record:
         assert np.array_equal(lean[name], want[name]), name
     return False
 
@@ -592,17 +633,19 @@ class TestEventsEngine:
         def spy_on(mode):
             engine, fields = walkers._ENGINES[mode]
 
-            def spy(*args):
-                calls.append(args[-2:])  # (start, count)
-                return engine(*args)
+            def spy(plan, start, count):
+                assert isinstance(plan, walkers._Plan)
+                calls.append((start, count))
+                return engine(plan, start, count)
 
             monkeypatch.setitem(walkers._ENGINES, mode, (spy, fields))
 
         spy_on("events")
         spy_on("collapsed")
         # the spies cannot be pickled into worker processes; threads run the
-        # same submissions
+        # same submissions, and the pool's initializer sets this process's plan
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
+        monkeypatch.setattr(walkers, "_worker_plan", None)
         pms = ModelParams(0.5, 1.0)
         runs = []
         for workers, want in ((1, [(0, 10**4)]), (2, [(0, 5000), (5000, 5000)])):
