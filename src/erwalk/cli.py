@@ -46,6 +46,8 @@ def _merged(args: argparse.Namespace, defaults: dict) -> dict:
         if not path.exists():
             raise FileNotFoundError(f"config file not found: {path}")
         loaded = json.loads(path.read_text())
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file must hold a JSON object, got {loaded!r:.40}")
         unknown = set(loaded) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

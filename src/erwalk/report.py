@@ -4,14 +4,13 @@ The gate battery re-derives its own data (exact engine plus light Monte
 Carlo), so a report run is self-contained.  Replicate counts scale with
 the `scale` parameter, which must be finite and positive.
 
-Each Monte Carlo ensemble but the coupling runs `run_ensemble(mode="auto")`
-through `_ensemble`, which picks the engine from the expected up-steps per
+Each Monte Carlo ensemble but the coupling runs on the engine that
+`run_ensemble`'s default mode "auto" picks from the expected up-steps per
 step.  Four of them are sparse and run the events engine: the zero-beta MC
 mean, the critical localization ensemble, and the localized MC-mean and
-stagnation ensembles.
-The negative-beta stagnation ensemble, (0.5, -0.5) to n = 4000, runs the
-collapsed engine; the coupling gate runs mode "coupled", and the branching
-gate runs `branching.simulate`.
+stagnation ensembles.  The negative-beta stagnation ensemble, (0.5, -0.5)
+to n = 4000, runs the collapsed engine; the coupling gate runs mode
+"coupled", and the branching gate runs `branching.simulate`.
 """
 
 from __future__ import annotations
@@ -83,15 +82,8 @@ def _coupling_gate(regime, params, seed, n_steps, n_reps):
                 f"order ge held on {n_reps} paths to n = {n_steps}")
 
 
-def _ensemble(params, n_steps, n_reps, seed, checkpoints):
-    """Xi at `checkpoints` on the engine run_ensemble(mode="auto") picks."""
-    return run_ensemble(
-        params, n_steps, n_reps, seed, checkpoints=checkpoints, mode="auto", record=("xi",)
-    )
-
-
 def _mc_mean_gate(regime, params, seed, n_steps, n_reps, level):
-    res = _ensemble(params, n_steps, n_reps, seed, [n_steps])
+    res = run_ensemble(params, n_steps, n_reps, seed, checkpoints=[n_steps], record=("xi",))
     rep = analysis.build_report(res, confidence_z=level)
     g = analysis.compare_mc_exact(rep, exact.exact_mean_xi(n_steps, params), n_steps, level)
     return Gate(regime, "MC mean vs exact", g.passed, g.detail)
@@ -99,7 +91,7 @@ def _mc_mean_gate(regime, params, seed, n_steps, n_reps, level):
 
 def _stagnation_gate(regime, name, params, seed, n_reps, passes):
     """`passes(f)` judges the stagnant fraction f on [2000, 4000]."""
-    res = _ensemble(params, 4000, n_reps, seed, [2000, 4000])
+    res = run_ensemble(params, 4000, n_reps, seed, checkpoints=[2000, 4000], record=("xi",))
     stag = analysis.stagnation_profile(res, [(2000, 4000)])[0]
     return Gate(regime, name, passes(stag.fraction),
                 f"stagnant fraction {stag.fraction:.4f} on [2000, 4000]")
@@ -151,7 +143,7 @@ def run_gates(regimes=None, seed: int = 20240801, scale: float = 1.0, level: flo
         pms = ModelParams(0.5, 1.0)
         ratio = exact.exact_mean_xi(n_ref, pms) / np.log(n_ref)
         bound = exact.lower_bound_prob_one(pms, n_ref)
-        res = _ensemble(pms, 2000, reps, seed + 3, [2000])
+        res = run_ensemble(pms, 2000, reps, seed + 3, checkpoints=[2000], record=("xi",))
         freq = float(np.mean(res.arrays["xi"][:, -1] == 1))
         se = np.sqrt(max(freq * (1 - freq), 1e-12) / reps)
         gates += [

@@ -19,6 +19,8 @@ chain is what the production simulators run, with two engines:
   and short horizons, and it is the bit-pinned reference.
 
 The two read their streams differently, so they agree in law, not in bits.
+Every simulator call defaults to mode "auto", which picks one of the two
+from the inputs; a call that pins bits names its engine.
 The full-history simulator draws the recalled time explicitly and serves
 as a differential oracle.  The `coupled` mode runs the collapsed chain and
 the uniform-memory walk of rate p(beta+1) (Harbola, Kumar and Lindenberg
@@ -28,10 +30,11 @@ reproducible under any worker count.
 
 `run_walk` and `run_ensemble` both go through `_run`: it checks the key,
 worker count, horizon (at most MAX_STEPS; _FULL_MODE_MAX_STEPS in mode
-"full"), checkpoints, mode and recorded fields before any work, resolves
-mode "auto" (`_resolve_mode`: events when the walk expects at most
-AUTO_EVENTS_MAX_RATE up-steps per step, else collapsed; the result records
-the engine that ran), and builds one `_Plan` of what every block reads:
+"full"), the coupling's rate, checkpoints, mode and recorded fields before
+any work, resolves mode "auto" (`_resolve_mode`, the one place that picks
+an engine: events when the walk expects at most AUTO_EVENTS_MAX_RATE
+up-steps per step, else collapsed; the result records the engine that
+ran), and builds one `_Plan` of what every block reads:
 mu = c_values(beta, n_steps + 1), coef, the guard and the full engine's
 table.  Every engine is `engine(plan, start, count)`, run on blocks of
 replicates that `_run` sizes; a process pool gets the plan once per
@@ -101,7 +104,7 @@ _CHECKPOINT_CHUNK = 1 << 15
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Memory parameter p in (0,1) and power-law exponent beta > -1."""
+    """Memory parameter p in (0,1) and finite power-law exponent beta > -1."""
 
     p: float
     beta: float
@@ -109,8 +112,8 @@ class ModelParams:
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"p must lie in (0, 1), got {self.p}")
-        if not self.beta > -1.0:
-            raise ValueError(f"beta must be > -1, got {self.beta}")
+        if not -1.0 < self.beta < math.inf:
+            raise ValueError(f"beta must be finite and > -1, got {self.beta}")
 
     @property
     def rate(self) -> float:
@@ -449,10 +452,6 @@ def _coupled_block(plan, start, count):
     The pathwise order is asserted after every step.
     """
     rate, mu, coef, guard = plan.params.rate, plan.mu, plan.coef, plan.guard
-    if not 0.0 < rate < 1.0:
-        raise ValueError(
-            f"coupling needs p(beta+1) in (0, 1) to be a probability, got {rate}"
-        )
     xi = np.ones(count, dtype=np.int64)
     sigma = np.ones(count)
     xi_l = np.ones(count, dtype=np.int64)
@@ -513,12 +512,12 @@ def _resolve_mode(mode: str, params: ModelParams, n_steps: int) -> str:
 def _run(params, n_steps, seed, checkpoints, mode, record, start, count, workers):
     """Replicates start, ..., start + count - 1 of a simulator call.
 
-    Checks the key, counts, horizon, checkpoints, mode and fields before any
-    work, resolves "auto", builds the call's `_Plan`, then runs the engine
-    on blocks of replicates, in a process pool when workers > 1 and there
-    are several blocks; the pool hands each worker the plan once, so a
-    block's task is (engine, start, count).  The per-step engines take
-    blocks of _BLOCK_SIZE.  The events engine takes as many rows as
+    Checks the key, counts, horizon, coupling rate, checkpoints, mode and
+    fields before any work, resolves "auto", builds the call's `_Plan`,
+    then runs the engine on blocks of replicates, in a process pool when
+    workers > 1 and there are several blocks; the pool hands each worker
+    the plan once, so a block's task is (engine, start, count).  The
+    per-step engines take blocks of _BLOCK_SIZE.  The events engine takes as many rows as
     _EVENTS_SCRATCH bytes of its per-row scratch allow, and at most
     count / workers, so that every worker gets a block, as long as each
     such block holds _BLOCK_SIZE rows: an ensemble of fewer than
@@ -538,6 +537,10 @@ def _run(params, n_steps, seed, checkpoints, mode, record, start, count, workers
     if mode == "full" and n_steps > _FULL_MODE_MAX_STEPS:
         raise ValueError(
             f"full-history mode is an oracle, capped at {_FULL_MODE_MAX_STEPS} steps"
+        )
+    if mode == "coupled" and not 0.0 < params.rate < 1.0:
+        raise ValueError(
+            f"coupling needs p(beta+1) in (0, 1) to be a probability, got {params.rate}"
         )
     cps = _check_checkpoints(checkpoints, n_steps)
     mode = _resolve_mode(mode, params, n_steps)
@@ -636,15 +639,15 @@ def run_walk(
     n_steps: int,
     seed: int,
     checkpoints=None,
-    mode: str = "collapsed",
+    mode: str = "auto",
     replicate_index: int = 0,
 ) -> Trajectory:
     """Simulate one walk; deterministic given (seed, replicate_index).
 
     The walk is replicate `replicate_index` of the ensemble with master seed
-    `seed`, so single runs and ensemble members can be compared directly.
-    Mode "auto" picks the engine as in `run_ensemble`; `mode` of the result
-    is the engine that ran.
+    `seed` and the same engine, so single runs and ensemble members can be
+    compared directly.  Mode "auto" (the default) picks the engine as in
+    `run_ensemble`; `mode` of the result is the engine that ran.
     """
     cps, mode, out = _run(
         params, n_steps, seed, checkpoints, mode, _WALK_FIELDS, replicate_index, 1, 1
@@ -685,7 +688,7 @@ def run_ensemble(
     n_replicates: int,
     seed: int,
     checkpoints=None,
-    mode: str = "collapsed",
+    mode: str = "auto",
     record=("xi", "sigma"),
     workers: int = 1,
 ) -> EnsembleResult:
@@ -697,9 +700,10 @@ def run_ensemble(
     walk of rate p(beta+1) < 1, driven by one shared uniform per step.
     Their pathwise order (walk >= comparison for beta < 0, <= for beta > 0,
     equality at beta = 0) is asserted at every step, and a violation raises
-    AssertionError.  Mode "auto" runs "events" when the walk expects at most
-    AUTO_EVENTS_MAX_RATE up-steps per step, (E[Xi_n] - 1)/(n - 1), else
-    "collapsed"; `mode` of the result is the engine that ran.
+    AssertionError.  Mode "auto" (the default) runs "events" when the walk
+    expects at most AUTO_EVENTS_MAX_RATE up-steps per step,
+    (E[Xi_n] - 1)/(n - 1), else "collapsed"; `mode` of the result is the
+    engine that ran.  Name the engine to pin the bits of a call.
     """
     cps, mode, arrays = _run(
         params, n_steps, seed, checkpoints, mode, record, 0, n_replicates, workers

@@ -135,13 +135,14 @@ class TestGates:
     def test_level_must_be_finite_and_positive(self, level):
         with pytest.raises(ValueError, match="sigma level"):
             mean_gate(4.0, 1.0, 1000, 4.0, level=level)
-        res = run_ensemble(ModelParams(0.5, 0.5), 10, 5, seed=1, checkpoints=[10])
+        res = run_ensemble(ModelParams(0.5, 0.5), 10, 5, seed=1, checkpoints=[10],
+                           mode="collapsed")
         with pytest.raises(ValueError, match="sigma level"):
             build_report(res, confidence_z=level)
 
     def test_compare_with_report(self):
         pms = ModelParams(0.5, 2.0)
-        res = run_ensemble(pms, 500, 3000, seed=42, checkpoints=[100, 500])
+        res = run_ensemble(pms, 500, 3000, seed=42, checkpoints=[100, 500], mode="collapsed")
         rep = build_report(res)
         g = compare_mc_exact(rep, exact_mean_xi(500, pms), 500)
         assert g.passed
@@ -153,20 +154,20 @@ class TestStagnation:
     def test_localized_windows_freeze(self):
         pms = ModelParams(0.5, 2.0)
         res = run_ensemble(pms, 4000, 2000, seed=9,
-                           checkpoints=[100, 200, 2000, 4000])
+                           checkpoints=[100, 200, 2000, 4000], mode="collapsed")
         prof = stagnation_profile(res, [(100, 200), (2000, 4000)])
         assert prof[0].fraction < prof[1].fraction or prof[1].fraction > 0.9
         assert prof[1].fraction > 0.9
 
     def test_growing_walk_never_freezes(self):
         pms = ModelParams(0.5, -0.5)
-        res = run_ensemble(pms, 2000, 1000, seed=9, checkpoints=[1000, 2000])
+        res = run_ensemble(pms, 2000, 1000, seed=9, checkpoints=[1000, 2000], mode="collapsed")
         prof = stagnation_profile(res, [(1000, 2000)])
         assert prof[0].fraction < 0.01
 
     def test_requires_checkpoints(self):
         res = run_ensemble(ModelParams(0.5, 1.0), 100, 10, seed=1,
-                           checkpoints=[50, 100])
+                           checkpoints=[50, 100], mode="collapsed")
         with pytest.raises(ValueError):
             stagnation_profile(res, [(25, 50)])
 
@@ -175,7 +176,7 @@ class TestReports:
     def test_report_roundtrip(self):
         pms = ModelParams(0.5, 0.5)
         res = run_ensemble(pms, 1000, 500, seed=3,
-                           checkpoints=[1, 10, 50, 100, 200, 500, 1000])
+                           checkpoints=[1, 10, 50, 100, 200, 500, 1000], mode="collapsed")
         rep = build_report(res, fit_window=(10, 1000),
                            stagnation_windows=[(500, 1000)])
         d = rep.to_dict()
@@ -186,7 +187,7 @@ class TestReports:
 
     def test_martingale_columns(self):
         pms = ModelParams(0.5, 0.5)
-        res = run_ensemble(pms, 200, 400, seed=3, checkpoints=[1, 200])
+        res = run_ensemble(pms, 200, 400, seed=3, checkpoints=[1, 200], mode="collapsed")
         rep = build_report(res)
         assert rep.mean_m[0] == pytest.approx(1.0)  # M_1 = 1 exactly
         se = np.sqrt(rep.var_m[1] / rep.n_replicates)

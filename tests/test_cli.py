@@ -33,7 +33,8 @@ class TestSerialize:
         assert a != config_hash({"p": 0.5, "beta": 2.0})
 
     def test_trajectory_csv(self, tmp_path):
-        traj = run_walk(ModelParams(0.5, 1.0), 100, seed=1, checkpoints=[1, 10, 100])
+        traj = run_walk(ModelParams(0.5, 1.0), 100, seed=1, checkpoints=[1, 10, 100],
+                        mode="collapsed")
         path = write_trajectory_csv(tmp_path / "t.csv", traj, {"n": 100})
         lines = path.read_text().splitlines()
         assert lines[0].startswith("# erwalk ")
@@ -45,7 +46,7 @@ class TestSerialize:
 
     def test_ensemble_outputs(self, tmp_path):
         res = run_ensemble(ModelParams(0.5, 1.0), 50, 100, seed=2,
-                           checkpoints=[1, 50])
+                           checkpoints=[1, 50], mode="collapsed")
         rep = build_report(res)
         csv_path = write_ensemble_csv(tmp_path / "e.csv", rep, {})
         assert "n,mean_xi,var_xi,ci_half_xi,mean_m,var_m" in csv_path.read_text()
@@ -147,6 +148,16 @@ class TestSimulateCommand:
                    "--replicates", "10", "--seed", "1", "--out", str(tmp_path)])
         assert rc == 2
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--replicates", "10", "--seed", "1"], ["exact"],
+    ], ids=["simulate", "exact"])
+    def test_infinite_beta_exit_2_and_no_file(self, tmp_path, capsys, args):
+        out = tmp_path / "o"
+        assert main([*args, "--p", "0.5", "--beta", "inf", "--n", "200",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: beta must be finite and > -1, got inf\n"
+        assert not out.exists()
 
     def test_seed_outside_64_bits_exit_2(self, tmp_path):
         # 2**64 would alias seed 0's streams if it were reduced mod 2**64
@@ -354,6 +365,18 @@ class TestSimulateCommand:
         rc = main(["simulate", "--config", str(cfg), "--seed", "1",
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize("text", ["5", "[[1]]", '"p"', "null"])
+    def test_config_not_an_object_exit_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        rc = main(["simulate", "--config", str(cfg), "--seed", "1",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: config file must hold a JSON object, got {json.loads(text)!r}\n"
+        )
+        assert not (tmp_path / "o").exists()
 
 
 class TestConfigValues:
@@ -684,7 +707,7 @@ class TestFailurePath:
         def broken(*args, **kw):
             raise RuntimeError("ensemble failed")
 
-        monkeypatch.setattr(report_mod, "_ensemble", broken)
+        monkeypatch.setattr(report_mod, "run_ensemble", broken)
         rc = main(["report", "--regime", "critical", "--out", str(tmp_path)])
         assert rc == 1
         captured = capsys.readouterr()
@@ -744,8 +767,8 @@ def test_every_file_goes_through_serialize(tmp_path, monkeypatch):
 def test_writers_return_their_path(tmp_path):
     # perfbench's tracing reads the size of the file each writer returns
     pms = ModelParams(0.5, 1.0)
-    traj = run_walk(pms, 100, seed=1, checkpoints=[1, 10, 100])
-    rep = build_report(run_ensemble(pms, 50, 100, seed=2, checkpoints=[1, 50]))
+    traj = run_walk(pms, 100, seed=1, checkpoints=[1, 10, 100], mode="collapsed")
+    rep = build_report(run_ensemble(pms, 50, 100, seed=2, checkpoints=[1, 50], mode="collapsed"))
     law, _ = enumerate_law(pms, 6)
     cps = np.array([1, 10, 200])
     tables = propagate_moments(pms, 200, 3, checkpoints=cps)

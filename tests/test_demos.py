@@ -1,7 +1,8 @@
 """The demos print the same bytes as when they were pinned.
 
-Each demo runs in a subprocess of its own; the sha256 of its stdout is
-compared with a digest pinned from an earlier run.
+Each demo runs in a subprocess of its own, with scipy made unimportable
+(the demos need numpy alone); the sha256 of its stdout is compared with a
+digest pinned from an earlier run.
 Demo 05 (branching, about 16 s) is left out to keep the suite short.
 """
 
@@ -16,6 +17,9 @@ import pytest
 import erwalk
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
+#: runs the demo named by argv[1] as __main__ with scipy made unimportable
+_RUN = ("import runpy, sys; sys.modules['scipy'] = None; "
+        "runpy.run_path(sys.argv[1], run_name='__main__')")
 
 
 @pytest.mark.parametrize("name,want", [
@@ -29,6 +33,7 @@ def test_demo_stdout_pinned(name, want):
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     proc = subprocess.run(
-        [sys.executable, str(DEMOS / name)], env=env, capture_output=True, check=True,
+        [sys.executable, "-c", _RUN, str(DEMOS / name)], env=env, capture_output=True,
+        check=True,
     )
     assert hashlib.sha256(proc.stdout).hexdigest() == want

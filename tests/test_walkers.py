@@ -1,5 +1,6 @@
 import concurrent.futures
 import hashlib
+import inspect
 import math
 import pickle
 import tracemalloc
@@ -11,7 +12,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from erwalk import walkers
+from erwalk import cli, walkers
 from erwalk.analysis import chi_square_two_sample, chi_square_vs_law
 from erwalk.exact import enumerate_law, exact_mean_xi, lower_bound_prob_one
 from erwalk.gammaratio import c_values, log_poch, poch_ratio
@@ -74,6 +75,9 @@ class TestModelParams:
             ModelParams(1.0, 1.0)
         with pytest.raises(ValueError):
             ModelParams(0.5, -1.0)
+        for beta in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                ModelParams(0.5, beta)
 
     def test_derived_quantities(self):
         pms = ModelParams(0.5, 1.0)
@@ -92,14 +96,14 @@ class TestStepProbability:
         for p, beta in [(0.5, 1.0), (0.2, -0.5), (0.8, 4.0), (0.3, 0.0)]:
             pms = ModelParams(p, beta)
             for seed in (0, 1):
-                assert run_walk(pms, 2, seed).a[-1] == 1 + p
+                assert run_walk(pms, 2, seed, mode="collapsed").a[-1] == 1 + p
                 assert run_walk(pms, 2, seed, mode="full").a[-1] == 1 + p
 
     def test_uniform_memory_reduces_to_fraction(self):
         # beta = 0: pi_n = p * xi / n, the increment of A_n
         pms = ModelParams(0.4, 0.0)
         n = np.arange(1, 301)
-        traj = run_walk(pms, 300, seed=3, checkpoints=n)
+        traj = run_walk(pms, 300, seed=3, checkpoints=n, mode="collapsed")
         assert np.diff(traj.a) == pytest.approx(0.4 * traj.xi[:-1] / n[:-1], rel=1e-14)
 
     def test_all_ones_history_gives_p(self):
@@ -153,11 +157,11 @@ class TestScalarSteps:
         pms = ModelParams(0.5, 1.0)
         u = uniform_rows(3, np.arange(40), 0, 1)[:, 0]
         up, down = int(np.flatnonzero(u < 0.5)[0]), int(np.flatnonzero(u >= 0.5)[0])
-        traj = run_walk(pms, 2, seed=3, replicate_index=up)
+        traj = run_walk(pms, 2, seed=3, replicate_index=up, mode="collapsed")
         assert (traj.n[-1], traj.xi[-1]) == (2, 2)
         assert traj.sigma[-1] == 1.0 + 2.0  # mu_2 = 2 at beta = 1
         assert traj.a[-1] == 1.5
-        traj = run_walk(pms, 2, seed=3, replicate_index=down)
+        traj = run_walk(pms, 2, seed=3, replicate_index=down, mode="collapsed")
         assert (traj.n[-1], traj.xi[-1]) == (2, 1)
         assert traj.sigma[-1] == 1.0 and traj.a[-1] == 1.5
 
@@ -190,7 +194,8 @@ class TestScalarSteps:
 
 class TestRunWalk:
     def test_first_checkpoint_record(self):
-        traj = run_walk(ModelParams(0.5, 0.5), 50, seed=9, checkpoints=[1, 50])
+        traj = run_walk(ModelParams(0.5, 0.5), 50, seed=9, checkpoints=[1, 50],
+                        mode="collapsed")
         assert traj.n[0] == 1
         assert traj.xi[0] == 1
         assert traj.sigma[0] == 1.0
@@ -199,7 +204,7 @@ class TestRunWalk:
 
     def test_xi_nondecreasing_unit_increments(self):
         pms = ModelParams(0.6, -0.3)
-        traj = run_walk(pms, 300, seed=2, checkpoints=np.arange(1, 301))
+        traj = run_walk(pms, 300, seed=2, checkpoints=np.arange(1, 301), mode="collapsed")
         d = np.diff(traj.xi)
         assert (d >= 0).all() and (d <= 1).all()
         assert traj.xi[0] == 1
@@ -209,7 +214,7 @@ class TestRunWalk:
         # identically, so replicate 5 must reproduce bit for bit
         pms = ModelParams(0.45, 0.8)
         traj = run_walk(pms, 120, seed=31, checkpoints=np.arange(1, 121),
-                        replicate_index=5)
+                        replicate_index=5, mode="collapsed")
         xs, sigmas = _scalar_collapsed(pms, 120, replicate_stream(31, 5))
         assert np.array_equal(traj.xi, xs)
         assert np.array_equal(traj.sigma, sigmas)
@@ -241,7 +246,7 @@ class TestRunWalk:
         bound = pms.rate * np.cumsum(p_hit)
         cps = np.arange(2, n_steps + 1)
         for seed in range(5):
-            traj = run_walk(pms, n_steps, seed=seed, checkpoints=cps)
+            traj = run_walk(pms, n_steps, seed=seed, checkpoints=cps, mode="collapsed")
             assert (traj.a >= bound - 1e-9).all()
 
 
@@ -353,7 +358,7 @@ class TestEnsembles:
         if mode == "collapsed":
             res = run_ensemble(ModelParams(0.45, 0.8), 2100, 40, seed=31,
                                checkpoints=[1, 2, 7, 2048, 2049, 2050, 2100],
-                               record=rec)
+                               record=rec, mode="collapsed")
             got = _digest(*(res.arrays[k] for k in rec))
         elif mode == "full":
             got = _golden_full_digest()
@@ -375,7 +380,7 @@ class TestEnsembles:
         cps = [1, 1999, 2000, 2001, 2002, 4000, 4001, 4002, 4100]
         if mode == "collapsed":
             res = run_ensemble(ModelParams(0.45, 0.8), 4100, 40, seed=31,
-                               checkpoints=cps, record=rec)
+                               checkpoints=cps, record=rec, mode="collapsed")
             got = _digest(*(res.arrays[k] for k in rec))
         elif mode == "full":
             res = run_ensemble(ModelParams(0.5, 1.0), 2100, 30, seed=7,
@@ -389,7 +394,7 @@ class TestEnsembles:
 
     def test_mean_against_exact(self):
         pms = ModelParams(0.5, 0.0)
-        res = run_ensemble(pms, 500, 4000, seed=77, checkpoints=[500])
+        res = run_ensemble(pms, 500, 4000, seed=77, checkpoints=[500], mode="collapsed")
         xi = res.arrays["xi"][:, -1]
         want = exact_mean_xi(500, pms)
         se = xi.std(ddof=1) / math.sqrt(len(xi))
@@ -397,7 +402,7 @@ class TestEnsembles:
 
     def test_martingale_mean_is_one(self):
         pms = ModelParams(0.4, 0.5)
-        res = run_ensemble(pms, 400, 4000, seed=3, checkpoints=[400])
+        res = run_ensemble(pms, 400, 4000, seed=3, checkpoints=[400], mode="collapsed")
         m = res.martingale()[:, -1]
         se = m.std(ddof=1) / math.sqrt(len(m))
         assert m.mean() == pytest.approx(1.0, abs=4.5 * se)
@@ -415,7 +420,8 @@ class TestEnsembles:
     def test_pi_stays_below_p(self):
         # engine guard active on every step of every replicate
         for p, beta in [(0.2, -0.5), (0.8, 3.0), (0.5, 0.5)]:
-            run_ensemble(ModelParams(p, beta), 300, 200, seed=8, checkpoints=[300])
+            run_ensemble(ModelParams(p, beta), 300, 200, seed=8, checkpoints=[300],
+                         mode="collapsed")
 
 
 def _per_step_collapsed_block(plan, start, count):
@@ -800,6 +806,36 @@ class TestAutoMode:
         for name in ("xi", "sigma", "a"):
             assert np.array_equal(auto.arrays[name], events.arrays[name]), name
 
+    def test_one_default_policy(self, tmp_path, monkeypatch):
+        # the library and the CLI default to "auto", and `_resolve_mode` picks
+        for fn in (run_walk, run_ensemble):
+            assert inspect.signature(fn).parameters["mode"].default == "auto"
+        modes = []
+
+        def recording(*args, **kw):
+            modes.append(kw["mode"])
+            return run_ensemble(*args, **kw)
+
+        monkeypatch.setattr(cli, "run_ensemble", recording)
+        assert cli.main(["simulate", "--n", "50", "--replicates", "5", "--seed", "1",
+                         "--out", str(tmp_path)]) == 0
+        assert modes == ["auto"]
+        # a sparse point (events) and a dense one (collapsed)
+        for pms, engine in ((ModelParams(0.5, 2.0), "events"),
+                            (ModelParams(0.8, -0.5), "collapsed")):
+            cps, rec = [1, 50, 600], ("xi", "sigma", "a")
+            plain = run_ensemble(pms, 600, 40, seed=9, checkpoints=cps, record=rec)
+            auto = run_ensemble(pms, 600, 40, seed=9, checkpoints=cps, mode="auto",
+                                record=rec)
+            assert plain.mode == auto.mode == engine
+            for name in rec:
+                assert np.array_equal(plain.arrays[name], auto.arrays[name]), name
+            for j in (0, 17, 39):
+                traj = run_walk(pms, 600, seed=9, checkpoints=cps, replicate_index=j)
+                assert traj.mode == engine
+                for name in rec:
+                    assert np.array_equal(getattr(traj, name), plain.arrays[name][j]), name
+
     def test_prob_stays_at_one_oracle(self):
         pms = ModelParams(0.5, 1.0)
         for n, want in ((2000, 0.296824), (10**4, 0.296705)):
@@ -852,6 +888,14 @@ class TestCoupling:
     def test_rate_must_be_probability(self):
         with pytest.raises(ValueError):
             _coupled(ModelParams(0.5, 1.5), 100, 1, seed=1)  # rate = 1.25
+
+    def test_rate_checked_before_any_work(self, monkeypatch):
+        def no_c_values(xi, n):
+            raise AssertionError("c_values reached")
+
+        monkeypatch.setattr(walkers, "c_values", no_c_values)
+        with pytest.raises(ValueError, match="coupling needs p"):
+            _coupled(ModelParams(0.5, 1.5), 100, 3, seed=1)
 
     def test_single_run_interface(self):
         res = run_ensemble(ModelParams(0.5, -0.5), 500, 1, seed=6, mode="coupled",
@@ -918,7 +962,7 @@ class TestCheckpoints:
         pms = ModelParams(0.5, 1.0)
         for cps in ([2.5, 9.9], [2, 9.5], [math.nan], [1e30]):
             with pytest.raises(ValueError, match="integers"):
-                run_ensemble(pms, 10, 3, seed=1, checkpoints=cps)
+                run_ensemble(pms, 10, 3, seed=1, checkpoints=cps, mode="collapsed")
             with pytest.raises(ValueError, match="integers"):
                 walkers._check_checkpoints(cps, 10)
         for cps in ([2.0, 9.0], np.array([2, 9], dtype=np.uint8), [np.int32(9), 2]):
@@ -928,9 +972,9 @@ class TestCheckpoints:
         with pytest.raises(ValueError):
             geometric_checkpoints(0)
         with pytest.raises(ValueError):
-            run_walk(ModelParams(0.5, 1.0), 10, seed=1, checkpoints=[0, 5])
+            run_walk(ModelParams(0.5, 1.0), 10, seed=1, checkpoints=[0, 5], mode="collapsed")
         with pytest.raises(ValueError):
-            run_walk(ModelParams(0.5, 1.0), 10, seed=1, checkpoints=[5, 11])
+            run_walk(ModelParams(0.5, 1.0), 10, seed=1, checkpoints=[5, 11], mode="collapsed")
 
     def test_horizon_capped_before_any_work(self, monkeypatch):
         # c_values would allocate the whole horizon; the cap is checked first
@@ -943,8 +987,8 @@ class TestCheckpoints:
         monkeypatch.setattr(walkers, "c_values", no_c_values)
         pms, cps = ModelParams(0.5, -0.5), [1]
         calls = [
-            lambda n: run_walk(pms, n, seed=1, checkpoints=cps),
-            lambda n: run_ensemble(pms, n, 3, seed=1, checkpoints=cps),
+            lambda n: run_walk(pms, n, seed=1, checkpoints=cps, mode="collapsed"),
+            lambda n: run_ensemble(pms, n, 3, seed=1, checkpoints=cps, mode="collapsed"),
             lambda n: _coupled(pms, n, 1, seed=1, checkpoints=cps),
             lambda n: _coupled(pms, n, 3, seed=1, checkpoints=cps),
         ]
@@ -960,8 +1004,8 @@ class TestCheckpoints:
         # n_steps = 1 reads no uniform; the key is still checked up front
         pms = ModelParams(0.5, 1.0)
         calls = [
-            lambda s: run_walk(pms, 1, seed=s),
-            lambda s: run_ensemble(pms, 1, 3, seed=s),
+            lambda s: run_walk(pms, 1, seed=s, mode="collapsed"),
+            lambda s: run_ensemble(pms, 1, 3, seed=s, mode="collapsed"),
             lambda s: _coupled(ModelParams(0.5, -0.5), 1, 1, seed=s),
             lambda s: _coupled(ModelParams(0.5, -0.5), 1, 3, seed=s),
         ]
@@ -972,4 +1016,4 @@ class TestCheckpoints:
             call(2**64 - 1)
         for index in (-1, 2**64):
             with pytest.raises(ValueError, match="replicate"):
-                run_walk(pms, 1, seed=0, replicate_index=index)
+                run_walk(pms, 1, seed=0, replicate_index=index, mode="collapsed")
