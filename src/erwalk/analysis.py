@@ -2,10 +2,13 @@
 
 The chi-square p-values come from `_chi2_sf`, a port of Cephes `igamc`
 (DLMF 8.7, 8.9, 8.11): the upper tail that `scipy.special.chdtrc` and
-`scipy.stats.chi2.sf` evaluate, with the same bits, so importing the package
-loads no scipy module.  Above 40 degrees of freedom, where igamc takes an
-asymptotic branch that is not ported, `_chi2_sf` imports `chdtrc` when
-called.  The tests check both p-values against `scipy.stats` bit for bit.
+`scipy.stats.chi2.sf` evaluate, so the package needs no scipy.  Up to 40
+degrees of freedom it gives their bits; above, where igamc switches to a
+Temme asymptotic branch that is not ported, the same three methods run on,
+within 1e-12 relative of `chdtrc` up to 1e4 degrees of freedom (tested
+wherever the tail is above 1e-300).  Past 1e5 the 2000-term cap of the
+series costs accuracy just below the mean: 2.6e-10 relative at 2e5 degrees
+of freedom, 4.1e-3 at 1e6.
 """
 
 from __future__ import annotations
@@ -265,16 +268,15 @@ def _contingency_pvalue(table: np.ndarray) -> float:
     return _chi2_sf(dof, float(stat))
 
 
-# Chi-square upper tail: Cephes igamc (scipy's, by Moshier and Wilson) for
-# dof <= 40, a = dof/2 <= 20, where igamc never takes its Temme asymptotic
-# branch (a > 20), whose 25 x 25 coefficient table is not ported.
+# Chi-square upper tail: Cephes igamc (scipy's, by Moshier and Wilson),
+# without its Temme asymptotic branch for a = dof/2 > 20 near x = a, whose
+# 25 x 25 coefficient table is not ported.
 _MACHEP = 1.11022302462515654042e-16  # 2^-53
 _MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX)
 _MAXITER = 2000
 _BIG = 4.503599627370496e15  # 2^52, rescales the continued fraction
 _BIGINV = 2.22044604925031308085e-16  # 2^-52
 _EULER = 0.577215664901532860606512090082402431
-_CHI2_PORTED_MAX_DOF = 40
 # Lanczos approximation, g and the 13-term rational sum
 # Gamma(x) e^(x+g-0.5) / (x+g-0.5)^(x-0.5), highest power first
 _LANCZOS_G = 6.024680040776729583740234375
@@ -359,6 +361,20 @@ def _lgam1p(x: float) -> float:
     return _lgam(x + 1.0)
 
 
+def _log1pmx(x: float) -> float:
+    """Cephes log1pmx, log(1 + x) - x, by its series for |x| < 0.5."""
+    if abs(x) >= 0.5:
+        return math.log1p(x) - x
+    xfac, res = x, 0.0
+    for n in range(2, _MAXITER):
+        xfac *= -x
+        term = xfac / n
+        res += term
+        if abs(term) < _MACHEP * abs(res):
+            break
+    return res
+
+
 def _igam_fac(a: float, x: float) -> float:
     """x^a e^(-x) / Gamma(a); through the Lanczos sum when x is near a."""
     if abs(a - x) > 0.4 * abs(a):
@@ -370,8 +386,11 @@ def _igam_fac(a: float, x: float) -> float:
     else:
         y, num, den = a, _LANCZOS_NUM, _LANCZOS_DEN
     res = math.sqrt(fac / math.exp(1.0)) / (_polevl(y, num) / _polevl(y, den))
-    # Cephes takes another form for a or x >= 200, which a <= 20 never reaches
-    return res * (math.exp(a - x) * math.pow(x / fac, a))
+    if a < 200.0 and x < 200.0:
+        return res * (math.exp(a - x) * math.pow(x / fac, a))
+    # Cephes' form for a or x >= 200, where the power would overflow
+    t = (x - a - _LANCZOS_G + 0.5) / fac
+    return res * math.exp(a * _log1pmx(t) + x * (0.5 - _LANCZOS_G) / fac)
 
 
 def _igam_series(a: float, x: float) -> float:
@@ -440,27 +459,24 @@ def _igamc_series(a: float, x: float) -> float:
 
 
 def _chi2_sf(dof, stat: float) -> float:
-    """P(chi^2_dof > stat): `scipy.special.chdtrc(dof, stat)`, bit for bit.
+    """P(chi^2_dof > stat), as `scipy.special.chdtrc(dof, stat)` gives it.
 
-    That is Cephes igamc(dof/2, stat/2), ported for dof <= 40; above, where
-    igamc takes its Temme asymptotic branch, scipy is imported here, so no
-    command pays for loading it unless it tests that many bins.  dof must
-    be a positive integer and stat a number >= 0 (inf gives 0).
+    That is Cephes igamc(dof/2, stat/2): bit for bit for dof <= 40, and
+    within 1e-12 relative up to dof 1e4 wherever the tail is above 1e-300
+    (igamc's Temme asymptotic branch is not ported; see the module
+    docstring for larger dof).  dof must be a positive integer and stat a
+    number >= 0 (inf gives 0).
     """
     if not (dof >= 1 and float(dof).is_integer()):
         raise ValueError(f"chi-square dof must be a positive integer, got {dof}")
     if not stat >= 0.0:
         raise ValueError(f"chi-square statistic must be >= 0, got {stat}")
-    if dof > _CHI2_PORTED_MAX_DOF:
-        from scipy.special import chdtrc
-
-        return float(chdtrc(dof, stat))
     a, x = dof / 2.0, stat / 2.0
     if x == 0.0:
         return 1.0
     if math.isinf(x):
         return 0.0
-    # Cephes igamc's choice of method for a <= 20
+    # Cephes igamc's choice of method away from its asymptotic branch
     if x > 1.1:
         if x < a:
             return 1.0 - _igam_series(a, x)

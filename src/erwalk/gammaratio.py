@@ -18,11 +18,15 @@ the walk are mu_n = c_n(beta).  Two evaluation paths are provided:
 Both paths are accurate to ~1e-13 relative for n <= 1e7, |xi| <= 10; the test
 suite pins them against an arbitrary-precision oracle.
 
-log Gamma itself is `_lgam`, a port of Cephes `lgam` (Moshier, *Methods and
+log Gamma is mostly `_lgam`, a port of Cephes `lgam` (Moshier, *Methods and
 Programs for Mathematical Functions*, 1989) for positive arguments: the
 function that `scipy.special.gammaln` evaluates, giving the same bits (the
 tests check both on a pinned grid), without loading `scipy.special`, which
-was most of every command's start-up.
+was most of every command's start-up.  Two places still call
+`math.lgamma`, whose bits differ: `log_poch` on a scalar n below 32, and
+`gamma_ratio_sum` at n_lo = 1.  So a scalar n and the array [n] can give
+`log_poch` different bits (above 32 too, where `math.log` and `np.log`
+can differ); a caller that divides one by the other takes one path.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ sampling possible with O(1) memory even at n = 1e8.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +36,12 @@ class MemoryLaw:
             raise ValueError(f"history length must be a positive integer, got {self.n}")
         object.__setattr__(self, "n", int(self.n))
 
+    @cached_property
+    def _log_norm(self) -> float:
+        """log Gamma(n + 1 + beta) / Gamma(n + 1), by the array path of
+        `log_poch` that the numerators take, so that cdf(n) is exactly 1."""
+        return log_poch(np.asarray(self.n + 1.0), self.beta)
+
     def pmf(self, k):
         """P(recall = k); k scalar or integer array, zero off {1, ..., n}.
 
@@ -51,8 +58,9 @@ class MemoryLaw:
             out[ok] = 1.0
         elif ok.any():
             lw = log_poch(k[ok].astype(np.float64), self.beta)
-            lz = log_poch(float(self.n + 1), self.beta)
-            out[ok] = np.minimum((self.beta + 1.0) / self.n * np.exp(lw - lz), 1.0)
+            out[ok] = np.minimum(
+                (self.beta + 1.0) / self.n * np.exp(lw - self._log_norm), 1.0
+            )
         return float(out[0]) if scalar else out
 
     def cdf(self, m):
@@ -64,8 +72,8 @@ class MemoryLaw:
         if (m < 0).any() or (m > self.n).any():
             raise ValueError("cdf argument must lie in {0, ..., n}")
         mp = m.astype(np.float64)  # m = 0 gives 0 * exp(...) = 0 exactly
-        lz = log_poch(float(self.n + 1), self.beta)
-        out = np.minimum(mp / self.n * np.exp(log_poch(mp + 1.0, self.beta) - lz), 1.0)
+        lw = log_poch(mp + 1.0, self.beta)
+        out = np.minimum(mp / self.n * np.exp(lw - self._log_norm), 1.0)
         return float(out[0]) if scalar else out
 
     def sample(self, u):

@@ -29,8 +29,9 @@ Ensembles run one counter-based RNG stream per replicate, so results are
 reproducible under any worker count.
 
 `run_walk` and `run_ensemble` both go through `_run`: it checks the key,
-worker count, horizon (at most MAX_STEPS; _FULL_MODE_MAX_STEPS in mode
-"full"), the coupling's rate, checkpoints, mode and recorded fields before
+worker count, horizon (at most MAX_STEPS, and short enough that
+n mu_{n+1} is a finite double; _FULL_MODE_MAX_STEPS in mode "full"), the
+coupling's rate, checkpoints, mode and recorded fields before
 any work, resolves mode "auto" (`_resolve_mode`, the one place that picks
 an engine: events when the walk expects at most AUTO_EVENTS_MAX_RATE
 up-steps per step, else collapsed; the result records the engine that
@@ -48,6 +49,7 @@ one-replicate run.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +75,13 @@ CRITICAL_TOL = 1e-12
 #: the longest horizon a simulator takes; each run holds mu_1..mu_{n+1} and a
 #: few more arrays of n doubles per block
 MAX_STEPS = 1 << 23
+#: log of the largest double; n mu_{n+1}, the largest number a run forms,
+#: must stay below it
+_LOG_DBL_MAX = math.log(sys.float_info.max)
+#: `_longest_horizon` sums log1p(beta/k) over this many k before it turns to
+#: `log_poch_ratio`, which loses its digits for beta past about 1e8; a beta
+#: that has not overflowed by then is below about 300
+_HORIZON_SCAN = 1024
 #: the full-history simulator is an oracle; cap its quadratic cost
 _FULL_MODE_MAX_STEPS = 4096
 #: mode "auto" runs the events engine up to this many expected up-steps
@@ -534,6 +543,13 @@ def _run(params, n_steps, seed, checkpoints, mode, record, start, count, workers
     _check_workers(workers)
     if n_steps > MAX_STEPS:
         raise ValueError(f"n_steps = {n_steps} exceeds the cap MAX_STEPS = {MAX_STEPS}")
+    longest = _longest_horizon(params.beta, n_steps)
+    if n_steps > longest:
+        raise ValueError(
+            f"n_steps = {n_steps} is too long for beta = {params.beta}: the memory"
+            f" weights overflow a double past n = {longest}, the longest horizon"
+            " this beta allows"
+        )
     if mode == "full" and n_steps > _FULL_MODE_MAX_STEPS:
         raise ValueError(
             f"full-history mode is an oracle, capped at {_FULL_MODE_MAX_STEPS} steps"
@@ -597,6 +613,30 @@ def _set_worker_plan(plan: _Plan) -> None:
 
 def _run_block(engine, start, count):
     return engine(_worker_plan, start, count)
+
+
+def _longest_horizon(beta: float, n_max: int) -> int:
+    """The longest horizon n <= n_max whose n mu_{n+1} is below the largest double.
+
+    log(n mu_{n+1}) = log n + sum_{k <= n} log1p(beta/k) grows with n.  The
+    sum runs term by term up to _HORIZON_SCAN, accurate for any beta; past
+    that, log_poch_ratio gives it, bisected over the horizons.
+    """
+    k = np.arange(1.0, min(n_max, _HORIZON_SCAN) + 1.0)
+    over = np.flatnonzero(np.log(k) + np.cumsum(np.log1p(beta / k)) >= _LOG_DBL_MAX)
+    if over.size or n_max <= _HORIZON_SCAN:
+        return int(over[0]) if over.size else n_max
+
+    def fits(n):
+        return math.log(n) + log_poch_ratio(n + 1.0, beta) < _LOG_DBL_MAX
+
+    if fits(n_max):
+        return n_max
+    lo, hi = _HORIZON_SCAN, n_max  # fits(lo), not fits(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    return lo
 
 
 def _check_workers(workers) -> None:

@@ -348,6 +348,19 @@ class TestSimulateCommand:
         assert "n_steps" in err and str(MAX_STEPS) in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_horizon_past_the_weights_overflow_exit_2(self, tmp_path, capsys):
+        # mu_n grows like n^beta: at beta = 300 it overflowed past n = 1016,
+        # and the run failed its guard with exit 1 after two RuntimeWarnings
+        args = ["simulate", "--beta", "300", "--replicates", "10", "--seed", "1"]
+        assert main([*args, "--n", "2000", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: n_steps = 2000 is too long for beta = 300.0: the memory weights"
+            " overflow a double past n = 1016, the longest horizon this beta allows\n"
+        )
+        assert not (tmp_path / "o").exists()
+        assert main([*args, "--n", "1016", "--out", str(tmp_path / "ok")]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("flag,value", [
         ("--checkpoint-ratio", "inf"), ("--checkpoint-ratio", "nan"),
         ("--sigma-level", "nan"), ("--sigma-level", "-3"), ("--sigma-level", "inf"),
@@ -798,18 +811,29 @@ def test_writers_return_their_path(tmp_path):
         assert isinstance(got, Path) and got == path and got.stat().st_size > 0, name
 
 
+def _src_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(erwalk.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+
+
+# a two-sample test on 103 pooled bins, past the 40 dof of the old scipy fork
+WIDE_DIFFERENTIAL = [
+    "simulate", "--p", "0.9", "--beta", "-0.5", "--n", "200", "--replicates", "2000",
+    "--seed", "3", "--differential", "--differential-n", "200",
+]
+
+
 def test_import_loads_no_heavy_scipy():
     # importing scipy.stats was most of every command's start-up time
     code = (
         "import sys, erwalk, erwalk.cli\n"
         "print('\\n'.join(sorted(sys.modules)))\n"
     )
-    src = str(Path(erwalk.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True,
+        [sys.executable, "-c", code], env=_src_env(), capture_output=True,
+        text=True, check=True,
     )
     loaded = proc.stdout.split()
     assert "erwalk.cli" in loaded
@@ -828,6 +852,7 @@ def test_runs_import_no_new_module(tmp_path):
         "     '--differential', '--differential-n', '12', '--out', out],\n"
         "    ['exact', '--critical', '--n', '1000', '--degree', '2', '--out', out],\n"
         "    ['report', '--scale', '0.1'],\n"
+        f"    {WIDE_DIFFERENTIAL + ['--out']} + [out],\n"
         "]\n"
         "new = []\n"
         "for argv in runs:\n"
@@ -836,14 +861,30 @@ def test_runs_import_no_new_module(tmp_path):
         "    new.append([argv[0], rc, sorted(set(sys.modules) - before)])\n"
         "sys.stderr.write(json.dumps(new))\n"
     )
-    src = str(Path(erwalk.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True,
-        text=True, check=True,
+        [sys.executable, "-c", code, str(tmp_path)], env=_src_env(),
+        capture_output=True, text=True, check=True,
     )
     new = json.loads(proc.stderr)
-    assert [cmd for cmd, _, _ in new] == ["simulate", "simulate", "exact", "report"]
-    assert [mods for _, _, mods in new] == [[], [], [], []]
-    assert [rc for cmd, rc, _ in new if cmd != "report"] == [0, 0, 0]
+    assert [cmd for cmd, _, _ in new] == [
+        "simulate", "simulate", "exact", "report", "simulate",
+    ]
+    assert [mods for _, _, mods in new] == [[], [], [], [], []]
+    assert [rc for cmd, rc, _ in new if cmd != "report"] == [0, 0, 0, 0]
+
+
+def test_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: a p-value on 103 dof needs none of it
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import erwalk.cli\n"
+        "sys.exit(erwalk.cli.main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *WIDE_DIFFERENTIAL, "--out", str(tmp_path)],
+        env=_src_env(), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "differential full-vs-collapsed at n = 200: p = " in proc.stdout
+    assert proc.stderr == ""

@@ -82,6 +82,12 @@ class TestCdf:
         assert law.cdf(0) == 0.0
         assert law.cdf(123) == 1.0  # exact by construction
 
+    @pytest.mark.parametrize("beta", [-0.9, -0.5, -0.1, 0.0, 0.3, 0.5, 1.0, 2.0, 7.5, 15.0])
+    def test_exactly_one_at_n(self, beta):
+        # numerator and normalizer take one log_poch path; 0.5 and 15 gave
+        # 0.9999999999999929 when the normalizer took the scalar one
+        assert [MemoryLaw(beta, n).cdf(n) for n in range(1, 65)] == [1.0] * 64
+
     def test_uniform_case(self):
         assert MemoryLaw(0.0, 10).cdf(4) == pytest.approx(0.4, abs=1e-15)
 

@@ -6,6 +6,7 @@ import pickle
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -975,6 +976,36 @@ class TestCheckpoints:
             run_walk(ModelParams(0.5, 1.0), 10, seed=1, checkpoints=[0, 5], mode="collapsed")
         with pytest.raises(ValueError):
             run_walk(ModelParams(0.5, 1.0), 10, seed=1, checkpoints=[5, 11], mode="collapsed")
+
+    @pytest.mark.parametrize("beta,longest", [(300.0, 1016), (100.0, 41262)])
+    def test_horizon_past_the_weights_overflow(self, beta, longest):
+        # n mu_{n+1} overflowed past `longest`: RuntimeWarnings, then a guard
+        # failure; the longest horizon runs clean, one more step is refused
+        pms = ModelParams(0.5, beta)
+        modes = ["collapsed", "events"] if longest < 2000 else ["events"]
+        for mode in modes:
+            res = run_ensemble(pms, longest, 4, seed=1, mode=mode)
+            assert res.checkpoints[-1] == longest
+            with pytest.raises(
+                ValueError, match=f"n_steps = {longest + 1} .*beta = {beta}.*n = {longest},"
+            ):
+                run_ensemble(pms, longest + 1, 4, seed=1, mode=mode)
+        with pytest.raises(ValueError, match=f"n = {longest},"):
+            run_walk(pms, longest + 1, seed=1, mode="collapsed")
+
+    @pytest.mark.parametrize("beta", [-0.5, 0.0, 55.0, 60.0, 100.0, 300.0, 1e5, 1e20, 1e300])
+    def test_longest_horizon_is_the_last_finite_weight(self, beta):
+        # against log n + log c_{n+1}(beta) in arbitrary precision; beta 1e20
+        # is past log_poch_ratio's digits
+        def fits(n):
+            with mpmath.workdps(40 + max(0, int(math.log10(beta + 1.0)))):
+                b, lg = mpmath.mpf(beta), mpmath.loggamma
+                log_c = lg(n + 1 + b) - lg(n + 1) - lg(b + 1)
+                return math.log(n) + log_c < walkers._LOG_DBL_MAX
+
+        got = walkers._longest_horizon(beta, walkers.MAX_STEPS)
+        assert got == 0 or fits(got)
+        assert got == walkers.MAX_STEPS or not fits(got + 1)
 
     def test_horizon_capped_before_any_work(self, monkeypatch):
         # c_values would allocate the whole horizon; the cap is checked first
