@@ -2,8 +2,9 @@
 
 Driving the walk and a uniform-memory walk of retention rate p(beta+1)
 with one shared uniform per step yields a pathwise order: the power-law
-walk dominates for beta < 0 and is dominated for beta > 0.  The engines
-assert the order at every step; a single violation would raise.
+walk dominates for beta < 0 and is dominated for beta > 0.  The collapsed
+engine, recording the comparison walk `xi_lerw`, asserts the order at
+every step; a single violation would raise.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ from erwalk import ModelParams, run_ensemble
 def coupled(p, beta, n_steps, n_replicates, seed):
     """Checkpoints and the (walk, uniform-memory walk) xi matrices."""
     res = run_ensemble(ModelParams(p, beta), n_steps, n_replicates, seed,
-                       mode="coupled", record=("xi", "xi_lerw"))
+                       mode="collapsed", record=("xi", "xi_lerw"))
     return res.checkpoints, res.arrays["xi"], res.arrays["xi_lerw"]
 
 

@@ -7,15 +7,16 @@ degrees of freedom it gives their bits; above, where igamc switches to a
 Temme asymptotic branch that is not ported, the same three methods run on,
 within 1e-12 relative of `chdtrc` up to 1e4 degrees of freedom (tested
 wherever the tail is above 1e-300).  Past 1e5 the 2000-term cap of the
-series costs accuracy just below the mean: 2.6e-10 relative at 2e5 degrees
-of freedom, 4.1e-3 at 1e6.
+series costs accuracy just below the mean (2.6e-10 relative at 2e5 degrees
+of freedom, 4.1e-3 at 1e6, against 6.2e-15 at 1e5), so `_chi2_sf` refuses
+more than _CHI2_MAX_DOF.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -274,6 +275,9 @@ def _contingency_pvalue(table: np.ndarray) -> float:
 _MACHEP = 1.11022302462515654042e-16  # 2^-53
 _MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX)
 _MAXITER = 2000
+#: the most degrees of freedom `_chi2_sf` takes; past them the series hits
+#: _MAXITER just below the mean (module docstring)
+_CHI2_MAX_DOF = 100_000
 _BIG = 4.503599627370496e15  # 2^52, rescales the continued fraction
 _BIGINV = 2.22044604925031308085e-16  # 2^-52
 _EULER = 0.577215664901532860606512090082402431
@@ -464,11 +468,16 @@ def _chi2_sf(dof, stat: float) -> float:
     That is Cephes igamc(dof/2, stat/2): bit for bit for dof <= 40, and
     within 1e-12 relative up to dof 1e4 wherever the tail is above 1e-300
     (igamc's Temme asymptotic branch is not ported; see the module
-    docstring for larger dof).  dof must be a positive integer and stat a
-    number >= 0 (inf gives 0).
+    docstring for larger dof).  dof must be a positive integer of at most
+    _CHI2_MAX_DOF and stat a number >= 0 (inf gives 0).
     """
     if not (dof >= 1 and float(dof).is_integer()):
         raise ValueError(f"chi-square dof must be a positive integer, got {dof}")
+    if dof > _CHI2_MAX_DOF:
+        raise ValueError(
+            f"chi-square dof = {dof} exceeds {_CHI2_MAX_DOF}, past which the tail"
+            " loses digits near the mean"
+        )
     if not stat >= 0.0:
         raise ValueError(f"chi-square statistic must be >= 0, got {stat}")
     a, x = dof / 2.0, stat / 2.0
@@ -530,8 +539,6 @@ class EnsembleReport:
     ci_half_xi: np.ndarray
     mean_m: np.ndarray | None = None
     var_m: np.ndarray | None = None
-    exponent: ExponentFit | None = None
-    stagnation: list[StagnationWindow] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         d = {
@@ -548,29 +555,12 @@ class EnsembleReport:
         if self.mean_m is not None:
             d["mean_m"] = self.mean_m.tolist()
             d["var_m"] = self.var_m.tolist()
-        if self.exponent is not None:
-            d["exponent"] = {
-                "slope": self.exponent.slope,
-                "stderr": self.exponent.stderr,
-                "intercept": self.exponent.intercept,
-                "residual": self.exponent.residual,
-                "n_points": self.exponent.n_points,
-            }
-        if self.stagnation:
-            d["stagnation"] = [
-                {"n_lo": w.n_lo, "n_hi": w.n_hi, "fraction": w.fraction}
-                for w in self.stagnation
-            ]
         return d
 
 
-def build_report(
-    result: EnsembleResult,
-    confidence_z: float = 4.0,
-    fit_window=None,
-    stagnation_windows=None,
-) -> EnsembleReport:
-    """Summarize an ensemble: means, variances, CIs, optional fit and stagnation."""
+def build_report(result: EnsembleResult, confidence_z: float = 4.0) -> EnsembleReport:
+    """Summarize an ensemble: means, variances and CIs of Xi_n, and of M_n
+    when sigma was recorded."""
     _check_level(confidence_z)
     xi = result.arrays.get("xi")
     if xi is None:
@@ -583,12 +573,6 @@ def build_report(
         m = result.martingale()
         mean_m = m.mean(axis=0)
         var_m = m.var(axis=0, ddof=1) if result.n_replicates > 1 else np.zeros_like(mean_m)
-    exponent = None
-    if fit_window is not None:
-        exponent = fit_exponent(result.checkpoints, mean_xi, window=fit_window)
-    stagnation = (
-        stagnation_profile(result, stagnation_windows) if stagnation_windows else []
-    )
     return EnsembleReport(
         params=result.params,
         seed=result.seed,
@@ -601,6 +585,4 @@ def build_report(
         ci_half_xi=ci,
         mean_m=mean_m,
         var_m=var_m,
-        exponent=exponent,
-        stagnation=stagnation,
     )

@@ -16,7 +16,12 @@ the walk are mu_n = c_n(beta).  Two evaluation paths are provided:
   difference through a cancellation-free Stirling expansion, O(1) per call.
 
 Both paths are accurate to ~1e-13 relative for n <= 1e7, |xi| <= 10; the test
-suite pins them against an arbitrary-precision oracle.
+suite pins them against an arbitrary-precision oracle.  The direct path's
+log-Gamma difference cancels as xi grows (`MemoryLaw.pmf` is off by 4.4e-10
+relative at xi = 1e6, 3e-8 at 1e7 and 3.3e-3 at 1e12), so `log_poch_ratio`,
+the closed form of `poch_ratio_sum` and `memory.MemoryLaw` refuse an
+exponent above _DIRECT_MAX_XI; `log_poch` itself, the hot scalar path of the
+branching sampler, does not check.
 
 log Gamma is mostly `_lgam`, a port of Cephes `lgam` (Moshier, *Methods and
 Programs for Mathematical Functions*, 1989) for positive arguments: the
@@ -53,6 +58,8 @@ _LOG_CHUNK = 1 << 15
 
 # Below this argument the plain log-Gamma difference is already cancellation-free.
 _DIRECT_MIN = 32.0
+#: the largest exponent the direct path takes (module docstring)
+_DIRECT_MAX_XI = 1e6
 
 # Stirling tail J(z) = sum B_2k / (2k(2k-1) z^{2k-1}); five terms give ~1e-16
 # absolute error for z >= 32.
@@ -152,6 +159,15 @@ def _check_xi(xi: float) -> float:
     return xi
 
 
+def _check_direct_xi(xi: float) -> None:
+    """Raise unless the direct path keeps its digits at exponent xi."""
+    if xi > _DIRECT_MAX_XI:
+        raise ValueError(
+            f"exponent {xi:g} exceeds {_DIRECT_MAX_XI:g}, the largest the direct"
+            " Gamma-ratio path takes before its log-Gamma difference loses digits"
+        )
+
+
 def _check_n(n) -> int:
     m = int(n)
     if m != n or m < 1:
@@ -206,8 +222,10 @@ def log_poch(n, xi: float):
 
 
 def log_poch_ratio(n, xi: float):
-    """log c_n(xi): direct (non-recurrent) evaluation via log-Gamma differences."""
+    """log c_n(xi): direct (non-recurrent) evaluation via log-Gamma differences,
+    for -1 < xi <= _DIRECT_MAX_XI."""
     xi = _check_xi(xi)
+    _check_direct_xi(xi)
     return log_poch(n, xi) - _lgam(xi + 1.0)
 
 
@@ -299,8 +317,10 @@ def poch_ratio_sum(x: float, y: float, n: int) -> float:
     below |x - y| = 1e-3 the terms c_k(x)/c_k(y) / (k + y), with c_k(x)/c_k(y)
     = prod_{j<k} (1 + (x-y)/(j+y)), are summed directly, each product as exp
     of a running sum of log1p (error about 1e-16).  At x == y every product is
-    exactly 1, which leaves the shifted harmonic sum of 1/(k+x).  This is the
-    summation behind the exact mean of the walk (x = p(beta+1), y = beta).
+    exactly 1, which leaves the shifted harmonic sum of 1/(k+x).  The closed
+    form takes x and y up to _DIRECT_MAX_XI; the direct sum takes any.  This
+    is the summation behind the exact mean of the walk (x = p(beta+1),
+    y = beta).
     """
     x = _check_xi(x)
     y = _check_xi(y)
@@ -311,6 +331,7 @@ def poch_ratio_sum(x: float, y: float, n: int) -> float:
         inv = 1.0 / (np.arange(1, n, dtype=np.float64) + y)
         log_w = np.cumsum(np.log1p((x - y) * inv[:-1]))
         return float(np.sum(np.exp(np.concatenate(([0.0], log_w))) * inv))
+    _check_direct_xi(max(x, y))
     log_ratio = (
         log_poch(n, x) - log_poch(n, y) + _lgam(y + 1.0) - _lgam(x + 1.0)
     )

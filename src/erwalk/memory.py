@@ -17,14 +17,18 @@ from functools import cached_property
 
 import numpy as np
 
-from .gammaratio import log_poch
+from .gammaratio import _check_direct_xi, log_poch
 
 __all__ = ["MemoryLaw"]
 
 
 @dataclass(frozen=True)
 class MemoryLaw:
-    """Distribution of the recalled index given memory exponent and history length."""
+    """Distribution of the recalled index given memory exponent and history length.
+
+    beta must lie in (-1, 1e6]: its Gamma ratios take the direct
+    path of `gammaratio`, which loses its digits past that.
+    """
 
     beta: float
     n: int
@@ -32,6 +36,7 @@ class MemoryLaw:
     def __post_init__(self):
         if not self.beta > -1.0:
             raise ValueError(f"beta must be > -1, got {self.beta}")
+        _check_direct_xi(self.beta)
         if int(self.n) != self.n or self.n < 1:
             raise ValueError(f"history length must be a positive integer, got {self.n}")
         object.__setattr__(self, "n", int(self.n))

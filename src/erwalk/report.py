@@ -9,8 +9,9 @@ Each Monte Carlo ensemble but the coupling runs on the engine that
 step.  Four of them are sparse and run the events engine: the zero-beta MC
 mean, the critical localization ensemble, and the localized MC-mean and
 stagnation ensembles.  The negative-beta stagnation ensemble, (0.5, -0.5)
-to n = 4000, runs the collapsed engine; the coupling gate runs mode
-"coupled", and the branching gate runs `branching.simulate`.
+to n = 4000, runs the collapsed engine; so does the coupling gate, which
+names mode "collapsed" to record the comparison walk `xi_lerw`, and the
+branching gate runs `branching.simulate`.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def _l2_gate(regime, params, expect_bounded, n_max=10**4):
 def _coupling_gate(regime, params, seed, n_steps, n_reps):
     try:
         res = run_ensemble(
-            params, n_steps, n_reps, seed, checkpoints=[n_steps], mode="coupled",
+            params, n_steps, n_reps, seed, checkpoints=[n_steps], mode="collapsed",
             record=("xi", "xi_lerw"),
         )
     except AssertionError as err:

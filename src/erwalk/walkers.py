@@ -21,10 +21,12 @@ chain is what the production simulators run, with two engines:
 The two read their streams differently, so they agree in law, not in bits.
 Every simulator call defaults to mode "auto", which picks one of the two
 from the inputs; a call that pins bits names its engine.
-The full-history simulator draws the recalled time explicitly and serves
-as a differential oracle.  The `coupled` mode runs the collapsed chain and
-the uniform-memory walk of rate p(beta+1) (Harbola, Kumar and Lindenberg
-2014) on one shared uniform per step, and asserts their pathwise order.
+With "xi_lerw" recorded, the collapsed engine also runs the uniform-memory
+walk of rate p(beta+1) (Harbola, Kumar and Lindenberg 2014) on the same
+uniform per step, and asserts their pathwise order.  The full-history
+simulator draws the recalled time explicitly, by inverting the memory
+law's closed-form CDF on the run's own weights, and serves as a
+differential oracle.
 Ensembles run one counter-based RNG stream per replicate, so results are
 reproducible under any worker count.
 
@@ -36,10 +38,10 @@ any work, resolves mode "auto" (`_resolve_mode`, the one place that picks
 an engine: events when the walk expects at most AUTO_EVENTS_MAX_RATE
 up-steps per step, else collapsed; the result records the engine that
 ran), and builds one `_Plan` of what every block reads:
-mu = c_values(beta, n_steps + 1), coef, the guard and the full engine's
-table.  Every engine is `engine(plan, start, count)`, run on blocks of
+mu = c_values(beta, n_steps + 1), coef and the guard, O(n) doubles.
+Every engine is `engine(plan, start, count)`, run on blocks of
 replicates that `_run` sizes; a process pool gets the plan once per
-worker.  The per-step engines (collapsed, full and coupled) are a set-up
+worker.  The per-step engines (collapsed and full) are a set-up
 plus a kernel that advances their state one step at a time from one time
 to a later one; `_drive` owns the draws, cuts time at segment ends and
 checkpoints, and records the checkpoints.  A single walk is a
@@ -55,7 +57,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gammaratio import c_values, log_poch_ratio
-from .memory import MemoryLaw
 from .streams import _check_key, uniform_rows
 
 __all__ = [
@@ -79,16 +80,17 @@ MAX_STEPS = 1 << 23
 #: must stay below it
 _LOG_DBL_MAX = math.log(sys.float_info.max)
 #: `_longest_horizon` sums log1p(beta/k) over this many k before it turns to
-#: `log_poch_ratio`, which loses its digits for beta past about 1e8; a beta
-#: that has not overflowed by then is below about 300
+#: `log_poch_ratio`, which refuses beta past 1e6; a beta that has not
+#: overflowed by then is below about 300
 _HORIZON_SCAN = 1024
-#: the full-history simulator is an oracle; cap its quadratic cost
+#: the full-history simulator is an oracle; it holds a byte of history per
+#: replicate and step (8 MiB for a block of _BLOCK_SIZE at the cap)
 _FULL_MODE_MAX_STEPS = 4096
 #: mode "auto" runs the events engine up to this many expected up-steps
 #: per step, else the collapsed engine; README has the timings behind it
 AUTO_EVENTS_MAX_RATE = 0.04
 
-#: replicates per call of a per-step engine (collapsed, full, coupled); each
+#: replicates per call of a per-step engine (collapsed, full); each
 #: block is one task when workers > 1
 _BLOCK_SIZE = 2048
 #: draws per replicate and segment fill; rows this long are re-keyed one at
@@ -222,22 +224,14 @@ class _Plan:
     mu: np.ndarray
     coef: np.ndarray
     guard: float
-    cdf_rows: list | None  # the full engine's table, else None
 
 
-def _plan(params, n_steps, seed, checkpoints, record, mode) -> _Plan:
-    """The plan of a checked call to `mode`; in mode "full", cdf_rows[t] is the
-    memory CDF over {1..t} at history length t, for 2 <= t < n_steps."""
+def _plan(params, n_steps, seed, checkpoints, record) -> _Plan:
+    """The plan of a checked call."""
     mu = c_values(params.beta, n_steps + 1)
     coef = np.zeros(n_steps)
     coef[1:] = params.rate / (np.arange(1, n_steps) * mu[1:n_steps])
-    cdf_rows = None
-    if mode == "full":
-        cdf_rows = [None, None] + [
-            MemoryLaw(params.beta, t).cdf(np.arange(1, t + 1)) for t in range(2, n_steps)
-        ]
-    return _Plan(params, n_steps, seed, checkpoints, record, mu, coef,
-                 params.p + _GUARD_EPS, cdf_rows)
+    return _Plan(params, n_steps, seed, checkpoints, record, mu, coef, params.p + _GUARD_EPS)
 
 
 def _drive(plan, kernel, state, draws, start, count):
@@ -294,26 +288,41 @@ def _collapsed_block(plan, start, count):
     """Advance `count` replicates of the collapsed chain; returns checkpoint arrays.
 
     One numpy pass per time step: pi_n = coef[n] sigma is checked against the
-    guard, then every replicate whose draw is below its pi_n steps up.  This
-    is the bit-pinned reference of the Monte Carlo engines.
+    guard, then every replicate whose draw v is below its pi_n steps up.  This
+    is the bit-pinned reference of the Monte Carlo engines.  With "xi_lerw"
+    recorded, the comparison walk xi_l steps up on the same draw when
+    v < rate / n * xi_l, and the pathwise order (xi >= xi_l for beta < 0,
+    <= for beta > 0, equality at beta = 0) is asserted after every step.
     """
+    rate, mu, coef, guard = plan.params.rate, plan.mu, plan.coef, plan.guard
     xi = np.ones(count, dtype=np.int64)
     sigma = np.ones(count)
     a = np.ones(count) if "a" in plan.record else None
-    mu, coef, guard = plan.mu, plan.coef, plan.guard
+    xi_l = np.ones(count, dtype=np.int64) if "xi_lerw" in plan.record else None
+    if plan.params.beta < 0.0:
+        in_order = np.greater_equal
+    elif plan.params.beta > 0.0:
+        in_order = np.less_equal
+    else:
+        in_order = np.equal
 
     def kernel(u, t, e):
         for n in range(t, e):
+            v = u[:, n - t]
             pi = coef[n] * sigma
             if not pi.max() <= guard:  # a NaN fails too
                 raise RuntimeError(f"internal consistency violated: pi_n > p at n = {n}")
-            x = u[:, n - t] < pi
+            x = v < pi
             np.add(xi, x, out=xi)
             np.add(sigma, x * mu[n], out=sigma)
             if a is not None:
                 np.add(a, pi, out=a)
+            if xi_l is not None:
+                np.add(xi_l, v < rate / n * xi_l, out=xi_l)
+                if not in_order(xi, xi_l).all():
+                    raise AssertionError(f"pathwise coupling order violated at n = {n + 1}")
 
-    state = {"xi": xi, "sigma": sigma, "a": a}
+    state = {"xi": xi, "sigma": sigma, "a": a, "xi_lerw": xi_l}
     return _drive(plan, kernel, state, 1, start, count)
 
 
@@ -422,13 +431,24 @@ def _events_block(plan, start, count):
     return out
 
 
+def _recall_weights(mu: np.ndarray, n_steps: int) -> np.ndarray:
+    """g[m - 1] = m mu_{m+1} for m = 1, ..., n_steps - 1.
+
+    The memory CDF at history length t is g[:t] / g[t - 1], the closed form
+    m mu_{m+1} / (t mu_{t+1}) of `memory.MemoryLaw.cdf` on the run's own mu.
+    """
+    return np.arange(1, n_steps) * mu[1:n_steps]
+
+
 def _full_block(plan, start, count):
     """Full-history engine: explicit memory draws, two uniforms per step.
 
-    Step n reads the memory draw, which inverts plan.cdf_rows[n] into a
-    recalled time, then the retention coin.
+    Step n reads the memory draw u, recalls the smallest time k with
+    cdf(k) > u, found as k - 1 = #{m <= n : g[m - 1] <= u g[n - 1]} by a
+    binary search of the recall weights g, then reads the retention coin.
     """
-    p, mu, coef, cdf_rows = plan.params.p, plan.mu, plan.coef, plan.cdf_rows
+    p, mu, coef = plan.params.p, plan.mu, plan.coef
+    g = _recall_weights(mu, plan.n_steps)
     hist = np.zeros((count, plan.n_steps), dtype=np.uint8)
     hist[:, 0] = 1
     xi = np.ones(count, dtype=np.int64)
@@ -440,10 +460,7 @@ def _full_block(plan, start, count):
     def kernel(u, t, e):
         for n in range(t, e):
             draw = u[:, n - t]
-            if n == 1:
-                k = np.ones(count, dtype=np.int64)  # recall can only hit time 1
-            else:
-                k = np.searchsorted(cdf_rows[n], draw[:, 0], side="right") + 1
+            k = np.searchsorted(g[:n], draw[:, 0] * g[n - 1], side="right") + 1
             x_mem = hist[rows, k - 1]
             x = ((draw[:, 1] < p) & (x_mem == 1)).astype(np.uint8)
             np.add(a, coef[n] * sigma, out=a)  # pi_n, before sigma moves
@@ -455,48 +472,12 @@ def _full_block(plan, start, count):
     return _drive(plan, kernel, state, 2, start, count)
 
 
-def _coupled_block(plan, start, count):
-    """Collapsed chain and comparison walk driven by one shared uniform per step.
-
-    The pathwise order is asserted after every step.
-    """
-    rate, mu, coef, guard = plan.params.rate, plan.mu, plan.coef, plan.guard
-    xi = np.ones(count, dtype=np.int64)
-    sigma = np.ones(count)
-    xi_l = np.ones(count, dtype=np.int64)
-    if plan.params.beta < 0.0:
-        in_order = np.greater_equal
-    elif plan.params.beta > 0.0:
-        in_order = np.less_equal
-    else:
-        in_order = np.equal
-
-    def kernel(u, t, e):
-        for n in range(t, e):
-            v = u[:, n - t]
-            pi = coef[n] * sigma
-            if not pi.max() <= guard:  # a NaN fails too
-                raise RuntimeError(
-                    f"internal consistency violated: pi_n > p at n = {n}"
-                )
-            x = v < pi
-            np.add(xi_l, v < rate / n * xi_l, out=xi_l)
-            np.add(xi, x, out=xi)
-            np.add(sigma, x * mu[n], out=sigma)
-            if not in_order(xi, xi_l).all():
-                raise AssertionError(f"pathwise coupling order violated at n = {n + 1}")
-
-    state = {"xi": xi, "xi_lerw": xi_l}
-    return _drive(plan, kernel, state, 1, start, count)
-
-
 _WALK_FIELDS = ("xi", "sigma", "a")
 #: mode -> (engine, the per-replicate arrays it can record)
 _ENGINES = {
-    "collapsed": (_collapsed_block, _WALK_FIELDS),
+    "collapsed": (_collapsed_block, _WALK_FIELDS + ("xi_lerw",)),
     "events": (_events_block, _WALK_FIELDS),
     "full": (_full_block, _WALK_FIELDS),
-    "coupled": (_coupled_block, ("xi", "xi_lerw")),
 }
 
 
@@ -554,7 +535,8 @@ def _run(params, n_steps, seed, checkpoints, mode, record, start, count, workers
         raise ValueError(
             f"full-history mode is an oracle, capped at {_FULL_MODE_MAX_STEPS} steps"
         )
-    if mode == "coupled" and not 0.0 < params.rate < 1.0:
+    record = tuple(record)
+    if "xi_lerw" in record and not 0.0 < params.rate < 1.0:
         raise ValueError(
             f"coupling needs p(beta+1) in (0, 1) to be a probability, got {params.rate}"
         )
@@ -563,11 +545,10 @@ def _run(params, n_steps, seed, checkpoints, mode, record, start, count, workers
     if mode not in _ENGINES:
         raise ValueError(f"mode must be 'auto' or one of {sorted(_ENGINES)}, got {mode!r}")
     engine, fields = _ENGINES[mode]
-    record = tuple(record)
     unknown = set(record) - set(fields)
     if unknown:
         raise ValueError(f"mode {mode!r} cannot record {sorted(unknown)}; it records {fields}")
-    plan = _plan(params, n_steps, seed, cps, record, mode)
+    plan = _plan(params, n_steps, seed, cps, record)
     if mode == "events":
         size = max(1, _EVENTS_SCRATCH // _events_row_bytes(len(cps), record))
         # a block per worker, but no more blocks than hold _BLOCK_SIZE rows
@@ -736,11 +717,11 @@ def run_ensemble(
 
     `record` selects which per-replicate checkpoint arrays to keep: any of
     "xi", "sigma" and "a" in the collapsed, events and full modes.  Mode
-    "coupled" records "xi" and "xi_lerw": the walk and the uniform-memory
-    walk of rate p(beta+1) < 1, driven by one shared uniform per step.
-    Their pathwise order (walk >= comparison for beta < 0, <= for beta > 0,
-    equality at beta = 0) is asserted at every step, and a violation raises
-    AssertionError.  Mode "auto" (the default) runs "events" when the walk
+    "collapsed" also records "xi_lerw", the uniform-memory walk of rate
+    p(beta+1) < 1 driven by the walk's own uniform at each step.  Their
+    pathwise order (walk >= comparison for beta < 0, <= for beta > 0,
+    equality at beta = 0) is then asserted at every step, and a violation
+    raises AssertionError.  Mode "auto" (the default) runs "events" when the walk
     expects at most AUTO_EVENTS_MAX_RATE up-steps per step,
     (E[Xi_n] - 1)/(n - 1), else "collapsed"; `mode` of the result is the
     engine that ran.  Name the engine to pin the bits of a call.

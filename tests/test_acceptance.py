@@ -222,7 +222,7 @@ def test_criterion_08_pathwise_coupling_order(p, beta, direction):
     # the engine asserts the order at every one of the 1e5 steps; any
     # violation raises before results come back
     res = run_ensemble(pms, 10**5, 10**3, seed=88001, checkpoints=[10**5],
-                       mode="coupled", record=("xi", "xi_lerw"))
+                       mode="collapsed", record=("xi", "xi_lerw"))
     xi, xi_lerw = res.arrays["xi"], res.arrays["xi_lerw"]
     if direction == "ge":
         violations = int(np.sum(xi < xi_lerw))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import special as sp_special
 from scipy import stats as sp_stats
 
+from erwalk import analysis
 from erwalk.analysis import (
     _ZETA,
     Regime,
@@ -179,12 +180,10 @@ class TestReports:
         pms = ModelParams(0.5, 0.5)
         res = run_ensemble(pms, 1000, 500, seed=3,
                            checkpoints=[1, 10, 50, 100, 200, 500, 1000], mode="collapsed")
-        rep = build_report(res, fit_window=(10, 1000),
-                           stagnation_windows=[(500, 1000)])
+        rep = build_report(res)
         d = rep.to_dict()
         assert d["params"] == {"p": 0.5, "beta": 0.5}
         assert len(d["mean_xi"]) == len(rep.checkpoints)
-        assert "exponent" in d and "stagnation" in d
         assert d["mean_m"] is not None
 
     def test_martingale_columns(self):
@@ -360,6 +359,17 @@ class TestChiSquarePort:
         with mpmath.workdps(40):
             want = float(mpmath.log1p(x) - x)
         assert _log1pmx(x) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+    def test_dof_limit(self):
+        # at 1e5 dof the series still converges just below the mean; one more
+        # degree of freedom is refused, naming the limit
+        dof = analysis._CHI2_MAX_DOF
+        assert dof == 100_000
+        stats = np.linspace(0.99, 1.01, 41) * dof
+        got = np.array([_chi2_sf(dof, s) for s in stats])
+        np.testing.assert_allclose(got, sp_special.chdtrc(dof, stats), rtol=1e-14, atol=0.0)
+        with pytest.raises(ValueError, match="dof = 100001 exceeds 100000"):
+            _chi2_sf(dof + 1, float(dof))
 
     @pytest.mark.parametrize("dof", [1, 2, 7, 40, 41])
     def test_zero_and_inf_statistic(self, dof):

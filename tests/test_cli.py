@@ -611,6 +611,20 @@ class TestExactCommand:
         assert calls == []
         assert not out.exists()
 
+    def test_huge_beta_exit_2_naming_the_limit(self, tmp_path, capsys):
+        # past 1e6 the direct Gamma path loses its digits; at 1e20 the exact
+        # mean once failed with "math range error"
+        out = tmp_path / "o"
+        rc = main(["exact", "--beta", "1e20", "--n", "200", "--out", str(out)])
+        assert rc == 2
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err == (
+            "error: exponent 1e+20 exceeds 1e+06, the largest the direct Gamma-ratio"
+            " path takes before its log-Gamma difference loses digits\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("ratio", ["inf", "nan"])
     def test_bad_checkpoint_ratio_exit_2(self, tmp_path, capsys, ratio):
         rc = main(["exact", "--p", "0.5", "--beta", "1", "--n", "1000",

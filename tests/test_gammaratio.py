@@ -2,12 +2,14 @@ import hashlib
 import math
 import struct
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
+from erwalk import gammaratio
 from erwalk.gammaratio import (
     _lgam,
     c_values,
@@ -257,6 +259,37 @@ class TestPochRatioSum:
 
     def test_empty_sum(self):
         assert poch_ratio_sum(0.5, 1.0, 1) == 0.0
+
+
+class TestDirectPathLimit:
+    """The direct path refuses an exponent past 1e6, where the log-Gamma
+    difference cancels (log_poch_ratio(101, 1e20) once gave -524288 for a
+    true 4241.4)."""
+
+    def test_limit(self):
+        assert gammaratio._DIRECT_MAX_XI == 1e6
+
+    def test_log_poch_ratio(self):
+        with mpmath.workdps(40):
+            b = mpmath.mpf(1e6)
+            want = float(mpmath.loggamma(101 + b) - mpmath.loggamma(101) - mpmath.loggamma(b + 1))
+        assert log_poch_ratio(101.0, 1e6) == pytest.approx(want, rel=1e-9)
+        for xi in (math.nextafter(1e6, math.inf), 1e20):
+            with pytest.raises(ValueError, match="exceeds 1e\\+06"):
+                log_poch_ratio(101.0, xi)
+
+    def test_poch_ratio_sum(self):
+        poch_ratio_sum(0.5e6, 1e6, 50)
+        for x, y in ((0.5e20, 1e20), (1e7, 0.5)):
+            with pytest.raises(ValueError, match="exceeds 1e\\+06"):
+                poch_ratio_sum(x, y, 50)
+        # the direct sum near x = y keeps its digits at any exponent
+        want = sum(1.0 / (k + 1e20) for k in range(1, 50))
+        assert poch_ratio_sum(1e20, 1e20, 50) == pytest.approx(want, rel=1e-14)
+
+    def test_log_poch_is_unchecked(self):
+        # the branching sampler's hot scalar path takes any exponent
+        assert math.isfinite(log_poch(101.0, 1e20))
 
 
 # positive arguments for the Cephes lgam port: the dyadic k/64 up to 40, the

@@ -66,6 +66,14 @@ class TestPmf:
         with pytest.raises(ValueError):
             MemoryLaw(0.5, 0)
 
+    def test_exponent_past_the_direct_path_rejected(self):
+        # at 1e20 every pmf(1..10) came out 1.0; at 1e6 the law is still a law
+        p = MemoryLaw(1e6, 10).pmf(np.arange(1, 11))
+        assert p.sum() == pytest.approx(1.0, abs=1e-9) and p[-1] > 0.9
+        for beta in (1e6 * (1 + 1e-15), 1e20):
+            with pytest.raises(ValueError, match="exceeds 1e\\+06"):
+                MemoryLaw(beta, 10)
+
 
 class TestCdf:
     @pytest.mark.parametrize("beta", BETA_GRID)

@@ -17,7 +17,7 @@ def test_sparse_ensembles_run_on_events(monkeypatch):
     gates = report.run_gates(scale=0.1)
     assert all(g.passed for g in gates), [g for g in gates if not g.passed]
     assert ran == [
-        (0.5, -0.5, 2000, "coupled"),
+        (0.5, -0.5, 2000, "collapsed"),
         (0.5, -0.5, 4000, "collapsed"),
         (0.5, 0.0, 2000, "events"),
         (0.5, 1.0, 2000, "events"),

@@ -24,7 +24,7 @@ from erwalk.walkers import ModelParams, geometric_checkpoints, run_ensemble, run
 
 def _coupled(params, n_steps, n_replicates, seed, **kw):
     """The (walk, uniform-memory walk) xi matrices of a coupled ensemble."""
-    res = run_ensemble(params, n_steps, n_replicates, seed, mode="coupled",
+    res = run_ensemble(params, n_steps, n_replicates, seed, mode="collapsed",
                        record=("xi", "xi_lerw"), **kw)
     return res.arrays["xi"], res.arrays["xi_lerw"]
 
@@ -317,10 +317,15 @@ class TestEnsembles:
     def test_pool_tasks_carry_no_plan(self, monkeypatch, n):
         # each worker gets the plan once, from the pool's initializer, so a
         # block's task (engine, start, count) is a few dozen bytes at any
-        # horizon; the full engine's CDF table alone is 64 MiB at n = 4096
-        sizes = []
+        # horizon; the plan itself, also in mode "full", is mu, coef and the
+        # checkpoints, about 16 bytes a step
+        sizes, plan_sizes = [], []
 
         class PicklingPool(ThreadPoolExecutor):
+            def __init__(self, workers, initializer, initargs):
+                plan_sizes.append(len(pickle.dumps(initargs)))
+                super().__init__(workers, initializer=initializer, initargs=initargs)
+
             def submit(self, fn, /, *args, **kwargs):
                 sizes.append(len(pickle.dumps((fn, args, kwargs))))
                 return super().submit(fn, *args, **kwargs)
@@ -332,18 +337,28 @@ class TestEnsembles:
                            mode="full", workers=2)
         assert res.arrays["xi"].shape == (4, 1)
         assert len(sizes) == 2 and max(sizes) < 4096, sizes
+        assert len(plan_sizes) == 1 and 16 * n < plan_sizes[0] < 16 * n + 2048, plan_sizes
 
-    def test_full_memory_table_built_once_per_run(self, monkeypatch):
-        # the blocks of a run share one CDF table; each block of _BLOCK_SIZE
-        # replicates once rebuilt it
-        monkeypatch.setattr(walkers, "_BLOCK_SIZE", 16)
-        lengths = []
-        cdf = MemoryLaw.cdf
-        monkeypatch.setattr(
-            MemoryLaw, "cdf", lambda law, m: lengths.append(law.n) or cdf(law, m)
-        )
-        run_ensemble(ModelParams(0.5, 1.0), 12, 50, seed=3, mode="full")
-        assert lengths == list(range(2, 12))
+    @pytest.mark.parametrize("beta", [-0.5, 0.8, 1.0, 3.0])
+    def test_full_engine_cdf_rows(self, beta):
+        # the full engine's memory CDF at history length t, g[:t] / g[t - 1],
+        # against the closed form of MemoryLaw.cdf
+        n = 4000
+        plan = walkers._plan(ModelParams(0.5, beta), n, 1, np.array([n]), ("xi",))
+        g = walkers._recall_weights(plan.mu, n)
+        for t in np.unique(np.r_[1:40, geometric_checkpoints(n - 1, 1.05)]).tolist():
+            want = MemoryLaw(beta, t).cdf(np.arange(1, t + 1))
+            np.testing.assert_allclose(g[:t] / g[t - 1], want, rtol=2e-13, atol=0)
+
+    def test_full_and_collapsed_agree_at_a_huge_beta(self):
+        # at beta = 1e20 the direct Gamma path has no digits left; the full
+        # engine inverts the CDF on the run's own mu, so it keeps the law
+        pms, n, reps = ModelParams(0.5, 1e20), 16, 4000
+        xi = [run_ensemble(pms, n, reps, seed=1, checkpoints=[n], mode=mode,
+                           record=("xi",)).arrays["xi"][:, -1]
+              for mode in ("full", "collapsed")]
+        assert chi_square_two_sample(*xi) > 1e-3
+        assert abs(xi[0].mean() - xi[1].mean()) < 0.1
 
     # sha256 of the checkpoint arrays, pinned from the engines that built one
     # Generator per replicate; the checkpoints straddle draw 2048, the
@@ -492,7 +507,7 @@ def _compare_with_per_step(params, n_steps, seed, start, count, cps, bad_at=None
         if bad_at is not None:
             mp.setattr(walkers, "c_values", _with_bad_mu(bad_at, bad))
         plan, lean_plan = [
-            walkers._plan(params, n_steps, seed, cps, rec, "collapsed")
+            walkers._plan(params, n_steps, seed, cps, rec)
             for rec in (("xi", "sigma", "a"), ("xi", "sigma"))
         ]
     try:
@@ -899,26 +914,41 @@ class TestCoupling:
             _coupled(ModelParams(0.5, 1.5), 100, 3, seed=1)
 
     def test_single_run_interface(self):
-        res = run_ensemble(ModelParams(0.5, -0.5), 500, 1, seed=6, mode="coupled",
+        res = run_ensemble(ModelParams(0.5, -0.5), 500, 1, seed=6, mode="collapsed",
                            record=("xi", "xi_lerw"))
         assert (res.arrays["xi"] >= res.arrays["xi_lerw"]).all()
-        assert res.checkpoints[-1] == 500 and res.mode == "coupled"
+        assert res.checkpoints[-1] == 500 and res.mode == "collapsed"
+
+    def test_recorded_with_the_walks_own_fields(self):
+        # recording xi_lerw leaves the walk's fields as they are, bit for bit
+        pms, cps = ModelParams(0.5, -0.5), [1, 7, 300]
+        walk = ("xi", "sigma", "a")
+        both, alone = [
+            run_ensemble(pms, 300, 50, seed=6, checkpoints=cps, mode="collapsed",
+                         record=rec)
+            for rec in (walk + ("xi_lerw",), walk)
+        ]
+        for name in walk:
+            assert np.array_equal(both.arrays[name], alone.arrays[name]), name
+        xi_lerw = _coupled(pms, 300, 50, seed=6, checkpoints=cps)[1]
+        assert np.array_equal(both.arrays["xi_lerw"], xi_lerw)
+        assert (both.arrays["xi"] >= xi_lerw).all() and (xi_lerw[:, -1] > 1).any()
 
     def test_fields_checked_before_any_work(self, monkeypatch):
-        # each mode records only its own fields; the coupling has no sigma or a
+        # only the collapsed engine records the comparison walk, and there is
+        # no mode of its own for it
         def no_c_values(xi, n):
             raise AssertionError("c_values reached")
 
         monkeypatch.setattr(walkers, "c_values", no_c_values)
         pms = ModelParams(0.5, -0.5)
-        with pytest.raises(ValueError, match="cannot record"):
-            run_walk(pms, 10, seed=1, mode="coupled")
-        for rec in (("xi", "sigma"), ("a",)):
-            with pytest.raises(ValueError, match="cannot record"):
-                run_ensemble(pms, 10, 3, seed=1, mode="coupled", record=rec)
-        for mode in ("collapsed", "events", "full"):
+        with pytest.raises(ValueError, match="mode must be 'auto' or one of"):
+            run_ensemble(pms, 10, 3, seed=1, mode="coupled", record=("xi", "xi_lerw"))
+        for mode in ("events", "full"):
             with pytest.raises(ValueError, match="cannot record"):
                 run_ensemble(pms, 10, 3, seed=1, mode=mode, record=("xi", "xi_lerw"))
+        with pytest.raises(ValueError, match="cannot record"):
+            run_ensemble(pms, 10, 3, seed=1, mode="collapsed", record=("xi", "m"))
 
 
 class TestCheckpoints:
