@@ -9,9 +9,15 @@ closed-form partial sums, and realizes the independent Bernoulli field by
 exact skip sampling (geometric jumps under the running envelope
 q(k, pos+1) >= q(k, y) for y > pos), which has the same law as scanning
 every type.  The cutoff is solved from the Stirling form of log mu_K rather
-than searched for, so a particle costs O(children) skip steps plus a handful
-of scalar log_poch evaluations (one for log mu_k, shared with the sampler,
-and about two for the cutoff, whatever its size).
+than searched for, so a particle costs O(children) skip steps plus about two
+scalar log_poch evaluations for the cutoff, whatever its size.  log mu_k
+itself costs none: each child inherits it from the draw that accepted it,
+whose acceptance test (or envelope, at gap 1) has already formed it.  Every
+evaluation goes through the exponent's one scalar closure
+(`gammaratio._log_poch_scalar`), the same bits as `log_poch`.  `simulate`
+reads its uniforms from blocks of the Generator (`_uniforms`): the same
+doubles in the same order as one `random()` call each, and on return the
+Generator is rewound to where those calls would have left it.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gammaratio import log_poch
+from .gammaratio import _log_poch_scalar, log_poch
 from .memory import MemoryLaw
 
 __all__ = [
@@ -142,27 +148,31 @@ def offspring_cutoff(k: int, params: BranchingParams) -> int:
 
 
 def _cutoff_search(params: BranchingParams):
-    """offspring_cutoff's search as cutoff(k, log_poch(k)) -> (K, log_poch(K))."""
+    """offspring_cutoff's search as cutoff(k, log_poch(k)) -> (K, log_poch(K)).
+
+    It evaluates log_poch through the exponent's cached scalar closure, the
+    one `_kernel` holds too.
+    """
     beta = params.beta
     m = params.mean_offspring
     eps = params.epsilon
     log_m_eps = math.log(m / eps)
     shift = 0.5 * (beta - 1.0)
-    lp, exp = log_poch, math.exp
+    lp, exp = _log_poch_scalar(beta), math.exp
 
     def probe(K: int, lmu_k: float):  # tail(K) > epsilon, as _offspring_tail forms it
-        lp_K = lp(float(K), beta)
+        lp_K = lp(float(K))
         return m * exp(lmu_k - lp_K) > eps, lp_K
 
     def cutoff(k: int, lmu_k: float):
         target = lmu_k + log_m_eps
         if target / beta > 44.0:  # exp(44) > 2**62: the cutoff is past the cap
-            return MAX_TYPE, lp(float(MAX_TYPE), beta)
+            return MAX_TYPE, lp(float(MAX_TYPE))
         x = min(max(exp(target / beta) - shift, float(k + 1)), float(MAX_TYPE))
         if x >= _NEWTON_MIN:
             for _ in range(2):
                 # d/dK log_poch(K, beta) ~ beta / (K + (beta-1)/2)
-                x -= (lp(x, beta) - target) * (x + shift) / beta
+                x -= (lp(x) - target) * (x + shift) / beta
                 x = min(max(x, float(k + 1)), float(MAX_TYPE))
         guess = max(math.ceil(x), k + 1)  # float(k + 1) may round below k + 1
         # bracket: too short at lo - 1 and not at hi, whose log_poch is lp_hi
@@ -205,28 +215,32 @@ def _cutoff_search(params: BranchingParams):
     return cutoff
 
 
-def _kernel(params: BranchingParams, rng: np.random.Generator):
-    """Per-particle draw for params on rng: draw(k) -> (children, discarded, K).
+def _kernel(params: BranchingParams, random):
+    """Per-particle draw: draw(k, log_poch(k)) -> (children, discarded, K).
 
-    The children are a list of types in increasing order, K is the certified
-    cutoff and discarded = tail(K) reuses the search's log_poch(K).
+    `random` is a Generator's `random` method, or `_uniforms`' reader of it.
+
+    The children are a list of (type, log_poch(type)) pairs in increasing
+    type order, each log_poch the value the draw formed for that type (the
+    acceptance test's, or the envelope's at gap 1), so that a child's own
+    draw needs no evaluation for it.  K is the certified cutoff and
+    discarded = tail(K) reuses the search's log_poch(K).
     """
     cutoff = _cutoff_search(params)
-    beta = params.beta
     m = params.mean_offspring
     log_rate = math.log(params.rate)
-    lp, exp, log, log1p, ceil = log_poch, math.exp, math.log, math.log1p, math.ceil
-    random = rng.random
+    lp = _log_poch_scalar(params.beta)
+    exp, log, log1p, ceil = math.exp, math.log, math.log1p, math.ceil
 
-    def draw(k: int):
-        lmu_k = lp(float(k), beta)
+    def draw(k: int, lmu_k: float):
         K, lp_K = cutoff(k, lmu_k)
         log_pref = log_rate + lmu_k  # log q(k, y) = log_pref - log(y-1) - log mu_y
         children = []
         pos = k
         while pos < K:
             y = pos + 1
-            q_env = exp(log_pref - log(y - 1.0) - lp(float(y), beta))
+            lp_y = lp(float(y))
+            q_env = exp(log_pref - log(y - 1.0) - lp_y)
             u = random()
             if u == 0.0:
                 break  # inverse transform puts the next candidate at +infinity
@@ -235,16 +249,51 @@ def _kernel(params: BranchingParams, rng: np.random.Generator):
             gap_real = log(u) / log1p(-q_env)
             if gap_real > K - pos:
                 break
-            gap = max(1, ceil(gap_real))
-            cand = pos + gap
-            if gap == 1 or random() < exp(
-                log_pref - log(cand - 1.0) - lp(float(cand), beta)
-            ) / q_env:
-                children.append(cand)
+            if gap_real <= 1.0:  # gap 1: the candidate is y, accepted outright
+                children.append((y, lp_y))
+                pos = y
+                continue
+            cand = pos + ceil(gap_real)
+            lp_c = lp(float(cand))
+            if random() < exp(log_pref - log(cand - 1.0) - lp_c) / q_env:
+                children.append((cand, lp_c))
             pos = cand
         return children, m * exp(lmu_k - lp_K), K
 
     return draw
+
+
+#: doubles per block of `_uniforms`: the first, and the largest it grows to
+_FIRST_BLOCK = 32
+_MAX_BLOCK = 1024
+
+
+def _uniforms(rng: np.random.Generator, last: list):
+    """rng.random() one double at a time, drawn from rng in blocks.
+
+    Yields the doubles that successive rng.random() calls return, in order: a
+    Generator fills an array with the same next_double calls that its scalar
+    draw makes.  A block costs one numpy call, and each double a generator
+    step, against a numpy call per scalar draw.  last[0] is (the bit
+    generator's state before the current block, the block's size, its
+    iterator), from which `_rewind` puts rng where the scalar draws would
+    have left it.
+    """
+    size = _FIRST_BLOCK
+    while True:
+        state = rng.bit_generator.state
+        block = iter(rng.random(size).tolist())
+        last[:] = [(state, size, block)]
+        yield from block
+        size = min(2 * size, _MAX_BLOCK)
+
+
+def _rewind(rng: np.random.Generator, last: list) -> None:
+    """Leave rng as if only the doubles `_uniforms` handed out were drawn."""
+    if last:
+        state, size, block = last[0]
+        rng.bit_generator.state = state
+        rng.random(size - block.__length_hint__())
 
 
 def sample_offspring(
@@ -258,8 +307,9 @@ def sample_offspring(
     q(k, pos+1), and the candidate is accepted with probability
     q(k, cand)/envelope.  Identical in law to a type-by-type scan.
     """
-    children, discarded, _ = _kernel(params, rng)(_particle_type(k))
-    return np.array(children, dtype=np.int64), discarded
+    k = _particle_type(k)
+    children, discarded, _ = _kernel(params, rng.random)(k, log_poch(float(k), params.beta))
+    return np.array([c for c, _ in children], dtype=np.int64), discarded
 
 
 def _offspring_cutoff_bisect(k: int, params: BranchingParams) -> int:
@@ -323,8 +373,11 @@ def simulate(
     rather than an error.  This is the bit-pinned reference: for a given
     Generator state the realized trees are fixed by the golden digests in
     the tests, so a faster path must draw the same numbers in the same order.
+    Its uniforms come in blocks (`_uniforms`), and it rewinds the Generator
+    before it returns or raises, so the Generator's state afterwards is that
+    of one `random()` call per uniform used.
     """
-    current = np.array([1], dtype=np.int64)
+    current = [(1, log_poch(1.0, params.beta))]  # (type, log_poch(type)) pairs
     sizes = [1]
     gens = []
     seen: set[int] = {1}
@@ -333,25 +386,31 @@ def simulate(
     cap_hits = 0
     extinct = False
     if keep_generations:
-        gens.append(Population(1, current.copy(), 0.0))
-    draw = _kernel(params, rng)
-    for gen in range(2, params.max_gen + 1):
-        kids = []
-        for k in current.tolist():
-            ch, disc, cutoff = draw(k)
-            if cutoff >= MAX_TYPE:
-                cap_hits += 1
-            trunc += disc
-            kids += ch
-        current = np.sort(np.array(kids, dtype=np.int64))
-        sizes.append(len(current))
-        seen.update(current.tolist())
-        cum_distinct.append(len(seen))
-        if keep_generations:
-            gens.append(Population(gen, current.copy(), trunc))
-        extinct = not kids
-        if extinct or len(current) > params.max_pop:
-            break
+        gens.append(Population(1, np.array([1], dtype=np.int64), 0.0))
+    last = []
+    draw = _kernel(params, _uniforms(rng, last).__next__)
+    try:
+        for gen in range(2, params.max_gen + 1):
+            kids = []
+            for k, lmu_k in current:
+                ch, disc, cutoff = draw(k, lmu_k)
+                if cutoff >= MAX_TYPE:
+                    cap_hits += 1
+                trunc += disc
+                kids += ch
+            kids.sort()  # equal types carry equal log_poch, so by type alone
+            current = kids
+            types = [k for k, _ in kids]
+            sizes.append(len(types))
+            seen.update(types)
+            cum_distinct.append(len(seen))
+            if keep_generations:
+                gens.append(Population(gen, np.array(types, dtype=np.int64), trunc))
+            extinct = not kids
+            if extinct or len(kids) > params.max_pop:
+                break
+    finally:
+        _rewind(rng, last)
     # a run that did not die out was stopped by max_gen or max_pop
     return BranchingResult(
         params=params,

@@ -201,13 +201,23 @@ def _cmd_simulate(args, written: list) -> int:
     return 1 if failed_gate else 0
 
 
+def _oracle_seed(seed: int) -> int:
+    """Master seed of the differential's second ensemble: the bitwise
+    complement of the run's 64-bit seed.  Replicate j of seed s reads the
+    stream keyed (s, j), and ~s != s, so that ensemble reads none of the
+    run's streams; the map is fixed, so a run stays reproducible."""
+    return seed ^ 0xFFFF_FFFF_FFFF_FFFF
+
+
 def _differential_check(params: ModelParams, cfg: dict, ran: str, xi_run=None) -> bool:
     """Law of the engine the run used vs the full-history oracle, both judged
     against the enumeration oracle; a full run is compared with collapsed.
 
     `xi_run`, when given, is the run's own Xi_n at n = differential_n.  An
     ensemble of the run's seed, replicates and engine `ran` to that horizon
-    would repeat it bit for bit, so it stands in for that ensemble.
+    would repeat it bit for bit, so it stands in for that ensemble.  The
+    other ensemble runs under `_oracle_seed(seed)`, so the two samples read
+    disjoint streams and are independent, as the two-sample test assumes.
     """
     n = int(cfg["differential_n"])
     reps = int(cfg["replicates"])
@@ -216,8 +226,9 @@ def _differential_check(params: ModelParams, cfg: dict, ran: str, xi_run=None) -
     xi = {} if xi_run is None else {ran: xi_run}
     for mode in (engine, "full"):
         if mode not in xi:
+            key = seed if mode == ran else _oracle_seed(seed)
             res = run_ensemble(
-                params, n, reps, seed, checkpoints=[n], mode=mode, record=("xi",)
+                params, n, reps, key, checkpoints=[n], mode=mode, record=("xi",)
             )
             xi[mode] = res.arrays["xi"][:, -1]
     p_two = analysis.chi_square_two_sample(xi[engine], xi["full"])

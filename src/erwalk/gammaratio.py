@@ -20,8 +20,10 @@ suite pins them against an arbitrary-precision oracle.  The direct path's
 log-Gamma difference cancels as xi grows (`MemoryLaw.pmf` is off by 4.4e-10
 relative at xi = 1e6, 3e-8 at 1e7 and 3.3e-3 at 1e12), so `log_poch_ratio`,
 the closed form of `poch_ratio_sum` and `memory.MemoryLaw` refuse an
-exponent above _DIRECT_MAX_XI; `log_poch` itself, the hot scalar path of the
-branching sampler, does not check.
+exponent above _DIRECT_MAX_XI; `log_poch` itself does not check.  Its
+scalar path is one closure per exponent, `_log_poch_scalar(xi)`, cached;
+the branching sampler, the hot scalar caller, holds that closure and calls
+it directly (about ten times a particle), without `log_poch`'s dispatch.
 
 log Gamma is mostly `_lgam`, a port of Cephes `lgam` (Moshier, *Methods and
 Programs for Mathematical Functions*, 1989) for positive arguments: the
@@ -182,24 +184,50 @@ def _stirling_tail(z):
     return ((((_S5 * z2 + _S4) * z2 + _S3) * z2 + _S2) * z2 + _S1) * zi
 
 
+@lru_cache(maxsize=64)  # the branching sampler asks for one exponent per call
+def _log_poch_scalar(xi: float):
+    """`log_poch`'s scalar path at exponent xi, as a closure lp(n) for a float n.
+
+    Below _DIRECT_MIN it is the `math.lgamma` difference; above, the Stirling
+    expression with both tails (`_stirling_tail`) inlined, operation for
+    operation, so lp(n) and log_poch(n, xi) are the same bits.  Callers that
+    evaluate one exponent many times (the branching sampler) hold the closure
+    and skip the per-call dispatch.
+    """
+    xi = float(xi)
+    xi_half = xi - 0.5
+    direct_min = _DIRECT_MIN
+    s1, s2, s3, s4, s5 = _S1, _S2, _S3, _S4, _S5
+    lgamma, log, log1p = math.lgamma, math.log, math.log1p
+
+    def lp(n: float) -> float:
+        if n < direct_min:
+            return lgamma(n + xi) - lgamma(n)
+        z = n + xi
+        zi = 1.0 / z
+        z2 = zi * zi
+        ni = 1.0 / n
+        n2 = ni * ni
+        return (
+            xi * log(n)
+            + (n + xi_half) * log1p(xi / n)
+            - xi
+            + ((((s5 * z2 + s4) * z2 + s3) * z2 + s2) * z2 + s1) * zi
+            - ((((s5 * n2 + s4) * n2 + s3) * n2 + s2) * n2 + s1) * ni
+        )
+
+    return lp
+
+
 def log_poch(n, xi: float):
     """log of the rising-factorial ratio Gamma(n + xi) / Gamma(n).
 
     `n` may be a scalar or ndarray of values >= 1 (floats allowed); `xi` is
     passed separately so the sum n + xi is never rounded before use.  Stable
-    for n up to at least 1e8.
+    for n up to at least 1e8.  A scalar n goes through `_log_poch_scalar`.
     """
     if isinstance(n, (int, float)):
-        n = float(n)
-        if n < _DIRECT_MIN:
-            return math.lgamma(n + xi) - math.lgamma(n)
-        return (
-            xi * math.log(n)
-            + (n + (xi - 0.5)) * math.log1p(xi / n)
-            - xi
-            + _stirling_tail(n + xi)
-            - _stirling_tail(n)
-        )
+        return _log_poch_scalar(float(xi))(float(n))
     n = np.asarray(n, dtype=np.float64)
     scalar = n.ndim == 0
     n = np.atleast_1d(n)

@@ -487,14 +487,21 @@ def _resolve_mode(mode: str, params: ModelParams, n_steps: int) -> str:
     Any mode but "auto" is its own engine.  The events engine costs per
     candidate up-step and the collapsed engine per step, so "auto" takes
     events when the walk expects at most AUTO_EVENTS_MAX_RATE up-steps per
-    step, (E[Xi_n] - 1)/(n - 1).
+    step, (E[Xi_n] - 1)/(n - 1).  In the localized phase E[Xi_n] rises to
+    beta/(beta - p(beta+1)), so when that limit already puts the rate under
+    the threshold no Gamma ratio is formed; that is what lets "auto" run at
+    an exponent past the direct path's limit (1e6), where `exact_mean_xi`
+    raises, as long as n is long enough for the bound to settle it.
     """
     if mode != "auto":
         return mode
     if n_steps < 2:
         return "collapsed"
-    from .exact import exact_mean_xi  # exact imports this module
+    from .exact import exact_mean_xi, limit_mean_xi  # exact imports this module
 
+    if params.is_localized:
+        if (limit_mean_xi(params) - 1.0) / (n_steps - 1) <= AUTO_EVENTS_MAX_RATE:
+            return "events"
     rate = (exact_mean_xi(n_steps, params) - 1.0) / (n_steps - 1)
     return "events" if rate <= AUTO_EVENTS_MAX_RATE else "collapsed"
 

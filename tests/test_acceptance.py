@@ -260,7 +260,9 @@ def test_criterion_09_branching_mean_offspring():
 
 def test_criterion_10_branching_extinction():
     rng = np.random.default_rng(10001)
-    # subcritical: mean offspring 0.75, survival past generation 40 is ~1.3e-5
+    # subcritical: mean offspring m = 0.75, so survival to generation 40 is at
+    # most E[Z_40] = m^39 = 1.34e-5 (the bound; the survival itself is nearer
+    # 5.0e-6)
     bp = BranchingParams(0.5, 2.0, max_gen=40)
     runs = [simulate(bp, rng) for _ in range(10**4)]
     extinct_frac = sum(r.extinct for r in runs) / len(runs)

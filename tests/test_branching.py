@@ -12,10 +12,13 @@ from erwalk.branching import (
     MAX_TYPE,
     BranchingParams,
     _cutoff_search,
+    _kernel,
     _log_q,
     _offspring_cutoff_bisect,
     _offspring_tail,
+    _rewind,
     _sample_offspring_scan,
+    _uniforms,
     offspring_cutoff,
     offspring_partial_sum,
     offspring_rate,
@@ -254,6 +257,21 @@ class TestSampleOffspring:
                 bp.mean_offspring, abs=4.5 * se + bp.epsilon
             ), k
 
+    def test_children_carry_their_log_poch(self, rng):
+        # a child's own draw starts from the log mu its parent's draw formed,
+        # so that value must be log_poch's bits for the child's type
+        seen = 0
+        for p, beta in ((0.5, 1.0), (0.75, 3.0), (0.3, 0.5)):
+            draw = _kernel(BranchingParams(p, beta), rng.random)
+            for k in (1, 31, 32, 1000):
+                for _ in range(50):
+                    children, _, _ = draw(k, log_poch(float(k), beta))
+                    for c, lmu in children:
+                        want = log_poch(float(c), beta)
+                        assert struct.pack("<d", lmu) == struct.pack("<d", want), c
+                        seen += 1
+        assert seen > 300
+
     def test_discarded_mass_within_budget(self, rng):
         bp = BranchingParams(0.5, 1.5, epsilon=1e-6)
         _, disc = sample_offspring(4, bp, rng)
@@ -272,6 +290,31 @@ class TestSampleOffspring:
             freq = empty / n_draws
             se = math.sqrt(freq * (1 - freq) / n_draws)
             assert freq >= floor - 4.5 * se, k
+
+
+# sha256 of sample_offspring's children and discarded-mass bits, 200 draws at
+# each type in SAMPLE_TYPES on one Generator (seed 2025), then its next
+# random(); recorded before the draw took log mu_k from its caller
+@pytest.mark.parametrize("p,beta,want", [
+    (0.5, 1.0, "f27934bb82d19bbbce636be961e226d7fe19f6c2583bb6d40634af0160519419"),
+    (0.5, 2.0, "0f612778fe601f699796b2f9c8df43d519381c15416f88ad348e0240ccf72036"),
+    (0.75, 3.0, "3bcda7d1707a4e375fb3e7a3654e4d8095b1aa5d06e8d3870e3c2de37883ba46"),
+])
+def test_sample_offspring_golden_digests(p, beta, want):
+    bp = BranchingParams(p, beta)
+    rng = np.random.default_rng(2025)
+    h = hashlib.sha256()
+    for k in SAMPLE_TYPES:
+        for _ in range(200):
+            kids, disc = sample_offspring(k, bp, rng)
+            h.update(kids.tobytes())
+            h.update(struct.pack("<d", disc))
+    h.update(struct.pack("<d", rng.random()))
+    assert h.hexdigest() == want
+
+
+# both sides of the scalar log_poch's switch at 32, and capped cutoffs
+SAMPLE_TYPES = (1, 31, 32, 33, 1000, 10**6, 10**12)
 
 
 class TestSimulate:
@@ -361,6 +404,38 @@ def test_simulate_golden_digests(p, beta, seed, runs, cap_hits, want):
     results = [simulate(bp, rng, keep_generations=True) for _ in range(runs)]
     assert sum(r.cap_hits for r in results) == cap_hits
     assert _branching_digest(results) == want
+
+
+# sha256 of 40 runs' generation sizes, each followed by one rng.random(),
+# recorded while simulate drew one scalar at a time: the draw after each run
+# pins the Generator state that the run leaves; (0.9, 0.1) stops at max_pop
+@pytest.mark.parametrize("p,beta,seed,want", [
+    (0.75, 3.0, 7, "42e776d08e8db680bbe5c5f2721467cc6e26f6ccbf25ac378e7c0417f9b79f13"),
+    (0.5, 1.0, 8, "b8a4f7e807daa0b29697b77bf91be6e16cffb7c1282ab5e4b52961bda40e020a"),
+    (0.9, 0.1, 9, "4fb8b162f4e141bd87b322579d690b9159fa5780a274650430a49ae3a6c6f952"),
+])
+def test_simulate_leaves_the_generator_state(p, beta, seed, want):
+    bp = BranchingParams(p, beta, max_gen=30, max_pop=200)
+    rng = np.random.default_rng(seed)
+    h = hashlib.sha256()
+    for _ in range(40):
+        h.update(simulate(bp, rng).generation_sizes.tobytes())
+        h.update(struct.pack("<d", rng.random()))
+    assert h.hexdigest() == want
+
+
+@pytest.mark.parametrize("bitgen", [np.random.PCG64, np.random.Philox, np.random.SFC64,
+                                    np.random.MT19937])
+@pytest.mark.parametrize("count", [0, 1, 31, 32, 33, 95, 96, 97, 3000])
+def test_uniform_blocks_are_the_scalar_draws(bitgen, count):
+    rng, ref = np.random.Generator(bitgen(5)), np.random.Generator(bitgen(5))
+    last = []
+    stream = _uniforms(rng, last)
+    got = [next(stream) for _ in range(count)]
+    assert got == [ref.random() for _ in range(count)]
+    _rewind(rng, last)
+    np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
+    assert rng.random(5).tolist() == ref.random(5).tolist()
 
 
 class TestModifiedWalk:

@@ -251,6 +251,30 @@ class TestSimulateCommand:
         assert len(modes) == 4
         assert capsys.readouterr().out.splitlines() == printed
 
+    @pytest.mark.parametrize("mode,n_diff,want", [
+        ("auto", "12", [("auto", 3), ("full", 2**64 - 4)]),
+        ("full", "12", [("full", 3), ("collapsed", 2**64 - 4)]),
+        ("collapsed", "8", [("collapsed", 3), ("collapsed", 3), ("full", 2**64 - 4)]),
+    ])
+    def test_differential_oracle_reads_its_own_streams(self, tmp_path, monkeypatch, mode,
+                                                        n_diff, want):
+        # replicate j of seed s reads the stream keyed (s, j): under the run's
+        # seed the oracle's Xi_n would correlate with the run's (0.38 at
+        # (0.5, 1), n = 12), and the two-sample test assumes independence
+        calls = []
+
+        def keyed(params, n, reps, seed, **kw):
+            calls.append((kw.get("mode", "auto"), seed))
+            return run_ensemble(params, n, reps, seed, **kw)
+
+        monkeypatch.setattr(cli, "run_ensemble", keyed)
+        rc = main(["simulate", "--p", "0.5", "--beta", "1", "--n", "12",
+                   "--replicates", "3000", "--seed", "3", "--mode", mode, "--differential",
+                   "--differential-n", n_diff, "--out", str(tmp_path)])
+        assert rc == 0
+        assert calls == want
+        assert cli._oracle_seed(cli._oracle_seed(3)) == 3
+
     def test_sigma_level_checked_before_any_run(self, tmp_path, capsys, monkeypatch):
         def no_run(*args, **kw):
             raise AssertionError("run_ensemble reached")

@@ -165,6 +165,31 @@ def test_log_poch_scalar_golden_digests(xi):
     assert h.hexdigest() == LOG_POCH_GOLDEN[xi]
 
 
+# sha256 of scalar log_poch(float(n), xi) over CLOSURE_POINTS, recorded
+# before log_poch's scalar branch became the _log_poch_scalar closure
+CLOSURE_GOLDEN = {
+    1e-3: "9c34706f88c5fbc36f8ad5f331cec8be61dda1d86a906b0b120ea2bab929a6b7",
+    0.5: "d555e91bbfc65aea58fc789ffc9a7e0cbaabb89778a831e8b22b22063ba19902",
+    1.0: "878f4299a37aac9cddba4054e60acd1786dd7acd55ca2cfca025aebfc1af2453",
+    3.0: "d0b85d4dfedd478133da995aa80b3a8c6015555a8ba5b404139c40e6f2a3e316",
+    1e6: "d9bfd3794a2208d6ce60855b2dd2b545f5a41a77c0b00e3175784ddcad440e5c",
+}
+# n = 1..64 (both sides of _DIRECT_MIN = 32), then 2**7 .. 2**62
+CLOSURE_POINTS = list(range(1, 65)) + [2**j for j in range(7, 63)]
+
+
+@pytest.mark.parametrize("xi", list(CLOSURE_GOLDEN))
+def test_scalar_closure_is_log_poch_bit_for_bit(xi):
+    lp = gammaratio._log_poch_scalar(xi)
+    assert gammaratio._log_poch_scalar(xi) is lp  # one closure per exponent
+    h = hashlib.sha256()
+    for n in CLOSURE_POINTS:
+        got = struct.pack("<d", lp(float(n)))
+        assert got == struct.pack("<d", log_poch(float(n), xi)), n
+        h.update(got)
+    assert h.hexdigest() == CLOSURE_GOLDEN[xi]
+
+
 class TestCValues:
     @pytest.mark.parametrize("xi,n", list(C_VALUES_GOLDEN))
     def test_golden_digests(self, xi, n):

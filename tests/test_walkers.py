@@ -352,11 +352,12 @@ class TestEnsembles:
 
     def test_full_and_collapsed_agree_at_a_huge_beta(self):
         # at beta = 1e20 the direct Gamma path has no digits left; the full
-        # engine inverts the CDF on the run's own mu, so it keeps the law
+        # engine inverts the CDF on the run's own mu, so it keeps the law;
+        # each engine has its own seed, so the two samples are independent
         pms, n, reps = ModelParams(0.5, 1e20), 16, 4000
-        xi = [run_ensemble(pms, n, reps, seed=1, checkpoints=[n], mode=mode,
+        xi = [run_ensemble(pms, n, reps, seed=seed, checkpoints=[n], mode=mode,
                            record=("xi",)).arrays["xi"][:, -1]
-              for mode in ("full", "collapsed")]
+              for mode, seed in (("full", 1), ("collapsed", 2))]
         assert chi_square_two_sample(*xi) > 1e-3
         assert abs(xi[0].mean() - xi[1].mean()) < 0.1
 
@@ -812,6 +813,33 @@ class TestAutoMode:
                             mode="auto").mode == "collapsed"
         assert run_ensemble(pms, 100, 3, seed=1, mode="full").mode == "full"
         assert run_walk(pms, 10**4, seed=1, mode="auto").mode == "events"
+
+    def test_auto_above_the_direct_path_limit(self):
+        # the localized limit mean settles the choice without exact_mean_xi,
+        # which refuses an exponent above 1e6
+        pms = ModelParams(0.5, 1e7)
+        with pytest.raises(ValueError, match="exceeds 1e"):
+            exact_mean_xi(50, pms)
+        res = run_ensemble(pms, 50, 10, seed=1)
+        assert res.mode == "events"
+        forced = run_ensemble(pms, 50, 10, seed=1, mode="events")
+        for name in res.arrays:
+            assert np.array_equal(res.arrays[name], forced.arrays[name]), name
+
+    def test_limit_bound_keeps_every_choice(self):
+        # every (p, beta, n) that resolved by exact_mean_xi alone picks the
+        # same engine with the localized bound in front
+        checked = 0
+        for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+            for beta in (-0.5, 0.0, 0.2, 0.5, 1.0, 1.5, 2.0, 3.0, 9.0, 10.0, 100.0,
+                         1e3, 1e5, 1e6):
+                pms = ModelParams(p, beta)
+                for n in (2, 3, 5, 10, 12, 26, 27, 50, 100, 300, 1000, 10**4, 10**6):
+                    rate = (exact_mean_xi(n, pms) - 1.0) / (n - 1)
+                    old = "events" if rate <= walkers.AUTO_EVENTS_MAX_RATE else "collapsed"
+                    assert walkers._resolve_mode("auto", pms, n) == old, (p, beta, n)
+                    checked += 1
+        assert checked == 5 * 14 * 13
 
     def test_auto_is_the_engine_it_picks(self):
         pms, cps = ModelParams(0.5, 2.0), [1, 50, 2000]
