@@ -273,7 +273,6 @@ class TestSimulateCommand:
                    "--differential-n", n_diff, "--out", str(tmp_path)])
         assert rc == 0
         assert calls == want
-        assert cli._oracle_seed(cli._oracle_seed(3)) == 3
 
     def test_sigma_level_checked_before_any_run(self, tmp_path, capsys, monkeypatch):
         def no_run(*args, **kw):
