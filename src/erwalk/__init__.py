@@ -22,6 +22,7 @@ from .analysis import (
     stagnation_profile,
 )
 from .branching import (
+    BranchingEnsemble,
     BranchingParams,
     BranchingResult,
     Population,
@@ -30,6 +31,7 @@ from .branching import (
     offspring_rate,
     sample_offspring,
     simulate,
+    simulate_ensemble,
     simulate_modified_walk,
 )
 from .exact import (
@@ -104,6 +106,8 @@ __all__ = [
     "offspring_cutoff",
     "sample_offspring",
     "simulate",
+    "BranchingEnsemble",
+    "simulate_ensemble",
     "simulate_modified_walk",
     # analysis
     "Regime",

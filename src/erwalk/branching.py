@@ -18,6 +18,24 @@ evaluation goes through the exponent's one scalar closure
 reads its uniforms from blocks of the Generator (`_uniforms`): the same
 doubles in the same order as one `random()` call each, and on return the
 Generator is rewound to where those calls would have left it.
+
+`simulate_ensemble` runs many runs of `simulate`'s law in lockstep.  A
+generation of every run is one set of flat arrays (run, type, log mu_type),
+sorted by run and type; each cutoff search and each skip-sampling round is
+one numpy pass over the particles still drawing.  Its uniforms are keyed
+through `streams` rather than drawn from a Generator.  Key layout: the
+particle of rank i (0-based) in the sorted generation g of run r reads the
+stream of master seed `seed` and replicate index
+
+    r << 36 | g << 24 | i,    r < 2**28, 1 <= g < 2**12, i < 2**24,
+
+and its skip-sampling round t reads draws 2t (the geometric gap) and 2t + 1
+(the thinning coin; unread when the gap is 1).  So every draw is a function
+of (seed, run, generation, rank, round), and run r's outcome depends on
+(seed, r) alone, whatever n_runs or the grouping of runs.  More runs, or a
+max_gen or max_pop that would let a generation or rank overflow its bits,
+are refused.  `simulate` stays the bit-pinned reference, and the ensemble's
+law is tested against it.
 """
 
 from __future__ import annotations
@@ -27,8 +45,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gammaratio import _log_poch_scalar, log_poch
+from .gammaratio import _DIRECT_MIN, _log_poch_scalar, _stirling_tail, log_poch
 from .memory import MemoryLaw
+from .streams import _check_key, uniform_rows
 
 __all__ = [
     "BranchingParams",
@@ -39,6 +58,8 @@ __all__ = [
     "offspring_cutoff",
     "sample_offspring",
     "simulate",
+    "BranchingEnsemble",
+    "simulate_ensemble",
     "ModifiedWalkResult",
     "simulate_modified_walk",
 ]
@@ -422,6 +443,223 @@ def simulate(
         truncation_mass=trunc,
         cap_hits=cap_hits,
         generations=gens,
+    )
+
+
+#: the most particles a lockstep group of `simulate_ensemble` draws at once:
+#: runs start in groups of this many, and a group whose next generation is
+#: larger is split between its runs
+_GROUP_PARTICLES = 1 << 16
+#: rounds of uniforms in a generation's first fill, and in each later fill;
+#: most particles finish within the first, and 24 rounds is the 48-draw row
+#: that the streams' array kernel takes
+_FIRST_ROUNDS = 8
+_FILL_ROUNDS = 24
+#: bits of a particle's stream index: run, generation, rank (module docstring)
+_RANK_BITS = 24
+_GEN_BITS = 12
+_RUN_BITS = 64 - _GEN_BITS - _RANK_BITS
+
+
+@dataclass
+class BranchingEnsemble:
+    """Per-run outcomes of `simulate_ensemble`, one row or entry per run."""
+
+    generation_sizes: np.ndarray  # (runs, generations): N_1, N_2, ..., zero once a run stops
+    extinct: np.ndarray
+    censored: np.ndarray  # a resource cap ended the run before extinction
+    truncation_mass: np.ndarray
+    cap_hits: np.ndarray  # draws whose certified cutoff exceeded MAX_TYPE
+
+
+class _Lockstep:
+    """`simulate_ensemble`'s generation step for one (params, seed).
+
+    Particles are flat arrays, each in the order of its run and rank; every
+    method makes one pass of numpy operations over the particles it is given.
+    """
+
+    def __init__(self, params: BranchingParams, seed: int):
+        self.params, self.seed = params, seed
+        beta = params.beta
+        lp = _log_poch_scalar(beta)
+        # log mu_n below 32, as `log_poch` gives a scalar n there (math.lgamma)
+        self.small = np.array([0.0] + [lp(float(n)) for n in range(1, int(_DIRECT_MIN))])
+        self.lp_max = lp(float(MAX_TYPE))
+        self.cutoff = _cutoff_search(params)
+        self.log_rate = math.log(params.rate)
+        self.log_m_eps = math.log(params.mean_offspring / params.epsilon)
+
+    def log_mu(self, n: np.ndarray) -> np.ndarray:
+        """log mu_n of int64 types n >= 1, each a function of n alone: the
+        table below 32, `log_poch`'s array expression above."""
+        beta = self.params.beta
+        x = n.astype(np.float64)
+        out = beta * np.log(x)
+        out += (x + (beta - 0.5)) * np.log1p(beta / x)
+        out -= beta
+        out += _stirling_tail(x + beta)
+        out -= _stirling_tail(x)
+        if n.size and n.min() < _DIRECT_MIN:
+            out = np.where(n < _DIRECT_MIN, self.small[np.minimum(n, len(self.small) - 1)], out)
+        return out
+
+    def cutoffs(self, k: np.ndarray, lmu: np.ndarray):
+        """Certified cutoffs K of types k with log mu lmu, and log mu_K.
+
+        The closed-form guess of `offspring_cutoff` is taken where it is the
+        locally minimal certified K (tail(K) <= epsilon < tail(K-1), or K = k+1).
+        The rest go to the scalar search: guesses from 2**43 up, which it
+        refines by Newton steps first, and guesses that miss.  Cutoffs past
+        the cap are MAX_TYPE, as there.
+        """
+        p = self.params
+        beta, m, eps = p.beta, p.mean_offspring, p.epsilon
+        reach = (lmu + self.log_m_eps) / beta
+        capped = reach > 44.0  # exp(44) > 2**62
+        x = np.exp(np.minimum(reach, 44.0)) - 0.5 * (beta - 1.0)
+        x = np.minimum(np.maximum(x, (k + 1).astype(np.float64)), float(MAX_TYPE))
+        K = np.maximum(np.ceil(x).astype(np.int64), k + 1)
+        lp_K = self.log_mu(K)
+        lp_below = lp_K - np.log1p(beta / (K - 1).astype(np.float64))  # log mu_{K-1}
+        certified = m * np.exp(lmu - lp_K) <= eps
+        minimal = (K == k + 1) | (m * np.exp(lmu - lp_below) > eps)
+        K[capped], lp_K[capped] = MAX_TYPE, self.lp_max
+        for i in np.flatnonzero(~capped & ((x >= _NEWTON_MIN) | ~(certified & minimal))).tolist():
+            K[i], lp_K[i] = self.cutoff(int(k[i]), float(lmu[i]))
+        return K, lp_K
+
+    def offspring(self, keys: np.ndarray, k: np.ndarray, lmu: np.ndarray, K: np.ndarray):
+        """Children of particles with stream indices `keys`, types k, log mu
+        lmu and cutoffs K, as (parent position, child type) arrays.
+
+        `_kernel`'s skip sampling, one round per pass over the particles still
+        drawing: round t of a particle reads draws 2t (the geometric gap) and
+        2t + 1 (the thinning coin) of its stream.
+        """
+        beta = self.params.beta
+        # the drawing particles' integers (position in the generation, skip
+        # position, cutoff, line of the fill) and floats (log mu at the skip
+        # position, log q(k, y) + log(y-1) + log mu_y), filtered together
+        ints = np.stack([np.arange(k.size), k, K, np.zeros_like(k)])
+        floats = np.stack([lmu, self.log_rate + lmu])
+        parents, kids = [], []
+        t = fill_end = 0
+        while ints.shape[1]:
+            at, pos, cut, row = ints
+            lp_pos, log_pref = floats
+            if t == fill_end:
+                rounds = _FIRST_ROUNDS if t == 0 else _FILL_ROUNDS
+                buf = uniform_rows(self.seed, keys[at], 2 * t, 2 * rounds)
+                row[:] = np.arange(at.size)
+                fill_start, fill_end = t, t + rounds
+            col = 2 * (t - fill_start)
+            x = pos.astype(np.float64)
+            lp_env = lp_pos + np.log1p(beta / x)  # log mu_{pos+1}
+            q_env = np.exp(log_pref - np.log(x) - lp_env)
+            # u = 0 (or an underflowed envelope) puts the candidate at
+            # +infinity; below 2**62 (> cut - pos) the ceiling is an exact
+            # int64, and exceeds cut - pos exactly when the real gap does
+            with np.errstate(divide="ignore"):
+                gap = np.log(buf[row, col]) / np.log1p(-q_env)
+            gap = np.ceil(np.fmin(gap, 2.0**62)).astype(np.int64)
+            go = gap <= cut - pos
+            cand = pos + np.maximum(gap, 1)  # gap 1 is the candidate y = pos + 1
+            lp_c = self.log_mu(cand)
+            q_c = np.exp(log_pref - np.log((cand - 1).astype(np.float64)) - lp_c)
+            accept = go & ((gap <= 1) | (buf[row, col + 1] * q_env < q_c))
+            parents.append(at[accept])
+            kids.append(cand[accept])
+            pos[:], lp_pos[:] = cand, lp_c
+            keep = np.flatnonzero(go & (cand < cut))
+            ints, floats = ints[:, keep], floats[:, keep]
+            t += 1
+        return np.concatenate(parents), np.concatenate(kids)
+
+
+def _group_starts(run: np.ndarray) -> np.ndarray:
+    """Positions where a new run starts in a run-sorted particle array."""
+    return np.flatnonzero(np.concatenate(([run.size > 0], run[1:] != run[:-1])))
+
+
+def simulate_ensemble(params: BranchingParams, n_runs: int, seed: int) -> BranchingEnsemble:
+    """Runs 0, ..., n_runs - 1 of the branching process, all in lockstep.
+
+    Each run has `simulate`'s law: the same certified cutoffs, skip sampling
+    and thinning, MAX_TYPE cap and max_gen / max_pop censoring.  All runs
+    advance one generation at a time, and a particle's uniforms are keyed
+    through `streams` (module docstring), so run r's outcome depends on
+    (seed, r) alone, whatever n_runs or however the runs are grouped.
+    Inputs the key layout cannot address raise ValueError: more than 2**28
+    runs, max_gen above 2**12 or max_pop above 2**24.
+    """
+    if isinstance(n_runs, bool) or not isinstance(n_runs, (int, np.integer)) or not (
+        1 <= n_runs <= 1 << _RUN_BITS
+    ):
+        raise ValueError(f"n_runs must be an integer in [1, 2**{_RUN_BITS}], got {n_runs!r}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    _check_key(int(seed), 0)
+    if params.max_gen > 1 << _GEN_BITS or params.max_pop > 1 << _RANK_BITS:
+        raise ValueError(
+            f"max_gen must be at most 2**{_GEN_BITS} and max_pop at most 2**{_RANK_BITS}"
+            f" to key every particle's stream, got {params.max_gen} and {params.max_pop}"
+        )
+    n_runs, seed = int(n_runs), int(seed)
+    step = _Lockstep(params, seed)
+    sizes = np.zeros((n_runs, params.max_gen), dtype=np.int64)
+    sizes[:, 0] = 1
+    extinct = np.zeros(n_runs, dtype=bool)
+    trunc = np.zeros(n_runs)
+    cap_hits = np.zeros(n_runs, dtype=np.int64)
+    width = 1
+    stack = []  # groups (generation, run, type, log mu, rank), each sorted by run and type
+    if params.max_gen > 1:
+        for start in range(0, n_runs, _GROUP_PARTICLES):
+            run = np.arange(start, min(start + _GROUP_PARTICLES, n_runs))
+            stack.append((1, run, np.ones_like(run), np.full(run.size, step.small[1]),
+                          np.zeros_like(run)))
+    while stack:
+        gen, run, k, lmu, rank = stack.pop()
+        keys = (run.astype(np.uint64) << np.uint64(_GEN_BITS + _RANK_BITS)) | np.uint64(
+            gen << _RANK_BITS
+        ) | rank.astype(np.uint64)
+        K, lp_K = step.cutoffs(k, lmu)
+        first = _group_starts(run)
+        runs = run[first]
+        trunc[runs] += np.add.reduceat(params.mean_offspring * np.exp(lmu - lp_K), first)
+        cap_hits[runs] += np.add.reduceat((K >= MAX_TYPE).astype(np.int64), first)
+        parent, kid = step.offspring(keys, k, lmu, K)
+        kid_run = run[parent]
+        order = np.lexsort((kid, kid_run))
+        run, k = kid_run[order], kid[order]
+        gen += 1
+        first = _group_starts(run)
+        counts = np.diff(np.append(first, run.size))
+        born = run[first]
+        sizes[born, gen - 1] = counts
+        width = max(width, gen)
+        extinct[runs[~np.isin(runs, born, assume_unique=True)]] = True
+        over = counts > params.max_pop  # censored: the run stops here
+        if over.any():
+            keep = np.repeat(~over, counts)
+            run, k = run[keep], k[keep]
+            first, counts = _group_starts(run), counts[~over]
+        if not run.size or gen == params.max_gen:
+            continue
+        group = (run, k, step.log_mu(k), np.arange(run.size) - np.repeat(first, counts))
+        if run.size > _GROUP_PARTICLES and first.size > 1:
+            # split at the run boundary nearest the middle
+            half = first[max(1, min(np.searchsorted(first, run.size // 2), first.size - 1))]
+            stack.append((gen, *(a[half:] for a in group)))
+            group = tuple(a[:half] for a in group)
+        stack.append((gen, *group))
+    return BranchingEnsemble(
+        generation_sizes=sizes[:, :width].copy(),
+        extinct=extinct,
+        censored=~extinct,
+        truncation_mass=trunc,
+        cap_hits=cap_hits,
     )
 
 

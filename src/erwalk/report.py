@@ -10,8 +10,10 @@ step.  Four of them are sparse and run the events engine: the zero-beta MC
 mean, the critical localization ensemble, and the localized MC-mean and
 stagnation ensembles.  The negative-beta stagnation ensemble, (0.5, -0.5)
 to n = 4000, runs the collapsed engine; so does the coupling gate, which
-names mode "collapsed" to record the comparison walk `xi_lerw`, and the
-branching gate runs `branching.simulate`.
+names mode "collapsed" to record the comparison walk `xi_lerw`.  The
+branching-extinction gate runs `branching.simulate_ensemble`, whose draws
+are keyed through `streams` like the ensembles', so no gate draws from an
+unkeyed Generator.
 """
 
 from __future__ import annotations
@@ -162,9 +164,9 @@ def run_gates(regimes=None, seed: int = 20240801, scale: float = 1.0, level: flo
         pms = ModelParams(0.5, 2.0)
         lim = exact.limit_mean_xi(pms)
         bp = branching.BranchingParams(0.5, 2.0, max_gen=40)
-        rng = np.random.default_rng(seed + 6)
         n_runs = max(200, int(1000 * scale))
-        frac = sum(branching.simulate(bp, rng).extinct for _ in range(n_runs)) / n_runs
+        runs = branching.simulate_ensemble(bp, n_runs, seed + 6)
+        frac = np.count_nonzero(runs.extinct) / n_runs
         gates += [
             Gate("localized", "limit of the mean",
                  abs(lim - GOLDEN["localized_limit_mean"]) <= 1e-12, f"limit {lim} vs 4"),
@@ -172,7 +174,8 @@ def run_gates(regimes=None, seed: int = 20240801, scale: float = 1.0, level: flo
             _stagnation_gate("localized", "late-window stagnation", pms, seed + 5, reps,
                              lambda f: f > 0.95),
             Gate("localized", "branching extinction", frac >= 0.99,
-                 f"extinct fraction {frac:.4f} over {n_runs} runs (mean offspring 0.75)"),
+                 f"extinct fraction {frac:.4f} over {n_runs} runs"
+                 f" (mean offspring {bp.mean_offspring:g})"),
         ]
 
     return gates

@@ -52,7 +52,9 @@ coin), and each fill reads up to 48 draws (24 candidates).
 from __future__ import annotations
 
 import numpy as np
-import numpy.random  # noqa: F401  numpy loads it on first use: keep that out of a run
+# bound at import: loading numpy.random stays out of a run, and a test that
+# replaces np.random.Generator to catch unkeyed draws still gets keyed ones here
+from numpy.random import Generator, Philox
 
 __all__ = ["replicate_stream", "uniform_rows"]
 
@@ -85,11 +87,11 @@ def _check_key(master_seed: int, start: int, count: int = 1) -> None:
         raise ValueError("replicate indices must lie in [0, 2**64)")
 
 
-def replicate_stream(master_seed: int, index: int) -> np.random.Generator:
+def replicate_stream(master_seed: int, index: int) -> Generator:
     """Independent Generator for one replicate, keyed by (master_seed, index)."""
     _check_key(master_seed, index)
     key = np.array([master_seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return Generator(Philox(key=key))
 
 
 def uniform_rows(
@@ -136,8 +138,8 @@ def _rekeyed_rows(master_seed: int, keys: np.ndarray, offset: int, block: np.nda
     """Fill row j of `block` by re-keying one numpy Philox to (master_seed, keys[j])."""
     # Setting the state is far cheaper than constructing a Philox, whose
     # SeedSequence pulls OS entropy.
-    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-    gen = np.random.Generator(bitgen)
+    bitgen = Philox(key=np.zeros(2, dtype=np.uint64))
+    gen = Generator(bitgen)
     key = np.array([master_seed, 0], dtype=np.uint64)
     counter = np.array([offset // 4, 0, 0, 0], dtype=np.uint64)
     state = {

@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gammaratio import c_values, log_poch_ratio
+from .gammaratio import _DIRECT_MAX_XI, c_values, log_poch_ratio
 from .streams import _check_key, uniform_rows
 
 __all__ = [
@@ -643,8 +643,16 @@ def _events_row_bytes(n_checkpoints: int, record) -> int:
 
 
 def _martingale(sigma: np.ndarray, n: np.ndarray, rate: float) -> np.ndarray:
-    """M_n = Sigma_n / c_n(rate), with the checkpoint times n along the last axis."""
-    return sigma * np.exp(-log_poch_ratio(n.astype(np.float64), rate))
+    """M_n = Sigma_n / c_n(rate), with the checkpoint times n along the last axis.
+
+    log c_n(rate) is `log_poch_ratio` up to _DIRECT_MAX_XI.  Past it, where
+    that refuses, it is the running sum of log1p(rate/k) over k < n, as
+    `_longest_horizon` forms it; such a rate keeps every horizon short.
+    """
+    if rate <= _DIRECT_MAX_XI:
+        return sigma * np.exp(-log_poch_ratio(n.astype(np.float64), rate))
+    log_c = np.concatenate(([0.0], np.cumsum(np.log1p(rate / np.arange(1.0, n.max())))))
+    return sigma * np.exp(-log_c[n - 1])
 
 
 @dataclass

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from erwalk import branching
 from erwalk.analysis import chi_square_two_sample
 from erwalk.branching import (
     MAX_TYPE,
@@ -24,10 +25,12 @@ from erwalk.branching import (
     offspring_rate,
     sample_offspring,
     simulate,
+    simulate_ensemble,
     simulate_modified_walk,
 )
 from erwalk.gammaratio import log_poch
 from erwalk.memory import MemoryLaw
+from erwalk.streams import replicate_stream
 
 
 def params_with_cutoff(p, beta, k, cutoff):
@@ -436,6 +439,129 @@ def test_uniform_blocks_are_the_scalar_draws(bitgen, count):
     _rewind(rng, last)
     np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
     assert rng.random(5).tolist() == ref.random(5).tolist()
+
+
+def _spans(sizes: np.ndarray, extinct: np.ndarray) -> np.ndarray:
+    """Generations each run recorded, as len(simulate(...).generation_sizes)."""
+    return np.count_nonzero(sizes, axis=1) + extinct
+
+
+def _simulated(bp: BranchingParams, runs: int, seed: int):
+    """(total progeny, generations recorded, censored) of `runs` simulate runs."""
+    rng = np.random.default_rng(seed)
+    res = [simulate(bp, rng) for _ in range(runs)]
+    return (np.array([r.generation_sizes.sum() for r in res]),
+            np.array([len(r.generation_sizes) for r in res]),
+            np.array([r.censored for r in res]))
+
+
+class TestSimulateEnsemble:
+    @pytest.mark.parametrize("p,beta,max_gen,max_pop", [
+        (0.5, 2.0, 15, 10**6), (0.5, 1.0, 40, 40)])
+    def test_runs_depend_on_seed_and_run_alone(self, monkeypatch, p, beta, max_gen, max_pop):
+        # (0.5, 1) caps cutoffs and censors at max_gen and max_pop; a group
+        # of 3 particles splits every generation between its runs
+        bp = BranchingParams(p, beta, max_gen=max_gen, max_pop=max_pop)
+        whole = simulate_ensemble(bp, 60, 11)
+        monkeypatch.setattr(branching, "_GROUP_PARTICLES", 3)
+        for n_runs in (30, 60):
+            part = simulate_ensemble(bp, n_runs, 11)
+            width = part.generation_sizes.shape[1]
+            assert np.array_equal(part.generation_sizes, whole.generation_sizes[:n_runs, :width])
+            assert not whole.generation_sizes[:n_runs, width:].any()
+            for name in ("extinct", "censored", "truncation_mass", "cap_hits"):
+                assert np.array_equal(getattr(part, name), getattr(whole, name)[:n_runs]), name
+        if beta == 1.0:
+            assert whole.cap_hits.any() and (whole.generation_sizes > max_pop).any()
+            assert (whole.generation_sizes[:, -1] > 0).any()
+
+    def test_key_layout(self):
+        # the root of run r draws from stream index r << 36 | 1 << 24 (rank 0),
+        # round t reading draws 2t and 2t + 1: replay it one round at a time
+        bp = BranchingParams(0.5, 2.0, max_gen=2)
+        ens = simulate_ensemble(bp, 50, 3)
+        lp1 = log_poch(1.0, bp.beta)
+        K = offspring_cutoff(1, bp)
+        for r in range(50):
+            u = replicate_stream(3, r << 36 | 1 << 24).random(2 * 64)
+            pos, kids = 1, 0
+            for t in range(64):
+                q_env = offspring_rate(1, pos + 1, bp)
+                gap = math.log(u[2 * t]) / math.log1p(-q_env)
+                if gap > K - pos:
+                    break
+                cand = pos + max(math.ceil(gap), 1)
+                kids += gap <= 1.0 or u[2 * t + 1] < offspring_rate(1, cand, bp) / q_env
+                pos = cand
+                if pos >= K:
+                    break
+            assert ens.generation_sizes[r, 1] == kids, r
+            assert ens.truncation_mass[r] == pytest.approx(
+                bp.mean_offspring * math.exp(lp1 - log_poch(float(K), bp.beta)), rel=1e-12)
+        assert ens.generation_sizes[:, 1].any()
+
+    @pytest.mark.parametrize("p,beta,seed", [(0.5, 2.0, 101), (0.75, 3.0, 102)])
+    def test_generation_means_are_exact(self, p, beta, seed):
+        # E[N_g] = m^(g-1) for the untruncated process; epsilon moves it by
+        # less than 1e-7, far inside the standard error
+        bp = BranchingParams(p, beta, max_gen=10)
+        sizes = simulate_ensemble(bp, 6000, seed).generation_sizes.astype(np.float64)
+        assert sizes.shape[1] == 10 and (sizes[:, 0] == 1).all()
+        m = bp.mean_offspring
+        for g in range(2, 11):
+            n_g = sizes[:, g - 1]
+            se = n_g.std(ddof=1) / math.sqrt(len(n_g))
+            assert abs(n_g.mean() - m ** (g - 1)) <= 4 * se, (g, n_g.mean(), se)
+
+    @pytest.mark.parametrize("p,beta,max_gen,seed", [
+        (0.5, 2.0, 40, 201), (0.75, 3.0, 20, 202), (0.5, 1.0, 30, 203)])
+    def test_law_of_simulate(self, p, beta, max_gen, seed):
+        # total progeny and generations recorded against simulate; at
+        # (0.5, 1) cutoffs hit MAX_TYPE and max_gen censors a few percent of runs
+        bp = BranchingParams(p, beta, max_gen=max_gen)
+        runs = 400 if beta == 1.0 else 1000
+        ens = simulate_ensemble(bp, 2 * runs, seed)
+        total, spans, censored = _simulated(bp, runs, seed)
+        assert chi_square_two_sample(ens.generation_sizes.sum(axis=1), total) > 1e-3
+        assert chi_square_two_sample(_spans(ens.generation_sizes, ens.extinct), spans) > 1e-3
+        assert chi_square_two_sample(ens.censored.astype(np.int64),
+                                     censored.astype(np.int64)) > 1e-3
+        if beta == 1.0:
+            assert ens.cap_hits.sum() > 0 and ens.censored.any()
+
+    def test_censoring(self):
+        # (0.9, 0.1) has mean offspring 9.9: every run passes max_pop, and
+        # stops at the first generation that does
+        bp = BranchingParams(0.9, 0.1, max_gen=30, max_pop=300)
+        ens = simulate_ensemble(bp, 200, 5)
+        sizes = ens.generation_sizes
+        assert (ens.censored == ~ens.extinct).all()
+        assert ens.censored.all()
+        spans = _spans(sizes, ens.extinct)
+        last = sizes[np.arange(len(sizes)), spans - 1]
+        assert (last > bp.max_pop).all()
+        assert all((row[:n - 1] <= bp.max_pop).all() and (row[:n] > 0).all()
+                   and not row[n:].any() for row, n in zip(sizes, spans))
+        # max_gen censors a run still alive at its last generation
+        bp = BranchingParams(0.75, 3.0, max_gen=6)
+        ens = simulate_ensemble(bp, 500, 6)
+        assert ens.generation_sizes.shape[1] == 6
+        assert np.array_equal(ens.censored, ens.generation_sizes[:, -1] > 0)
+
+    @pytest.mark.parametrize("n_runs", [0, -3, 2.0, True, (1 << 28) + 1])
+    def test_bad_run_count(self, n_runs):
+        with pytest.raises(ValueError, match="n_runs"):
+            simulate_ensemble(BranchingParams(0.5, 2.0), n_runs, 1)
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, 1.0])
+    def test_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            simulate_ensemble(BranchingParams(0.5, 2.0), 10, seed)
+
+    @pytest.mark.parametrize("caps", [{"max_gen": (1 << 12) + 1}, {"max_pop": (1 << 24) + 1}])
+    def test_caps_the_keys_cannot_address(self, caps):
+        with pytest.raises(ValueError, match="to key every particle"):
+            simulate_ensemble(BranchingParams(0.5, 2.0, **caps), 10, 1)
 
 
 class TestModifiedWalk:

@@ -648,6 +648,14 @@ class TestExactCommand:
         )
         assert not out.exists()
 
+    def test_simulate_past_the_direct_path_limit(self, tmp_path):
+        # the walk runs at beta = 1e7, and so does its M_n (rate 5e6)
+        out = tmp_path / "o"
+        rc = main(["simulate", "--beta", "1e7", "--n", "50", "--replicates", "10",
+                   "--seed", "1", "--out", str(out)])
+        assert rc == 0
+        assert (out / "simulate_p0.5_beta1e+07.csv").exists()
+
     @pytest.mark.parametrize("ratio", ["inf", "nan"])
     def test_bad_checkpoint_ratio_exit_2(self, tmp_path, capsys, ratio):
         rc = main(["exact", "--p", "0.5", "--beta", "1", "--n", "1000",

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from erwalk import report
@@ -31,3 +32,14 @@ def test_gate_battery_passes(seed):
     gates = report.run_gates(["zero_beta", "critical", "localized"], seed=seed)
     failed = [(g.regime, g.name, g.detail) for g in gates if not g.passed]
     assert len(gates) == 10 and failed == []
+
+
+def test_every_draw_is_keyed(monkeypatch):
+    # a Generator built outside `streams` would draw unkeyed numbers
+    def refuse(*args, **kwargs):
+        raise AssertionError("the gate battery built a Generator outside streams")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.random, "Generator", refuse)
+    gates = report.run_gates(scale=0.1)
+    assert all(g.passed for g in gates), [g for g in gates if not g.passed]

@@ -826,6 +826,22 @@ class TestAutoMode:
         for name in res.arrays:
             assert np.array_equal(res.arrays[name], forced.arrays[name]), name
 
+    @pytest.mark.parametrize("beta", [1e7, 1e9])
+    def test_martingale_above_the_direct_path_limit(self, beta):
+        # M_n = Sigma_n / c_n(rate) once refused a rate past 1e6, where
+        # log_poch_ratio loses its digits; the summed log1p form keeps them
+        pms = ModelParams(0.5, beta)
+        res = run_ensemble(pms, 30, 10, seed=1, checkpoints=[1, 2, 7, 30],
+                           record=("sigma",))
+        got = res.martingale()
+        with mpmath.workdps(40):
+            rate = mpmath.mpf(pms.rate)
+            log_c = [mpmath.loggamma(n + rate) - mpmath.loggamma(n) - mpmath.loggamma(rate + 1)
+                     for n in res.checkpoints.tolist()]
+            want = [[float(s / mpmath.exp(c)) for s, c in zip(row.tolist(), log_c)]
+                    for row in res.arrays["sigma"]]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
     def test_limit_bound_keeps_every_choice(self):
         # every (p, beta, n) that resolved by exact_mean_xi alone picks the
         # same engine with the localized bound in front
