@@ -14,11 +14,25 @@ names mode "collapsed" to record the comparison walk `xi_lerw`.  The
 branching-extinction gate runs `branching.simulate_ensemble`, whose draws
 are keyed through `streams` like the ensembles', so no gate draws from an
 unkeyed Generator.
+
+Every gate is a pure function of its regime, parameters, seed, scale and
+level, so `run_gates` may run them in any order.  A battery that holds one
+of the two collapsed-engine gates (any battery with negative_beta) and
+runs at least _FAN_OUT_MIN_REPS = 500 replicates per ensemble (scale 0.25
+and up) fans out over a pool of forked processes, one per CPU this process
+may run on and at most one per gate: two on a 2-core host.  Smaller or
+lighter batteries, a single CPU, or a platform without "fork" run the
+gates in the calling process, one after another.  Either way the results
+are collected in battery order, so stdout and report.json do not depend
+on the worker count.  The workers' memory is not in the parent's peak
+RSS (`RUSAGE_SELF`); it shows under `RUSAGE_CHILDREN`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +59,17 @@ GOLDEN = {
     "zero_beta_exponent": 0.5,  # at (0.5, 0)
     "sub_critical_exponent": 0.25,  # at (0.5, 0.5)
 }
+
+#: the fewest replicates per ensemble at which a battery with a slow gate
+#: fans out over a process pool.  `erwalk report` timed inside `cli.main`
+#: in a fresh interpreter, medians of 5 to 7 runs, in-process against a
+#: 2-worker pool, 2-core VM: 200 replicates (scale 0.1) 0.099 against
+#: 0.139 s, 300 0.117 against 0.158 s, 500 0.142 against 0.131 s, 1000
+#: 0.193 against 0.144 s, 2000 0.349 against 0.240 s, 4000 0.625 against
+#: 0.431 s.  Without a slow gate the pool lost at every size tried:
+#: `--regime localized` at 2000 replicates 0.054 against 0.096 s, and
+#: zero_beta, critical and localized at 4000 0.174 against 0.203 s.
+_FAN_OUT_MIN_REPS = 500
 
 
 @dataclass
@@ -92,16 +117,62 @@ def _mc_mean_gate(regime, params, seed, n_steps, n_reps, level):
     return Gate(regime, "MC mean vs exact", g.passed, g.detail)
 
 
-def _stagnation_gate(regime, name, params, seed, n_reps, passes):
-    """`passes(f)` judges the stagnant fraction f on [2000, 4000]."""
+def _stagnation_gate(regime, name, params, seed, n_reps, compare, bound):
+    """Passes when `compare(f, bound)` holds for the stagnant fraction f on [2000, 4000]."""
     res = run_ensemble(params, 4000, n_reps, seed, checkpoints=[2000, 4000], record=("xi",))
     stag = analysis.stagnation_profile(res, [(2000, 4000)])[0]
-    return Gate(regime, name, passes(stag.fraction),
+    return Gate(regime, name, compare(stag.fraction, bound),
                 f"stagnant fraction {stag.fraction:.4f} on [2000, 4000]")
 
 
+def _amplitude_gate(regime, params, n_ref):
+    ratio = exact.exact_mean_xi(n_ref, params) / (
+        exact.asymptotic_constant(params) * n_ref**params.growth_exponent)
+    return Gate(regime, "amplitude ratio", 0.9 <= ratio <= 1.1,
+                f"exact mean / (C n^kappa) = {ratio:.4f} at n = {n_ref}")
+
+
+def _log_growth_gate(regime, params, n_ref):
+    ratio = exact.exact_mean_xi(n_ref, params) / np.log(n_ref)
+    return Gate(regime, "log-growth of the mean",
+                0.9 <= ratio / GOLDEN["critical_log_slope"] <= 1.15,
+                f"E[Xi_n]/log n = {ratio:.4f} at n = {n_ref}")
+
+
+def _localization_gate(regime, params, seed, n_steps, n_reps, n_ref, level):
+    bound = exact.lower_bound_prob_one(params, n_ref)
+    res = run_ensemble(params, n_steps, n_reps, seed, checkpoints=[n_steps], record=("xi",))
+    freq = float(np.mean(res.arrays["xi"][:, -1] == 1))
+    se = np.sqrt(max(freq * (1 - freq), 1e-12) / n_reps)
+    return Gate(regime, "localization probability bound",
+                freq >= bound.certified_lower - level * se,
+                f"freq(Xi = 1) = {freq:.4f} >= certified {bound.certified_lower:.4f}"
+                f" - {level} se")
+
+
+def _limit_gate(regime, params):
+    lim = exact.limit_mean_xi(params)
+    return Gate(regime, "limit of the mean",
+                abs(lim - GOLDEN["localized_limit_mean"]) <= 1e-12, f"limit {lim} vs 4")
+
+
+def _extinction_gate(regime, params, seed, n_runs):
+    runs = branching.simulate_ensemble(params, n_runs, seed)
+    frac = np.count_nonzero(runs.extinct) / n_runs
+    return Gate(regime, "branching extinction", frac >= 0.99,
+                f"extinct fraction {frac:.4f} over {n_runs} runs"
+                f" (mean offspring {params.mean_offspring:g})")
+
+
 def run_gates(regimes=None, seed: int = 20240801, scale: float = 1.0, level: float = 4.0):
-    """Run the gate battery for the requested regimes (all by default)."""
+    """Run the gate battery for the requested regimes (all by default).
+
+    Every gate is a task, a function of this module and its arguments,
+    listed in battery order.  The tasks run in this process, or over a
+    forked process pool (`_fan_out`) when the battery holds a slow gate,
+    runs at least _FAN_OUT_MIN_REPS replicates per ensemble and more than
+    one CPU is available.  Both give the same gates in the same order.
+    """
     if regimes is None:
         regimes = REGIMES
     unknown = set(regimes) - set(REGIMES)
@@ -112,70 +183,86 @@ def run_gates(regimes=None, seed: int = 20240801, scale: float = 1.0, level: flo
         raise ValueError(f"scale must be finite and > 0, got {scale}")
     reps = max(200, int(2000 * scale))
     n_ref = 10**5
-    gates: list[Gate] = []
-
+    # (slow, function, arguments); slow marks the gates whose ensembles run
+    # the collapsed engine, the battery's longest tasks
+    tasks = []
     if "negative_beta" in regimes:
         pms = ModelParams(0.5, -0.5)
-        gates += [
-            _exponent_gate("negative_beta", pms, GOLDEN["negative_beta_exponent"]),
-            _coupling_gate("negative_beta", pms, seed, 2000, reps),
-            _stagnation_gate("negative_beta", "no late stagnation", pms, seed + 1, reps,
-                             lambda f: f < 0.02),
+        tasks += [
+            (False, _exponent_gate, ("negative_beta", pms, GOLDEN["negative_beta_exponent"])),
+            (True, _coupling_gate, ("negative_beta", pms, seed, 2000, reps)),
+            (True, _stagnation_gate, ("negative_beta", "no late stagnation", pms, seed + 1,
+                                      reps, operator.lt, 0.02)),
         ]
-
     if "zero_beta" in regimes:
         pms = ModelParams(0.5, 0.0)
-        gates += [
-            _exponent_gate("zero_beta", pms, GOLDEN["zero_beta_exponent"]),
-            _l2_gate("zero_beta", pms, expect_bounded=True),
-            _mc_mean_gate("zero_beta", pms, seed + 2, 2000, reps, level),
+        tasks += [
+            (False, _exponent_gate, ("zero_beta", pms, GOLDEN["zero_beta_exponent"])),
+            (False, _l2_gate, ("zero_beta", pms, True)),
+            (False, _mc_mean_gate, ("zero_beta", pms, seed + 2, 2000, reps, level)),
         ]
-
     if "sub_critical_positive" in regimes:
         pms = ModelParams(0.5, 0.5)
-        amp = exact.asymptotic_constant(pms)
-        ratio = exact.exact_mean_xi(n_ref, pms) / (amp * n_ref**pms.growth_exponent)
-        gates += [
-            _exponent_gate("sub_critical_positive", pms, GOLDEN["sub_critical_exponent"]),
-            _l2_gate("sub_critical_positive", pms, expect_bounded=True),
-            Gate("sub_critical_positive", "amplitude ratio", 0.9 <= ratio <= 1.1,
-                 f"exact mean / (C n^kappa) = {ratio:.4f} at n = {n_ref}"),
+        tasks += [
+            (False, _exponent_gate, ("sub_critical_positive", pms,
+                                     GOLDEN["sub_critical_exponent"])),
+            (False, _l2_gate, ("sub_critical_positive", pms, True)),
+            (False, _amplitude_gate, ("sub_critical_positive", pms, n_ref)),
         ]
-
     if "critical" in regimes:
         pms = ModelParams(0.5, 1.0)
-        ratio = exact.exact_mean_xi(n_ref, pms) / np.log(n_ref)
-        bound = exact.lower_bound_prob_one(pms, n_ref)
-        res = run_ensemble(pms, 2000, reps, seed + 3, checkpoints=[2000], record=("xi",))
-        freq = float(np.mean(res.arrays["xi"][:, -1] == 1))
-        se = np.sqrt(max(freq * (1 - freq), 1e-12) / reps)
-        gates += [
-            Gate("critical", "log-growth of the mean",
-                 0.9 <= ratio / GOLDEN["critical_log_slope"] <= 1.15,
-                 f"E[Xi_n]/log n = {ratio:.4f} at n = {n_ref}"),
-            _l2_gate("critical", pms, expect_bounded=False),
-            Gate("critical", "localization probability bound",
-                 freq >= bound.certified_lower - level * se,
-                 f"freq(Xi = 1) = {freq:.4f} >= certified {bound.certified_lower:.4f}"
-                 f" - {level} se"),
+        tasks += [
+            (False, _log_growth_gate, ("critical", pms, n_ref)),
+            (False, _l2_gate, ("critical", pms, False)),
+            (False, _localization_gate, ("critical", pms, seed + 3, 2000, reps, n_ref, level)),
         ]
-
     if "localized" in regimes:
         pms = ModelParams(0.5, 2.0)
-        lim = exact.limit_mean_xi(pms)
         bp = branching.BranchingParams(0.5, 2.0, max_gen=40)
-        n_runs = max(200, int(1000 * scale))
-        runs = branching.simulate_ensemble(bp, n_runs, seed + 6)
-        frac = np.count_nonzero(runs.extinct) / n_runs
-        gates += [
-            Gate("localized", "limit of the mean",
-                 abs(lim - GOLDEN["localized_limit_mean"]) <= 1e-12, f"limit {lim} vs 4"),
-            _mc_mean_gate("localized", pms, seed + 4, 2000, reps, level),
-            _stagnation_gate("localized", "late-window stagnation", pms, seed + 5, reps,
-                             lambda f: f > 0.95),
-            Gate("localized", "branching extinction", frac >= 0.99,
-                 f"extinct fraction {frac:.4f} over {n_runs} runs"
-                 f" (mean offspring {bp.mean_offspring:g})"),
+        tasks += [
+            (False, _limit_gate, ("localized", pms)),
+            (False, _mc_mean_gate, ("localized", pms, seed + 4, 2000, reps, level)),
+            (False, _stagnation_gate, ("localized", "late-window stagnation", pms, seed + 5,
+                                       reps, operator.gt, 0.95)),
+            (False, _extinction_gate, ("localized", bp, seed + 6,
+                                       max(200, int(1000 * scale)))),
         ]
 
-    return gates
+    workers = _pool_size(len(tasks))
+    if reps < _FAN_OUT_MIN_REPS or workers < 2 or not any(slow for slow, _, _ in tasks):
+        return [fn(*args) for _, fn, args in tasks]
+    return _fan_out(tasks, workers)
+
+
+def _pool_size(n_tasks: int) -> int:
+    """Workers for `n_tasks` tasks: at most the CPUs this process may run on."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_tasks)
+
+
+def _fan_out(tasks, workers: int) -> list[Gate]:
+    """The gates of `tasks`, run over a pool of `workers` forked processes.
+
+    The slow tasks are submitted first, so that the others fill the
+    remaining workers, and the results are collected in battery order.
+    Forked workers inherit the parent's modules, so they import nothing
+    and see what the parent patched; spawned ones would re-import erwalk
+    (about 0.2 s each), so where "fork" is not available the tasks run in
+    this process.  A task that raises re-raises here, and the workers are
+    joined before this returns or raises.
+    """
+    import multiprocessing  # off the import path, as in walkers._run
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(*args) for _, fn, args in tasks]
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        order = sorted(range(len(tasks)), key=lambda i: not tasks[i][0])
+        futures = {i: pool.submit(tasks[i][1], *tasks[i][2]) for i in order}
+        return [futures[i].result() for i in range(len(tasks))]
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)

@@ -491,7 +491,10 @@ def _resolve_mode(mode: str, params: ModelParams, n_steps: int) -> str:
     beta/(beta - p(beta+1)), so when that limit already puts the rate under
     the threshold no Gamma ratio is formed; that is what lets "auto" run at
     an exponent past the direct path's limit (1e6), where `exact_mean_xi`
-    raises, as long as n is long enough for the bound to settle it.
+    raises.  When the bound does not settle it there, "auto" takes
+    collapsed, which wins at short horizons: at such an exponent a run is a
+    few dozen steps long at most (`_longest_horizon` is 64 at 1.5e6, 53 at
+    1e7).
     """
     if mode != "auto":
         return mode
@@ -502,6 +505,8 @@ def _resolve_mode(mode: str, params: ModelParams, n_steps: int) -> str:
     if params.is_localized:
         if (limit_mean_xi(params) - 1.0) / (n_steps - 1) <= AUTO_EVENTS_MAX_RATE:
             return "events"
+    if max(params.beta, params.rate) > _DIRECT_MAX_XI:
+        return "collapsed"
     rate = (exact_mean_xi(n_steps, params) - 1.0) / (n_steps - 1)
     return "events" if rate <= AUTO_EVENTS_MAX_RATE else "collapsed"
 

@@ -656,6 +656,17 @@ class TestExactCommand:
         assert rc == 0
         assert (out / "simulate_p0.5_beta1e+07.csv").exists()
 
+    @pytest.mark.parametrize("n, engine", [(20, "collapsed"), (26, "collapsed"), (50, "events")])
+    def test_auto_past_the_direct_path_limit_at_any_horizon(self, tmp_path, n, engine):
+        # below n = 27 the localized bound leaves mode auto undecided at
+        # beta = 1e7; it must not ask exact_mean_xi, which refuses beta past 1e6
+        out = tmp_path / "o"
+        rc = main(["simulate", "--beta", "1e7", "--n", str(n), "--replicates", "10",
+                   "--seed", "1", "--out", str(out)])
+        assert rc == 0
+        header = (out / "trajectory_p0.5_beta1e+07.csv").read_text().splitlines()[3]
+        assert header.endswith(f" mode={engine}")
+
     @pytest.mark.parametrize("ratio", ["inf", "nan"])
     def test_bad_checkpoint_ratio_exit_2(self, tmp_path, capsys, ratio):
         rc = main(["exact", "--p", "0.5", "--beta", "1", "--n", "1000",
@@ -886,7 +897,10 @@ def test_import_loads_no_heavy_scipy():
 
 
 def test_runs_import_no_new_module(tmp_path):
-    # a module first imported during a run puts start-up cost into its time
+    # a module first imported during a run puts start-up cost into its time;
+    # the last run fans the report out over a process pool, which may import
+    # what concurrent.futures and multiprocessing need for a fork pool, and
+    # nothing else
     code = (
         "import json, sys, erwalk, erwalk.cli\n"
         "out = sys.argv[1]\n"
@@ -898,6 +912,7 @@ def test_runs_import_no_new_module(tmp_path):
         "    ['exact', '--critical', '--n', '1000', '--degree', '2', '--out', out],\n"
         "    ['report', '--scale', '0.1'],\n"
         f"    {WIDE_DIFFERENTIAL + ['--out']} + [out],\n"
+        "    ['report', '--scale', '1'],\n"
         "]\n"
         "new = []\n"
         "for argv in runs:\n"
@@ -912,10 +927,30 @@ def test_runs_import_no_new_module(tmp_path):
     )
     new = json.loads(proc.stderr)
     assert [cmd for cmd, _, _ in new] == [
-        "simulate", "simulate", "exact", "report", "simulate",
+        "simulate", "simulate", "exact", "report", "simulate", "report",
     ]
-    assert [mods for _, _, mods in new] == [[], [], [], [], []]
+    assert [mods for _, _, mods in new[:-1]] == [[], [], [], [], []]
     assert [rc for cmd, rc, _ in new if cmd != "report"] == [0, 0, 0, 0]
+    pool = (
+        "import json, sys, erwalk, erwalk.cli\n"
+        "before = set(sys.modules)\n"
+        "import multiprocessing\n"
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "ctx = multiprocessing.get_context('fork')\n"
+        "with ProcessPoolExecutor(2, mp_context=ctx) as pool:\n"
+        "    pool.submit(abs, -1).result()\n"
+        "sys.stderr.write(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", pool], env=_src_env(), capture_output=True, text=True,
+        check=True,
+    )
+    allowed = set(json.loads(proc.stderr))
+    assert "concurrent.futures.process" in allowed
+    _, rc, mods = new[-1]
+    assert rc == 0 and set(mods) <= allowed, sorted(set(mods) - allowed)
+    if len(os.sched_getaffinity(0)) > 1:
+        assert "concurrent.futures.process" in mods
 
 
 def test_runs_without_scipy(tmp_path):
