@@ -10,10 +10,13 @@ and it is far faster where up-steps are sparse.  The simulators' default
 mode, "auto", picks between them from the expected up-steps per step.  The
 two agree in law, not in bits, so this demo names `collapsed` in every
 call to keep the bits it prints.
-Ensembles use one counter-based RNG stream per replicate: identical output
-for any batching or worker count.  Replicate j of seed s (both in
-[0, 2**64)) is Philox4x64-10 under the key (s, j), and its draw d is lane
-d % 4 of Philox block d // 4 + 1, so any draw can be read directly.
+Ensembles read counter-based RNG streams, so the output is identical for
+any batching or worker count.  Stream (s, k) of seed s (both in [0, 2**64))
+is Philox4x64-10 under that key, and its draw d is lane d % 4 of Philox
+block d // 4 + 1, so any draw can be read directly.  `collapsed` keys a
+stream per time step: transition n of replicate j reads draw j of stream
+(s, n).  `events` keys one per replicate: candidate k of replicate j reads
+draws 2k and 2k + 1 of stream (s, j).
 """
 
 import numpy as np

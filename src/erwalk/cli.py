@@ -203,9 +203,10 @@ def _cmd_simulate(args, written: list) -> int:
 
 def _oracle_seed(seed: int) -> int:
     """Master seed of the differential's second ensemble: the bitwise
-    complement of the run's 64-bit seed.  Replicate j of seed s reads the
-    stream keyed (s, j), and ~s != s, so that ensemble reads none of the
-    run's streams; the map is fixed, so a run stays reproducible."""
+    complement of the run's 64-bit seed.  Every stream an ensemble of seed
+    s reads is keyed (s, j), j a replicate or a time step, and ~s != s, so
+    that ensemble reads none of the run's streams; the map is fixed, so a
+    run stays reproducible."""
     return seed ^ 0xFFFF_FFFF_FFFF_FFFF
 
 

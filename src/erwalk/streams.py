@@ -1,16 +1,16 @@
-"""Reproducible per-replicate random number streams.
+"""Reproducible counter-based random number streams.
 
-Every replicate of an ensemble gets its own counter-based stream keyed by
-(master_seed, replicate_index), so results are bit-identical no matter how
-replicates are batched or distributed over workers.
+Every stream is keyed by (master_seed, index), so any draw of any stream can
+be read directly, and results are bit-identical no matter how the work that
+reads them is batched or distributed over workers.
 
-Stream layout.  Replicate j of master seed s is numpy's Philox4x64-10 under
+Stream layout.  Stream j of master seed s is numpy's Philox4x64-10 under
 the 128-bit key (s, j), with seeds and indices in [0, 2**64).  Each uniform
-consumes one 64-bit output word, so draw d of replicate j is lane d % 4 of
+consumes one 64-bit output word, so draw d of stream j is lane d % 4 of
 the Philox block at counter d // 4 + 1 (numpy increments the counter before
 it generates a block).  Draw d is therefore a pure function of (s, j, d), and
-`uniform_rows` reads any window of draws of any list of replicates without
-building a Generator per replicate; `replicate_stream` is the one-replicate
+`uniform_rows` reads any window of draws of any list of streams without
+building a Generator per stream; `replicate_stream` is the one-stream
 reference it is tested against.  Offsets stop below 2**66, where the block
 counter's word 0 would pass 2**64 before the window starts.
 
@@ -18,9 +18,10 @@ Two fills.  `uniform_rows` computes a block of rows in one of two ways, with
 the same bits:
 
 * Re-keying: one numpy Philox is set to key (s, j) and counter offset // 4
-  per row, and fills the row in C at about 11 ns per draw.  Setting the
-  state and the `random` call cost a fixed 3.5-4 us per row, which
-  dominates rows of a few dozen draws.
+  per row, and fills the row in C at about 7-11 ns per draw.  The state is
+  set from Python ints, which the setter reads in 0.48 us against 1.09 us
+  for uint64 arrays; with the `random` call a row costs a fixed 2 us,
+  which dominates rows of a few dozen draws.
 * The array kernel computes Philox4x64-10 (Salmon, Moraes, Dror and Shaw,
   "Parallel random numbers: as easy as 1, 2, 3", SC'11; the Random123
   constants) for every (row, block) pair of a chunk of rows at once, with
@@ -31,22 +32,25 @@ the same bits:
   key is bumped by (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B); there are 10
   rounds.  The counter of block b is (b mod 2**64, b >> 64, 0, 0), word 0
   carrying into word 1 as numpy's does, and a word x becomes the double
-  (x >> 11) * 2**-53.  It costs about 0.2 ms per call and 50 ns per draw.
+  (x >> 11) * 2**-53.  It costs about 0.15 ms per call and 40-50 ns per draw.
 
-Dispatch.  The kernel fills blocks of at least 256 rows of at most 48
+Dispatch.  The kernel fills blocks of at least 128 rows of at most 48
 draws; everything else is re-keyed.  Measured on a 2-core Xeon VM (numpy
-2.4, fastest of 41 interleaved calls, re-keyed / kernel): 2048 x 11 draws
-4.7 / 1.0 ms; 2048 x 22 4.9 / 1.6 ms; 2048 x 48 7.3 / 5.2 ms; 2048 x 56
-5.5 / 6.3 ms; 2048 x 80 5.9 / 7.2 ms; 256 x 48 0.67 / 0.64 ms; 256 x 64
-0.70 / 0.75 ms; 128 x 22 0.32 / 0.33 ms; 64 x 4 0.15 / 0.18 ms.  The
-ensemble engines' short-horizon segments (11 or 22 draws per replicate at
-n = 12) take the kernel; their 2000-draw segments stay re-keyed.
+2.4, offset 3, fastest of 41 interleaved calls, re-keyed / kernel): 64 x 1
+draws 0.14 / 0.16 ms; 96 x 8 0.21 / 0.21 ms; 128 x 1 0.26 / 0.17 ms;
+128 x 16 0.28 / 0.25 ms; 128 x 48 0.30 / 0.37 ms; 256 x 48 0.59 / 0.57 ms;
+512 x 48 1.18 / 0.74 ms; 2000 x 1 3.98 / 0.42 ms; 2000 x 32 4.38 / 2.68
+ms; 2000 x 48 4.66 / 4.52 ms; 2000 x 56 4.73 / 5.75 ms.
 
-Callers.  The per-step engines of `walkers` read a run of replicates
-start, ..., start + count - 1, whose keys they build once per block.  The
-events engine reads just the replicates still running: its candidate k of
-replicate r reads draws 2k (the geometric gap) and 2k + 1 (the thinning
-coin), and each fill reads up to 48 draws (24 candidates).
+Callers.  The per-step engines of `walkers` key a stream per time step:
+transition n of replicate r reads draw r (collapsed) or draws 2r and
+2r + 1 (full) of stream n, so one row holds a step's draws for a block of
+replicates.  A block of 2048 replicates fills rows of 2048 or 4096 draws,
+re-keyed one per step; a walk or a small ensemble fills thousands of steps
+of a few draws each, which take the kernel.  The events engine keys a
+stream per replicate and reads just the replicates still running: its
+candidate k of replicate r reads draws 2k (the geometric gap) and 2k + 1
+(the thinning coin), and each fill reads up to 48 draws (24 candidates).
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ _M_HI = _PHILOX_M >> 32
 
 #: `uniform_rows` takes the array kernel for blocks of at least this many rows of
 #: at most this many draws (the measurement is in the module docstring)
-_KERNEL_MIN_ROWS = 256
+_KERNEL_MIN_ROWS = 128
 _KERNEL_MAX_LENGTH = 48
 #: (row, block) pairs per kernel pass; the pass's scratch is 128 bytes each
 _KERNEL_CHUNK = 16384
@@ -88,7 +92,8 @@ def _check_key(master_seed: int, start: int, count: int = 1) -> None:
 
 
 def replicate_stream(master_seed: int, index: int) -> Generator:
-    """Independent Generator for one replicate, keyed by (master_seed, index)."""
+    """Independent Generator for the stream keyed by (master_seed, index): a
+    replicate's in the events engine, a time step's in the per-step engines."""
     _check_key(master_seed, index)
     key = np.array([master_seed, index], dtype=np.uint64)
     return Generator(Philox(key=key))
@@ -137,21 +142,21 @@ def uniform_rows(
 def _rekeyed_rows(master_seed: int, keys: np.ndarray, offset: int, block: np.ndarray) -> None:
     """Fill row j of `block` by re-keying one numpy Philox to (master_seed, keys[j])."""
     # Setting the state is far cheaper than constructing a Philox, whose
-    # SeedSequence pulls OS entropy.
+    # SeedSequence pulls OS entropy; the setter reads Python ints faster
+    # than uint64 arrays, with the same bits.
     bitgen = Philox(key=np.zeros(2, dtype=np.uint64))
     gen = Generator(bitgen)
-    key = np.array([master_seed, 0], dtype=np.uint64)
-    counter = np.array([offset // 4, 0, 0, 0], dtype=np.uint64)
+    key = [master_seed, 0]
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": counter, "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": [offset // 4, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,  # buffer spent: the next draw generates block offset // 4 + 1
         "has_uint32": 0,
         "uinteger": 0,
     }
     skip = offset % 4
-    for j, index in enumerate(keys):
+    for j, index in enumerate(keys.tolist()):
         key[1] = index
         bitgen.state = state
         if skip:

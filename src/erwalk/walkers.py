@@ -27,8 +27,12 @@ uniform per step, and asserts their pathwise order.  The full-history
 simulator draws the recalled time explicitly, by inverting the memory
 law's closed-form CDF on the run's own weights, and serves as a
 differential oracle.
-Ensembles run one counter-based RNG stream per replicate, so results are
-reproducible under any worker count.
+Every draw is a pure function of (seed, stream, position) in the
+counter-based streams of `streams`, so results are bit-identical under any
+block size or worker count.  The per-step engines key a stream per time
+step: transition n of replicate r reads draw r (collapsed) or draws 2r and
+2r + 1 (full) of stream (seed, n), so a block's draws for one step are one
+contiguous row.  The events engine keys a stream per replicate.
 
 `run_walk` and `run_ensemble` both go through `_run`: it checks the key,
 worker count, horizon (at most MAX_STEPS, and short enough that
@@ -43,9 +47,9 @@ Every engine is `engine(plan, start, count)`, run on blocks of
 replicates that `_run` sizes; a process pool gets the plan once per
 worker.  The per-step engines (collapsed and full) are a set-up
 plus a kernel that advances their state one step at a time from one time
-to a later one; `_drive` owns the draws, cuts time at segment ends and
-checkpoints, and records the checkpoints.  A single walk is a
-one-replicate run.
+to a later one; `_drive` owns the draws, fills them a tile of steps at a
+time, cuts time at tile ends and checkpoints, and records the checkpoints.
+A single walk is a one-replicate run.
 """
 
 from __future__ import annotations
@@ -90,21 +94,24 @@ _FULL_MODE_MAX_STEPS = 4096
 #: per step, else the collapsed engine; README has the timings behind it
 AUTO_EVENTS_MAX_RATE = 0.04
 
-#: replicates per call of a per-step engine (collapsed, full); each
-#: block is one task when workers > 1
+#: replicates per call of a per-step engine (collapsed, full), and so the
+#: draws per step of its fill (twice that in full mode); each block is one
+#: task when workers > 1
 _BLOCK_SIZE = 2048
-#: draws per replicate and segment fill; rows this long are re-keyed one at
-#: a time (short ones go to the streams' array kernel), so each fill pays a
-#: fixed cost per row, and 2000 still fills a 4000-step run in two
-_SEG_LEN = 2000
+#: draws per fill of a per-step engine, a row of draws * count per step (1
+#: MiB): a 2048-replicate collapsed block fills tiles of 64 steps, one
+#: re-keyed row a step, that stay in L2 while its kernel reads them; a
+#: block of a few replicates fills thousands of steps at once, whose short
+#: rows go to the streams' array kernel
+_TILE_DRAWS = 1 << 17
 #: draws per replicate and fill of the events engine, two per candidate; the
 #: streams' array kernel takes rows of up to 48.  The fill buffer is part of
 #: the engine's per-row scratch (`_events_row_bytes`)
 _EVENT_FILL = 48
-#: bytes of per-row scratch an events block may hold, about the per-step
-#: engines' segment buffer (2048 rows of 2008 doubles); the events engine
-#: pays per round, fill and tail round whatever the rows, so it runs the
-#: fewest blocks this allows
+#: bytes of per-row scratch an events block may hold: 26,214 rows of a
+#: 1e4-step run recording xi and sigma at its 48 geometric checkpoints.
+#: The events engine pays per round, fill and tail round whatever the rows,
+#: so it runs the fewest blocks this allows
 _EVENTS_SCRATCH = 32 << 20
 #: per-row vectors of the events engine's rounds (the running rows, their
 #: times, sigmas, fill lines, gaps, envelopes and the filtered copies)
@@ -198,16 +205,6 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-def _row_pitch(cols: int) -> int:
-    """Row length of a segment buffer that holds `cols` doubles per row.
-
-    An odd number of 64-byte lines: the per-step loops read the buffer a
-    column at a time, and an even count (16 KiB rows, say) maps those reads
-    onto a fraction of the cache sets.
-    """
-    return 8 * (-(-cols // 8) | 1)
-
-
 @dataclass(frozen=True)
 class _Plan:
     """What every block of one simulator call reads; engines write nothing to it.
@@ -239,12 +236,14 @@ def _drive(plan, kernel, state, draws, start, count):
 
     `state` maps names to the per-replicate arrays that `kernel(u, t, e)`
     advances in place from time t to time e; u holds the draws of the
-    transitions t, ..., e - 1, one column per step: shape (count, e - t) at
-    `draws` = 1, (count, e - t, 2) at 2.  Transition t reads draws
-    draws * (t - 1), ... of each replicate's stream.  The driver fills
-    segments of _SEG_LEN draws per replicate, cuts them at the checkpoints,
-    and copies the arrays named in `plan.record` at each checkpoint.  It runs
-    on to n_steps after the last checkpoint, so every step meets its guard.
+    transitions t, ..., e - 1, one row per step: shape (e - t, count) at
+    `draws` = 1, (e - t, count, 2) at 2.  Transition n of replicate r reads
+    draws draws * r, ... of the stream keyed (seed, n), so each step's draws
+    for the block are one contiguous row, filled by one `uniform_rows` call
+    per tile of steps.  A tile holds at most _TILE_DRAWS draws (one step at
+    least); the driver cuts it at the checkpoints and copies the arrays
+    named in `plan.record` at each checkpoint.  It runs on to n_steps after
+    the last checkpoint, so every step meets its guard.
     """
     n_steps, checkpoints, record = plan.n_steps, plan.checkpoints, plan.record
     cp_index = {int(c): i for i, c in enumerate(checkpoints)}
@@ -262,21 +261,21 @@ def _drive(plan, kernel, state, draws, start, count):
     snapshot(1)
     if n_steps == 1:
         return out
-    seg_len = min(_SEG_LEN // draws, n_steps - 1)
-    pitch = _row_pitch(draws * seg_len)
-    buf = np.empty((count, pitch))
-    cols = buf if draws == 1 else buf.reshape(count, pitch // draws, draws)
-    keys = np.arange(count, dtype=np.uint64) + np.uint64(start)
+    width = draws * count
+    tile = max(1, min(_TILE_DRAWS // width, n_steps - 1))
+    buf = np.empty((tile, width))
+    rows = buf if draws == 1 else buf.reshape(tile, count, draws)
     stops = iter([int(c) for c in checkpoints if c > 1])
     stop = next(stops, n_steps)
     t = 1
     while t < n_steps:
         t0 = t
-        seg = min(seg_len, n_steps - t)
-        uniform_rows(plan.seed, keys, draws * (t - 1), draws * seg, out=buf)
+        seg = min(tile, n_steps - t)
+        steps = np.arange(t0, t0 + seg, dtype=np.uint64)
+        uniform_rows(plan.seed, steps, draws * start, width, out=buf[:seg])
         while t < t0 + seg:
             e = min(t0 + seg, stop)
-            kernel(cols[:, t - t0 : e - t0], t, e)
+            kernel(rows[t - t0 : e - t0], t, e)
             t = e
             if t == stop:
                 snapshot(t)
@@ -308,7 +307,7 @@ def _collapsed_block(plan, start, count):
 
     def kernel(u, t, e):
         for n in range(t, e):
-            v = u[:, n - t]
+            v = u[n - t]
             pi = coef[n] * sigma
             if not pi.max() <= guard:  # a NaN fails too
                 raise RuntimeError(f"internal consistency violated: pi_n > p at n = {n}")
@@ -459,7 +458,7 @@ def _full_block(plan, start, count):
     # the kernels update the driver's state arrays in place (np.add with out=)
     def kernel(u, t, e):
         for n in range(t, e):
-            draw = u[:, n - t]
+            draw = u[n - t]
             k = np.searchsorted(g[:n], draw[:, 0] * g[n - 1], side="right") + 1
             x_mem = hist[rows, k - 1]
             x = ((draw[:, 1] < p) & (x_mem == 1)).astype(np.uint8)

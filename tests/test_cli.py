@@ -73,7 +73,10 @@ class TestSerialize:
 # were pinned after those ensembles moved from collapsed to events
 # (run_ensemble(mode="auto")), once the tests of their law passed.  The six
 # simulate digests were re-pinned when `workers` left the hashed config; the
-# files differ from the earlier pins in their config_hash line or field alone
+# files differ from the earlier pins in their config_hash line or field alone.
+# The collapsed-json and differential digests were re-pinned when the
+# collapsed and full engines' draws moved to one stream per time step, once
+# the tests of their law passed
 CLI_GOLDEN = [
     (
         ["simulate", "--p", "0.5", "--beta", "1", "--n", "2000", "--replicates", "2000", "--seed", "11"],
@@ -88,18 +91,18 @@ CLI_GOLDEN = [
         ["simulate", "--p", "0.5", "--beta", "-0.5", "--n", "300", "--replicates", "400", "--seed", "42", "--mode", "collapsed", "--format", "json"],
         {
             "simulate_p0.5_beta-0.5.json":
-                "6e8a8871acc20c828c3a7e98157933578aa4eda690fdfc074eb919a51de4811f",
+                "80c56f6e282e3ebf6909335915ac6093d2ba587f41e970e2c54146ac8c88810f",
             "trajectory_p0.5_beta-0.5.csv":
-                "27dbbb92b3accd8494d54ded702df58d41ebf4793d2c694e857239e107205741",
+                "5d7c4dac98d098e6324b38cfa42f301f9ebd0f63a50aeb97c9c09169a9b5df58",
         },
     ),
     (
         ["simulate", "--p", "0.5", "--beta", "1", "--n", "12", "--replicates", "3000", "--seed", "3", "--differential"],
         {
             "simulate_p0.5_beta1.csv":
-                "678342142cb4ed613055eafc5ccaeb991b2d6f8e9512e360f7991288ecb997e9",
+                "e7ea4a681e45a062e9e89622aa8ce17cb5c48f63efea5263cc0f2afc0f58768b",
             "trajectory_p0.5_beta1.csv":
-                "c4a33fe536e04596bb0ef37d6de6090c07179cb12f236564163da386daa33697",
+                "4eb18c777cf9bf6812d591f1abb4bb258e8d1ee8b6b7abba095f967e2d223552",
         },
     ),
     (

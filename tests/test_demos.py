@@ -25,8 +25,8 @@ _RUN = ("import runpy, sys; sys.modules['scipy'] = None; "
 @pytest.mark.parametrize("name,want", [
     ("01_memory_kernel.py", "48dc75ed8a2bfa43f638db767075f2bf0fc9bfc7263073ce8f9fdacd7a7fdb4a"),
     ("02_exact_theory.py", "75084a42ceb05564c6402b4f82c169dff5246a34a0b107f3cd6f4df0558507ea"),
-    ("03_monte_carlo.py", "94c27e71a87a9b6b7010f21ff5d44ed578432af739575caffdb9974f63390b25"),
-    ("04_couplings.py", "77ca3ec593e30ddc95a5dab15a3413867f6de3a0be220b4011a60ed8910ba3e6"),
+    ("03_monte_carlo.py", "7b5cb0eb310ef8891f31989d2630e83c1b9fbf4b55527afe7f1b7fc7bd4b3cc0"),
+    ("04_couplings.py", "0be027cf3a2b5082ce0d9e06c7359cbabf7192d43b289fb0f43a266dd53e4f64"),
 ])
 def test_demo_stdout_pinned(name, want):
     src = str(Path(erwalk.__file__).resolve().parents[1])

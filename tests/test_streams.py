@@ -160,6 +160,17 @@ class TestPhiloxKernel:
             got, want = self.both(seed, start, count, offset, length)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("skip", range(4))
+    def test_rekeyed_rows_at_keys_past_2_63(self, skip):
+        # the re-keyed fill sets the key as Python ints; seeds and indices of
+        # 2**63 and more do not fit an int64, and must keep every bit
+        keys = np.array([2**63, 2**63 + 5, 2**64 - 1], dtype=np.uint64)
+        for seed in (2**63, 2**64 - 1):
+            got = np.empty((3, 9))
+            _rekeyed_rows(seed, keys, 8 + skip, got)
+            for row, index in zip(got, keys.tolist()):
+                assert np.array_equal(row, replicate_stream(seed, index).random(17 + skip)[8 + skip:])
+
     @pytest.mark.parametrize("offset", [CARRY_OFFSET, CARRY_OFFSET + 3, 2**66 - 1])
     def test_counter_carry(self, offset):
         # the window's counters pass 2**64, so word 0 carries into word 1;

@@ -18,7 +18,7 @@ from erwalk.analysis import chi_square_two_sample, chi_square_vs_law
 from erwalk.exact import enumerate_law, exact_mean_xi, lower_bound_prob_one
 from erwalk.gammaratio import c_values, log_poch, poch_ratio
 from erwalk.memory import MemoryLaw
-from erwalk.streams import replicate_stream, uniform_rows
+from erwalk.streams import replicate_stream
 from erwalk.walkers import ModelParams, geometric_checkpoints, run_ensemble, run_walk
 
 
@@ -29,15 +29,24 @@ def _coupled(params, n_steps, n_replicates, seed, **kw):
     return res.arrays["xi"], res.arrays["xi_lerw"]
 
 
-def _scalar_collapsed(params, n_steps, rng):
-    """The collapsed chain one step and one draw at a time: Xi_n and Sigma_n
-    for n = 1, ..., n_steps, the oracle of the collapsed engine."""
+def _step_draws(seed, n, first, length):
+    """Draws first, ..., first + length - 1 of the stream keyed (seed, n): the
+    draws of transition n in the per-step engines, read off one Generator."""
+    gen = replicate_stream(seed, n)
+    gen.bit_generator.advance(first // 4)  # a Philox block is four draws
+    return gen.random(first % 4 + length)[first % 4:]
+
+
+def _scalar_collapsed(params, n_steps, seed, r):
+    """Replicate r of the collapsed chain one step and one draw at a time:
+    Xi_n and Sigma_n for n = 1, ..., n_steps, the oracle of the collapsed
+    engine.  Transition n reads draw r of the stream keyed (seed, n)."""
     xi, sigma, mu_next = 1, 1.0, 1.0 + params.beta  # X_1 = 1, mu_2 = 1 + beta
     xs, sigmas = [xi], [sigma]
     for n in range(1, n_steps):
         pi = params.rate * sigma / (n * mu_next)
         assert pi <= params.p + walkers._GUARD_EPS
-        x = 1 if rng.random() < pi else 0
+        x = 1 if _step_draws(seed, n, r, 1)[0] < pi else 0
         xi += x
         sigma += x * mu_next
         mu_next *= (n + 1 + params.beta) / (n + 1)
@@ -46,14 +55,15 @@ def _scalar_collapsed(params, n_steps, rng):
     return xs, sigmas
 
 
-def _scalar_full(params, n_steps, rng):
-    """The walk with its whole history: each step recalls a time k by
-    inverting the memory CDF (`MemoryLaw.sample`), then flips the retention
-    coin; Xi_n for n = 1, ..., n_steps, the oracle of the full engine."""
+def _scalar_full(params, n_steps, seed, r):
+    """Replicate r of the walk with its whole history: each step recalls a
+    time k by inverting the memory CDF (`MemoryLaw.sample`), then flips the
+    retention coin; Xi_n for n = 1, ..., n_steps, the oracle of the full
+    engine.  Transition n reads draws 2r and 2r + 1 of the stream (seed, n)."""
     hist = [1]
     for n in range(1, n_steps):
-        k = MemoryLaw(params.beta, n).sample(rng.random())
-        coin = rng.random()
+        u, coin = _step_draws(seed, n, 2 * r, 2)
+        k = MemoryLaw(params.beta, n).sample(u)
         hist.append(1 if (coin < params.p and hist[k - 1]) else 0)
     return np.cumsum(hist).tolist()
 
@@ -154,9 +164,9 @@ class TestScalarSteps:
         assert hits / 20000 == pytest.approx(0.35, abs=4.5 * se)
 
     def test_collapsed_step_updates(self):
-        # the first draw of a replicate against pi_1 = 0.5 decides its step
+        # replicate r's draw of transition 1 against pi_1 = 0.5 decides its step
         pms = ModelParams(0.5, 1.0)
-        u = uniform_rows(3, np.arange(40), 0, 1)[:, 0]
+        u = _step_draws(3, 1, 0, 40)
         up, down = int(np.flatnonzero(u < 0.5)[0]), int(np.flatnonzero(u >= 0.5)[0])
         traj = run_walk(pms, 2, seed=3, replicate_index=up, mode="collapsed")
         assert (traj.n[-1], traj.xi[-1]) == (2, 2)
@@ -211,12 +221,12 @@ class TestRunWalk:
         assert traj.xi[0] == 1
 
     def test_matches_scalar_stepping(self):
-        # the engine and a scalar loop over the same stream consume uniforms
+        # the engine and a scalar loop over the same streams consume uniforms
         # identically, so replicate 5 must reproduce bit for bit
         pms = ModelParams(0.45, 0.8)
         traj = run_walk(pms, 120, seed=31, checkpoints=np.arange(1, 121),
                         replicate_index=5, mode="collapsed")
-        xs, sigmas = _scalar_collapsed(pms, 120, replicate_stream(31, 5))
+        xs, sigmas = _scalar_collapsed(pms, 120, 31, 5)
         assert np.array_equal(traj.xi, xs)
         assert np.array_equal(traj.sigma, sigmas)
 
@@ -224,7 +234,7 @@ class TestRunWalk:
         pms = ModelParams(0.45, 0.8)
         traj = run_walk(pms, 40, seed=13, checkpoints=np.arange(1, 41),
                         mode="full", replicate_index=2)
-        assert np.array_equal(traj.xi, _scalar_full(pms, 40, replicate_stream(13, 2)))
+        assert np.array_equal(traj.xi, _scalar_full(pms, 40, 13, 2))
 
     def test_full_state_sigma_consistency(self):
         # Sigma_n = sum of mu_k over the up-steps k <= n
@@ -361,13 +371,14 @@ class TestEnsembles:
         assert chi_square_two_sample(*xi) > 1e-3
         assert abs(xi[0].mean() - xi[1].mean()) < 0.1
 
-    # sha256 of the checkpoint arrays, pinned from the engines that built one
-    # Generator per replicate; the checkpoints straddle draw 2048, the
-    # segment length when they were pinned.
+    # sha256 of the checkpoint arrays, re-pinned when the per-step engines'
+    # draws moved to one stream per time step, once the law and blocking
+    # tests of TestStepMajorStreams passed; the checkpoints straddle step
+    # 2048, the segment length of the first pins.
     @pytest.mark.parametrize("mode,want", [
-        ("collapsed", "95512c7c000888d7acf625e2b7ae8d220beac896897690c4982c7dc8eb8c6d6e"),
-        ("full", "f5a09b89cf0b51b4e6974870a38198b1d581978e19232d988dcd483bac0a52c3"),
-        ("coupled", "9dd6646b17e70f732a42fd5c8c63362083b9720b29fc884daa5a192c1c68de89"),
+        ("collapsed", "8f820cbd8fb0e1e1ded9e0c91f58536d765499d636c605a3c488a73b50dc5565"),
+        ("full", "222937794ca26a242a8ab6363c245b48e1946bf3eec4f304bfeac02e1508b97f"),
+        ("coupled", "5edec42328d739773236f366642d40a7311f3078245672199dc84a18496edf6c"),
     ])
     def test_golden_digests(self, monkeypatch, mode, want):
         monkeypatch.setattr(walkers, "_BLOCK_SIZE", 16)
@@ -384,12 +395,12 @@ class TestEnsembles:
                                     checkpoints=[1, 2, 2048, 2049, 2050, 2100]))
         assert got == want
 
-    # the same pins across the segment boundaries of 2000 uniforms (1000
-    # steps in full mode), computed with the per-step engines of 2048
+    # the same pins at checkpoints around steps 2000 and 4000 (1000 and 2000
+    # in full mode), the segment ends of the layout they were first pinned on
     @pytest.mark.parametrize("mode,want", [
-        ("collapsed", "81bc7b4b3add17f849f5103f56f64a98643ea627a6174d9d2a2b2d488313c86c"),
-        ("full", "fc20f6f2e2f6c420877d080760deef798b316debc8616590d5fc5c9a4ef5703f"),
-        ("coupled", "09cfc3caa04fd09db7352472201636668fd5d4d1da69a9a8959bea9845b6ba66"),
+        ("collapsed", "05f8ac3593515d239c9ed2c6f4973914aa6e6a537935f62309a761b734f774ba"),
+        ("full", "ffcdac048620b4bfbefa1810648e8415ae9fdbd33a07634f16090f2943d98a7b"),
+        ("coupled", "acfbb19cc3d757d47ad9a94ddd2920fd74cecc42483e6e64d6ef306d5cf77369"),
     ])
     def test_golden_digests_segment_2000(self, monkeypatch, mode, want):
         monkeypatch.setattr(walkers, "_BLOCK_SIZE", 16)
@@ -442,10 +453,10 @@ class TestEnsembles:
 
 
 def _per_step_collapsed_block(plan, start, count):
-    """The collapsed engine as one numpy pass per time step, with its own
-    segments of 2048 draws and no driver: the reference for
-    `walkers._collapsed_block`.  It reads the plan's inputs and mu, and forms
-    coef and the guard bound itself."""
+    """The collapsed engine as one numpy pass per time step, with each step's
+    draws read off its own Generator (seed, n) and no driver: the reference
+    for `walkers._collapsed_block`.  It reads the plan's inputs and mu, and
+    forms coef and the guard bound itself."""
     params, mu, n_steps, seed = plan.params, plan.mu, plan.n_steps, plan.seed
     cps, record = plan.checkpoints, plan.record
     cp_set = {int(c): i for i, c in enumerate(cps)}
@@ -473,27 +484,19 @@ def _per_step_collapsed_block(plan, start, count):
             out["a"][:, i] = a
 
     snapshot(1)
-    if n_steps == 1:
-        return out
     guard = params.p + walkers._GUARD_EPS
-    t = 1  # current time; transition t -> t+1 consumes draw t-1 of each replicate
-    buf = np.empty((count, 2048 + 8), dtype=np.float64)
-    while t < n_steps:
-        seg = min(2048, n_steps - t)
-        uniform_rows(seed, np.arange(start, start + count), t - 1, seg, out=buf)
-        for col in range(seg):
-            coef = params.rate / (t * mu[t])  # mu[t] = mu_{t+1}
-            pi = coef * sigma
-            if not pi.max() <= guard:  # a NaN fails too
-                raise RuntimeError(
-                    f"internal consistency violated: pi_n > p at n = {t}"
-                )
-            x = buf[:, col] < pi
-            xi += x
-            sigma += x * mu[t]
-            a += pi
-            t += 1
-            snapshot(t)
+    for t in range(1, n_steps):  # transition t -> t+1 reads draw r of stream (seed, t)
+        coef = params.rate / (t * mu[t])  # mu[t] = mu_{t+1}
+        pi = coef * sigma
+        if not pi.max() <= guard:  # a NaN fails too
+            raise RuntimeError(
+                f"internal consistency violated: pi_n > p at n = {t}"
+            )
+        x = _step_draws(seed, t, start, count) < pi
+        xi += x
+        sigma += x * mu[t]
+        a += pi
+        snapshot(t + 1)
     return out
 
 
@@ -544,7 +547,7 @@ class TestCollapsedKernel:
         data=st.data(),
     )
     @example(p=0.5, beta=1.0, n_steps=2100, count=300, seed=3, start=0,
-             nan_at=None, data=None).via("critical, across the first segment end")
+             nan_at=None, data=None).via("critical, across tile ends")
     @example(p=0.003, beta=3.0, n_steps=700, count=17, seed=3, start=0,
              nan_at=400, data=None).via("a NaN mu where pi_n is tiny")
     def test_matches_per_step_loop(self, p, beta, n_steps, count, seed, start, nan_at,
@@ -588,6 +591,65 @@ _REGIME_PARAMS = [
     pytest.param(0.5, 1.0, id="critical"),
     pytest.param(0.5, 2.0, id="localized"),
 ]
+
+
+#: (p, beta) points of the per-step engines' law tests: negative, subcritical
+#: positive, critical and localized
+_LAW_POINTS = [(0.5, -0.5), (0.3, 0.4), (0.5, 1.0), (0.6, 2.5)]
+
+
+class TestStepMajorStreams:
+    """The per-step engines read transition n's draws from the stream keyed
+    (seed, n): the law they sample, and the bits of a replicate under any
+    blocking.  The seeds were fixed before any of these runs."""
+
+    @pytest.mark.parametrize("mode", ["collapsed", "full"])
+    @pytest.mark.parametrize("n", [12, 16])
+    @pytest.mark.parametrize("p,beta", _LAW_POINTS)
+    def test_law_matches_enumeration(self, mode, n, p, beta):
+        pms = ModelParams(p, beta)
+        res = run_ensemble(pms, n, 10**5, seed=2801, checkpoints=[n], mode=mode,
+                           record=("xi",))
+        law, _ = enumerate_law(pms, n)
+        p_val = chi_square_vs_law(res.arrays["xi"][:, -1], law)
+        assert p_val > 1e-3, f"{mode} law rejected: p = {p_val}"
+
+    @pytest.mark.parametrize("mode", ["collapsed", "full"])
+    @pytest.mark.parametrize("p,beta", _REGIME_PARAMS)
+    def test_means_against_exact(self, mode, p, beta):
+        # E[A_n] = E[Xi_n]: Xi_n - A_n is a martingale started at 0
+        pms, n = ModelParams(p, beta), 2000
+        res = run_ensemble(pms, n, 2000, seed=2802, checkpoints=[n], mode=mode,
+                           record=("xi", "a"))
+        want = exact_mean_xi(n, pms)
+        for name in ("xi", "a"):
+            x = res.arrays[name][:, -1]
+            se = x.std(ddof=1) / math.sqrt(len(x))
+            assert x.mean() == pytest.approx(want, abs=4.5 * se), name
+
+    @pytest.mark.parametrize("mode", ["collapsed", "full"])
+    def test_replicate_bits_under_any_blocking(self, monkeypatch, mode):
+        # one block of 300 (tiles of 436 collapsed or 218 full steps), blocks
+        # of 16 (one tile), two workers, and single walks at indices whose
+        # first draw sits at every lane of a Philox block (the offset % 4 skip)
+        pms, n, reps = ModelParams(0.45, 0.8), 2100, 300
+        rec, cps = ("xi", "sigma", "a"), [1, 2, 7, 436, 437, 1000, 2000, 2001, n]
+
+        def run(block_size=walkers._BLOCK_SIZE, workers=1):
+            monkeypatch.setattr(walkers, "_BLOCK_SIZE", block_size)
+            res = run_ensemble(pms, n, reps, seed=2803, checkpoints=cps, mode=mode,
+                               record=rec, workers=workers)
+            return [res.arrays[k] for k in rec]
+
+        want = run()
+        for kw in ({"block_size": 16}, {"block_size": 64, "workers": 2}):
+            for x, y in zip(want, run(**kw)):
+                assert np.array_equal(x, y), kw
+        for j in (1, 2, 3, 37, reps - 1):
+            traj = run_walk(pms, n, seed=2803, checkpoints=cps, mode=mode,
+                            replicate_index=j)
+            for x, y in zip(want, (traj.xi, traj.sigma, traj.a)):
+                assert np.array_equal(x[j], y), j
 
 
 class TestEventsEngine:
