@@ -28,6 +28,9 @@ SHAPES = st.one_of(
     st.tuples(st.integers(_KERNEL_MIN_ROWS - 2, _KERNEL_MIN_ROWS + 2), st.one_of(st.integers(0, 9), _NEAR_MAX)),
     st.tuples(st.integers(_PAST_CHUNK, _PAST_CHUNK + 300), _NEAR_MAX),
 )
+#: a block the array kernel fills at up to _KERNEL_MAX_LENGTH draws a row,
+#: well above its row threshold (test_dispatch_on_shape checks that it does)
+KERNEL_BLOCK = 256
 #: the last offset below 2**66 whose counters pass 2**64 within 20 draws
 CARRY_OFFSET = 4 * (2**64 - 1) - 8
 
@@ -102,7 +105,7 @@ class TestUniforms:
         with pytest.raises(ValueError):
             run_rows(1, 0, 2, 0, 5, out=np.empty(shape))
 
-    @pytest.mark.parametrize("count", [2, _KERNEL_MIN_ROWS])  # re-keyed and kernel
+    @pytest.mark.parametrize("count", [2, KERNEL_BLOCK])  # re-keyed and kernel
     @pytest.mark.parametrize("make", [
         lambda c: np.zeros((c, 7), dtype=np.float32),
         lambda c: np.zeros((c, 7), dtype=np.int64),
@@ -122,6 +125,9 @@ class TestUniforms:
         (_KERNEL_MIN_ROWS, 11, True),
         (_KERNEL_MIN_ROWS, _KERNEL_MAX_LENGTH, True),
         (_KERNEL_MIN_ROWS, _KERNEL_MAX_LENGTH + 1, False),
+        (KERNEL_BLOCK, 11, True),
+        (KERNEL_BLOCK, _KERNEL_MAX_LENGTH, True),
+        (KERNEL_BLOCK, _KERNEL_MAX_LENGTH + 1, False),
         (2048, 2000, False),
     ])
     def test_dispatch_on_shape(self, monkeypatch, count, length, kernel):
@@ -188,7 +194,7 @@ class TestReplicateStream:
 
 
 class TestUniformRows:
-    @pytest.mark.parametrize("count", [3, _KERNEL_MIN_ROWS + 1])  # re-keyed, kernel
+    @pytest.mark.parametrize("count", [3, KERNEL_BLOCK + 1])  # re-keyed, kernel
     def test_rows_of_any_replicates(self, count):
         rng = np.random.default_rng(0)
         keys = rng.integers(0, 2**64, size=count, dtype=np.uint64)
