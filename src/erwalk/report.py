@@ -19,25 +19,25 @@ Every gate is a pure function of its regime, parameters, seed, scale and
 level, so `run_gates` may run them in any order.  A battery that holds one
 of the two collapsed-engine gates (any battery with negative_beta) and
 runs at least _FAN_OUT_MIN_REPS = 500 replicates per ensemble (scale 0.25
-and up) fans out over a pool of forked processes, one per CPU this process
-may run on and at most one per gate: two on a 2-core host.  Smaller or
-lighter batteries, a single CPU, or a platform without "fork" run the
-gates in the calling process, one after another.  Either way the results
-are collected in battery order, so stdout and report.json do not depend
-on the worker count.  The workers' memory is not in the parent's peak
-RSS (`RUSAGE_SELF`); it shows under `RUSAGE_CHILDREN`.
+and up) fans out over a pool of forked processes (`walkers._fan_out`,
+which `erwalk exact` shares), one per CPU this process may run on and at
+most one per gate: two on a 2-core host.  Smaller or lighter batteries, a
+single CPU, or a platform without "fork" run the gates in the calling
+process, one after another.  Either way the results are collected in
+battery order, so stdout and report.json do not depend on the worker
+count.  The workers' memory is not in the parent's peak RSS
+(`RUSAGE_SELF`); it shows under `RUSAGE_CHILDREN`.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis, branching, exact
+from . import analysis, branching, exact, walkers
 from .walkers import ModelParams, geometric_checkpoints, run_ensemble
 
 __all__ = ["Gate", "run_gates", "REGIMES"]
@@ -169,9 +169,9 @@ def run_gates(regimes=None, seed: int = 20240801, scale: float = 1.0, level: flo
 
     Every gate is a task, a function of this module and its arguments,
     listed in battery order.  The tasks run in this process, or over a
-    forked process pool (`_fan_out`) when the battery holds a slow gate,
-    runs at least _FAN_OUT_MIN_REPS replicates per ensemble and more than
-    one CPU is available.  Both give the same gates in the same order.
+    forked process pool (`walkers._fan_out`) when the battery holds a slow
+    gate, runs at least _FAN_OUT_MIN_REPS replicates per ensemble and more
+    than one CPU is available.  Both give the same gates in the same order.
     """
     if regimes is None:
         regimes = REGIMES
@@ -228,41 +228,9 @@ def run_gates(regimes=None, seed: int = 20240801, scale: float = 1.0, level: flo
                                        max(200, int(1000 * scale)))),
         ]
 
-    workers = _pool_size(len(tasks))
+    workers = walkers._pool_size(len(tasks))
     if reps < _FAN_OUT_MIN_REPS or workers < 2 or not any(slow for slow, _, _ in tasks):
         return [fn(*args) for _, fn, args in tasks]
-    return _fan_out(tasks, workers)
-
-
-def _pool_size(n_tasks: int) -> int:
-    """Workers for `n_tasks` tasks: at most the CPUs this process may run on."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, n_tasks)
-
-
-def _fan_out(tasks, workers: int) -> list[Gate]:
-    """The gates of `tasks`, run over a pool of `workers` forked processes.
-
-    The slow tasks are submitted first, so that the others fill the
-    remaining workers, and the results are collected in battery order.
-    Forked workers inherit the parent's modules, so they import nothing
-    and see what the parent patched; spawned ones would re-import erwalk
-    (about 0.2 s each), so where "fork" is not available the tasks run in
-    this process.  A task that raises re-raises here, and the workers are
-    joined before this returns or raises.
-    """
-    import multiprocessing  # off the import path, as in walkers._run
-    from concurrent.futures import ProcessPoolExecutor
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return [fn(*args) for _, fn, args in tasks]
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        order = sorted(range(len(tasks)), key=lambda i: not tasks[i][0])
-        futures = {i: pool.submit(tasks[i][1], *tasks[i][2]) for i in order}
-        return [futures[i].result() for i in range(len(tasks))]
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+    # the slow tasks go first, so that the others fill the remaining workers
+    order = sorted(range(len(tasks)), key=lambda i: not tasks[i][0])
+    return walkers._fan_out([(fn, args) for _, fn, args in tasks], workers, order)

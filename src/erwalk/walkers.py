@@ -55,6 +55,7 @@ A single walk is a one-replicate run.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -634,6 +635,50 @@ def _longest_horizon(beta: float, n_max: int) -> int:
 def _check_workers(workers) -> None:
     if not (isinstance(workers, (int, np.integer)) and workers >= 1):
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+
+
+def _pool_size(n_tasks: int, per_cpu: int = 1) -> int:
+    """Workers for `n_tasks` tasks: 1 on a single CPU, else at most
+    `per_cpu` per CPU this process may run on and one per task.
+
+    `report` runs one worker per CPU (`report._FAN_OUT_MIN_REPS` has its
+    timings) and `erwalk exact` two (`cli._EXACT_WORKERS_PER_CPU`).
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    return 1 if cpus < 2 else min(per_cpu * cpus, n_tasks)
+
+
+def _fan_out(tasks, workers: int, order=None) -> list:
+    """The results of `tasks`, run over a pool of `workers` forked processes.
+
+    The fork pool of `report.run_gates` and `erwalk exact`.  A task is a
+    pair (function, arguments) whose result pickles; the callers decide
+    whether a run is worth a pool.  The tasks are submitted in `order`
+    (indices into `tasks`; task order by default) and their results
+    collected in task order, so a caller that writes them in that order
+    writes what it would have written running them itself.  Forked workers
+    inherit the parent's modules, so they import nothing and see what the
+    parent patched; spawned ones would re-import erwalk (about 0.2 s each),
+    so where "fork" is not available the tasks run in this process.  A task
+    that raises re-raises here, and the workers are joined before this
+    returns or raises.  Their memory is not in this process's peak RSS
+    (`RUSAGE_SELF`); it shows under `RUSAGE_CHILDREN`.
+    """
+    import multiprocessing  # off the import path, as in _run
+    from concurrent.futures import ProcessPoolExecutor
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(*args) for fn, args in tasks]
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = {i: pool.submit(tasks[i][0], *tasks[i][1])
+                   for i in (range(len(tasks)) if order is None else order)}
+        return [futures[i].result() for i in range(len(tasks))]
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _events_row_bytes(n_checkpoints: int, record) -> int:

@@ -1,6 +1,10 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+
+from erwalk import cli, report, walkers
 
 settings.register_profile(
     "ci",
@@ -14,3 +18,24 @@ settings.load_profile("ci")
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def fan_out(monkeypatch):
+    """Every battery with a slow gate, and every `erwalk exact` run of two or
+    more points with moments, fans out over two workers, whatever its size
+    and the host's CPUs; yields the list of task counts that did."""
+    pools = []
+    fan = walkers._fan_out
+
+    def recording(tasks, workers, order=None):
+        pools.append(len(tasks))
+        return fan(tasks, workers, order)
+
+    monkeypatch.setattr(report, "_FAN_OUT_MIN_REPS", 0)
+    monkeypatch.setattr(cli, "_EXACT_FAN_OUT_MIN_N", 0)
+    monkeypatch.setattr(walkers, "_pool_size", lambda n_tasks, per_cpu=1: min(2, n_tasks))
+    monkeypatch.setattr(walkers, "_fan_out", recording)
+    yield pools
+    # the pool is shut down and its workers joined, even after a raise
+    assert multiprocessing.active_children() == []

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -557,6 +558,11 @@ EXACT_GOLDEN = [
 ]
 
 
+#: the horizon from which `erwalk exact` may fan out, read before any test
+#: patches it
+EXACT_CUT = cli._EXACT_FAN_OUT_MIN_N
+
+
 class TestExactCommand:
     def test_mean_table_with_limit_column(self, tmp_path):
         rc = main(["exact", "--p", "0.5", "--beta", "2", "--n", "10000",
@@ -681,6 +687,161 @@ class TestExactCommand:
         with pytest.raises(SystemExit) as exc:
             main(["exact", "--badflag"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "args,want", EXACT_GOLDEN, ids=["critical", "json", "degree1", "localized", "localized-json"]
+    )
+    def test_pool_writes_the_golden_bytes(self, tmp_path, capsys, monkeypatch, fan_out,
+                                          args, want):
+        # every point of every case goes to the pool, even the ones the
+        # fan-out rule keeps in process
+        runs = []
+        for workers in (2, 1):
+            monkeypatch.setattr(cli, "_exact_workers", lambda *a, w=workers: w)
+            out = tmp_path / str(workers)
+            assert main(["exact", *args, "--out", str(out)]) == 0
+            digests = {
+                f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()
+            }
+            runs.append((digests, capsys.readouterr().out))
+        points = sum(name.startswith("exact_mean_") for name in want)
+        assert fan_out == [points]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == want
+        assert runs[0][1].count("\n") == points
+
+    def test_critical_line_fans_out_under_the_rule(self, tmp_path, capsys, fan_out):
+        # the forced cut and pool size, not a patched rule, send it out
+        args, want = EXACT_GOLDEN[0]
+        assert main(["exact", *args, "--out", str(tmp_path)]) == 0
+        assert fan_out == [3]
+        assert {
+            f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()
+        } == want
+        assert capsys.readouterr().out == (
+            "exact p0.3_beta0.428571: mean table at 64 checkpoints\n"
+            "exact p0.5_beta1: mean table at 64 checkpoints\n"
+            "exact p0.7_beta2.33333: mean table at 64 checkpoints\n"
+        )
+
+    def test_pool_worker_error_exit_2_leaves_nothing(self, tmp_path, capsys, fan_out):
+        # the second point raises in its worker; the first one's results,
+        # already collected, are not written
+        out = tmp_path / "o"
+        rc = main(["exact", "--p", "0.5", "--beta", "1", "1e20", "--n", "200",
+                   "--degree", "1", "--out", str(out)])
+        assert rc == 2
+        assert fan_out == [2]
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err == (
+            "error: exponent 1e+20 exceeds 1e+06, the largest the direct Gamma-ratio"
+            " path takes before its log-Gamma difference loses digits\n"
+        )
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("args, cut", [
+        (["--p", "0.5", "--beta", "1", "--n", "1000", "--degree", "2"], 0),
+        (["--p", "0.3", "0.5", "--beta", "1", "2", "--n", "1000"], 0),
+        (["--p", "0.3", "0.5", "--beta", "1", "2", "--n", "1000", "--degree", "0",
+          "--enumerate"], 0),
+        (["--critical", "--p", "0.3", "0.5", "0.7", "--n", str(EXACT_CUT - 1),
+          "--degree", "1"], EXACT_CUT),
+    ], ids=["single-point", "degree-0", "degree-0-enumerate", "below-the-cut"])
+    def test_small_runs_build_no_pool(self, tmp_path, monkeypatch, fan_out, args, cut):
+        monkeypatch.setattr(cli, "_EXACT_FAN_OUT_MIN_N", cut)
+        assert main(["exact", *args, "--out", str(tmp_path)]) == 0
+        assert fan_out == []
+
+    def test_pool_from_the_cut_up(self, monkeypatch, fan_out):
+        monkeypatch.setattr(cli, "_EXACT_FAN_OUT_MIN_N", EXACT_CUT)
+        assert cli._exact_workers(3, EXACT_CUT - 1, 3) == 1
+        assert cli._exact_workers(3, EXACT_CUT, 3) == 2
+        assert cli._exact_workers(2, EXACT_CUT, 1) == 2
+        assert cli._exact_workers(2, EXACT_CUT, 0) == 1
+        assert cli._exact_workers(1, EXACT_CUT, 3) == 1
+        assert fan_out == []
+
+    @pytest.mark.parametrize("command, values, clash", [
+        ("exact", ["--p", "0.5", "0.5000001", "--beta", "1"],
+         "(0.5, 1.0) and (0.5000001, 1.0) would write the same files (p0.5_beta1)"),
+        ("exact", ["--p", "0.5", "0.5", "--beta", "1"],
+         "(0.5, 1.0) and (0.5, 1.0) would write the same files (p0.5_beta1)"),
+        ("exact", ["--p", "0.4", "--beta", "2", "1", "2.0000001"],
+         "(0.4, 2.0) and (0.4, 2.0000001) would write the same files (p0.4_beta2)"),
+        ("exact", ["--critical", "--p", "0.5", "0.50000001"],
+         "(0.5, 1.0) and (0.50000001, 1.000000040000001) would write the same files"
+         " (p0.5_beta1)"),
+        ("simulate", ["--p", "0.5", "0.5000001", "--beta", "1", "--seed", "1",
+                      "--replicates", "10"],
+         "(0.5, 1.0) and (0.5000001, 1.0) would write the same files (p0.5_beta1)"),
+        ("simulate", ["--p", "0.5", "--beta", "1", "1", "--seed", "1",
+                      "--replicates", "10"],
+         "(0.5, 1.0) and (0.5, 1.0) would write the same files (p0.5_beta1)"),
+    ], ids=["exact-p", "exact-p-repeated", "exact-beta", "exact-critical", "simulate-p",
+            "simulate-beta-repeated"])
+    def test_grid_points_sharing_a_file_exit_2_before_any_run(
+        self, tmp_path, capsys, monkeypatch, command, values, clash
+    ):
+        calls = []
+        for mod, name in ((cli.exact, "_mean_table"), (cli, "run_ensemble")):
+            monkeypatch.setattr(mod, name, lambda *a, **k: calls.append(a))
+        out = tmp_path / "o"
+        assert main([command, *values, "--n", "100", "--out", str(out)]) == 2
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err == f"error: grid points (p, beta) = {clash}\n"
+        assert calls == []
+        assert not out.exists()
+
+    def test_grid_from_a_config_file_checked_for_clashes(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": [0.3, 0.3], "beta": 1}))
+        out = tmp_path / "o"
+        assert main(["exact", "--config", str(cfg), "--n", "100", "--out", str(out)]) == 2
+        assert "would write the same files (p0.3_beta1)" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", [
+        ["--critical", "--beta", "3"],
+        ["--critical", "--beta", "1"],
+        ["--critical", {"beta": 3}],
+        ["--critical", {"beta": 1.0}],
+        ["--beta", "3", {"critical": True}],
+        [{"critical": True, "beta": [1, 2]}],
+    ], ids=["flag", "flag-default-value", "config", "config-default-value",
+            "critical-in-config", "both-in-config"])
+    def test_beta_with_critical_exit_2_before_any_work(
+        self, tmp_path, capsys, monkeypatch, source
+    ):
+        calls = []
+        monkeypatch.setattr(cli.exact, "_mean_table", lambda *a: calls.append(a))
+        args = []
+        for item in source:
+            if isinstance(item, dict):
+                cfg = tmp_path / "cfg.json"
+                cfg.write_text(json.dumps(item))
+                args += ["--config", str(cfg)]
+            else:
+                args.append(item)
+        out = tmp_path / "o"
+        assert main(["exact", "--p", "0.5", "--n", "1000", *args, "--out", str(out)]) == 2
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err == (
+            "error: beta cannot be given with critical, which sets beta = p/(1-p)\n"
+        )
+        assert calls == []
+        assert not out.exists()
+
+    def test_critical_without_beta_in_a_config_file(self, tmp_path):
+        # the default beta is not a given one
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"critical": True, "p": [0.5]}))
+        assert main(["exact", "--config", str(cfg), "--n", "1000", "--out",
+                     str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "exact_mean_p0.5_beta1.csv").exists()
 
 
 class TestReportCommand:
@@ -897,6 +1058,22 @@ def test_import_loads_no_heavy_scipy():
     loaded = proc.stdout.split()
     assert "erwalk.cli" in loaded
     assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+def test_import_loads_no_pool_module():
+    # a fork pool is built only for a run that fans out, so its modules stay
+    # out of every command's start-up
+    code = (
+        "import sys, erwalk, erwalk.cli\n"
+        "print('\\n'.join(sorted(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=_src_env(), capture_output=True,
+        text=True, check=True,
+    )
+    loaded = proc.stdout.split()
+    assert "erwalk.cli" in loaded
+    assert [m for m in loaded if m.split(".")[0] in ("multiprocessing", "concurrent")] == []
 
 
 def test_runs_import_no_new_module(tmp_path):

@@ -1,5 +1,3 @@
-import multiprocessing
-
 import numpy as np
 import pytest
 
@@ -9,25 +7,6 @@ from erwalk import cli, report
 @pytest.fixture
 def in_process(monkeypatch):
     monkeypatch.setattr(report, "_FAN_OUT_MIN_REPS", 1 << 62)
-
-
-@pytest.fixture
-def fan_out(monkeypatch):
-    """Every battery with a slow gate fans out over two workers, whatever its
-    size and the host's CPUs; yields the list of battery sizes that did."""
-    pools = []
-    fan = report._fan_out
-
-    def recording(tasks, workers):
-        pools.append(len(tasks))
-        return fan(tasks, workers)
-
-    monkeypatch.setattr(report, "_FAN_OUT_MIN_REPS", 0)
-    monkeypatch.setattr(report, "_pool_size", lambda n_tasks: min(2, n_tasks))
-    monkeypatch.setattr(report, "_fan_out", recording)
-    yield pools
-    # the pool is shut down and its workers joined, even after a raise
-    assert multiprocessing.active_children() == []
 
 
 def test_sparse_ensembles_run_on_events(monkeypatch, in_process):
