@@ -597,9 +597,7 @@ def simulate_ensemble(params: BranchingParams, n_runs: int, seed: int) -> Branch
         1 <= n_runs <= 1 << _RUN_BITS
     ):
         raise ValueError(f"n_runs must be an integer in [1, 2**{_RUN_BITS}], got {n_runs!r}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    _check_key(int(seed), 0)
+    _check_key(seed, 0)
     if params.max_gen > 1 << _GEN_BITS or params.max_pop > 1 << _RANK_BITS:
         raise ValueError(
             f"max_gen must be at most 2**{_GEN_BITS} and max_pop at most 2**{_RANK_BITS}"

@@ -13,14 +13,12 @@ ERWALK_OUT_DIR to change the default output directory.  Outputs are
 deterministic given (config, seed) and carry a metadata header.  A grid
 whose points would write files of the same name is refused before any run.
 
-`exact` computes every parameter point before it writes a file.  A run of
-two or more points with moments (degree >= 1) to n >= _EXACT_FAN_OUT_MIN_N
-= 500000 computes them over the fork pool that `report` uses
-(`walkers._fan_out`), one worker per point and at most two per CPU; any
-other run, a single CPU or a platform without "fork" computes them in this
-process.  The files and stdout are
-byte-identical either way.  The workers' memory is not in this process's
-peak RSS (`RUSAGE_SELF`); it shows under `RUSAGE_CHILDREN`.
+`exact` computes every parameter point, as tasks of `walkers._fan_out`,
+before it writes a file, so the files and stdout do not depend on the
+worker count.  A run of two or more points with moments (degree >= 1) to
+n >= _EXACT_FAN_OUT_MIN_N = 500000 gets one worker per point and at most
+two per CPU (`_exact_workers`); any other run gets one, which computes the
+points in this process.
 """
 
 from __future__ import annotations
@@ -349,11 +347,7 @@ def _cmd_exact(args, written: list) -> int:
     tasks = [(_exact_point, (params, n_max, degree, cps, law_n)) for params in grid]
     # every point is computed before any file is written, here or in the
     # pool, so the files and stdout do not depend on where they ran
-    workers = _exact_workers(len(tasks), n_max, degree)
-    if workers > 1:
-        results = walkers._fan_out(tasks, workers)
-    else:
-        results = [fn(*point_args) for fn, point_args in tasks]
+    results = walkers._fan_out(tasks, _exact_workers(len(tasks), n_max, degree))
     for params, (means, lim, moments, law) in zip(grid, results):
         tag = _tag(params)
         write, ext = _writer("mean_table", cfg)

@@ -16,17 +16,14 @@ are keyed through `streams` like the ensembles', so no gate draws from an
 unkeyed Generator.
 
 Every gate is a pure function of its regime, parameters, seed, scale and
-level, so `run_gates` may run them in any order.  A battery that holds one
-of the two collapsed-engine gates (any battery with negative_beta) and
+level, so `run_gates` may run them in any order.  They run as tasks of
+`walkers._fan_out`, which collects the results in battery order, so stdout
+and report.json do not depend on the worker count.  A battery that holds
+one of the two collapsed-engine gates (any battery with negative_beta) and
 runs at least _FAN_OUT_MIN_REPS = 500 replicates per ensemble (scale 0.25
-and up) fans out over a pool of forked processes (`walkers._fan_out`,
-which `erwalk exact` shares), one per CPU this process may run on and at
-most one per gate: two on a 2-core host.  Smaller or lighter batteries, a
-single CPU, or a platform without "fork" run the gates in the calling
-process, one after another.  Either way the results are collected in
-battery order, so stdout and report.json do not depend on the worker
-count.  The workers' memory is not in the parent's peak RSS
-(`RUSAGE_SELF`); it shows under `RUSAGE_CHILDREN`.
+and up) gets one worker per CPU this process may run on and at most one
+per gate: two on a 2-core host.  Any other battery gets one worker, which
+runs the gates in this process.
 """
 
 from __future__ import annotations
@@ -168,10 +165,9 @@ def run_gates(regimes=None, seed: int = 20240801, scale: float = 1.0, level: flo
     """Run the gate battery for the requested regimes (all by default).
 
     Every gate is a task, a function of this module and its arguments,
-    listed in battery order.  The tasks run in this process, or over a
-    forked process pool (`walkers._fan_out`) when the battery holds a slow
-    gate, runs at least _FAN_OUT_MIN_REPS replicates per ensemble and more
-    than one CPU is available.  Both give the same gates in the same order.
+    listed in battery order and run by `walkers._fan_out` on the workers
+    the module docstring's rule gives.  Any worker count gives the same
+    gates in the same order.
     """
     if regimes is None:
         regimes = REGIMES
@@ -228,9 +224,8 @@ def run_gates(regimes=None, seed: int = 20240801, scale: float = 1.0, level: flo
                                        max(200, int(1000 * scale)))),
         ]
 
-    workers = walkers._pool_size(len(tasks))
-    if reps < _FAN_OUT_MIN_REPS or workers < 2 or not any(slow for slow, _, _ in tasks):
-        return [fn(*args) for _, fn, args in tasks]
+    pooled = reps >= _FAN_OUT_MIN_REPS and any(slow for slow, _, _ in tasks)
+    workers = walkers._pool_size(len(tasks)) if pooled else 1
     # the slow tasks go first, so that the others fill the remaining workers
     order = sorted(range(len(tasks)), key=lambda i: not tasks[i][0])
     return walkers._fan_out([(fn, args) for _, fn, args in tasks], workers, order)

@@ -84,10 +84,17 @@ _KERNEL_MAX_LENGTH = 48
 _KERNEL_CHUNK = 16384
 
 
+def _is_int(x) -> bool:
+    """True for Python ints and numpy integers; bools, floats and the rest are not."""
+    return type(x) is int or isinstance(x, np.integer)
+
+
 def _check_key(master_seed: int, start: int, count: int = 1) -> None:
-    if not 0 <= master_seed < _KEY_SPACE:
-        raise ValueError(f"master_seed must lie in [0, 2**64), got {master_seed}")
-    if start < 0 or count < 0 or start + count > _KEY_SPACE:
+    if not (_is_int(master_seed) and 0 <= master_seed < _KEY_SPACE):
+        raise ValueError(f"master_seed must be an integer in [0, 2**64), got {master_seed!r}")
+    if not (_is_int(start) and _is_int(count)):
+        raise ValueError(f"replicate indices must be integers, got {start!r} and {count!r}")
+    if start < 0 or count < 0 or int(start) + int(count) > _KEY_SPACE:
         raise ValueError("replicate indices must lie in [0, 2**64)")
 
 
@@ -121,8 +128,9 @@ def uniform_rows(
     _check_key(master_seed, 0)
     keys = keys.astype(np.uint64, copy=False)
     count = len(keys)
-    if offset < 0 or length < 0:
-        raise ValueError("offset and length must be nonnegative")
+    if not (_is_int(offset) and _is_int(length) and offset >= 0 and length >= 0):
+        raise ValueError(
+            f"offset and length must be nonnegative integers, got {offset!r} and {length!r}")
     if offset >= _MAX_OFFSET:
         raise ValueError(f"offset must be below 2**66, got {offset}")
     if out is None:

@@ -44,10 +44,10 @@ up-steps per step, else collapsed; the result records the engine that
 ran), and builds one `_Plan` of what every block reads:
 mu = c_values(beta, n_steps + 1), coef and the guard, O(n) doubles.
 Every engine is `engine(plan, start, count)`, run on blocks of
-replicates that `_run` sizes; a process pool gets the plan once per
-worker.  The per-step engines (collapsed and full) are a set-up
-plus a kernel that advances their state one step at a time from one time
-to a later one; `_drive` owns the draws, fills them a tile of steps at a
+replicates that `_run` sizes, in this process or as tasks of `_fan_out`,
+the package's one process pool.  The per-step engines (collapsed and
+full) are a set-up plus a kernel that advances their state one step at a
+time from one time to a later one; `_drive` owns the draws, fills them a tile of steps at a
 time, cuts time at tile ends and checkpoints, and records the checkpoints.
 A single walk is a one-replicate run.
 """
@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gammaratio import _DIRECT_MAX_XI, c_values, log_poch_ratio
-from .streams import _check_key, uniform_rows
+from .streams import _check_key, _is_int, uniform_rows
 
 __all__ = [
     "MAX_STEPS",
@@ -516,23 +516,23 @@ def _run(params, n_steps, seed, checkpoints, mode, record, start, count, workers
 
     Checks the key, counts, horizon, coupling rate, checkpoints, mode and
     fields before any work, resolves "auto", builds the call's `_Plan`,
-    then runs the engine on blocks of replicates, in a process pool when
-    workers > 1 and there are several blocks; the pool hands each worker
-    the plan once, so a block's task is (engine, start, count).  The
-    per-step engines take blocks of _BLOCK_SIZE.  The events engine takes as many rows as
-    _EVENTS_SCRATCH bytes of its per-row scratch allow, and at most
-    count / workers, so that every worker gets a block, as long as each
-    such block holds _BLOCK_SIZE rows: an ensemble of fewer than
-    2 _BLOCK_SIZE rows runs as one block.  A one-block run returns the
+    then runs the engine on blocks of replicates.  With workers > 1 and
+    several blocks, each block is a task (engine, (plan, start, count)) of
+    `_fan_out`; the plan is O(n) doubles, a small part of a block's work.
+    The per-step engines take blocks of _BLOCK_SIZE.  The events engine
+    takes as many rows as _EVENTS_SCRATCH bytes of its per-row scratch
+    allow, and at most count / workers, so that every worker gets a block,
+    as long as each such block holds _BLOCK_SIZE rows: an ensemble of fewer
+    than 2 _BLOCK_SIZE rows runs as one block.  A one-block run returns the
     engine's own arrays, with no pool; more blocks are copied one by one
     into the result.  Returns (checkpoints, engine, {field: C-contiguous
     array of shape (count, len(checkpoints))}).
     """
+    for name, value, least in (("n_steps", n_steps, 1), ("n_replicates", count, 1),
+                               ("replicate_index", start, 0)):
+        if not (_is_int(value) and value >= least):
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     _check_key(seed, start, count)
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    if count < 1:
-        raise ValueError("n_replicates must be >= 1")
     _check_workers(workers)
     if n_steps > MAX_STEPS:
         raise ValueError(f"n_steps = {n_steps} exceeds the cap MAX_STEPS = {MAX_STEPS}")
@@ -582,30 +582,14 @@ def _run(params, n_steps, seed, checkpoints, mode, record, start, count, workers
                 arrays[name] = np.empty((count, len(cps)), dtype=part[name].dtype)
             arrays[name][s - start : s - start + len(part[name])] = part[name]
 
-    if workers == 1:
+    if workers == 1:  # each block is placed, and freed, before the next runs
         for s, c in blocks:
             place(s, engine(plan, s, c))
     else:
-        from concurrent.futures import ProcessPoolExecutor  # off the import path
-
-        with ProcessPoolExecutor(workers, initializer=_set_worker_plan,
-                                 initargs=(plan,)) as pool:
-            futures = [(s, pool.submit(_run_block, engine, s, c)) for s, c in blocks]
-            for s, f in futures:
-                place(s, f.result())
+        parts = _fan_out([(engine, (plan, s, c)) for s, c in blocks], workers)
+        for (s, _), part in zip(blocks, parts):
+            place(s, part)
     return cps, mode, arrays
-
-
-_worker_plan = None  # the plan of the call that this pool worker serves
-
-
-def _set_worker_plan(plan: _Plan) -> None:
-    global _worker_plan
-    _worker_plan = plan
-
-
-def _run_block(engine, start, count):
-    return engine(_worker_plan, start, count)
 
 
 def _longest_horizon(beta: float, n_max: int) -> int:
@@ -633,7 +617,7 @@ def _longest_horizon(beta: float, n_max: int) -> int:
 
 
 def _check_workers(workers) -> None:
-    if not (isinstance(workers, (int, np.integer)) and workers >= 1):
+    if not (_is_int(workers) and workers >= 1):
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
 
 
@@ -654,20 +638,25 @@ def _pool_size(n_tasks: int, per_cpu: int = 1) -> int:
 def _fan_out(tasks, workers: int, order=None) -> list:
     """The results of `tasks`, run over a pool of `workers` forked processes.
 
-    The fork pool of `report.run_gates` and `erwalk exact`.  A task is a
-    pair (function, arguments) whose result pickles; the callers decide
-    whether a run is worth a pool.  The tasks are submitted in `order`
-    (indices into `tasks`; task order by default) and their results
-    collected in task order, so a caller that writes them in that order
-    writes what it would have written running them itself.  Forked workers
-    inherit the parent's modules, so they import nothing and see what the
-    parent patched; spawned ones would re-import erwalk (about 0.2 s each),
-    so where "fork" is not available the tasks run in this process.  A task
-    that raises re-raises here, and the workers are joined before this
-    returns or raises.  Their memory is not in this process's peak RSS
-    (`RUSAGE_SELF`); it shows under `RUSAGE_CHILDREN`.
+    The package's one process pool: `run_ensemble`'s blocks, the gates of
+    `report.run_gates` and the points of `erwalk exact` run here, each
+    caller deciding with its own rule whether a run is worth a pool.  A
+    task is a pair (function, arguments) whose arguments and result
+    pickle.  The tasks are submitted in `order` (indices into `tasks`;
+    task order by default) and their results collected in task order, so
+    a caller that writes them in that order writes what it would have
+    written running them itself.  With workers < 2 the tasks run in this
+    process, in task order.  Forked workers inherit the parent's modules,
+    so they import nothing and see what the parent patched; spawned ones
+    would re-import erwalk (about 0.2 s each), so where "fork" is not
+    available the tasks run in this process too.  A task that raises re-raises here, and the
+    workers are joined before this returns or raises.  Their memory is not
+    in this process's peak RSS (`RUSAGE_SELF`); it shows under
+    `RUSAGE_CHILDREN`.
     """
-    import multiprocessing  # off the import path, as in _run
+    if workers < 2:
+        return [fn(*args) for fn, args in tasks]
+    import multiprocessing  # off the import path
     from concurrent.futures import ProcessPoolExecutor
 
     if "fork" not in multiprocessing.get_all_start_methods():

@@ -24,12 +24,14 @@ def rng():
 def fan_out(monkeypatch):
     """Every battery with a slow gate, and every `erwalk exact` run of two or
     more points with moments, fans out over two workers, whatever its size
-    and the host's CPUs; yields the list of task counts that did."""
+    and the host's CPUs; yields the list of task counts that did.  A call of
+    `walkers._fan_out` with one worker runs in process and is not counted."""
     pools = []
     fan = walkers._fan_out
 
     def recording(tasks, workers, order=None):
-        pools.append(len(tasks))
+        if workers > 1:
+            pools.append(len(tasks))
         return fan(tasks, workers, order)
 
     monkeypatch.setattr(report, "_FAN_OUT_MIN_REPS", 0)

@@ -90,15 +90,48 @@ class TestUniforms:
         (1, 2**64 - 1, 2, 0, 3),  # replicate index 2**64
         (1, 0, 2, 2**66, 3),  # counter word 0 past 2**64 before the first block
         (1, 0, 300, 2**66 + 5, 3),  # the same for a block the kernel fills
+        (1.5, 0, 2, 0, 3),  # a float seed
+        (np.float64(1), 0, 2, 0, 3),  # an integral numpy float seed
+        (True, 0, 2, 0, 3),  # a bool seed
+        (1, 0, 2, 1.0, 3),  # a float offset
+        (1, 0, 2, False, 3),  # a bool offset
+        (1, 0, 2, 0, 3.0),  # a float length
+        (1, 0, 300, 0, np.float64(3)),  # the same for a block the kernel fills
+        (1, 0, 2, 0, True),  # a bool length
+        (1, 0.5, 2, 0, 3),  # a float start
+        (1, np.float64(2), 2, 0, 3),  # an integral numpy float start
+        (1, 0, 2.0, 0, 3),  # a float count
+        (1, 0, True, 0, 3),  # a bool count
     ])
     def test_rejects_bad_arguments(self, args):
         seed, start, count, offset, length = args
         with pytest.raises(ValueError):
-            if count < 0 or start + count > 2**64:
+            if not all(type(x) is int for x in (start, count)) or (
+                count < 0 or start + count > 2**64
+            ):
                 # a run's range of keys is checked once per call, before any block
                 _check_key(seed, start, count)
             else:
                 run_rows(*args)
+
+    @pytest.mark.parametrize("key", [
+        (-1, 0), (2**64, 0), (1.5, 0), (np.float64(1), 0), (True, 0),
+        (1, -1), (1, 2**64), (1, 1.0), (1, False),
+    ])
+    def test_stream_rejects_bad_keys(self, key):
+        with pytest.raises(ValueError):
+            replicate_stream(*key)
+
+    def test_numpy_integer_keys(self):
+        # numpy integers are keys like Python ints, to the top of the key space
+        top = 2**64 - 1
+        want = oracle(top, top - 2, 2, 5, 3)
+        got = uniform_rows(np.uint64(top), np.arange(top - 2, top, dtype=np.uint64),
+                           np.int64(5), np.uint8(3))
+        assert np.array_equal(got, want)
+        _check_key(np.uint64(top), np.uint64(top), np.int64(1))
+        assert replicate_stream(np.int64(3), np.uint64(top)).random() == (
+            replicate_stream(3, top).random())
 
     @pytest.mark.parametrize("shape", [(3, 5), (2, 4), (2,), (2, 5, 1)])
     def test_rejects_wrong_out_shape(self, shape):

@@ -2,7 +2,7 @@ import concurrent.futures
 import hashlib
 import inspect
 import math
-import pickle
+import multiprocessing
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -307,6 +307,38 @@ class TestEnsembles:
                 run_ensemble(ModelParams(0.5, 1.0), 50, 5000, seed=3, mode=mode,
                              workers=workers)
 
+    @pytest.mark.parametrize("run, name, value", [
+        (run_ensemble, "n_steps", 10.5), (run_ensemble, "n_steps", True),
+        (run_ensemble, "n_steps", np.float64(50)), (run_ensemble, "n_replicates", 2.5),
+        (run_ensemble, "n_replicates", True), (run_ensemble, "seed", 1.5),
+        (run_ensemble, "seed", True), (run_walk, "n_steps", 10.5), (run_walk, "seed", 1.7),
+        (run_walk, "replicate_index", 1.0), (run_walk, "replicate_index", False),
+    ])
+    def test_non_integer_counts_rejected_before_any_work(self, monkeypatch, run, name, value):
+        # an integral float or a bool is refused too, and the error names it
+        def no_work(*args, **kw):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(walkers, "c_values", no_work)
+        kw = {"n_steps": 50, "seed": 1, name: value}
+        if run is run_ensemble:
+            kw.setdefault("n_replicates", 30)
+        message = f"^{'master_seed' if name == 'seed' else name} must be an integer"
+        for mode in ("collapsed", "events"):
+            with pytest.raises(ValueError, match=message):
+                run(ModelParams(0.5, 1.0), mode=mode, **kw)
+
+    def test_numpy_integer_counts_accepted(self):
+        pms, top = ModelParams(0.5, 1.0), 2**64 - 1
+        want = run_ensemble(pms, 50, 30, seed=top, mode="collapsed")
+        got = run_ensemble(pms, np.int64(50), np.int32(30), seed=np.uint64(top),
+                           mode="collapsed", workers=np.int64(1))
+        for name in ("xi", "sigma"):
+            assert np.array_equal(got.arrays[name], want.arrays[name])
+        traj = run_walk(pms, np.int64(50), seed=np.uint64(top), replicate_index=np.int64(7),
+                        mode="collapsed")
+        assert np.array_equal(traj.xi, want.arrays["xi"][7])
+
     def test_full_horizon_capped_before_any_work(self, monkeypatch):
         def no_work(*args, **kw):
             raise AssertionError("work started")
@@ -323,31 +355,61 @@ class TestEnsembles:
             with pytest.raises(AssertionError, match="work started"):
                 call(cap)
 
-    @pytest.mark.parametrize("n", [64, 4096])
-    def test_pool_tasks_carry_no_plan(self, monkeypatch, n):
-        # each worker gets the plan once, from the pool's initializer, so a
-        # block's task (engine, start, count) is a few dozen bytes at any
-        # horizon; the plan itself, also in mode "full", is mu, coef and the
-        # checkpoints, about 16 bytes a step
-        sizes, plan_sizes = [], []
+    @pytest.mark.parametrize("mode, n, blocks", [
+        ("collapsed", 50, [(0, 64), (64, 64), (128, 64), (192, 64), (256, 44)]),
+        ("full", 50, [(0, 64), (64, 64), (128, 64), (192, 64), (256, 44)]),
+        ("events", 3000, [(0, 150), (150, 150)]),
+    ])
+    def test_pool_gets_one_task_per_block(self, monkeypatch, mode, n, blocks):
+        # with workers > 1 each block is one task (engine, (plan, start,
+        # count)) of walkers._fan_out, all sharing the call's plan; the
+        # arrays are those of workers = 1, which hands it nothing
+        handed = []
+        fan = walkers._fan_out
 
-        class PicklingPool(ThreadPoolExecutor):
-            def __init__(self, workers, initializer, initargs):
-                plan_sizes.append(len(pickle.dumps(initargs)))
-                super().__init__(workers, initializer=initializer, initargs=initargs)
+        def recording(tasks, workers, order=None):
+            handed.append((workers, tasks))
+            return fan(tasks, workers, order)
 
-            def submit(self, fn, /, *args, **kwargs):
-                sizes.append(len(pickle.dumps((fn, args, kwargs))))
-                return super().submit(fn, *args, **kwargs)
+        monkeypatch.setattr(walkers, "_fan_out", recording)
+        monkeypatch.setattr(walkers, "_BLOCK_SIZE", 64)
+        rec = ("xi", "sigma", "a")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", PicklingPool)
-        monkeypatch.setattr(walkers, "_worker_plan", None)
-        monkeypatch.setattr(walkers, "_BLOCK_SIZE", 2)
-        res = run_ensemble(ModelParams(0.5, 1.0), n, 4, seed=3, checkpoints=[n],
-                           mode="full", workers=2)
-        assert res.arrays["xi"].shape == (4, 1)
-        assert len(sizes) == 2 and max(sizes) < 4096, sizes
-        assert len(plan_sizes) == 1 and 16 * n < plan_sizes[0] < 16 * n + 2048, plan_sizes
+        def run(workers):
+            res = run_ensemble(ModelParams(0.5, 1.0), n, 300, seed=5, checkpoints=[1, 7, n],
+                               mode=mode, record=rec, workers=workers)
+            return [res.arrays[k] for k in rec]
+
+        want = run(1)
+        assert handed == []
+        got = run(2)
+        [(workers, tasks)] = handed
+        engine = walkers._ENGINES[mode][0]
+        assert workers == 2
+        assert [(fn, args[1:]) for fn, args in tasks] == [(engine, b) for b in blocks]
+        assert len({id(args[0]) for _, args in tasks}) == 1
+        for x, y in zip(want, got):
+            assert np.array_equal(x, y)
+
+    def test_no_fork_starts_no_pool(self, monkeypatch):
+        # where "fork" does not exist, workers > 1 runs the blocks in this
+        # process rather than spawn workers that would re-import erwalk
+        def no_pool(*args, **kw):
+            raise AssertionError("a process pool was started")
+
+        pms, rec = ModelParams(0.5, 1.0), ("xi", "sigma", "a")
+
+        def run(mode, workers):
+            res = run_ensemble(pms, 200, 5000, seed=5, mode=mode, record=rec,
+                               workers=workers)
+            return [res.arrays[k] for k in rec]
+
+        want = {mode: run(mode, 1) for mode in ("collapsed", "events")}
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        for mode, arrays in want.items():
+            for x, y in zip(arrays, run(mode, 2)):
+                assert np.array_equal(x, y), mode
 
     @pytest.mark.parametrize("beta", [-0.5, 0.8, 1.0, 3.0])
     def test_full_engine_cdf_rows(self, beta):
@@ -728,9 +790,12 @@ class TestEventsEngine:
         spy_on("events")
         spy_on("collapsed")
         # the spies cannot be pickled into worker processes; threads run the
-        # same submissions, and the pool's initializer sets this process's plan
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
-        monkeypatch.setattr(walkers, "_worker_plan", None)
+        # same submissions
+        class ThreadPool(ThreadPoolExecutor):
+            def __init__(self, workers, mp_context):
+                super().__init__(workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPool)
         pms = ModelParams(0.5, 1.0)
         runs = []
         for workers, want in ((1, [(0, 10**4)]), (2, [(0, 5000), (5000, 5000)])):
@@ -784,6 +849,24 @@ class TestEventsEngine:
         assert peak <= out + reps * 8 * (walkers._EVENT_FILL + 8) + (3 << 20)
         for x in res.arrays.values():
             assert x.flags.c_contiguous and x.shape == (reps, len(res.checkpoints))
+
+    def test_blocks_memory(self):
+        # in process, each block is placed in the result before the next one
+        # runs: the peak is the result, one block's arrays and its fill
+        # buffer (_TILE_DRAWS doubles) and a few doubles a replicate.  A block
+        # held over while the next one runs adds 0.9 MiB; a list of all the
+        # blocks, the result's 9 MiB
+        pms, n, reps = ModelParams(0.5, 1.0), 300, 10 * walkers._BLOCK_SIZE
+        run_ensemble(pms, n, 10, seed=3, mode="collapsed")
+        tracemalloc.start()
+        try:
+            res = run_ensemble(pms, n, reps, seed=3, mode="collapsed")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = sum(x.nbytes for x in res.arrays.values())
+        block = out // 10
+        assert peak <= out + block + 8 * walkers._TILE_DRAWS + (256 << 10)
 
     def test_fields_and_checkpoints_before_the_horizon(self):
         # each field's values do not depend on which others are recorded, or
