@@ -276,21 +276,27 @@ def _differential_check(params: ModelParams, cfg: dict, ran: str, xi_run=None) -
 
 
 #: the shortest horizon at which `erwalk exact` fans its parameter points
-#: out over a fork pool, when it has two or more points and degree >= 1.
+#: out over forked workers, when it has two or more points and degree >= 1.
 #: `exact --critical --p 0.3 0.5 0.7 --degree 3` timed inside `cli.main` in
-#: a fresh interpreter, medians of 7 alternating runs, in process against a
-#: 3-worker pool, 2-core VM: n = 1e5 0.039 against 0.064 s, 2e5 0.060
-#: against 0.079 s, 3e5 0.096 against 0.093 s, 5e5 0.133 against 0.108 s
-#: (the pool faster in all 7), 1e6 0.257 against 0.167 s (9 runs).  The
-#: pool costs about 0.03 s to start, feed and join.
+#: a fresh interpreter, medians of 7 alternating runs, in process against
+#: 3 workers, 2-core VM.  While the second vCPU ran in parallel (two forked
+#: CPU-bound loops took 0.9 to 1.5 times as long as one): n = 1e5 0.041
+#: against 0.045 s, 2e5 0.070 against 0.064 s, 3e5 0.100 against 0.080 s,
+#: 5e5 0.153 against 0.115 s, 1e6 0.312 against 0.197 s.  While it did not
+#: (the two loops took twice as long), the workers lost at every n: 1e5
+#: 0.056 against 0.084 s, 2e5 0.086 against 0.127 s, 3e5 0.123 against
+#: 0.164 s (9 runs each), 5e5 0.150 against 0.181 s, 1e6 0.288 against
+#: 0.323 s.  Forking, feeding and reaping three workers costs about 9 ms.
+#: Below 5e5 the gain is small where there is one and the loss is not, so
+#: the threshold stays.
 _EXACT_FAN_OUT_MIN_N = 500_000
 
 #: workers per CPU for `erwalk exact`'s fan-out, so one per point up to
-#: twice the CPUs.  Same runs at n = 1e6: 2 workers 0.205 s, 3 workers
-#: 0.167 s; the three tasks are equal, so three time-sliced workers keep
-#: both cores busy where two leave one idle for the last third of the run.
-#: Six critical points (p = 0.2, ..., 0.7), medians of 4 runs: 0.49 s in
-#: process, 0.31, 0.35 and 0.31 s on 2, 4 and 6 workers.
+#: twice the CPUs.  Same runs at n = 1e6, second vCPU in parallel: 2
+#: workers 0.238 s, 3 workers 0.197 s; the three tasks are equal, so three
+#: time-sliced workers keep both cores busy where two leave one idle for
+#: the last third of the run.  Six critical points (p = 0.2, ..., 0.7):
+#: 0.61 s in process, 0.38, 0.40 and 0.39 s on 2, 4 and 6 workers.
 _EXACT_WORKERS_PER_CPU = 2
 
 
@@ -347,7 +353,7 @@ def _cmd_exact(args, written: list) -> int:
     tasks = [(_exact_point, (params, n_max, degree, cps, law_n)) for params in grid]
     # every point is computed before any file is written, here or in the
     # pool, so the files and stdout do not depend on where they ran
-    results = walkers._fan_out(tasks, _exact_workers(len(tasks), n_max, degree))
+    results = list(walkers._fan_out(tasks, _exact_workers(len(tasks), n_max, degree)))
     for params, (means, lim, moments, law) in zip(grid, results):
         tag = _tag(params)
         write, ext = _writer("mean_table", cfg)

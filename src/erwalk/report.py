@@ -58,14 +58,20 @@ GOLDEN = {
 }
 
 #: the fewest replicates per ensemble at which a battery with a slow gate
-#: fans out over a process pool.  `erwalk report` timed inside `cli.main`
-#: in a fresh interpreter, medians of 5 to 7 runs, in-process against a
-#: 2-worker pool, 2-core VM: 200 replicates (scale 0.1) 0.099 against
-#: 0.139 s, 300 0.117 against 0.158 s, 500 0.142 against 0.131 s, 1000
-#: 0.193 against 0.144 s, 2000 0.349 against 0.240 s, 4000 0.625 against
-#: 0.431 s.  Without a slow gate the pool lost at every size tried:
-#: `--regime localized` at 2000 replicates 0.054 against 0.096 s, and
-#: zero_beta, critical and localized at 4000 0.174 against 0.203 s.
+#: fans out over forked workers.  `erwalk report --seed 9` timed inside
+#: `cli.main` in a fresh interpreter, medians of 7 alternating runs, in
+#: process against 2 workers, 2-core VM.  While the second vCPU ran in
+#: parallel (two forked CPU-bound loops took 0.9 to 1.5 times as long as
+#: one): 200 replicates (scale 0.1) 0.123 against 0.097 s, 300 0.117
+#: against 0.092 s, 500 0.137 against 0.112 s, 1000 0.231 against 0.129 s,
+#: 2000 0.298 against 0.203 s, 4000 0.517 against 0.331 s.  Without a
+#: slow gate: `--regime localized` at 2000 replicates 0.046 against
+#: 0.058 s, and zero_beta, critical and localized at 4000 0.147 against
+#: 0.115 s.  While it did not (the two loops took twice as long), the
+#: workers lost at 200 and 300 replicates, 0.193 against 0.223 s and
+#: 0.197 against 0.229 s, and tied at 500, 0.219 against 0.216 s (9 runs
+#: each).  So the gain below 500 depends on the host's load, and the
+#: threshold stays.
 _FAN_OUT_MIN_REPS = 500
 
 
@@ -228,4 +234,4 @@ def run_gates(regimes=None, seed: int = 20240801, scale: float = 1.0, level: flo
     workers = walkers._pool_size(len(tasks)) if pooled else 1
     # the slow tasks go first, so that the others fill the remaining workers
     order = sorted(range(len(tasks)), key=lambda i: not tasks[i][0])
-    return walkers._fan_out([(fn, args) for _, fn, args in tasks], workers, order)
+    return list(walkers._fan_out([(fn, args) for _, fn, args in tasks], workers, order))

@@ -45,10 +45,12 @@ ran), and builds one `_Plan` of what every block reads:
 mu = c_values(beta, n_steps + 1), coef and the guard, O(n) doubles.
 Every engine is `engine(plan, start, count)`, run on blocks of
 replicates that `_run` sizes, in this process or as tasks of `_fan_out`,
-the package's one process pool.  The per-step engines (collapsed and
-full) are a set-up plus a kernel that advances their state one step at a
-time from one time to a later one; `_drive` owns the draws, fills them a tile of steps at a
-time, cuts time at tile ends and checkpoints, and records the checkpoints.
+the package's one process pool: forked workers that inherit the tasks and
+pipe back each pickled result, which `_run` places as it comes in.  The
+per-step engines (collapsed and full) are a set-up plus a kernel that
+advances their state one step at a time from one time to a later one;
+`_drive` owns the draws, fills them a tile of steps at a time, cuts time
+at tile ends and checkpoints, and records the checkpoints.
 A single walk is a one-replicate run.
 """
 
@@ -56,6 +58,9 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import select
+import signal
 import sys
 from dataclasses import dataclass, field
 
@@ -516,17 +521,18 @@ def _run(params, n_steps, seed, checkpoints, mode, record, start, count, workers
 
     Checks the key, counts, horizon, coupling rate, checkpoints, mode and
     fields before any work, resolves "auto", builds the call's `_Plan`,
-    then runs the engine on blocks of replicates.  With workers > 1 and
-    several blocks, each block is a task (engine, (plan, start, count)) of
-    `_fan_out`; the plan is O(n) doubles, a small part of a block's work.
+    then runs the engine on blocks of replicates.  With several blocks,
+    each block is a task (engine, (plan, start, count)) of `_fan_out` over
+    `workers` (one runs them in this process); the plan is O(n) doubles, a
+    small part of a block's work.
     The per-step engines take blocks of _BLOCK_SIZE.  The events engine
     takes as many rows as _EVENTS_SCRATCH bytes of its per-row scratch
     allow, and at most count / workers, so that every worker gets a block,
     as long as each such block holds _BLOCK_SIZE rows: an ensemble of fewer
     than 2 _BLOCK_SIZE rows runs as one block.  A one-block run returns the
-    engine's own arrays, with no pool; more blocks are copied one by one
-    into the result.  Returns (checkpoints, engine, {field: C-contiguous
-    array of shape (count, len(checkpoints))}).
+    engine's own arrays, with no pool; more blocks are copied into the
+    result one by one as they come in, and dropped.  Returns (checkpoints,
+    engine, {field: C-contiguous array of shape (count, len(checkpoints))}).
     """
     for name, value, least in (("n_steps", n_steps, 1), ("n_replicates", count, 1),
                                ("replicate_index", start, 0)):
@@ -582,13 +588,10 @@ def _run(params, n_steps, seed, checkpoints, mode, record, start, count, workers
                 arrays[name] = np.empty((count, len(cps)), dtype=part[name].dtype)
             arrays[name][s - start : s - start + len(part[name])] = part[name]
 
-    if workers == 1:  # each block is placed, and freed, before the next runs
-        for s, c in blocks:
-            place(s, engine(plan, s, c))
-    else:
-        parts = _fan_out([(engine, (plan, s, c)) for s, c in blocks], workers)
-        for (s, _), part in zip(blocks, parts):
-            place(s, part)
+    # each block is placed, and dropped, as its result comes in
+    parts = _fan_out([(engine, (plan, s, c)) for s, c in blocks], workers)
+    for s, _ in blocks:
+        place(s, next(parts))
     return cps, mode, arrays
 
 
@@ -635,39 +638,165 @@ def _pool_size(n_tasks: int, per_cpu: int = 1) -> int:
     return 1 if cpus < 2 else min(per_cpu * cpus, n_tasks)
 
 
-def _fan_out(tasks, workers: int, order=None) -> list:
-    """The results of `tasks`, run over a pool of `workers` forked processes.
+def _fan_out(tasks, workers: int, order=None):
+    """The results of `tasks`, handed over in task order as they arrive,
+    run over `workers` forked processes.
 
     The package's one process pool: `run_ensemble`'s blocks, the gates of
     `report.run_gates` and the points of `erwalk exact` run here, each
     caller deciding with its own rule whether a run is worth a pool.  A
-    task is a pair (function, arguments) whose arguments and result
-    pickle.  The tasks are submitted in `order` (indices into `tasks`;
-    task order by default) and their results collected in task order, so
-    a caller that writes them in that order writes what it would have
-    written running them itself.  With workers < 2 the tasks run in this
-    process, in task order.  Forked workers inherit the parent's modules,
-    so they import nothing and see what the parent patched; spawned ones
-    would re-import erwalk (about 0.2 s each), so where "fork" is not
-    available the tasks run in this process too.  A task that raises re-raises here, and the
-    workers are joined before this returns or raises.  Their memory is not
-    in this process's peak RSS (`RUSAGE_SELF`); it shows under
-    `RUSAGE_CHILDREN`.
-    """
-    if workers < 2:
-        return [fn(*args) for fn, args in tasks]
-    import multiprocessing  # off the import path
-    from concurrent.futures import ProcessPoolExecutor
+    task is a pair (function, arguments); the workers inherit the task
+    list through the fork, so only results (and exceptions) pickle, each
+    back over its worker's own pipe.  An idle worker is sent the index of
+    the next task in `order` (indices into `tasks`; task order by default)
+    over a pipe of its own, which so never holds more than one index, and
+    this process reads every reply pipe as data comes (poll), so no
+    worker waits on a full pipe while another is drained.  The results
+    come back in task order, so a caller that writes them in that order
+    writes what it would have written running them itself.  With fewer
+    than two workers or tasks, or where `os.fork` does not exist, the
+    tasks run in this process, in task order, each when its result is
+    asked for.
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return [fn(*args) for fn, args in tasks]
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    The first task in task order that raises re-raises here with its type
+    and message; a worker that ends without reporting its task raises
+    RuntimeError.  Every worker has ended and been reaped before the last
+    result is handed over, and on any other way out (a raise, or the
+    caller closing the iterator or interrupted) the remaining ones are
+    killed and reaped.  Their memory is not in this process's peak RSS
+    (`RUSAGE_SELF`); it shows under `RUSAGE_CHILDREN`.
+    """
+    workers = min(workers, len(tasks))
+    if workers < 2 or not hasattr(os, "fork"):
+        for fn, args in tasks:
+            yield fn(*args)
+        return
+    pending = iter(range(len(tasks)) if order is None else order)
+    procs = {}  # read end of a worker's reply pipe -> its _Worker
+    replies = select.poll()  # unlike select.select, takes any fd number
+    done = {}  # task index -> (ok, result or exception), until handed over
+    want, last = 0, len(tasks) - 1
+    _flush_std()  # what this process has printed is not the workers' to write
     try:
-        futures = {i: pool.submit(tasks[i][0], *tasks[i][1])
-                   for i in (range(len(tasks)) if order is None else order)}
-        return [futures[i].result() for i in range(len(tasks))]
+        for _ in range(workers):
+            take_r, take_w = os.pipe()
+            reply_r, reply_w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                for fd in (take_r, take_w, reply_r, reply_w):
+                    os.close(fd)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    for fd, w in procs.items():
+                        os.close(fd)
+                        w.close()
+                    os.close(take_w)
+                    os.close(reply_r)
+                    _serve(tasks, take_r, reply_w)
+                    _flush_std()
+                    status = 0
+                finally:
+                    os._exit(status)
+            procs[reply_r] = w = _Worker(pid, take_w)
+            replies.register(reply_r, select.POLLIN)
+            os.close(take_r)
+            os.close(reply_w)
+            w.assign(next(pending, None))
+        while procs:
+            for fd, _ in replies.poll():
+                w = procs[fd]
+                got = os.readv(fd, [memoryview(w.reply)[w.got:]])
+                if not got:  # the worker has ended
+                    del procs[fd]
+                    replies.unregister(fd)
+                    os.close(fd)
+                    w.close()
+                    status = os.waitpid(w.pid, 0)[1]
+                    if w.task is not None:
+                        raise RuntimeError(
+                            f"a fan-out worker ended running task {w.task}, exit"
+                            f" status {os.waitstatus_to_exitcode(status)}"
+                        )
+                    continue
+                w.got += got
+                if w.got < len(w.reply):
+                    continue
+                if w.head:
+                    w.reply = bytearray(int.from_bytes(w.reply, "little"))
+                else:
+                    done[w.task] = pickle.loads(w.reply)
+                    w.reply = bytearray(8)
+                    w.assign(next(pending, None))
+                w.head, w.got = not w.head, 0
+            while want in done:
+                if not done[want][0]:
+                    raise done[want][1]
+                if want == last and procs:  # handed over once every worker is reaped
+                    break
+                want += 1
+                yield done.pop(want - 1)[1]
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        for w in procs.values():
+            os.kill(w.pid, signal.SIGKILL)
+        for fd, w in procs.items():
+            os.close(fd)
+            w.close()
+            os.waitpid(w.pid, 0)
+
+
+@dataclass(eq=False)
+class _Worker:
+    """A worker of `_fan_out`: its pid, the write end of its pipe of task
+    indices (None once closed), the task it runs (None when it runs none),
+    and the reply it is sending: an 8-byte length (`head`), then the pickle."""
+
+    pid: int
+    take: int | None
+    task: int | None = None
+    reply: bytearray = field(default_factory=lambda: bytearray(8))
+    got: int = 0
+    head: bool = True
+
+    def assign(self, task) -> None:
+        """Hand the worker `task`, or with None close its pipe, so it ends."""
+        self.task = task
+        if task is None:
+            self.close()
+            return
+        try:  # into an empty pipe: the worker read its last index
+            os.write(self.take, int(task).to_bytes(8, "little"))
+        except BrokenPipeError:  # it has ended; its reply pipe's end raises
+            pass
+
+    def close(self) -> None:
+        if self.take is not None:
+            os.close(self.take)
+            self.take = None
+
+
+def _flush_std() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+
+
+def _serve(tasks, take: int, reply: int) -> None:
+    """A `_fan_out` worker's loop: run the task of each index read from
+    `take` until its end, and write (ok, result or exception) to `reply`,
+    pickled after its 8-byte length."""
+    while index := os.read(take, 8):
+        fn, args = tasks[int.from_bytes(index, "little")]
+        try:
+            data = pickle.dumps((True, fn(*args)), pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:  # the result may not pickle either
+            data = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+        os.write(reply, len(data).to_bytes(8, "little"))  # into an empty pipe
+        view = memoryview(data)
+        while view:
+            view = view[os.write(reply, view):]
 
 
 def _events_row_bytes(n_checkpoints: int, record) -> int:

@@ -1,4 +1,4 @@
-import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -39,5 +39,22 @@ def fan_out(monkeypatch):
     monkeypatch.setattr(walkers, "_pool_size", lambda n_tasks, per_cpu=1: min(2, n_tasks))
     monkeypatch.setattr(walkers, "_fan_out", recording)
     yield pools
-    # the pool is shut down and its workers joined, even after a raise
-    assert multiprocessing.active_children() == []
+    # the workers have ended and been reaped, even after a raise
+    assert_no_child()
+
+
+def assert_no_child():
+    """This process has no child process, running or unreaped."""
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    raise AssertionError("a child process is still running" if pid == 0 else
+                         f"child process {pid} had ended but was not reaped")
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """No test leaves a child process behind, such as a fan-out worker."""
+    yield
+    assert_no_child()

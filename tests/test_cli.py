@@ -1,6 +1,5 @@
 import hashlib
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -24,6 +23,8 @@ from erwalk.serialize import (
     write_trajectory_csv,
 )
 from erwalk.walkers import MAX_STEPS, ModelParams, run_ensemble, run_walk
+
+from conftest import assert_no_child
 
 
 class TestSerialize:
@@ -739,7 +740,7 @@ class TestExactCommand:
             " path takes before its log-Gamma difference loses digits\n"
         )
         assert not out.exists()
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     @pytest.mark.parametrize("args, cut", [
         (["--p", "0.5", "--beta", "1", "--n", "1000", "--degree", "2"], 0),
@@ -1078,12 +1079,13 @@ def test_import_loads_no_pool_module():
 
 def test_runs_import_no_new_module(tmp_path):
     # a module first imported during a run puts start-up cost into its time;
-    # the last run fans the report out over a process pool, which may import
-    # what concurrent.futures and multiprocessing need for a fork pool, and
-    # nothing else
+    # the last run fans the report out over forked workers (counted where
+    # the host has two CPUs), which import nothing either
     code = (
-        "import json, sys, erwalk, erwalk.cli\n"
+        "import json, os, sys, erwalk, erwalk.cli\n"
         "out = sys.argv[1]\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
         "runs = [\n"
         "    ['simulate', '--seed', '3', '--n', '1000', '--replicates', '1000',\n"
         "     '--out', out],\n"
@@ -1096,9 +1098,9 @@ def test_runs_import_no_new_module(tmp_path):
         "]\n"
         "new = []\n"
         "for argv in runs:\n"
-        "    before = set(sys.modules)\n"
+        "    before, forked = set(sys.modules), len(forks)\n"
         "    rc = erwalk.cli.main(argv)\n"
-        "    new.append([argv[0], rc, sorted(set(sys.modules) - before)])\n"
+        "    new.append([argv[0], rc, sorted(set(sys.modules) - before), len(forks) - forked])\n"
         "sys.stderr.write(json.dumps(new))\n"
     )
     proc = subprocess.run(
@@ -1106,31 +1108,15 @@ def test_runs_import_no_new_module(tmp_path):
         capture_output=True, text=True, check=True,
     )
     new = json.loads(proc.stderr)
-    assert [cmd for cmd, _, _ in new] == [
+    assert [cmd for cmd, _, _, _ in new] == [
         "simulate", "simulate", "exact", "report", "simulate", "report",
     ]
-    assert [mods for _, _, mods in new[:-1]] == [[], [], [], [], []]
-    assert [rc for cmd, rc, _ in new if cmd != "report"] == [0, 0, 0, 0]
-    pool = (
-        "import json, sys, erwalk, erwalk.cli\n"
-        "before = set(sys.modules)\n"
-        "import multiprocessing\n"
-        "from concurrent.futures import ProcessPoolExecutor\n"
-        "ctx = multiprocessing.get_context('fork')\n"
-        "with ProcessPoolExecutor(2, mp_context=ctx) as pool:\n"
-        "    pool.submit(abs, -1).result()\n"
-        "sys.stderr.write(json.dumps(sorted(set(sys.modules) - before)))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", pool], env=_src_env(), capture_output=True, text=True,
-        check=True,
-    )
-    allowed = set(json.loads(proc.stderr))
-    assert "concurrent.futures.process" in allowed
-    _, rc, mods = new[-1]
-    assert rc == 0 and set(mods) <= allowed, sorted(set(mods) - allowed)
-    if len(os.sched_getaffinity(0)) > 1:
-        assert "concurrent.futures.process" in mods
+    assert [mods for _, _, mods, _ in new] == [[], [], [], [], [], []]
+    assert [rc for cmd, rc, _, _ in new if cmd != "report"] == [0, 0, 0, 0]
+    assert new[-1][1] == 0
+    forks = [forks for _, _, _, forks in new]
+    assert forks[:-1] == [0, 0, 0, 0, 0]
+    assert (forks[-1] > 0) == (len(os.sched_getaffinity(0)) > 1)
 
 
 def test_runs_without_scipy(tmp_path):

@@ -1,5 +1,5 @@
 """The package runs on numpy alone; scipy is an oracle of the tests only.
-It has one process pool, `walkers._fan_out`."""
+It has one process pool, `walkers._fan_out`, built on `os.fork`."""
 
 import ast
 from pathlib import Path
@@ -43,27 +43,39 @@ def test_no_module_imports_scipy(module):
     assert _scipy_imports(PACKAGE / module) == []
 
 
-def _pool_constructions(path: Path) -> list[str]:
-    """`scope:line` of every call that constructs a ProcessPoolExecutor in a
-    module, by any name it is imported under; scope is the dotted name of
-    the enclosing functions and classes."""
+_POOL_MODULES = ("multiprocessing", "concurrent")
+
+
+def _pool_code(path: Path) -> list[str]:
+    """(scope, line, what) of every `fork` call in a module, by any name `os`
+    or `os.fork` is imported under, and of every import of a process-pool
+    module (multiprocessing, concurrent.futures); scope is the dotted name
+    of the enclosing functions and classes."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    names = {"ProcessPoolExecutor"} | {
-        alias.asname for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-        for alias in node.names if alias.name == "ProcessPoolExecutor" and alias.asname
-    }
+    forks = {"fork"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            forks |= {alias.asname for alias in node.names
+                      if alias.name == "fork" and alias.asname}
     found = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             inner = scope
+            what = None
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}" if scope else child.name
             elif isinstance(child, ast.Call):
                 func = child.func
-                name = getattr(func, "id", None) or getattr(func, "attr", None)
-                if name in names:
-                    found.append(f"{scope or '<module>'}:{child.lineno}")
+                if (getattr(func, "id", None) or getattr(func, "attr", None)) in forks:
+                    what = "fork"
+            elif isinstance(child, (ast.Import, ast.ImportFrom)):
+                names = ([alias.name for alias in child.names] if isinstance(child, ast.Import)
+                         else [child.module or ""])
+                if any(name.split(".")[0] in _POOL_MODULES for name in names):
+                    what = "import"
+            if what:
+                found.append((scope or "<module>", child.lineno, what))
             visit(child, inner)
 
     visit(tree, "")
@@ -73,23 +85,28 @@ def _pool_constructions(path: Path) -> list[str]:
 def test_pool_guard_sees_aliases_and_nesting(tmp_path):
     mod = tmp_path / "probe.py"
     mod.write_text(
-        "import concurrent.futures as cf\n"
-        "from concurrent.futures import ProcessPoolExecutor as Pool\n"
-        "class C:\n    def f(self):\n        return Pool(2)\n"
-        "def g():\n    def h():\n        return cf.ProcessPoolExecutor()\n"
-        "cf.ProcessPoolExecutor(1).shutdown()\n"
+        "import os as o\n"
+        "from os import fork as split\n"
+        "class C:\n    def f(self):\n        return split()\n"
+        "def g():\n    def h():\n        return o.fork()\n"
+        "o.fork()\n"
+        "def k():\n    import concurrent.futures as cf\n"
+        "    from multiprocessing import get_context\n"
     )
-    assert _pool_constructions(mod) == ["C.f:5", "g.h:8", "<module>:9"]
+    assert _pool_code(mod) == [
+        ("C.f", 5, "fork"), ("g.h", 8, "fork"), ("<module>", 9, "fork"),
+        ("k", 11, "import"), ("k", 12, "import"),
+    ]
 
 
 def test_one_process_pool():
     # every fan-out (ensemble blocks, report gates, exact points) goes
-    # through walkers._fan_out, the one place that builds a pool
+    # through walkers._fan_out, the one place that forks, on no pool module
     found = [
-        f"{path.name}:{where}"
-        for path in sorted(PACKAGE.glob("*.py")) for where in _pool_constructions(path)
+        (path.name, scope, what)
+        for path in sorted(PACKAGE.glob("*.py")) for scope, _, what in _pool_code(path)
     ]
-    assert [where.rsplit(":", 1)[0] for where in found] == ["walkers.py:_fan_out"], found
+    assert found == [("walkers.py", "_fan_out", "fork")]
 
 
 def test_runtime_dependencies_are_numpy_only():

@@ -1,10 +1,12 @@
-import concurrent.futures
 import hashlib
 import inspect
 import math
-import multiprocessing
+import os
+import resource
+import signal
+import threading
+import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -20,6 +22,8 @@ from erwalk.gammaratio import c_values, log_poch, poch_ratio
 from erwalk.memory import MemoryLaw
 from erwalk.streams import replicate_stream
 from erwalk.walkers import ModelParams, geometric_checkpoints, run_ensemble, run_walk
+
+from conftest import assert_no_child
 
 
 def _coupled(params, n_steps, n_replicates, seed, **kw):
@@ -300,7 +304,7 @@ class TestEnsembles:
         def no_work(*args, **kw):
             raise AssertionError("work started")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
+        monkeypatch.setattr(os, "fork", no_work)
         monkeypatch.setattr(walkers, "c_values", no_work)
         for mode in ("collapsed", "events"):
             with pytest.raises(ValueError, match="workers must be an integer >= 1"):
@@ -363,12 +367,13 @@ class TestEnsembles:
     def test_pool_gets_one_task_per_block(self, monkeypatch, mode, n, blocks):
         # with workers > 1 each block is one task (engine, (plan, start,
         # count)) of walkers._fan_out, all sharing the call's plan; the
-        # arrays are those of workers = 1, which hands it nothing
+        # arrays are those of workers = 1, which starts no pool
         handed = []
         fan = walkers._fan_out
 
         def recording(tasks, workers, order=None):
-            handed.append((workers, tasks))
+            if workers > 1:
+                handed.append((workers, tasks))
             return fan(tasks, workers, order)
 
         monkeypatch.setattr(walkers, "_fan_out", recording)
@@ -392,11 +397,8 @@ class TestEnsembles:
             assert np.array_equal(x, y)
 
     def test_no_fork_starts_no_pool(self, monkeypatch):
-        # where "fork" does not exist, workers > 1 runs the blocks in this
-        # process rather than spawn workers that would re-import erwalk
-        def no_pool(*args, **kw):
-            raise AssertionError("a process pool was started")
-
+        # where os.fork does not exist, workers > 1 runs the blocks in this
+        # process
         pms, rec = ModelParams(0.5, 1.0), ("xi", "sigma", "a")
 
         def run(mode, workers):
@@ -405,8 +407,7 @@ class TestEnsembles:
             return [res.arrays[k] for k in rec]
 
         want = {mode: run(mode, 1) for mode in ("collapsed", "events")}
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.delattr(os, "fork")
         for mode, arrays in want.items():
             for x, y in zip(arrays, run(mode, 2)):
                 assert np.array_equal(x, y), mode
@@ -590,6 +591,123 @@ def _compare_with_per_step(params, n_steps, seed, start, count, cps, bad_at=None
     for name in lean_plan.record:
         assert np.array_equal(lean[name], want[name]), name
     return False
+
+
+class TestFanOut:
+    """`walkers._fan_out` over forked workers: results in task order, and no
+    worker left behind on any way out."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        # a fan-out that hangs fails its test rather than stall the suite
+        def expire(signum, frame):
+            raise TimeoutError("the fan-out hung")
+
+        old = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 30)
+        yield
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+    def test_many_tiny_tasks_in_task_order(self):
+        # 20000 tasks of 8-byte indices, more than a pipe buffer holds, fed
+        # over two workers in reverse; the tasks themselves need not pickle
+        n = 20_000
+        got = list(walkers._fan_out([(lambda i: -i, (i,)) for i in range(n)], 2,
+                                    order=range(n - 1, -1, -1)))
+        assert got == [-i for i in range(n)]
+        assert_no_child()
+
+    def test_idle_workers_take_tasks_in_order(self):
+        # the first two tasks in `order` start at once, the others only as a
+        # worker comes free
+        def task():
+            start = time.monotonic()
+            time.sleep(0.1)
+            return os.getpid(), start
+
+        got = list(walkers._fan_out([(task, ())] * 4, 2, order=[3, 2, 1, 0]))
+        assert len({pid for pid, _ in got}) == 2
+        starts = [start for _, start in got]
+        assert max(starts[2:]) < min(starts[:2]), starts
+        assert_no_child()
+
+    def test_pipes_past_fd_setsize(self):
+        # with 1024 files open the workers' pipes get descriptors that
+        # select.select refuses
+        if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1100:
+            pytest.skip("the soft limit on open files is below 1100")
+        held = []
+        try:
+            while not held or held[-1] < 1024:
+                held.append(os.dup(0))
+            assert list(walkers._fan_out([(abs, (-i,)) for i in range(4)], 2)) == [0, 1, 2, 3]
+        finally:
+            for fd in held:
+                os.close(fd)
+        assert_no_child()
+
+    def test_raising_task_reraises_its_error(self):
+        # the first failure in task order, while a busy worker is killed
+        with pytest.raises(ValueError) as here:
+            int("x")
+        tasks = [(int, ("7",)), (int, ("x",)), (time.sleep, (60,)), (int, ("y",))]
+        with pytest.raises(ValueError) as there:
+            list(walkers._fan_out(tasks, 2))
+        assert there.type is here.type
+        assert str(there.value) == str(here.value)
+        assert_no_child()
+
+    def test_worker_that_ends_raises(self):
+        tasks = [(int, ()), (os._exit, (3,)), (int, ())]
+        with pytest.raises(RuntimeError, match="ended running task 1, exit status 3$"):
+            list(walkers._fan_out(tasks, 2))
+        assert_no_child()
+
+    def test_unpicklable_result_raises(self):
+        with pytest.raises(TypeError, match="cannot pickle"):
+            list(walkers._fan_out([(int, ()), (threading.Lock, ())], 2))
+        assert_no_child()
+
+    def test_interrupt_kills_the_workers(self):
+        # a KeyboardInterrupt while this process waits on busy workers
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        old = signal.signal(signal.SIGALRM, interrupt)
+        start = time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.2)
+            with pytest.raises(KeyboardInterrupt):
+                list(walkers._fan_out([(time.sleep, (60,))] * 3, 2))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
+        assert time.monotonic() - start < 30
+        assert_no_child()
+
+    def test_closing_early_kills_the_workers(self):
+        parts = walkers._fan_out([(int, ()), (time.sleep, (60,))], 2)
+        assert next(parts) == 0
+        parts.close()
+        assert_no_child()
+
+    def test_blocks_are_placed_as_they_arrive(self):
+        # at workers = 2 this process holds a block's reply, its arrays and
+        # an early block next to the result, not every block at once
+        pms, n, reps = ModelParams(0.5, 1.0), 300, 10 * walkers._BLOCK_SIZE
+        run_ensemble(pms, n, 10, seed=3, mode="collapsed")
+        over = {}
+        for workers in (1, 2):
+            tracemalloc.start()
+            try:
+                res = run_ensemble(pms, n, reps, seed=3, mode="collapsed", workers=workers)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            out = sum(x.nbytes for x in res.arrays.values())
+            over[workers] = peak - out
+        assert over[2] <= over[1] + 2 * out / 10, over
 
 
 class TestCollapsedKernel:
@@ -789,13 +907,16 @@ class TestEventsEngine:
 
         spy_on("events")
         spy_on("collapsed")
-        # the spies cannot be pickled into worker processes; threads run the
-        # same submissions
-        class ThreadPool(ThreadPoolExecutor):
-            def __init__(self, workers, mp_context):
-                super().__init__(workers)
+        # the spies record in this process only, so the fan-out runs the
+        # same tasks here, and records the worker count it was handed
+        handed = []
+        fan = walkers._fan_out
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPool)
+        def in_process(tasks, workers, order=None):
+            handed.append(workers)
+            return fan(tasks, 1, order)
+
+        monkeypatch.setattr(walkers, "_fan_out", in_process)
         pms = ModelParams(0.5, 1.0)
         runs = []
         for workers, want in ((1, [(0, 10**4)]), (2, [(0, 5000), (5000, 5000)])):
@@ -803,6 +924,7 @@ class TestEventsEngine:
             runs.append(run_ensemble(pms, 2000, 10**4, seed=3, mode="events",
                                      workers=workers))
             assert calls == want
+        assert handed == [2]
         for name in ("xi", "sigma"):
             assert np.array_equal(runs[0].arrays[name], runs[1].arrays[name])
         calls.clear()
@@ -828,7 +950,7 @@ class TestEventsEngine:
             return [res.arrays[k] for k in rec]
 
         want = run(1)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_pool)
         for x, y in zip(want, run(2)):
             assert np.array_equal(x, y)
 
