@@ -45,9 +45,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gammaratio import _DIRECT_MIN, _log_poch_scalar, _stirling_tail, log_poch
+from .gammaratio import _DIRECT_MIN, _log_poch_array, _log_poch_scalar, log_poch
 from .memory import MemoryLaw
-from .streams import _check_key, uniform_rows
+from .streams import _check_key, _is_int, uniform_rows
 
 __all__ = [
     "BranchingParams",
@@ -83,7 +83,7 @@ class BranchingParams:
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
         for cap in (self.max_gen, self.max_pop):
-            if not isinstance(cap, (int, np.integer)) or cap < 1:
+            if not (_is_int(cap) and cap >= 1):
                 raise ValueError(f"max_gen and max_pop must be integers >= 1, got {cap!r}")
 
     @property
@@ -493,13 +493,7 @@ class _Lockstep:
     def log_mu(self, n: np.ndarray) -> np.ndarray:
         """log mu_n of int64 types n >= 1, each a function of n alone: the
         table below 32, `log_poch`'s array expression above."""
-        beta = self.params.beta
-        x = n.astype(np.float64)
-        out = beta * np.log(x)
-        out += (x + (beta - 0.5)) * np.log1p(beta / x)
-        out -= beta
-        out += _stirling_tail(x + beta)
-        out -= _stirling_tail(x)
+        out = _log_poch_array(n.astype(np.float64), self.params.beta)
         if n.size and n.min() < _DIRECT_MIN:
             out = np.where(n < _DIRECT_MIN, self.small[np.minimum(n, len(self.small) - 1)], out)
         return out

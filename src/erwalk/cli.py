@@ -163,11 +163,6 @@ def _tag(params: ModelParams) -> str:
     return f"p{params.p:g}_beta{params.beta:g}"
 
 
-def _writer(kind: str, cfg: dict):
-    """`serialize.write_<kind>_<format>` for the configured format, and its suffix."""
-    return getattr(serialize, f"write_{kind}_{cfg['format']}"), cfg["format"]
-
-
 def _cmd_simulate(args, written: list) -> int:
     defaults = {
         "p": 0.5,
@@ -197,7 +192,7 @@ def _cmd_simulate(args, written: list) -> int:
             f" got {cfg['differential_n']}"
         )
     out_dir = _out_dir(cfg)
-    write, ext = _writer("ensemble", cfg)
+    fmt = cfg["format"]
     config = _hashable(cfg)
     failed_gate = False
     for params in grid:
@@ -213,14 +208,14 @@ def _cmd_simulate(args, written: list) -> int:
             workers=cfg["workers"],
         )
         rep = analysis.build_report(res, confidence_z=float(cfg["sigma_level"]))
-        written.append(write(out_dir / f"simulate_{_tag(params)}.{ext}", rep, config))
+        written.append(
+            serialize.write_ensemble(out_dir / f"simulate_{_tag(params)}.{fmt}", rep, config, fmt)
+        )
         traj = run_walk(
             params, int(cfg["n"]), int(cfg["seed"]), checkpoints=cps, mode=res.mode
         )
         written.append(
-            serialize.write_trajectory_csv(
-                out_dir / f"trajectory_{_tag(params)}.csv", traj, config
-            )
+            serialize.write_trajectory(out_dir / f"trajectory_{_tag(params)}.csv", traj, config)
         )
         print(f"simulate {_tag(params)}: {cfg['replicates']} replicates to n = {cfg['n']}")
         if cfg["differential"]:
@@ -347,6 +342,7 @@ def _cmd_exact(args, written: list) -> int:
         # the L2 diagnostic that comes with the moments needs n >= 100
         raise ValueError("n_max must be >= 100 for a meaningful diagnostic")
     out_dir = _out_dir(cfg)
+    fmt = cfg["format"]
     config = _hashable(cfg)
     cps = geometric_checkpoints(n_max, float(cfg["checkpoint_ratio"]))
     law_n = min(n_max, 12) if cfg["enumerate"] else 0
@@ -356,16 +352,17 @@ def _cmd_exact(args, written: list) -> int:
     results = list(walkers._fan_out(tasks, _exact_workers(len(tasks), n_max, degree)))
     for params, (means, lim, moments, law) in zip(grid, results):
         tag = _tag(params)
-        write, ext = _writer("mean_table", cfg)
         written.append(
-            write(out_dir / f"exact_mean_{tag}.{ext}", params, cps, means, config,
-                  analysis.classify_phase(params).regime.value, lim)
+            serialize.write_mean_table(
+                out_dir / f"exact_mean_{tag}.{fmt}", params, cps, means, config,
+                analysis.classify_phase(params).regime.value, lim, fmt,
+            )
         )
         print(f"exact {tag}: mean table at {len(cps)} checkpoints")
         if moments is not None:
             tables, diag = moments
-            write, ext = _writer("moments", cfg)
-            written.append(write(out_dir / f"exact_moments_{tag}.{ext}", tables, config))
+            path = out_dir / f"exact_moments_{tag}.{fmt}"
+            written.append(serialize.write_moments(path, tables, config, fmt))
             if params.is_critical:
                 written.append(
                     serialize.write_critical_ratios_csv(
@@ -374,8 +371,8 @@ def _cmd_exact(args, written: list) -> int:
                 )
             written.append(serialize.write_l2_json(out_dir / f"exact_l2_{tag}.json", diag))
         if law is not None:
-            write, ext = _writer("law", cfg)
-            written.append(write(out_dir / f"exact_law_{tag}.{ext}", law, config))
+            path = out_dir / f"exact_law_{tag}.{fmt}"
+            written.append(serialize.write_law(path, law, config, fmt))
     return 0
 
 
@@ -439,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
         f"{AUTO_EVENTS_MAX_RATE:g} (n - 1), else collapsed",
     )
     sp.add_argument("--checkpoint-ratio", dest="checkpoint_ratio", type=float)
-    sp.add_argument("--format", choices=["csv", "json"])
+    sp.add_argument("--format", choices=serialize.FORMATS)
     sp.add_argument("--workers", type=int)
     sp.add_argument("--sigma-level", dest="sigma_level", type=float)
     sp.add_argument(
@@ -465,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replace beta by p/(1-p) for each p",
     )
     sp.add_argument("--checkpoint-ratio", dest="checkpoint_ratio", type=float)
-    sp.add_argument("--format", choices=["csv", "json"])
+    sp.add_argument("--format", choices=serialize.FORMATS)
     sp.set_defaults(fn=_cmd_exact, flags=sp._actions)
 
     sp = sub.add_parser("report", help="run the verification gate battery")

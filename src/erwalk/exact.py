@@ -37,7 +37,7 @@ from math import comb
 import numpy as np
 
 from .gammaratio import _lgam, c_values, log_poch, poch_ratio_sum
-from .walkers import ModelParams, _check_checkpoints, _sorted_unique
+from .walkers import ModelParams, _check_checkpoints, _is_int, _sorted_unique
 
 __all__ = [
     "MomentTable",
@@ -140,10 +140,9 @@ def _moment_order(degree: int):
 
 
 def _check_moment_args(params: ModelParams, n_max: int, degree: int) -> None:
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    for name, value in (("degree", degree), ("n_max", n_max)):
+        if not (_is_int(value) and value >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
     # raw moments reach ~n^{degree*beta}; refuse inputs that cannot be held
     if degree * max(params.beta, params.rate, 1.0) * math.log10(max(n_max, 2)) > 290:
         raise OverflowError(

@@ -238,15 +238,19 @@ def log_poch(n, xi: float):
         out[small] = [_lgam(v + xi) - _lgam(v) for v in n[small].tolist()]
     big = ~small
     if big.any():
-        nb = n[big]
-        out[big] = (
-            xi * np.log(nb)
-            + (nb + (xi - 0.5)) * np.log1p(xi / nb)
-            - xi
-            + _stirling_tail(nb + xi)
-            - _stirling_tail(nb)
-        )
+        out[big] = _log_poch_array(n[big], xi)
     return float(out[0]) if scalar else out
+
+
+def _log_poch_array(x: np.ndarray, xi: float) -> np.ndarray:
+    """`log_poch`'s Stirling expression over a float array x >= _DIRECT_MIN,
+    summed term by term in the order `_log_poch_scalar`'s closure sums it."""
+    out = xi * np.log(x)
+    out += (x + (xi - 0.5)) * np.log1p(xi / x)
+    out -= xi
+    out += _stirling_tail(x + xi)
+    out -= _stirling_tail(x)
+    return out
 
 
 def log_poch_ratio(n, xi: float):

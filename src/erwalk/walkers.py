@@ -171,8 +171,8 @@ def geometric_checkpoints(n_max: int, ratio: float = 1.2) -> np.ndarray:
     ratio^j formed by one multiply per j.  When (ratio - 1) n_max <= 1 no
     step of ratio^j below n_max exceeds 1, so every integer is a time.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    if not (_is_int(n_max) and n_max >= 1):
+        raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
     if not 1.0 < ratio < math.inf:
         raise ValueError(f"ratio must be finite and exceed 1, got {ratio}")
     if (ratio - 1.0) * n_max <= 1.0:

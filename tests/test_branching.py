@@ -28,7 +28,7 @@ from erwalk.branching import (
     simulate_ensemble,
     simulate_modified_walk,
 )
-from erwalk.gammaratio import log_poch
+from erwalk.gammaratio import _log_poch_scalar, log_poch
 from erwalk.memory import MemoryLaw
 from erwalk.streams import replicate_stream
 
@@ -81,7 +81,8 @@ class TestOffspringRate:
             BranchingParams(0.5, -0.5)
 
     # unchecked, each would surface late: beta = inf as a NaN inside simulate,
-    # epsilon = inf as every cutoff silently k+1, max_gen = 2.5 inside range()
+    # epsilon = inf as every cutoff silently k+1, max_gen = 2.5 inside range();
+    # a bool cap would run as 1
     @pytest.mark.parametrize("kwargs", [
         dict(beta=math.inf),
         dict(beta=math.nan),
@@ -91,6 +92,9 @@ class TestOffspringRate:
         dict(max_gen=40.0),
         dict(max_pop=1e6),
         dict(max_pop="100"),
+        dict(max_gen=True),
+        dict(max_pop=True),
+        dict(max_gen=np.bool_(True)),
     ])
     def test_params_rejected_at_construction(self, kwargs):
         with pytest.raises(ValueError):
@@ -562,6 +566,17 @@ class TestSimulateEnsemble:
     def test_caps_the_keys_cannot_address(self, caps):
         with pytest.raises(ValueError, match="to key every particle"):
             simulate_ensemble(BranchingParams(0.5, 2.0, **caps), 10, 1)
+
+    @pytest.mark.parametrize("beta", [0.25, 0.5, 1.0, 2.0, 3.0, 7.0])
+    def test_log_mu_is_log_poch(self, beta):
+        # the ensemble's log mu_n is the sampler's log_poch(n, beta) bit for
+        # bit: the array expression from 32 on, the scalar lgamma below
+        n = np.r_[1:5000, 2 ** np.arange(13, 63)].astype(np.int64)
+        got = branching._Lockstep(BranchingParams(0.5, beta), 1).log_mu(n)
+        big = n >= 32
+        assert np.array_equal(got[big], log_poch(n[big].astype(float), beta))
+        lp = _log_poch_scalar(beta)
+        assert np.array_equal(got[~big], [lp(float(k)) for k in n[~big].tolist()])
 
 
 class TestModifiedWalk:

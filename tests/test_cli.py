@@ -16,11 +16,10 @@ from erwalk.cli import main
 from erwalk.exact import enumerate_law, exact_mean_xi, l2_diagnostic, propagate_moments
 from erwalk.serialize import (
     config_hash,
-    write_ensemble_csv,
-    write_ensemble_json,
-    write_law_csv,
-    write_moments_csv,
-    write_trajectory_csv,
+    write_ensemble,
+    write_law,
+    write_moments,
+    write_trajectory,
 )
 from erwalk.walkers import MAX_STEPS, ModelParams, run_ensemble, run_walk
 
@@ -37,7 +36,7 @@ class TestSerialize:
     def test_trajectory_csv(self, tmp_path):
         traj = run_walk(ModelParams(0.5, 1.0), 100, seed=1, checkpoints=[1, 10, 100],
                         mode="collapsed")
-        path = write_trajectory_csv(tmp_path / "t.csv", traj, {"n": 100})
+        path = write_trajectory(tmp_path / "t.csv", traj, {"n": 100})
         lines = path.read_text().splitlines()
         assert lines[0].startswith("# erwalk ")
         assert lines[1].startswith("# config_hash=")
@@ -50,9 +49,9 @@ class TestSerialize:
         res = run_ensemble(ModelParams(0.5, 1.0), 50, 100, seed=2,
                            checkpoints=[1, 50], mode="collapsed")
         rep = build_report(res)
-        csv_path = write_ensemble_csv(tmp_path / "e.csv", rep, {})
+        csv_path = write_ensemble(tmp_path / "e.csv", rep, {})
         assert "n,mean_xi,var_xi,ci_half_xi,mean_m,var_m" in csv_path.read_text()
-        json_path = write_ensemble_json(tmp_path / "e.json", rep, {})
+        json_path = write_ensemble(tmp_path / "e.json", rep, {}, "json")
         payload = json.loads(json_path.read_text())
         assert payload["meta"]["tool"] == "erwalk"
         assert payload["report"]["n_replicates"] == 100
@@ -60,10 +59,10 @@ class TestSerialize:
     def test_law_and_moments(self, tmp_path):
         pms = ModelParams(0.5, 1.0)
         law, _ = enumerate_law(pms, 6)
-        text = write_law_csv(tmp_path / "law.csv", law, {}).read_text()
+        text = write_law(tmp_path / "law.csv", law, {}).read_text()
         assert text.splitlines()[3] == "k,prob"
         tables = propagate_moments(pms, 100, 2, checkpoints=[1, 10, 100])
-        text = write_moments_csv(tmp_path / "m.csv", tables, {}).read_text()
+        text = write_moments(tmp_path / "m.csv", tables, {}).read_text()
         assert "n,m10,m01,m20,m11,m02" in text
 
 
@@ -1009,27 +1008,55 @@ def test_writers_return_their_path(tmp_path):
     diag = l2_diagnostic(pms, 200)
     means = [exact_mean_xi(int(n), pms) for n in cps]
     gates = report_mod.run_gates(regimes=["localized"], scale=0.05)
+    # each writer's arguments, and the formats it takes: one writer per kind
+    # of file in both formats, one for each kind that has a single format
+    both = serialize.FORMATS
     args = {
-        "write_trajectory_csv": (traj, {}),
-        "write_trajectory_json": (traj, {}),
-        "write_ensemble_csv": (rep, {}),
-        "write_ensemble_json": (rep, {}),
-        "write_law_csv": (law, {}),
-        "write_law_json": (law, {}),
-        "write_moments_csv": (tables, {}),
-        "write_moments_json": (tables, {}),
-        "write_mean_table_csv": (pms, cps, means, {}, "critical", 2.0),
-        "write_mean_table_json": (pms, cps, means, {}, "critical"),
-        "write_critical_ratios_csv": (pms, tables, {}),
-        "write_l2_json": (diag,),
-        "write_report_json": (gates,),
+        "write_trajectory": ((traj, {}), both),
+        "write_ensemble": ((rep, {}), both),
+        "write_law": ((law, {}), both),
+        "write_moments": ((tables, {}), both),
+        "write_mean_table": ((pms, cps, means, {}, "critical", 2.0), both),
+        "write_critical_ratios_csv": ((pms, tables, {}), (None,)),
+        "write_l2_json": ((diag,), (None,)),
+        "write_report_json": ((gates,), (None,)),
     }
     writers = [name for name in serialize.__all__ if name.startswith("write_")]
     assert sorted(writers) == sorted(args)
     for name in writers:
-        path = tmp_path / "sub" / name
-        got = getattr(serialize, name)(path, *args[name])
-        assert isinstance(got, Path) and got == path and got.stat().st_size > 0, name
+        given, formats = args[name]
+        for fmt in formats:
+            path = tmp_path / "sub" / f"{name}.{fmt}"
+            kw = {} if fmt is None else {"fmt": fmt}
+            got = getattr(serialize, name)(path, *given, **kw)
+            assert isinstance(got, Path) and got == path and got.stat().st_size > 0, name
+            if fmt == "json" or name.endswith("_json"):
+                json.loads(path.read_text())
+            else:
+                assert path.read_text().startswith("# erwalk "), name
+    # the limit-free mean table, in both formats
+    for fmt in both:
+        path = tmp_path / "sub" / f"mean_no_limit.{fmt}"
+        assert serialize.write_mean_table(path, pms, cps, means, {}, "critical", fmt=fmt) == path
+
+
+def test_unknown_format_is_refused_before_any_write(tmp_path):
+    pms = ModelParams(0.5, 1.0)
+    law, _ = enumerate_law(pms, 6)
+    tables = propagate_moments(pms, 100, 1, checkpoints=[1, 100])
+    traj = run_walk(pms, 10, seed=1, checkpoints=[1, 10], mode="collapsed")
+    rep = build_report(run_ensemble(pms, 10, 20, seed=2, checkpoints=[1, 10], mode="collapsed"))
+    calls = [
+        (serialize.write_trajectory, (traj, {})),
+        (serialize.write_ensemble, (rep, {})),
+        (serialize.write_law, (law, {})),
+        (serialize.write_moments, (tables, {})),
+        (serialize.write_mean_table, (pms, [1, 10], [1.0, 2.0], {}, "critical")),
+    ]
+    for write, given in calls:
+        with pytest.raises(ValueError, match="format must be one of"):
+            write(tmp_path / "sub" / "x.xml", *given, fmt="xml")
+    assert not (tmp_path / "sub").exists()
 
 
 def _src_env():

@@ -224,6 +224,23 @@ class TestPropagator:
         with pytest.raises(OverflowError):
             propagate_moments(ModelParams(0.5, 50.0), 10**6, 3)
 
+    def test_counts_must_be_integers(self):
+        # each once surfaced as a numpy TypeError, or (a bool) ran as 1
+        pms = ModelParams(0.5, 1.0)
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            propagate_moments(pms, 100.5, 2, checkpoints=[1, 50])
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            l2_diagnostic(pms, 1000.0)
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            propagate_moments(pms, 100, 2.5, checkpoints=[1, 50])
+        with pytest.raises(ValueError, match="n_max must be an integer"):
+            propagate_moments(pms, True, 1)
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            propagate_moments(pms, 100, True, checkpoints=[1, 50])
+        got = propagate_moments(pms, np.int64(100), np.int32(2), checkpoints=[1, 50])
+        want = propagate_moments(pms, 100, 2, checkpoints=[1, 50])
+        assert all(np.array_equal(g.m, w.m, equal_nan=True) for g, w in zip(got, want))
+
     def test_scaled_accessor(self):
         pms = ModelParams(0.5, 1.0)
         (table,) = propagate_moments(pms, 1000, 2, checkpoints=[1000])

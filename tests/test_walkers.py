@@ -1313,6 +1313,11 @@ class TestCheckpoints:
     def test_validation(self):
         with pytest.raises(ValueError):
             geometric_checkpoints(0)
+        # 10.5 once gave 1..10, so the last checkpoint was not n_max
+        for n_max in (10.5, 10.0, True, np.bool_(True)):
+            with pytest.raises(ValueError, match="n_max must be an integer"):
+                geometric_checkpoints(n_max)
+        assert geometric_checkpoints(np.int32(10)).tolist() == geometric_checkpoints(10).tolist()
         with pytest.raises(ValueError):
             run_walk(ModelParams(0.5, 1.0), 10, seed=1, checkpoints=[0, 5], mode="collapsed")
         with pytest.raises(ValueError):
