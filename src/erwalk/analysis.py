@@ -81,8 +81,6 @@ class ExponentFit:
     slope: float
     stderr: float
     intercept: float
-    residual: float  # RMS residual of the log-log fit
-    n_points: int
 
 
 def fit_exponent(ns, values, window=None) -> ExponentFit:
@@ -112,13 +110,7 @@ def fit_exponent(ns, values, window=None) -> ExponentFit:
     resid = y - (intercept + slope * x)
     dof = max(npts - 2, 1)
     stderr = math.sqrt(float(np.dot(resid, resid)) / dof / sxx)
-    return ExponentFit(
-        slope=slope,
-        stderr=stderr,
-        intercept=intercept,
-        residual=math.sqrt(float(np.mean(resid**2))),
-        n_points=npts,
-    )
+    return ExponentFit(slope=slope, stderr=stderr, intercept=intercept)
 
 
 @dataclass(frozen=True)
@@ -141,18 +133,17 @@ def mean_gate(
     n_replicates: int,
     exact: float,
     level: float = 4.0,
-    degenerate_tol: float = 1e-9,
 ) -> GateResult:
     """z-score gate |mc_mean - exact| <= level * sd/sqrt(N).
 
     A zero-variance ensemble (every replicate frozen at one value) is
-    reported as degenerate and compared by absolute tolerance instead.
+    reported as degenerate and passes when it lies within 1e-9 of `exact`.
     """
     _check_level(level)
     if mc_var < 0:
         raise ValueError("variance must be nonnegative")
     if mc_var == 0.0:
-        ok = abs(mc_mean - exact) <= degenerate_tol
+        ok = abs(mc_mean - exact) <= 1e-9
         return GateResult(
             z=math.inf if not ok else 0.0,
             passed=ok,

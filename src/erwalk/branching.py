@@ -376,7 +376,6 @@ class BranchingResult:
     generation_sizes: np.ndarray  # N_1, N_2, ...
     extinct: bool
     censored: bool  # a resource cap ended the run before extinction
-    distinct_types: int  # types seen anywhere in the realized generations
     distinct_by_generation: np.ndarray  # distinct types within the first g generations
     truncation_mass: float
     cap_hits: int = 0  # draws whose certified cutoff exceeded MAX_TYPE
@@ -438,7 +437,6 @@ def simulate(
         generation_sizes=np.array(sizes, dtype=np.int64),
         extinct=extinct,
         censored=not extinct,
-        distinct_types=len(seen),
         distinct_by_generation=np.array(cum_distinct, dtype=np.int64),
         truncation_mass=trunc,
         cap_hits=cap_hits,

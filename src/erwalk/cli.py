@@ -46,35 +46,36 @@ from .walkers import (
 _OUT_ENV = "ERWALK_OUT_DIR"
 
 
-def _merged(args: argparse.Namespace, defaults: dict) -> tuple[dict, set]:
-    """Resolve config: defaults < config file < explicit flags.  Also gives
-    the keys that a flag or the config file set."""
-    cfg = dict(defaults)
+def _merged(args: argparse.Namespace) -> tuple[dict, set]:
+    """Resolve config: the flags' defaults < config file < explicit flags.
+    Also gives the keys that a flag or the config file set.  The config
+    keys are the command's flags (`args.flags`, from `_config_flags`)."""
+    flags = {action.dest: action for action in args.flags}
+    cfg = {key: flag.fallback for key, flag in flags.items()}
     given = set()
-    if getattr(args, "config", None):
+    if args.config:
         path = Path(args.config)
         if not path.exists():
             raise FileNotFoundError(f"config file not found: {path}")
         loaded = json.loads(path.read_text())
         if not isinstance(loaded, dict):
             raise ValueError(f"config file must hold a JSON object, got {loaded!r:.40}")
-        unknown = set(loaded) - set(defaults)
+        unknown = set(loaded) - set(flags)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        flags = {action.dest: action for action in args.flags}
         for key, value in loaded.items():
-            _check_config_value(key, value, flags[key], defaults[key])
+            _check_config_value(key, value, flags[key])
         cfg.update(loaded)
         given.update(loaded)
-    for key in defaults:
-        val = getattr(args, key, None)
+    for key in flags:
+        val = getattr(args, key)
         if val is not None:
             cfg[key] = val
             given.add(key)
     return cfg, given
 
 
-def _check_config_value(key: str, value, flag: argparse.Action, default) -> None:
+def _check_config_value(key: str, value, flag: argparse.Action) -> None:
     """A config value must be what the flag `key` is declared to take.
 
     That is true or false for a switch, one of the flag's choices, an
@@ -83,6 +84,7 @@ def _check_config_value(key: str, value, flag: argparse.Action, default) -> None
     action="append") also takes a nonempty list of them; and a flag whose
     default is null also takes null.
     """
+    default = flag.fallback
     if value is None and default is None:
         return
     if flag.nargs == 0:  # a store_const switch
@@ -127,7 +129,7 @@ def _writable(out: Path) -> Path:
 def _hashable(cfg: dict) -> dict:
     """The semantic configuration: everything except where files land and how
     many processes write them (outputs are bit-identical for any `workers`)."""
-    return {k: v for k, v in cfg.items() if k not in ("out", "config", "workers")}
+    return {k: v for k, v in cfg.items() if k not in ("out", "workers")}
 
 
 def _listed(value) -> list:
@@ -164,22 +166,7 @@ def _tag(params: ModelParams) -> str:
 
 
 def _cmd_simulate(args, written: list) -> int:
-    defaults = {
-        "p": 0.5,
-        "beta": 1.0,
-        "n": 10_000,
-        "replicates": 10_000,
-        "seed": None,
-        "mode": "auto",
-        "checkpoint_ratio": 1.2,
-        "out": None,
-        "format": "csv",
-        "workers": 1,
-        "sigma_level": 4.0,
-        "differential": False,
-        "differential_n": 12,
-    }
-    cfg, _ = _merged(args, defaults)
+    cfg, _ = _merged(args)
     if cfg["seed"] is None:
         raise ValueError("simulate requires --seed")
     grid = _param_grid(cfg)
@@ -319,18 +306,7 @@ def _exact_point(params: ModelParams, n_max: int, degree: int, cps, law_n: int):
 
 
 def _cmd_exact(args, written: list) -> int:
-    defaults = {
-        "p": 0.5,
-        "beta": 1.0,
-        "n": 10_000,
-        "degree": 0,
-        "enumerate": False,
-        "critical": False,
-        "out": None,
-        "format": "csv",
-        "checkpoint_ratio": 1.2,
-    }
-    cfg, given = _merged(args, defaults)
+    cfg, given = _merged(args)
     if cfg["critical"] and "beta" in given:
         raise ValueError("beta cannot be given with critical, which sets beta = p/(1-p)")
     grid = _param_grid(cfg)
@@ -377,14 +353,7 @@ def _cmd_exact(args, written: list) -> int:
 
 
 def _cmd_report(args, written: list) -> int:
-    defaults = {
-        "regime": None,
-        "seed": 20240801,
-        "scale": 1.0,
-        "sigma_level": 4.0,
-        "out": None,
-    }
-    cfg, _ = _merged(args, defaults)
+    cfg, _ = _merged(args)
     if cfg["out"]:
         _writable(Path(cfg["out"]))
     gates = report.run_gates(
@@ -406,9 +375,33 @@ def _cmd_report(args, written: list) -> int:
     return 0 if all_ok else 1
 
 
-def _add_common(sp):
-    sp.add_argument("--config", help="JSON config file; explicit flags win")
-    sp.add_argument("--out", help=f"output directory (default ${_OUT_ENV} or erwalk_out)")
+#: the flags that two or more commands share, each declared once
+_SHARED = {
+    "--config": dict(help="JSON config file; explicit flags win"),
+    "--out": dict(help=f"output directory (default ${_OUT_ENV} or erwalk_out)"),
+    "--p": dict(type=float, nargs="+", default=0.5),
+    "--beta": dict(type=float, nargs="+", default=1.0),
+    "--n": dict(type=int, default=10_000),
+    "--checkpoint-ratio": dict(type=float, default=1.2),
+    "--format": dict(choices=serialize.FORMATS, default="csv"),
+    "--sigma-level": dict(type=float, default=4.0),
+}
+
+
+def _shared(sp, *names) -> None:
+    for name in names:
+        sp.add_argument(name, **_SHARED[name])
+
+
+def _config_flags(sp) -> list[argparse.Action]:
+    """The flags of subparser `sp` that are config keys: all but --help and
+    --config.  Each one's declared default moves to `action.fallback`, so
+    that argparse leaves a flag the command line omits None; that is how
+    `_merged` tells a flag given from one left out."""
+    flags = [action for action in sp._actions if action.dest not in ("help", "config")]
+    for action in flags:
+        action.fallback, action.default = action.default, None
+    return flags
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -421,57 +414,44 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("simulate", help="run Monte Carlo ensembles")
-    _add_common(sp)
-    sp.add_argument("--p", type=float, nargs="+")
-    sp.add_argument("--beta", type=float, nargs="+")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--replicates", type=int)
+    _shared(sp, "--config", "--out", "--p", "--beta", "--n")
+    sp.add_argument("--replicates", type=int, default=10_000)
     sp.add_argument("--seed", type=int)
     sp.add_argument(
         "--mode",
         choices=["auto", "collapsed", "events", "full"],
+        default="auto",
         help="engine: events draws each replicate's next up-step by thinning, "
         "collapsed steps through every time, full draws every recall (an "
         "oracle); auto (default) takes events when E[Xi_n] - 1 is at most "
         f"{AUTO_EVENTS_MAX_RATE:g} (n - 1), else collapsed",
     )
-    sp.add_argument("--checkpoint-ratio", dest="checkpoint_ratio", type=float)
-    sp.add_argument("--format", choices=serialize.FORMATS)
-    sp.add_argument("--workers", type=int)
-    sp.add_argument("--sigma-level", dest="sigma_level", type=float)
+    _shared(sp, "--checkpoint-ratio", "--format")
+    sp.add_argument("--workers", type=int, default=1)
+    _shared(sp, "--sigma-level")
     sp.add_argument(
         "--differential",
-        action="store_const",
-        const=True,
+        action="store_true",
         help="check the engine's law against the full engine and enumeration",
     )
-    sp.add_argument("--differential-n", dest="differential_n", type=int)
-    sp.set_defaults(fn=_cmd_simulate, flags=sp._actions)
+    sp.add_argument("--differential-n", type=int, default=12)
+    sp.set_defaults(fn=_cmd_simulate, flags=_config_flags(sp))
 
     sp = sub.add_parser("exact", help="emit exact means, moments, diagnostics")
-    _add_common(sp)
-    sp.add_argument("--p", type=float, nargs="+")
-    sp.add_argument("--beta", type=float, nargs="+")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--degree", type=int)
-    sp.add_argument("--enumerate", action="store_const", const=True)
-    sp.add_argument(
-        "--critical",
-        action="store_const",
-        const=True,
-        help="replace beta by p/(1-p) for each p",
-    )
-    sp.add_argument("--checkpoint-ratio", dest="checkpoint_ratio", type=float)
-    sp.add_argument("--format", choices=serialize.FORMATS)
-    sp.set_defaults(fn=_cmd_exact, flags=sp._actions)
+    _shared(sp, "--config", "--out", "--p", "--beta", "--n")
+    sp.add_argument("--degree", type=int, default=0)
+    sp.add_argument("--enumerate", action="store_true")
+    sp.add_argument("--critical", action="store_true", help="replace beta by p/(1-p) for each p")
+    _shared(sp, "--checkpoint-ratio", "--format")
+    sp.set_defaults(fn=_cmd_exact, flags=_config_flags(sp))
 
     sp = sub.add_parser("report", help="run the verification gate battery")
-    _add_common(sp)
+    _shared(sp, "--config", "--out")
     sp.add_argument("--regime", action="append", choices=list(report.REGIMES))
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--scale", type=float, help="replicate-count multiplier")
-    sp.add_argument("--sigma-level", dest="sigma_level", type=float)
-    sp.set_defaults(fn=_cmd_report, flags=sp._actions)
+    sp.add_argument("--seed", type=int, default=20240801)
+    sp.add_argument("--scale", type=float, default=1.0, help="replicate-count multiplier")
+    _shared(sp, "--sigma-level")
+    sp.set_defaults(fn=_cmd_report, flags=_config_flags(sp))
     return parser
 
 

@@ -420,8 +420,9 @@ class ExactLaw:
         return float(np.dot(np.arange(self.n + 1), self.probs))
 
 
-def enumerate_law(params: ModelParams, n: int, degree: int = 3):
-    """Exhaustive path enumeration: exact law of Xi_n and exact joint moments.
+def enumerate_law(params: ModelParams, n: int):
+    """Exhaustive path enumeration: exact law of Xi_n and exact joint moments
+    to degree 3.
 
     Iterates all 2^(n-1) step histories, accumulating each path probability
     as the product of its one-step conditionals.  Capped at n = 16 (32768
@@ -446,6 +447,7 @@ def enumerate_law(params: ModelParams, n: int, degree: int = 3):
         sigma += x * mu[t]
     probs = np.bincount(xi, weights=prob, minlength=n + 1)
     law = ExactLaw(n=n, probs=probs)
+    degree = 3
     m = np.full((degree + 1, degree + 1), np.nan)
     xif = xi.astype(np.float64)
     for a in range(degree + 1):

@@ -39,13 +39,8 @@ from .walkers import ModelParams, geometric_checkpoints, run_ensemble
 
 __all__ = ["Gate", "run_gates", "REGIMES"]
 
-REGIMES = (
-    "negative_beta",
-    "zero_beta",
-    "sub_critical_positive",
-    "critical",
-    "localized",
-)
+#: the regime names, in battery order: the values of `analysis.Regime`
+REGIMES = tuple(regime.value for regime in analysis.Regime)
 
 #: reference values the gates check against; tests corrupt these to verify
 #: that a broken harness is reported loudly
@@ -86,15 +81,16 @@ class Gate:
         self.passed = bool(self.passed)
 
 
-def _exponent_gate(regime, params, target, n_max=10**5, tol=0.05):
+def _exponent_gate(regime, params, target):
+    n_max, tol = 10**5, 0.05
     cps = geometric_checkpoints(n_max)
     fit = analysis.fit_exponent(cps, exact._mean_table(params, cps), window=(10**3, n_max))
     return Gate(regime, "mean growth exponent", abs(fit.slope - target) <= tol,
                 f"slope {fit.slope:.4f} vs {target} (tol {tol})")
 
 
-def _l2_gate(regime, params, expect_bounded, n_max=10**4):
-    d = exact.l2_diagnostic(params, n_max)
+def _l2_gate(regime, params, expect_bounded):
+    d = exact.l2_diagnostic(params, 10**4)
     return Gate(regime, "martingale second moment", d.bounded == expect_bounded,
                 f"bounded={d.bounded} (expected {expect_bounded}), "
                 f"increment slope {d.increment_exponent:.3f} vs {d.expected_exponent:.3f}")

@@ -41,6 +41,9 @@ SCHEMA_VERSION = 1
 #: the formats of every `write_<kind>(..., fmt)`; the first is the default
 FORMATS = ("csv", "json")
 
+#: the seed recorded for the closed-form outputs, which draw no randomness
+_EXACT_SEED = "exact"
+
 
 def config_hash(config: dict) -> str:
     """Stable short hash of a configuration mapping."""
@@ -63,6 +66,13 @@ def _is_csv(fmt: str) -> bool:
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {list(FORMATS)}, got {fmt!r}")
     return fmt == "csv"
+
+
+def _degree(tables: list[MomentTable]) -> int:
+    """The degree of a run's moment tables; an empty list is refused."""
+    if not tables:
+        raise ValueError("no moment tables to write")
+    return tables[0].degree
 
 
 def _write(path, lines: list[str]) -> Path:
@@ -134,29 +144,29 @@ def write_ensemble(path, report: EnsembleReport, config: dict, fmt="csv") -> Pat
     return _csv(path, config, report.seed, lines)
 
 
-def write_law(path, law: ExactLaw, config: dict, fmt="csv", seed="exact") -> Path:
+def write_law(path, law: ExactLaw, config: dict, fmt="csv") -> Path:
     ks = range(1, law.n + 1)
     if _is_csv(fmt):
-        return _csv(path, config, seed, ["k,prob", *(f"{k},{float(law.probs[k])!r}" for k in ks)])
+        return _csv(
+            path, config, _EXACT_SEED, ["k,prob", *(f"{k},{float(law.probs[k])!r}" for k in ks)]
+        )
     return _json(path, {
-        "meta": _meta(config, seed),
+        "meta": _meta(config, _EXACT_SEED),
         "n": law.n,
         "probs": {str(k): float(law.probs[k]) for k in ks},
     })
 
 
-def write_moments(path, tables: list[MomentTable], config: dict, fmt="csv", seed="exact") -> Path:
-    if not tables:
-        raise ValueError("no moment tables to write")
-    degree = tables[0].degree
+def write_moments(path, tables: list[MomentTable], config: dict, fmt="csv") -> Path:
+    degree = _degree(tables)
     cols = [(a, d - a) for d in range(1, degree + 1) for a in range(d, -1, -1)]
     if _is_csv(fmt):
-        return _csv(path, config, seed, [
+        return _csv(path, config, _EXACT_SEED, [
             "n," + ",".join(f"m{a}{b}" for a, b in cols),
             *(f"{t.n}," + ",".join(repr(float(t.m[a, b])) for a, b in cols) for t in tables),
         ])
     return _json(path, {
-        "meta": _meta(config, seed),
+        "meta": _meta(config, _EXACT_SEED),
         "degree": degree,
         "tables": [
             {"n": t.n, **{f"m{a}{b}": float(t.m[a, b]) for a, b in cols}} for t in tables
@@ -165,36 +175,39 @@ def write_moments(path, tables: list[MomentTable], config: dict, fmt="csv", seed
 
 
 def write_mean_table(
-    path, params: ModelParams, cps, means, config: dict, regime: str, limit=None,
-    fmt="csv", seed="exact",
+    path, params: ModelParams, cps, means, config: dict, regime: str, limit=None, fmt="csv",
 ) -> Path:
-    """Exact E[Xi_n] at `cps`; a localized walk's table adds its limit and gap.
+    """Exact E[Xi_n] at `cps`, one mean per checkpoint; a localized walk's
+    table adds its limit and gap.
 
     `params` goes only into the JSON file.
     """
+    if len(cps) != len(means):
+        raise ValueError(f"{len(cps)} checkpoints but {len(means)} means")
     rows = [(int(c), float(m)) for c, m in zip(cps, means)]
     if limit is not None:
         rows = [(c, m, float(limit), float(limit - m)) for c, m in rows]
     if _is_csv(fmt):
-        return _csv(path, config, seed, [
+        return _csv(path, config, _EXACT_SEED, [
             f"# regime={regime}",
             "n,mean_xi" if limit is None else "n,mean_xi,limit,gap",
             *(",".join(map(repr, row)) for row in rows),
         ])
     keys = ("n", "mean_xi", "limit", "gap")
     return _json(path, {
-        "meta": {**_meta(config, seed), "regime": regime},
+        "meta": {**_meta(config, _EXACT_SEED), "regime": regime},
         "params": {"p": params.p, "beta": params.beta},
         "rows": [dict(zip(keys, row)) for row in rows],
     })
 
 
 def write_critical_ratios_csv(
-    path, params: ModelParams, tables: list[MomentTable], config: dict, seed="exact"
+    path, params: ModelParams, tables: list[MomentTable], config: dict
 ) -> Path:
     """E[Xi^(k-l) Sigma^l] / (n^(l beta) (log n)^(2k-1-l)) on the critical line."""
     beta = params.beta
-    cols = [(k, l) for k in (1, 2, 3) for l in range(k + 1) if k <= tables[0].degree]
+    degree = _degree(tables)
+    cols = [(k, l) for k in (1, 2, 3) for l in range(k + 1) if k <= degree]
     lines = ["n," + ",".join(f"r{k}{l}" for k, l in cols)]
     for t in tables:
         if t.n < 2:
@@ -204,7 +217,7 @@ def write_critical_ratios_csv(
             denom = t.n ** (l * beta) * math.log(t.n) ** (2 * k - 1 - l)
             vals.append(repr(float(t.m[k - l, l]) / denom))
         lines.append(f"{t.n}," + ",".join(vals))
-    return _csv(path, config, seed, lines)
+    return _csv(path, config, _EXACT_SEED, lines)
 
 
 def write_l2_json(path, diag: L2Diagnostic) -> Path:

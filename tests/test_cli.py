@@ -481,6 +481,90 @@ class TestConfigValues:
         assert f"# config_hash={config_hash(hashed)}" in text
 
 
+#: a value for each config key of each command, none of them its default
+GIVEN = {
+    "simulate": {
+        "out": "elsewhere", "p": [0.25, 0.75], "beta": [2.0], "n": 77, "replicates": 33,
+        "seed": 5, "mode": "full", "checkpoint_ratio": 1.5, "format": "json", "workers": 2,
+        "sigma_level": 3.0, "differential": True, "differential_n": 9,
+    },
+    "exact": {
+        "out": "elsewhere", "p": [0.25], "beta": [2.0, 3.0], "n": 500, "degree": 2,
+        "enumerate": True, "critical": True, "checkpoint_ratio": 2.0, "format": "json",
+    },
+    "report": {
+        "out": "elsewhere", "regime": ["critical", "localized"], "seed": 3, "scale": 0.5,
+        "sigma_level": 5.0,
+    },
+}
+
+
+def _subparser(command):
+    (sub,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    return sub.choices[command]
+
+
+def _argv(command, values):
+    """The command line that gives each of `values` by its flag."""
+    argv = [command]
+    for action in _subparser(command)._actions:
+        if action.dest not in values:
+            continue
+        flag, value = action.option_strings[0], values[action.dest]
+        if value is True:
+            argv.append(flag)
+        elif action.nargs == "+":
+            argv += [flag, *map(str, value)]
+        elif isinstance(value, list):  # an appended flag, given once per value
+            for v in value:
+                argv += [flag, str(v)]
+        else:
+            argv += [flag, str(value)]
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(GIVEN))
+class TestFlags:
+    """The config keys are the parser's flags, and every flag reaches the
+    resolved config."""
+
+    def test_config_keys_are_the_flag_destinations(self, command, tmp_path):
+        dests = {a.dest for a in _subparser(command)._actions} - {"help", "config"}
+        assert set(GIVEN[command]) == dests
+        cfg, given = cli._merged(cli.build_parser().parse_args([command]))
+        assert set(cfg) == dests and given == set()
+        assert all(cfg[key] != value for key, value in GIVEN[command].items())
+        # a config file may set every one of them, and nothing else
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(GIVEN[command]))
+        args = cli.build_parser().parse_args([command, "--config", str(path)])
+        assert cli._merged(args) == (GIVEN[command], dests)
+        path.write_text(json.dumps({**GIVEN[command], "config": "x.json"}))
+        with pytest.raises(ValueError, match=r"unknown config keys: \['config'\]"):
+            cli._merged(args)
+
+    def test_every_flag_reaches_the_config(self, command):
+        args = cli.build_parser().parse_args(_argv(command, GIVEN[command]))
+        cfg, given = cli._merged(args)
+        assert cfg == GIVEN[command]
+        assert given == set(GIVEN[command])
+
+    def test_help_lists_the_flag_of_every_config_key(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for key in GIVEN[command]:
+            assert f"--{key.replace('_', '-')}" in out, key
+
+
+def test_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "erwalk 0.1.0\n"
+
+
 # sha256 of every file `erwalk exact` writes, recorded from the whole-array
 # propagator before it was streamed in chunks
 EXACT_GOLDEN = [
@@ -1056,6 +1140,24 @@ def test_unknown_format_is_refused_before_any_write(tmp_path):
     for write, given in calls:
         with pytest.raises(ValueError, match="format must be one of"):
             write(tmp_path / "sub" / "x.xml", *given, fmt="xml")
+    assert not (tmp_path / "sub").exists()
+
+
+@pytest.mark.parametrize("means", [[1.0], [1.0, 2.0, 3.0, 4.0]])
+def test_mean_table_refuses_a_mean_per_checkpoint_mismatch(tmp_path, means):
+    # zipped, the two lists once gave a shorter table without an error
+    with pytest.raises(ValueError, match=f"3 checkpoints but {len(means)} means"):
+        serialize.write_mean_table(
+            tmp_path / "sub" / "m.csv", ModelParams(0.5, 1.0), [1, 10, 100], means, {}, "x"
+        )
+    assert not (tmp_path / "sub").exists()
+
+
+def test_critical_ratios_refuse_no_tables(tmp_path):
+    with pytest.raises(ValueError, match="no moment tables to write"):
+        serialize.write_critical_ratios_csv(
+            tmp_path / "sub" / "r.csv", ModelParams(0.5, 1.0), [], {}
+        )
     assert not (tmp_path / "sub").exists()
 
 

@@ -4,6 +4,14 @@ import pytest
 from erwalk import cli, report
 
 
+def test_regimes_are_the_phase_labels():
+    # the battery's order, which the --regime choices and report.json follow
+    assert report.REGIMES == (
+        "negative_beta", "zero_beta", "sub_critical_positive", "critical", "localized",
+    )
+    assert set(report.REGIMES) == {r.value for r in report.analysis.Regime}
+
+
 @pytest.fixture
 def in_process(monkeypatch):
     monkeypatch.setattr(report, "_FAN_OUT_MIN_REPS", 1 << 62)
