@@ -20,7 +20,7 @@ from erwalk.analysis import chi_square_two_sample, chi_square_vs_law
 from erwalk.exact import enumerate_law, exact_mean_xi, lower_bound_prob_one
 from erwalk.gammaratio import c_values, log_poch, poch_ratio
 from erwalk.memory import MemoryLaw
-from erwalk.streams import replicate_stream
+from erwalk.streams import replicate_stream, uniform_rows
 from erwalk.walkers import ModelParams, geometric_checkpoints, run_ensemble, run_walk
 
 from conftest import assert_no_child
@@ -972,6 +972,22 @@ class TestEventsEngine:
         for x in res.arrays.values():
             assert x.flags.c_contiguous and x.shape == (reps, len(res.checkpoints))
 
+    def test_dense_block_memory(self):
+        # (0.5, 0) makes about 450k up-steps: the engine adds each round's
+        # up-steps to its delta arrays, so the peak keeps the bound of
+        # test_one_block_memory; a list of every up-step would add 10 MiB
+        pms, n, reps = ModelParams(0.5, 0.0), 10**4, 4000
+        run_ensemble(pms, n, 10, seed=3, mode="events")
+        tracemalloc.start()
+        try:
+            res = run_ensemble(pms, n, reps, seed=3, mode="events")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.arrays["xi"][:, -1].sum() - reps > 4 * 10**5
+        out = sum(x.nbytes for x in res.arrays.values())
+        assert peak <= out + reps * 8 * (walkers._EVENT_FILL + 8) + (3 << 20)
+
     def test_blocks_memory(self):
         # in process, each block is placed in the result before the next one
         # runs: the peak is the result, one block's arrays and its fill
@@ -1053,6 +1069,159 @@ class TestEventsEngine:
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode must be 'auto' or one of"):
             run_ensemble(ModelParams(0.5, 1.0), 10, 3, seed=1, mode="bogus")
+
+
+def _per_round_events_block(plan, start, count):
+    """The events engine as it first ran: every fill gives each running row
+    48 draws (24 candidates), and each round adds its up-steps to the delta
+    arrays by 2-D fancy indexing.  The reference for `walkers._events_block`,
+    which must match it bit for bit: candidate k of replicate r reads draws
+    2k (the gap) and 2k + 1 (the thinning coin) of the stream (seed, r)
+    however the draws are filled, and each checkpoint cell receives the same
+    additions in the same order."""
+    cps, n, record = plan.checkpoints, plan.n_steps, plan.record
+    width = len(cps)
+    d_xi = np.zeros((count, width), dtype=np.int64) if "xi" in record else None
+    d_sigma = np.zeros((count, width))
+    d_w = np.zeros((count, width)) if "a" in record else None
+    past = cps[-1] < n
+    mu = plan.mu[:n]
+    coef = plan.coef
+    if not np.isfinite(mu).all():
+        coef = np.where(np.isfinite(mu), coef, np.nan)
+    env = np.maximum.accumulate(coef[::-1])[::-1]
+    tail = np.zeros(n + 1)
+    tail[:n] = np.cumsum(coef[::-1])[::-1]
+    first_cp = np.repeat(np.arange(width + 1), np.diff(cps, prepend=-1, append=n))
+    rows = np.arange(count) if n > 1 else np.arange(0)
+    t = np.ones(count, dtype=np.int64)
+    sigma = np.ones(count)
+    buf = np.empty((count, 48))
+    k = k_end = 0
+    while rows.size:
+        if k == k_end:
+            rounds = min(24, n - int(t.min()))
+            keys = np.uint64(start) + rows.astype(np.uint64)
+            uniform_rows(plan.seed, keys, 2 * k, 2 * rounds, out=buf[: rows.size])
+            pos = np.arange(rows.size)
+            k0, k_end = k, k + rounds
+        col = 2 * (k - k0)
+        e = env[t]
+        lam = sigma * e
+        if not lam.max() <= plan.guard:
+            i = np.flatnonzero(~(lam <= plan.guard))[0]
+            at = t[i] + np.flatnonzero(~(sigma[i] * coef[t[i]:] <= plan.guard))[0]
+            raise RuntimeError(f"internal consistency violated: pi_n > p at n = {at}")
+        gap = np.full(rows.size, np.inf)
+        np.divide(np.log1p(-buf[pos, col]), np.log1p(-lam), out=gap, where=lam > 0)
+        j = t + np.floor(gap)
+        go = j < n
+        rows, pos, sigma, e = rows[go], pos[go], sigma[go], e[go]
+        j = j[go].astype(np.int64)
+        up = buf[pos, col + 1] * e < coef[j]
+        if up.any():
+            r, s = rows[up], j[up] + 1
+            m = mu[j[up]]
+            sigma[up] += m
+            b = first_cp[s]
+            if past:
+                keep = b < width
+                r, s, m, b = r[keep], s[keep], m[keep], b[keep]
+            if d_xi is not None:
+                d_xi[r, b] += 1
+            d_sigma[r, b] += m
+            if d_w is not None:
+                d_w[r, b] += m * tail[s]
+        t = j + 1
+        go = t < n
+        rows, pos, t, sigma = rows[go], pos[go], t[go], sigma[go]
+        k += 1
+    out = {}
+    if d_xi is not None:
+        out["xi"] = np.cumsum(d_xi, axis=1) + 1
+    sigma_cp = np.cumsum(d_sigma, axis=1) + 1.0
+    if "sigma" in record:
+        out["sigma"] = sigma_cp
+    if d_w is not None:
+        w = np.cumsum(d_w, axis=1)
+        out["a"] = 1.0 + ((tail[1] - sigma_cp * tail[cps]) + w)
+    return out
+
+
+def _compare_with_events_reference(params, n_steps, seed, start, count, cps, record,
+                                   bad_at=None, bad=math.nan):
+    """Run the events engine and its reference, with mu_{n+1} = `bad` at
+    n = `bad_at`, on the plan that `_run` builds for these arguments.
+
+    Returns the reference's arrays, or None when the guard raised (in both,
+    with the same message).
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        if bad_at is not None:
+            mp.setattr(walkers, "c_values", _with_bad_mu(bad_at, bad))
+        plan = walkers._plan(params, n_steps, seed,
+                             walkers._check_checkpoints(cps, n_steps), record)
+    try:
+        want = _per_round_events_block(plan, start, count)
+    except RuntimeError as err:
+        with pytest.raises(RuntimeError) as got:
+            walkers._events_block(plan, start, count)
+        assert str(got.value) == str(err)
+        return None
+    got = walkers._events_block(plan, start, count)
+    assert sorted(got) == sorted(record)
+    for name in record:
+        assert got[name].dtype == want[name].dtype, name
+        assert got[name].shape == (count, len(plan.checkpoints)), name
+        assert np.array_equal(got[name], want[name]), name
+    return want
+
+
+class TestEventsKernel:
+    """The events engine against its per-round reference, bit for bit."""
+
+    @given(
+        p=st.floats(0.001, 0.99),
+        beta=st.floats(-0.99, 5.0),
+        n_steps=st.one_of(
+            st.sampled_from([2, 3, 9, 10, 17, 25, 26, 1000, 3000]),
+            st.integers(2, 3000),
+        ),
+        count=st.one_of(st.sampled_from([1, 2, 127, 128, 300]), st.integers(1, 300)),
+        seed=st.integers(0, 2**64 - 1),
+        start=st.integers(0, 2**40),
+        record=st.sets(st.sampled_from(["xi", "sigma", "a"])).map(sorted).map(tuple),
+        bad=st.one_of(st.none(), st.none(), st.none(),
+                      st.tuples(st.integers(0, 2**20), st.sampled_from([math.nan, math.inf, 1e-300]))),
+        data=st.data(),
+    )
+    @example(p=0.001, beta=5.0, n_steps=50, count=3, seed=21, start=0,
+             record=("a", "sigma", "xi"), bad=None, data=None).via("no up-step at all")
+    @example(p=0.9, beta=-0.5, n_steps=2, count=17, seed=3, start=0,
+             record=("a", "sigma", "xi"), bad=None, data=None).via("an up-step at j = n - 1")
+    @example(p=0.9, beta=-0.5, n_steps=40, count=300, seed=5, start=2**40,
+             record=("a", "sigma", "xi"), bad=None, data=None).via("up-steps at j = n - 1 in rows the kernel fills")
+    def test_matches_per_round_reference(self, p, beta, n_steps, count, seed, start, record,
+                                         bad, data):
+        if data is None:
+            cps = walkers.geometric_checkpoints(n_steps)
+        else:
+            kind = data.draw(st.sampled_from(["every", "random", "geometric", "before"]))
+            if kind == "every":
+                cps = np.arange(1, n_steps + 1)
+            elif kind == "random":
+                cps = np.unique(data.draw(st.lists(st.integers(1, n_steps), min_size=1,
+                                                   max_size=12)))
+            elif kind == "geometric":
+                cps = walkers.geometric_checkpoints(n_steps)
+            else:  # up-steps past the last checkpoint are recorded nowhere
+                cps = walkers.geometric_checkpoints(data.draw(st.integers(1, n_steps - 1)))
+        bad_at, value = (None, None) if bad is None else bad
+        if bad_at is not None:
+            bad_at = 1 + bad_at % (n_steps - 1)  # mu[bad_at] = mu_{n+1} at n = bad_at
+        with np.errstate(invalid="ignore", over="ignore"):
+            _compare_with_events_reference(ModelParams(p, beta), n_steps, seed, start, count,
+                                           cps, record, bad_at, value)
 
 
 #: seeds of the pooled oracle ensembles, fixed before any of them was run;
