@@ -32,7 +32,11 @@ counter-based streams of `streams`, so results are bit-identical under any
 block size or worker count.  The per-step engines key a stream per time
 step: transition n of replicate r reads draw r (collapsed) or draws 2r and
 2r + 1 (full) of stream (seed, n), so a block's draws for one step are one
-contiguous row.  The events engine keys a stream per replicate.
+contiguous row.  The events engine keys a stream per replicate: candidate k
+of replicate r reads draws 2k and 2k + 1 of stream (seed, r).  It fills
+the draws of the rows still running a few candidates at a time, the first
+fill shorter than the later ones, and scatter-adds each round's up-steps
+into per-checkpoint delta arrays.
 
 `run_walk` and `run_ensemble` both go through `_run`: it checks the key,
 worker count, horizon (at most MAX_STEPS, and short enough that
@@ -46,7 +50,8 @@ mu = c_values(beta, n_steps + 1), coef and the guard, O(n) doubles.
 Every engine is `engine(plan, start, count)`, run on blocks of
 replicates that `_run` sizes, in this process or as tasks of `_fan_out`,
 the package's one process pool: forked workers that inherit the tasks and
-pipe back each pickled result, which `_run` places as it comes in.  The
+pipe back each pickled result, which `_run` places as it comes in; no
+worker runs more than `workers` blocks ahead of the next one to place.  The
 per-step engines (collapsed and full) are a set-up plus a kernel that
 advances their state one step at a time from one time to a later one;
 `_drive` owns the draws, fills them a tile of steps at a time, cuts time
@@ -110,10 +115,19 @@ _BLOCK_SIZE = 2048
 #: block of a few replicates fills thousands of steps at once, whose short
 #: rows go to the streams' array kernel
 _TILE_DRAWS = 1 << 17
-#: draws per replicate and fill of the events engine, two per candidate; the
-#: streams' array kernel takes rows of up to 48.  The fill buffer is part of
-#: the engine's per-row scratch (`_events_row_bytes`)
+#: draws per running replicate of each fill of the events engine after the
+#: first, two per candidate; the streams' array kernel takes rows of up to
+#: 48.  The fill buffer is part of the engine's per-row scratch
+#: (`_events_row_bytes`)
 _EVENT_FILL = 48
+#: draws per replicate of the events engine's first fill, which every row
+#: gets: at (0.5, 1), 1e4 steps, seed 3, 53% of rows stop within 8
+#: candidates, so the 1e4-replicate run fills 475k draws, where fills of 48
+#: filled 606k for the 304k it reads.  Fastest of 15 interleaved runs (2-core Xeon VM,
+#: numpy 2.4), first fills of 8, 16, 24, 32 and 48 draws took 40.3, 37.5,
+#: 39.8, 45.0 and 45.3 ms there, and 13.5, 9.9, 12.0, 15.2 and 15.3 ms at
+#: (0.5, 2), 1e4 steps, 4000 replicates.  At most _EVENT_FILL
+_EVENT_FIRST_FILL = 16
 #: bytes of per-row scratch an events block may hold: 26,214 rows of a
 #: 1e4-step run recording xi and sigma at its 48 geometric checkpoints.
 #: The events engine pays per round, fill and tail round whatever the rows,
@@ -345,18 +359,29 @@ def _events_block(plan, start, count):
     tighter envelope.  A replicate is done when its candidate reaches n.
 
     Candidate k of replicate r reads draws 2k (the gap) and 2k + 1 (the
-    acceptance) of its stream, so its output depends on (seed, r) alone.
-    Every replicate still running is at the same candidate, so one fill of
-    _EVENT_FILL draws for the running rows serves half as many rounds.
-    Checkpoint values are summed in place from per-checkpoint deltas, and
-    A_n from suffix sums of coef, which stay accurate where the terms are
-    small; the returned arrays are the delta arrays.
+    acceptance) of its stream, so its output depends on (seed, r) alone,
+    however the draws are filled.  Every replicate still running is at the
+    same candidate, so one fill of the running rows serves a run of rounds:
+    the first gives every row _EVENT_FIRST_FILL draws, as most rows of a
+    sparse walk stop within a few candidates, and each later one gives the
+    rows still running _EVENT_FILL; no fill reaches past the candidates a
+    row has times left for.  Each round scatter-adds its up-steps
+    (np.add.at) into flat views of per-checkpoint delta arrays, allocated
+    up front.  A row steps up at most once a round, so each cell receives
+    its additions in round order, whatever the fills.  Checkpoint values
+    are summed in place from the deltas, and A_n from suffix sums of coef,
+    which stay accurate where the terms are small; the returned arrays are
+    the delta arrays.
     """
     cps, n, record = plan.checkpoints, plan.n_steps, plan.record
     width = len(cps)
     d_xi = np.zeros((count, width), dtype=np.int64) if "xi" in record else None
     d_sigma = np.zeros((count, width))
     d_w = np.zeros((count, width)) if "a" in record else None
+    # flat views of the deltas: row r's delta at checkpoint b is cell r * width + b
+    xi_cells, sigma_cells, w_cells = (
+        None if d is None else d.reshape(-1) for d in (d_xi, d_sigma, d_w)
+    )
     past = cps[-1] < n  # up-steps after the last checkpoint are recorded nowhere
     mu = plan.mu[:n]  # mu[j] = mu_{j+1}, the weight of an up-step at j
     coef = plan.coef  # coef[j] at the times j = 1, ..., n - 1 of a transition
@@ -370,16 +395,18 @@ def _events_block(plan, start, count):
     rows = np.arange(count) if n > 1 else np.arange(0)
     t = np.ones(count, dtype=np.int64)
     sigma = np.ones(count)
-    buf = np.empty((count, _EVENT_FILL))
+    buf = np.empty(count * _EVENT_FILL)  # the first fill is no longer
+    fill = _EVENT_FIRST_FILL
     k = k_end = 0  # the current candidate, and the first one past the fill
     while rows.size:
         if k == k_end:
             # no row needs more candidates than it has times left
-            rounds = min(_EVENT_FILL // 2, n - int(t.min()))
+            rounds = min(fill // 2, n - int(t.min()))
             keys = np.uint64(start) + rows.astype(np.uint64)
-            uniform_rows(plan.seed, keys, 2 * k, 2 * rounds, out=buf[: rows.size])
-            pos = np.arange(rows.size)  # each row's line of `buf`
-            k0, k_end = k, k + rounds
+            lines = buf[: rows.size * 2 * rounds].reshape(rows.size, 2 * rounds)
+            uniform_rows(plan.seed, keys, 2 * k, 2 * rounds, out=lines)
+            pos = np.arange(rows.size)  # each row's line of `lines`
+            k0, k_end, fill = k, k + rounds, _EVENT_FILL
         col = 2 * (k - k0)
         e = env[t]
         lam = sigma * e
@@ -390,12 +417,12 @@ def _events_block(plan, start, count):
             raise RuntimeError(f"internal consistency violated: pi_n > p at n = {at}")
         # lam = 0 (an underflowed coef) gives an infinite gap
         gap = np.full(rows.size, np.inf)
-        np.divide(np.log1p(-buf[pos, col]), np.log1p(-lam), out=gap, where=lam > 0)
+        np.divide(np.log1p(-lines[pos, col]), np.log1p(-lam), out=gap, where=lam > 0)
         j = t + np.floor(gap)
         go = j < n
         rows, pos, sigma, e = rows[go], pos[go], sigma[go], e[go]
         j = j[go].astype(np.int64)
-        up = buf[pos, col + 1] * e < coef[j]
+        up = lines[pos, col + 1] * e < coef[j]
         if up.any():
             r, s = rows[up], j[up] + 1  # up-step X_s = 1
             m = mu[j[up]]
@@ -404,11 +431,14 @@ def _events_block(plan, start, count):
             if past:
                 keep = b < width
                 r, s, m, b = r[keep], s[keep], m[keep], b[keep]
-            if d_xi is not None:
-                d_xi[r, b] += 1
-            d_sigma[r, b] += m
-            if d_w is not None:
-                d_w[r, b] += m * tail[s]
+            # a row steps up at most once a round, so each cell gets its
+            # additions in round order
+            cell = r * width + b
+            if xi_cells is not None:
+                np.add.at(xi_cells, cell, 1)
+            np.add.at(sigma_cells, cell, m)
+            if w_cells is not None:
+                np.add.at(w_cells, cell, m * tail[s])
         t = j + 1
         go = t < n
         rows, pos, t, sigma = rows[go], pos[go], t[go], sigma[go]
@@ -588,8 +618,10 @@ def _run(params, n_steps, seed, checkpoints, mode, record, start, count, workers
                 arrays[name] = np.empty((count, len(cps)), dtype=part[name].dtype)
             arrays[name][s - start : s - start + len(part[name])] = part[name]
 
-    # each block is placed, and dropped, as its result comes in
-    parts = _fan_out([(engine, (plan, s, c)) for s, c in blocks], workers)
+    # each block is placed, and dropped, as its result comes in; a worker
+    # runs at most `workers` blocks ahead of the next one to place, so a
+    # late block holds back the others rather than the result piling up
+    parts = _fan_out([(engine, (plan, s, c)) for s, c in blocks], workers, ahead=workers)
     for s, _ in blocks:
         place(s, next(parts))
     return cps, mode, arrays
@@ -638,7 +670,7 @@ def _pool_size(n_tasks: int, per_cpu: int = 1) -> int:
     return 1 if cpus < 2 else min(per_cpu * cpus, n_tasks)
 
 
-def _fan_out(tasks, workers: int, order=None):
+def _fan_out(tasks, workers: int, order=None, ahead=None):
     """The results of `tasks`, handed over in task order as they arrive,
     run over `workers` forked processes.
 
@@ -651,9 +683,16 @@ def _fan_out(tasks, workers: int, order=None):
     the next task in `order` (indices into `tasks`; task order by default)
     over a pipe of its own, which so never holds more than one index, and
     this process reads every reply pipe as data comes (poll), so no
-    worker waits on a full pipe while another is drained.  The results
-    come back in task order, so a caller that writes them in that order
-    writes what it would have written running them itself.  With fewer
+    worker waits on a full pipe while another is drained.  With `ahead`
+    (and task order) a worker is sent task i only once i < want + ahead,
+    want the next task whose result is to be handed over: a late task then
+    idles the others, and this process holds at most `ahead` results,
+    where without it a late first task leaves every later result waiting
+    here.  `_run` bounds its blocks so; the report's gates and `erwalk
+    exact`'s points are small results, and a bound would idle workers
+    behind a slow gate.  The results come back in task order, so a caller
+    that writes them in that order writes what it would have written
+    running them itself.  With fewer
     than two workers or tasks, or where `os.fork` does not exist, the
     tasks run in this process, in task order, each when its result is
     asked for.
@@ -671,11 +710,18 @@ def _fan_out(tasks, workers: int, order=None):
         for fn, args in tasks:
             yield fn(*args)
         return
-    pending = iter(range(len(tasks)) if order is None else order)
+    pending = list(range(len(tasks)) if order is None else order)[::-1]  # next at the end
     procs = {}  # read end of a worker's reply pipe -> its _Worker
+    idle = []  # workers with a pipe open and no task
     replies = select.poll()  # unlike select.select, takes any fd number
     done = {}  # task index -> (ok, result or exception), until handed over
     want, last = 0, len(tasks) - 1
+
+    def feed():
+        # hand idle workers the next tasks, or close them once none is left
+        while idle and not (pending and ahead is not None and pending[-1] >= want + ahead):
+            idle.pop().assign(pending.pop() if pending else None)
+
     _flush_std()  # what this process has printed is not the workers' to write
     try:
         for _ in range(workers):
@@ -704,7 +750,8 @@ def _fan_out(tasks, workers: int, order=None):
             replies.register(reply_r, select.POLLIN)
             os.close(take_r)
             os.close(reply_w)
-            w.assign(next(pending, None))
+            idle.append(w)
+            feed()
         while procs:
             for fd, _ in replies.poll():
                 w = procs[fd]
@@ -713,11 +760,13 @@ def _fan_out(tasks, workers: int, order=None):
                     del procs[fd]
                     replies.unregister(fd)
                     os.close(fd)
+                    asked = w.take is None  # it ends once its pipe of tasks is closed
                     w.close()
                     status = os.waitpid(w.pid, 0)[1]
-                    if w.task is not None:
+                    if not asked:
+                        doing = "idle" if w.task is None else f"running task {w.task}"
                         raise RuntimeError(
-                            f"a fan-out worker ended running task {w.task}, exit"
+                            f"a fan-out worker ended {doing}, exit"
                             f" status {os.waitstatus_to_exitcode(status)}"
                         )
                     continue
@@ -728,15 +777,17 @@ def _fan_out(tasks, workers: int, order=None):
                     w.reply = bytearray(int.from_bytes(w.reply, "little"))
                 else:
                     done[w.task] = pickle.loads(w.reply)
-                    w.reply = bytearray(8)
-                    w.assign(next(pending, None))
+                    w.reply, w.task = bytearray(8), None
+                    idle.append(w)
                 w.head, w.got = not w.head, 0
+            feed()
             while want in done:
                 if not done[want][0]:
                     raise done[want][1]
                 if want == last and procs:  # handed over once every worker is reaped
                     break
                 want += 1
+                feed()
                 yield done.pop(want - 1)[1]
     finally:
         for w in procs.values():

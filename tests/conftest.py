@@ -29,10 +29,10 @@ def fan_out(monkeypatch):
     pools = []
     fan = walkers._fan_out
 
-    def recording(tasks, workers, order=None):
+    def recording(tasks, workers, order=None, ahead=None):
         if workers > 1:
             pools.append(len(tasks))
-        return fan(tasks, workers, order)
+        return fan(tasks, workers, order, ahead)
 
     monkeypatch.setattr(report, "_FAN_OUT_MIN_REPS", 0)
     monkeypatch.setattr(cli, "_EXACT_FAN_OUT_MIN_N", 0)

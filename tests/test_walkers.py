@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import itertools
 import math
 import os
 import resource
@@ -371,10 +372,10 @@ class TestEnsembles:
         handed = []
         fan = walkers._fan_out
 
-        def recording(tasks, workers, order=None):
+        def recording(tasks, workers, order=None, ahead=None):
             if workers > 1:
                 handed.append((workers, tasks))
-            return fan(tasks, workers, order)
+            return fan(tasks, workers, order, ahead)
 
         monkeypatch.setattr(walkers, "_fan_out", recording)
         monkeypatch.setattr(walkers, "_BLOCK_SIZE", 64)
@@ -709,6 +710,40 @@ class TestFanOut:
             over[workers] = peak - out
         assert over[2] <= over[1] + 2 * out / 10, over
 
+    def test_a_late_block_holds_back_the_others(self, monkeypatch, tmp_path):
+        # block 0 waits until the nine other blocks are done, or 1 s: the
+        # other worker may run only the block after it meanwhile, so this
+        # process holds no more than when the blocks come in order
+        pms, n, reps = ModelParams(0.5, 1.0), 300, 10 * walkers._BLOCK_SIZE
+        engine, fields = walkers._ENGINES["collapsed"]
+
+        def late(plan, start, count):
+            if start == 0:
+                deadline = time.monotonic() + 1.0
+                while len(list(tmp_path.glob("done-*"))) < 9 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                (tmp_path / "seen").write_text(str(len(list(tmp_path.glob("done-*")))))
+            part = engine(plan, start, count)
+            (tmp_path / f"done-{start}").touch()
+            return part
+
+        run_ensemble(pms, n, 10, seed=3, mode="collapsed")
+        over = {}
+        for workers in (1, 2):
+            if workers == 2:
+                monkeypatch.setitem(walkers._ENGINES, "collapsed", (late, fields))
+            tracemalloc.start()
+            try:
+                res = run_ensemble(pms, n, reps, seed=3, mode="collapsed", workers=workers)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            out = sum(x.nbytes for x in res.arrays.values())
+            over[workers] = peak - out
+        assert int((tmp_path / "seen").read_text()) <= 1
+        assert len(list(tmp_path.glob("done-*"))) == 10
+        assert over[2] <= over[1] + 2 * out / 10, over
+
 
 class TestCollapsedKernel:
     """The collapsed engine under `_drive` against the reference loop, bit for bit."""
@@ -912,9 +947,9 @@ class TestEventsEngine:
         handed = []
         fan = walkers._fan_out
 
-        def in_process(tasks, workers, order=None):
+        def in_process(tasks, workers, order=None, ahead=None):
             handed.append(workers)
-            return fan(tasks, 1, order)
+            return fan(tasks, 1, order, ahead)
 
         monkeypatch.setattr(walkers, "_fan_out", in_process)
         pms = ModelParams(0.5, 1.0)
@@ -1222,6 +1257,31 @@ class TestEventsKernel:
         with np.errstate(invalid="ignore", over="ignore"):
             _compare_with_events_reference(ModelParams(p, beta), n_steps, seed, start, count,
                                            cps, record, bad_at, value)
+
+    def test_fill_schedule_moves_no_bit(self, monkeypatch):
+        # candidate k of replicate r reads draws 2k and 2k + 1 of stream
+        # (seed, r) however many candidates the first and the later fills
+        # hold; the walks fill by re-keying, the ensemble by the array kernel
+        pms, n, reps = ModelParams(0.5, 0.0), 2000, 300
+        rec, cps = ("xi", "sigma", "a"), [1, 2, 7, 50, 999, 1500]
+
+        def run():
+            res = run_ensemble(pms, n, reps, seed=12, checkpoints=cps, mode="events",
+                               record=rec)
+            walks = [run_walk(pms, n, seed=12, checkpoints=cps, mode="events",
+                              replicate_index=j) for j in (0, 5, 128, reps - 1)]
+            return [res.arrays[k] for k in rec] + [np.array([w.xi, w.sigma, w.a])
+                                                   for w in walks]
+
+        want = run()
+        assert np.array_equal(want[3][0], want[0][0])  # the walks are ensemble rows
+        for first, later in itertools.product((1, 3, 8, 24), repeat=2):
+            if first > later:  # the buffer holds a later fill
+                continue
+            monkeypatch.setattr(walkers, "_EVENT_FIRST_FILL", 2 * first)
+            monkeypatch.setattr(walkers, "_EVENT_FILL", 2 * later)
+            for x, y in zip(want, run()):
+                assert np.array_equal(x, y), (first, later)
 
 
 #: seeds of the pooled oracle ensembles, fixed before any of them was run;
