@@ -121,12 +121,12 @@ _TILE_DRAWS = 1 << 17
 #: (`_events_row_bytes`)
 _EVENT_FILL = 48
 #: draws per replicate of the events engine's first fill, which every row
-#: gets: at (0.5, 1), 1e4 steps, seed 3, 53% of rows stop within 8
-#: candidates, so the 1e4-replicate run fills 475k draws, where fills of 48
-#: filled 606k for the 304k it reads.  Fastest of 15 interleaved runs (2-core Xeon VM,
-#: numpy 2.4), first fills of 8, 16, 24, 32 and 48 draws took 40.3, 37.5,
-#: 39.8, 45.0 and 45.3 ms there, and 13.5, 9.9, 12.0, 15.2 and 15.3 ms at
-#: (0.5, 2), 1e4 steps, 4000 replicates.  At most _EVENT_FILL
+#: gets; at most _EVENT_FILL.  At (0.5, 1), 1e4 steps, seed 3, 53% of rows
+#: stop within 8 candidates, so the 1e4-replicate run fills 475k draws,
+#: where fills of 48 filled 606k for the 304k it reads.  Fastest of 15
+#: interleaved runs (2-core Xeon VM, numpy 2.4), first fills of 8, 16, 24,
+#: 32 and 48 draws took 40.3, 37.5, 39.8, 45.0 and 45.3 ms there, and 13.5,
+#: 9.9, 12.0, 15.2 and 15.3 ms at (0.5, 2), 1e4 steps, 4000 replicates
 _EVENT_FIRST_FILL = 16
 #: bytes of per-row scratch an events block may hold: 26,214 rows of a
 #: 1e4-step run recording xi and sigma at its 48 geometric checkpoints.

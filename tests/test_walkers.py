@@ -665,6 +665,27 @@ class TestFanOut:
             list(walkers._fan_out(tasks, 2))
         assert_no_child()
 
+    def test_worker_that_ends_idle_raises(self, tmp_path):
+        # with ahead = 2, the worker done with task 1 waits for task 0 before
+        # it may take task 2; task 0 kills it while it waits
+        def mark():
+            (tmp_path / "pid.new").write_text(str(os.getpid()))
+            os.replace(tmp_path / "pid.new", tmp_path / "pid")
+            return 1
+
+        def kill_the_other():
+            while not (tmp_path / "pid").exists():
+                time.sleep(0.01)
+            time.sleep(0.3)  # its reply is sent and it waits for a task
+            os.kill(int((tmp_path / "pid").read_text()), signal.SIGKILL)
+            time.sleep(0.3)  # its end is seen before this task's reply
+            return 0
+
+        tasks = [(kill_the_other, ()), (mark, ()), (int, ())]
+        with pytest.raises(RuntimeError, match="ended (idle|running task 1), exit status -9$"):
+            list(walkers._fan_out(tasks, 2, ahead=2))
+        assert_no_child()
+
     def test_unpicklable_result_raises(self):
         with pytest.raises(TypeError, match="cannot pickle"):
             list(walkers._fan_out([(int, ()), (threading.Lock, ())], 2))
@@ -1107,10 +1128,10 @@ class TestEventsEngine:
 
 
 def _per_round_events_block(plan, start, count):
-    """The events engine as it first ran: every fill gives each running row
-    48 draws (24 candidates), and each round adds its up-steps to the delta
-    arrays by 2-D fancy indexing.  The reference for `walkers._events_block`,
-    which must match it bit for bit: candidate k of replicate r reads draws
+    """The events engine with every fill giving each running row 48 draws
+    (24 candidates) and each round adding its up-steps to the delta arrays
+    by 2-D fancy indexing: the reference for `walkers._events_block`, which
+    must match it bit for bit: candidate k of replicate r reads draws
     2k (the gap) and 2k + 1 (the thinning coin) of the stream (seed, r)
     however the draws are filled, and each checkpoint cell receives the same
     additions in the same order."""
