@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy import special as sp_special
 from scipy import stats as sp_stats
@@ -27,7 +27,7 @@ from erwalk.analysis import (
     stagnation_profile,
 )
 from erwalk.exact import ExactLaw, enumerate_law, exact_mean_xi, l2_diagnostic
-from erwalk.walkers import ModelParams, geometric_checkpoints, run_ensemble
+from erwalk.walkers import EnsembleResult, ModelParams, geometric_checkpoints, run_ensemble
 
 
 class TestClassify:
@@ -193,6 +193,85 @@ class TestReports:
         assert rep.mean_m[0] == pytest.approx(1.0)  # M_1 = 1 exactly
         se = np.sqrt(rep.var_m[1] / rep.n_replicates)
         assert rep.mean_m[1] == pytest.approx(1.0, abs=4.5 * se)
+
+
+
+def _direct_report(res: EnsembleResult, confidence_z: float) -> dict:
+    """`build_report`'s statistics by numpy's direct calls on the whole
+    xi matrix and the whole M_n matrix: the reference the fold must match."""
+    xi = res.arrays["xi"]
+    reps = res.n_replicates
+    want = {"mean_xi": np.mean(xi, axis=0)}
+    want["var_xi"] = np.var(xi, axis=0, ddof=1) if reps > 1 else np.zeros_like(want["mean_xi"])
+    want["ci_half_xi"] = confidence_z * np.sqrt(want["var_xi"] / reps)
+    want["mean_m"] = want["var_m"] = None
+    if "sigma" in res.arrays:
+        m = res.martingale()
+        want["mean_m"] = np.mean(m, axis=0)
+        want["var_m"] = np.var(m, axis=0, ddof=1) if reps > 1 else np.zeros_like(want["mean_m"])
+    return want
+
+
+def _fortran_ensemble() -> EnsembleResult:
+    # random doubles, so that a column summed pairwise (as numpy sums a
+    # Fortran-ordered column) and one summed row by row differ in bits
+    gen = np.random.default_rng(11)
+    shape = (31, 11)
+    return EnsembleResult(
+        params=ModelParams(0.5, 1.0),
+        seed=0,
+        n_replicates=shape[0],
+        mode="collapsed",
+        checkpoints=np.arange(1, shape[1] + 1),
+        arrays={
+            "xi": np.asfortranarray(gen.integers(1, 1 << 40, shape)),
+            "sigma": np.asfortranarray(gen.uniform(1.0, 1e3, shape)),
+        },
+    )
+
+
+@st.composite
+def _fold_cases(draw):
+    """(block height, ensemble): replicate counts around the block height,
+    one to 48 checkpoints, every engine, and rates on both sides of the
+    direct Gamma path's limit (at a short horizon above it)."""
+    rows = draw(st.sampled_from([2, 3, 8]))
+    reps = draw(st.sampled_from([1, 2, rows - 1, rows, rows + 1, 3 * rows + 7]))
+    width = draw(st.sampled_from([1, 2, 11, 48]))
+    mode = draw(st.sampled_from(["collapsed", "events", "full"]))
+    if draw(st.booleans()):
+        params, n = ModelParams(0.5, draw(st.sampled_from([3e6, 1e7]))), 50
+    else:
+        p = draw(st.floats(0.05, 0.95))
+        beta = draw(st.floats(-0.9, 4.0))
+        params, n = ModelParams(p, beta), draw(st.integers(48, 300))
+    cps = sorted(draw(st.sets(st.integers(1, n), min_size=width, max_size=width)))
+    record = draw(st.sampled_from([("xi", "sigma"), ("xi",)]))
+    seed = draw(st.integers(0, 2**32))
+    res = run_ensemble(params, n, reps, seed, checkpoints=cps, mode=mode, record=record)
+    return rows, res
+
+
+class TestReportFold:
+    @given(case=_fold_cases(), level=st.sampled_from([1.0, 4.0, 5.5]))
+    @example(case=(4, _fortran_ensemble()), level=4.0)
+    def test_matches_direct_numpy(self, case, level):
+        # the fold over blocks of rows gives numpy's bits field by field,
+        # on either side of the block height and on the direct paths
+        rows, res = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "_FOLD_ROWS", rows, raising=False)
+            rep = build_report(res, confidence_z=level)
+        want = _direct_report(res, level)
+        for name, value in want.items():
+            got = getattr(rep, name)
+            if value is None:
+                assert got is None, name
+                continue
+            assert got.dtype == value.dtype and got.shape == value.shape, name
+            assert np.array_equal(got, value), name
+        assert rep.n_replicates == res.n_replicates and rep.mode == res.mode
+        assert np.array_equal(rep.checkpoints, res.checkpoints)
 
 
 class TestChiSquareHelpers:
