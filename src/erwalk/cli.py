@@ -179,37 +179,48 @@ def _cmd_simulate(args, written: list) -> int:
             f" got {cfg['differential_n']}"
         )
     out_dir = _out_dir(cfg)
-    fmt = cfg["format"]
     config = _hashable(cfg)
     failed_gate = False
     for params in grid:
-        cps = geometric_checkpoints(int(cfg["n"]), float(cfg["checkpoint_ratio"]))
-        res = run_ensemble(
-            params,
-            int(cfg["n"]),
-            int(cfg["replicates"]),
-            int(cfg["seed"]),
-            checkpoints=cps,
-            mode=cfg["mode"],
-            record=("xi", "sigma"),
-            workers=cfg["workers"],
-        )
-        rep = analysis.build_report(res, confidence_z=float(cfg["sigma_level"]))
-        written.append(
-            serialize.write_ensemble(out_dir / f"simulate_{_tag(params)}.{fmt}", rep, config, fmt)
-        )
-        traj = run_walk(
-            params, int(cfg["n"]), int(cfg["seed"]), checkpoints=cps, mode=res.mode
-        )
-        written.append(
-            serialize.write_trajectory(out_dir / f"trajectory_{_tag(params)}.csv", traj, config)
-        )
-        print(f"simulate {_tag(params)}: {cfg['replicates']} replicates to n = {cfg['n']}")
-        if cfg["differential"]:
-            same_n = int(cfg["differential_n"]) == int(cfg["n"])
-            xi_run = res.arrays["xi"][:, -1] if same_n else None
-            failed_gate |= not _differential_check(params, cfg, res.mode, xi_run)
+        failed_gate |= not _simulate_point(params, cfg, config, out_dir, written)
     return 1 if failed_gate else 0
+
+
+def _simulate_point(params: ModelParams, cfg: dict, config, out_dir: Path, written: list) -> bool:
+    """One grid point of `simulate`: its files, its line, and its
+    differential when asked for; False if that fails.
+
+    The ensemble is dropped once it is summarized, and only the column the
+    differential reuses is kept, so it is not held while the trajectory,
+    the differential or the next point runs.
+    """
+    n = int(cfg["n"])
+    cps = geometric_checkpoints(n, float(cfg["checkpoint_ratio"]))
+    res = run_ensemble(
+        params,
+        n,
+        int(cfg["replicates"]),
+        int(cfg["seed"]),
+        checkpoints=cps,
+        mode=cfg["mode"],
+        record=("xi", "sigma"),
+        workers=cfg["workers"],
+    )
+    rep = analysis.build_report(res, confidence_z=float(cfg["sigma_level"]))
+    ran = res.mode
+    same_n = cfg["differential"] and int(cfg["differential_n"]) == n
+    xi_run = res.arrays["xi"][:, -1].copy() if same_n else None
+    del res
+    fmt = cfg["format"]
+    written.append(
+        serialize.write_ensemble(out_dir / f"simulate_{_tag(params)}.{fmt}", rep, config, fmt)
+    )
+    traj = run_walk(params, n, int(cfg["seed"]), checkpoints=cps, mode=ran)
+    written.append(
+        serialize.write_trajectory(out_dir / f"trajectory_{_tag(params)}.csv", traj, config)
+    )
+    print(f"simulate {_tag(params)}: {cfg['replicates']} replicates to n = {cfg['n']}")
+    return not cfg["differential"] or _differential_check(params, cfg, ran, xi_run)
 
 
 def _oracle_seed(seed: int) -> int:

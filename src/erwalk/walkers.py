@@ -860,17 +860,23 @@ def _events_row_bytes(n_checkpoints: int, record) -> int:
     return 8 * (deltas * n_checkpoints + _EVENT_FILL + _EVENT_ROW_WORDS)
 
 
-def _martingale(sigma: np.ndarray, n: np.ndarray, rate: float) -> np.ndarray:
-    """M_n = Sigma_n / c_n(rate), with the checkpoint times n along the last axis.
+def _martingale_factor(n: np.ndarray, rate: float) -> np.ndarray:
+    """1 / c_n(rate) at the checkpoint times n, the factor that turns Sigma_n
+    into M_n.
 
     log c_n(rate) is `log_poch_ratio` up to _DIRECT_MAX_XI.  Past it, where
     that refuses, it is the running sum of log1p(rate/k) over k < n, as
     `_longest_horizon` forms it; such a rate keeps every horizon short.
     """
     if rate <= _DIRECT_MAX_XI:
-        return sigma * np.exp(-log_poch_ratio(n.astype(np.float64), rate))
+        return np.exp(-log_poch_ratio(n.astype(np.float64), rate))
     log_c = np.concatenate(([0.0], np.cumsum(np.log1p(rate / np.arange(1.0, n.max())))))
-    return sigma * np.exp(-log_c[n - 1])
+    return np.exp(-log_c[n - 1])
+
+
+def _martingale(sigma: np.ndarray, n: np.ndarray, rate: float) -> np.ndarray:
+    """M_n = Sigma_n / c_n(rate), with the checkpoint times n along the last axis."""
+    return sigma * _martingale_factor(n, rate)
 
 
 @dataclass
@@ -932,7 +938,12 @@ class EnsembleResult:
     arrays: dict = field(default_factory=dict)
 
     def martingale(self) -> np.ndarray:
-        """Per-replicate M_n matrix (requires sigma to have been recorded)."""
+        """Per-replicate M_n matrix (requires sigma to have been recorded).
+
+        It builds the whole replicates x checkpoints matrix, as large as
+        sigma itself.  Nothing in the package calls it: `build_report` forms
+        M_n one block of rows at a time.
+        """
         return _martingale(self.arrays["sigma"], self.checkpoints, self.params.rate)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from erwalk import cli, report, walkers
+from erwalk import analysis, cli, report, walkers
 
 settings.register_profile(
     "ci",
@@ -41,6 +41,14 @@ def fan_out(monkeypatch):
     yield pools
     # the workers have ended and been reaped, even after a raise
     assert_no_child()
+
+
+def report_slack(width: int) -> int:
+    """Bytes `analysis.build_report` may allocate on an ensemble of `width`
+    checkpoints: the fold's buffer of _FOLD_ROWS + 1 rows (M_n is formed in
+    it), 32 vectors of `width` doubles, and 96 KiB for numpy's 64 KiB
+    casting buffer and Python objects."""
+    return 8 * width * (analysis._FOLD_ROWS + 1 + 32) + (96 << 10)
 
 
 def assert_no_child():

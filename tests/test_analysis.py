@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -28,6 +29,8 @@ from erwalk.analysis import (
 )
 from erwalk.exact import ExactLaw, enumerate_law, exact_mean_xi, l2_diagnostic
 from erwalk.walkers import EnsembleResult, ModelParams, geometric_checkpoints, run_ensemble
+
+from conftest import report_slack
 
 
 class TestClassify:
@@ -260,7 +263,7 @@ class TestReportFold:
         # on either side of the block height and on the direct paths
         rows, res = case
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(analysis, "_FOLD_ROWS", rows, raising=False)
+            mp.setattr(analysis, "_FOLD_ROWS", rows)
             rep = build_report(res, confidence_z=level)
         want = _direct_report(res, level)
         for name, value in want.items():
@@ -272,6 +275,24 @@ class TestReportFold:
             assert np.array_equal(got, value), name
         assert rep.n_replicates == res.n_replicates and rep.mode == res.mode
         assert np.array_equal(rep.checkpoints, res.checkpoints)
+
+    def test_memory(self):
+        # at the simulate-wide shape (5e4 replicates x 11 checkpoints) the
+        # report allocates no more than `report_slack`: 0.18 MiB, of which
+        # it uses 0.15.  numpy on the whole matrices allocates 8.5 MiB here
+        pms = ModelParams(0.5, 1.0)
+        res = run_ensemble(pms, 12, 50_000, seed=3, checkpoints=geometric_checkpoints(12),
+                           mode="collapsed")
+        width = len(res.checkpoints)
+        assert width == 11 and res.arrays["xi"].flags.c_contiguous
+        build_report(res)
+        tracemalloc.start()
+        try:
+            build_report(res)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= report_slack(width)
 
 
 class TestChiSquareHelpers:

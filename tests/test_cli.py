@@ -1,8 +1,11 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +24,9 @@ from erwalk.serialize import (
     write_moments,
     write_trajectory,
 )
-from erwalk.walkers import MAX_STEPS, ModelParams, run_ensemble, run_walk
+from erwalk.walkers import MAX_STEPS, ModelParams, geometric_checkpoints, run_ensemble, run_walk
 
-from conftest import assert_no_child
+from conftest import assert_no_child, report_slack
 
 
 class TestSerialize:
@@ -227,6 +230,27 @@ class TestSimulateCommand:
             a, b = ((o / name).read_text().splitlines() for o, _ in outs)
             assert a[1] != b[1] and a[1].startswith("# config_hash=")
             assert a[:1] + a[2:] == b[:1] + b[2:]
+
+    def test_grid_peaks_at_one_point(self, tmp_path):
+        # each point's ensemble is dropped once summarized, so a two-point
+        # grid peaks where its larger point alone does, within the report's
+        # slack; a point held over while the next one runs adds its 8.4 MiB
+        def peak(*betas):
+            argv = ["simulate", "--p", "0.5", "--beta", *betas, "--n", "12",
+                    "--replicates", "50000", "--mode", "collapsed", "--differential",
+                    "--differential-n", "12", "--seed", "3", "--out", str(tmp_path)]
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak("1")
+        one = max(peak("1"), peak("2"))
+        width = len(geometric_checkpoints(12))
+        assert peak("1", "2") <= one + report_slack(width)
 
     @pytest.mark.parametrize("mode,engine,calls", [
         ("auto", "collapsed", ["auto", "full"]),
@@ -1246,6 +1270,36 @@ def test_runs_import_no_new_module(tmp_path):
     forks = [forks for _, _, _, forks in new]
     assert forks[:-1] == [0, 0, 0, 0, 0]
     assert (forks[-1] > 0) == (len(os.sched_getaffinity(0)) > 1)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM")
+def test_simulate_peaks_at_its_result(tmp_path):
+    # `erwalk simulate` at the simulate-wide benchmark shape, in a fresh
+    # interpreter, against one that only imports the CLI: the run adds its
+    # result (xi and sigma, 5e4 x 11) and at most 4 MiB, so any temporary
+    # the size of one of its arrays (4.2 MiB) shows.  Measured on a 2-core
+    # VM: +10.0 MiB for the 8.4 MiB result, +17.9 MiB when the report took
+    # numpy's mean and variance of the whole matrices.  The peak is VmHWM,
+    # that of the interpreter's own memory: ru_maxrss would start from this
+    # process's peak, which the child inherits across fork and exec
+    code = (
+        "import contextlib, io, re, sys, erwalk.cli\n"
+        "if sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert erwalk.cli.main(sys.argv[1:]) == 0\n"
+        "with open('/proc/self/status') as f:\n"
+        "    print(re.search(r'VmHWM:\\s*(\\d+) kB', f.read()).group(1))\n"
+    )
+    argv = ["simulate", "--p", "0.5", "--beta", "1.0", "--n", "12", "--replicates", "50000",
+            "--differential", "--differential-n", "12", "--seed", "101", "--out", str(tmp_path)]
+
+    def peak(*args):
+        proc = subprocess.run([sys.executable, "-c", code, *args], env=_src_env(),
+                              capture_output=True, text=True, check=True)
+        return int(proc.stdout) << 10
+
+    result = 2 * 8 * 50_000 * len(geometric_checkpoints(12))
+    assert peak(*argv) - peak() <= result + (4 << 20)
 
 
 def test_runs_without_scipy(tmp_path):
