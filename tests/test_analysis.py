@@ -198,7 +198,6 @@ class TestReports:
         assert rep.mean_m[1] == pytest.approx(1.0, abs=4.5 * se)
 
 
-
 def _direct_report(res: EnsembleResult, confidence_z: float) -> dict:
     """`build_report`'s statistics by numpy's direct calls on the whole
     xi matrix and the whole M_n matrix: the reference the fold must match."""
