@@ -861,8 +861,8 @@ def _events_row_bytes(n_checkpoints: int, record) -> int:
 
 
 def _martingale_factor(n: np.ndarray, rate: float) -> np.ndarray:
-    """1 / c_n(rate) at the checkpoint times n, the factor that turns Sigma_n
-    into M_n.
+    """1 / c_n(rate) at the checkpoint times n: M_n = Sigma_n / c_n(rate) is
+    Sigma_n times it, with the times along the last axis.
 
     log c_n(rate) is `log_poch_ratio` up to _DIRECT_MAX_XI.  Past it, where
     that refuses, it is the running sum of log1p(rate/k) over k < n, as
@@ -872,11 +872,6 @@ def _martingale_factor(n: np.ndarray, rate: float) -> np.ndarray:
         return np.exp(-log_poch_ratio(n.astype(np.float64), rate))
     log_c = np.concatenate(([0.0], np.cumsum(np.log1p(rate / np.arange(1.0, n.max())))))
     return np.exp(-log_c[n - 1])
-
-
-def _martingale(sigma: np.ndarray, n: np.ndarray, rate: float) -> np.ndarray:
-    """M_n = Sigma_n / c_n(rate), with the checkpoint times n along the last axis."""
-    return sigma * _martingale_factor(n, rate)
 
 
 @dataclass
@@ -921,7 +916,7 @@ def run_walk(
         n=cps,
         xi=out["xi"][0],
         sigma=sigma,
-        m=_martingale(sigma, cps, params.rate),
+        m=sigma * _martingale_factor(cps, params.rate),
         a=out["a"][0],
     )
 
@@ -944,7 +939,7 @@ class EnsembleResult:
         sigma itself.  Nothing in the package calls it: `build_report` forms
         M_n one block of rows at a time.
         """
-        return _martingale(self.arrays["sigma"], self.checkpoints, self.params.rate)
+        return self.arrays["sigma"] * _martingale_factor(self.checkpoints, self.params.rate)
 
 
 def run_ensemble(
