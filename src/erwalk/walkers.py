@@ -36,7 +36,7 @@ contiguous row.  The events engine keys a stream per replicate: candidate k
 of replicate r reads draws 2k and 2k + 1 of stream (seed, r).  It fills
 the draws of the rows still running a few candidates at a time, the first
 fill shorter than the later ones, and scatter-adds each round's up-steps
-into per-checkpoint delta arrays.
+into per-checkpoint deltas, held in its rows of the result.
 
 `run_walk` and `run_ensemble` both go through `_run`: it checks the key,
 worker count, horizon (at most MAX_STEPS, and short enough that
@@ -47,21 +47,24 @@ an engine: events when the walk expects at most AUTO_EVENTS_MAX_RATE
 up-steps per step, else collapsed; the result records the engine that
 ran), and builds one `_Plan` of what every block reads:
 mu = c_values(beta, n_steps + 1), coef and the guard, O(n) doubles.
-Every engine is `engine(plan, start, count)`, run on blocks of
-replicates that `_run` sizes, in this process or as tasks of `_fan_out`,
-the package's one process pool: forked workers that inherit the tasks and
-pipe back each pickled result, which `_run` places as it comes in; no
-worker runs more than `workers` blocks ahead of the next one to place.  The
-per-step engines (collapsed and full) are a set-up plus a kernel that
+`_run` allocates the result once, zeroed, and every engine is
+`engine(plan, start, count, out)`: it writes replicates start, ...,
+start + count - 1 into `out`, its rows of the result, and returns None.
+The blocks of replicates that `_run` sizes run in this process or as
+tasks of `_fan_out`, the package's one process pool; on its forked
+workers the result is one shared anonymous mapping, which each worker
+writes in place.  The per-step engines (collapsed and full) are a
+set-up plus a kernel that
 advances their state one step at a time from one time to a later one;
 `_drive` owns the draws, fills them a tile of steps at a time, cuts time
-at tile ends and checkpoints, and records the checkpoints.
+at tile ends and checkpoints, and writes the checkpoints into `out`.
 A single walk is a one-replicate run.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import pickle
 import select
@@ -117,7 +120,7 @@ _BLOCK_SIZE = 2048
 _TILE_DRAWS = 1 << 17
 #: draws per running replicate of each fill of the events engine after the
 #: first, two per candidate; the streams' array kernel takes rows of up to
-#: 48.  The fill buffer is part of the engine's per-row scratch
+#: 48.  The fill buffer is part of what an events block holds per row
 #: (`_events_row_bytes`)
 _EVENT_FILL = 48
 #: draws per replicate of the events engine's first fill, which every row
@@ -128,10 +131,11 @@ _EVENT_FILL = 48
 #: 32 and 48 draws took 40.3, 37.5, 39.8, 45.0 and 45.3 ms there, and 13.5,
 #: 9.9, 12.0, 15.2 and 15.3 ms at (0.5, 2), 1e4 steps, 4000 replicates
 _EVENT_FIRST_FILL = 16
-#: bytes of per-row scratch an events block may hold: 26,214 rows of a
-#: 1e4-step run recording xi and sigma at its 48 geometric checkpoints.
-#: The events engine pays per round, fill and tail round whatever the rows,
-#: so it runs the fewest blocks this allows
+#: bytes an events block may hold by its rows (`_events_row_bytes`): its
+#: rows of the result, where it sums its deltas, and its per-row scratch;
+#: 26,214 rows of a 1e4-step run recording xi and sigma at its 48
+#: geometric checkpoints.  The events engine pays per round, fill and tail
+#: round whatever the rows, so it runs the fewest blocks this allows
 _EVENTS_SCRATCH = 32 << 20
 #: per-row vectors of the events engine's rounds (the running rows, their
 #: times, sigmas, fill lines, gaps, envelopes and the filtered copies)
@@ -251,8 +255,8 @@ def _plan(params, n_steps, seed, checkpoints, record) -> _Plan:
     return _Plan(params, n_steps, seed, checkpoints, record, mu, coef, params.p + _GUARD_EPS)
 
 
-def _drive(plan, kernel, state, draws, start, count):
-    """Run a per-step engine over one block of `plan`; returns its checkpoint arrays.
+def _drive(plan, kernel, state, draws, start, count, out):
+    """Run a per-step engine over one block of `plan` into its rows `out`.
 
     `state` maps names to the per-replicate arrays that `kernel(u, t, e)`
     advances in place from time t to time e; u holds the draws of the
@@ -261,26 +265,22 @@ def _drive(plan, kernel, state, draws, start, count):
     draws draws * r, ... of the stream keyed (seed, n), so each step's draws
     for the block are one contiguous row, filled by one `uniform_rows` call
     per tile of steps.  A tile holds at most _TILE_DRAWS draws (one step at
-    least); the driver cuts it at the checkpoints and copies the arrays
-    named in `plan.record` at each checkpoint.  It runs on to n_steps after
-    the last checkpoint, so every step meets its guard.
+    least); the driver cuts it at the checkpoints and at each one copies
+    every state array named in `out` into its column there.  It runs on to
+    n_steps after the last checkpoint, so every step meets its guard.
     """
-    n_steps, checkpoints, record = plan.n_steps, plan.checkpoints, plan.record
+    n_steps, checkpoints = plan.n_steps, plan.checkpoints
     cp_index = {int(c): i for i, c in enumerate(checkpoints)}
-    out = {
-        name: np.empty((count, len(checkpoints)), dtype=state[name].dtype)
-        for name in record
-    }
 
     def snapshot(t):
         i = cp_index.get(t)
         if i is not None:
-            for name in record:
-                out[name][:, i] = state[name]
+            for name, rows in out.items():
+                rows[:, i] = state[name]
 
     snapshot(1)
     if n_steps == 1:
-        return out
+        return
     width = draws * count
     tile = max(1, min(_TILE_DRAWS // width, n_steps - 1))
     buf = np.empty((tile, width))
@@ -300,11 +300,10 @@ def _drive(plan, kernel, state, draws, start, count):
             if t == stop:
                 snapshot(t)
                 stop = next(stops, n_steps)
-    return out
 
 
-def _collapsed_block(plan, start, count):
-    """Advance `count` replicates of the collapsed chain; returns checkpoint arrays.
+def _collapsed_block(plan, start, count, out):
+    """Advance `count` replicates of the collapsed chain, recording into `out`.
 
     One numpy pass per time step: pi_n = coef[n] sigma is checked against the
     guard, then every replicate whose draw v is below its pi_n steps up.  This
@@ -342,10 +341,10 @@ def _collapsed_block(plan, start, count):
                     raise AssertionError(f"pathwise coupling order violated at n = {n + 1}")
 
     state = {"xi": xi, "sigma": sigma, "a": a, "xi_lerw": xi_l}
-    return _drive(plan, kernel, state, 1, start, count)
+    _drive(plan, kernel, state, 1, start, count, out)
 
 
-def _events_block(plan, start, count):
+def _events_block(plan, start, count, out):
     """Advance `count` replicates of the collapsed chain from up-step to up-step.
 
     Between two up-steps of a replicate its pi_n is sigma * coef[n], with
@@ -366,22 +365,25 @@ def _events_block(plan, start, count):
     sparse walk stop within a few candidates, and each later one gives the
     rows still running _EVENT_FILL; no fill reaches past the candidates a
     row has times left for.  Each round scatter-adds its up-steps
-    (np.add.at) into flat views of per-checkpoint delta arrays, allocated
-    up front.  A row steps up at most once a round, so each cell receives
+    (np.add.at) into flat views of per-checkpoint deltas: the zeroed rows
+    `out` of the result, and a scratch array for sigma's when sigma is not
+    recorded.  A row steps up at most once a round, so each cell receives
     its additions in round order, whatever the fills.  Checkpoint values
     are summed in place from the deltas, and A_n from suffix sums of coef,
-    which stay accurate where the terms are small; the returned arrays are
-    the delta arrays.
+    which stay accurate where the terms are small.
     """
-    cps, n, record = plan.checkpoints, plan.n_steps, plan.record
+    cps, n = plan.checkpoints, plan.n_steps
     width = len(cps)
-    d_xi = np.zeros((count, width), dtype=np.int64) if "xi" in record else None
-    d_sigma = np.zeros((count, width))
-    d_w = np.zeros((count, width)) if "a" in record else None
-    # flat views of the deltas: row r's delta at checkpoint b is cell r * width + b
+    d_xi, d_w = out.get("xi"), out.get("a")
+    d_sigma = out["sigma"] if "sigma" in out else np.zeros((count, width))
+    # flat views of the deltas: row r's delta at checkpoint b is cell r *
+    # width + b; assigning the shape raises where reshape would copy
     xi_cells, sigma_cells, w_cells = (
-        None if d is None else d.reshape(-1) for d in (d_xi, d_sigma, d_w)
+        None if d is None else d.view() for d in (d_xi, d_sigma, d_w)
     )
+    for cells in (xi_cells, sigma_cells, w_cells):
+        if cells is not None:
+            cells.shape = -1
     past = cps[-1] < n  # up-steps after the last checkpoint are recorded nowhere
     mu = plan.mu[:n]  # mu[j] = mu_{j+1}, the weight of an up-step at j
     coef = plan.coef  # coef[j] at the times j = 1, ..., n - 1 of a transition
@@ -443,27 +445,21 @@ def _events_block(plan, start, count):
         go = t < n
         rows, pos, t, sigma = rows[go], pos[go], t[go], sigma[go]
         k += 1
-    out = {}
     if d_xi is not None:
         np.cumsum(d_xi, axis=1, out=d_xi)
         d_xi += 1
-        out["xi"] = d_xi
     np.cumsum(d_sigma, axis=1, out=d_sigma)
     d_sigma += 1.0  # sigma at the checkpoints
-    if "sigma" in record:
-        out["sigma"] = d_sigma
     if d_w is not None:
         # A_c = 1 + sum_{s<c} sigma_s coef[s]; with sigma_s = 1 + the weights of
         # the up-steps at times <= s this is 1 + tail[1] - sigma_c tail[c] + W_c,
         # W_c the sum of mu_s tail[s] over the up-steps at times s <= c
         np.cumsum(d_w, axis=1, out=d_w)
-        v = d_sigma if "sigma" not in record else np.empty_like(d_sigma)
+        v = d_sigma if "sigma" not in out else np.empty_like(d_sigma)
         np.multiply(d_sigma, tail[cps], out=v)
         np.subtract(tail[1], v, out=v)
         np.add(v, d_w, out=d_w)
         np.add(1.0, d_w, out=d_w)
-        out["a"] = d_w
-    return out
 
 
 def _recall_weights(mu: np.ndarray, n_steps: int) -> np.ndarray:
@@ -475,7 +471,7 @@ def _recall_weights(mu: np.ndarray, n_steps: int) -> np.ndarray:
     return np.arange(1, n_steps) * mu[1:n_steps]
 
 
-def _full_block(plan, start, count):
+def _full_block(plan, start, count, out):
     """Full-history engine: explicit memory draws, two uniforms per step.
 
     Step n reads the memory draw u, recalls the smallest time k with
@@ -504,13 +500,14 @@ def _full_block(plan, start, count):
             np.add(sigma, x * mu[n], out=sigma)
 
     state = {"xi": xi, "sigma": sigma, "a": a}
-    return _drive(plan, kernel, state, 2, start, count)
+    _drive(plan, kernel, state, 2, start, count, out)
 
 
-_WALK_FIELDS = ("xi", "sigma", "a")
-#: mode -> (engine, the per-replicate arrays it can record)
+#: the per-replicate arrays of a walk, with their dtypes
+_WALK_FIELDS = {"xi": np.int64, "sigma": np.float64, "a": np.float64}
+#: mode -> (engine, the per-replicate arrays it can record, with their dtypes)
 _ENGINES = {
-    "collapsed": (_collapsed_block, _WALK_FIELDS + ("xi_lerw",)),
+    "collapsed": (_collapsed_block, {**_WALK_FIELDS, "xi_lerw": np.int64}),
     "events": (_events_block, _WALK_FIELDS),
     "full": (_full_block, _WALK_FIELDS),
 }
@@ -551,18 +548,20 @@ def _run(params, n_steps, seed, checkpoints, mode, record, start, count, workers
 
     Checks the key, counts, horizon, coupling rate, checkpoints, mode and
     fields before any work, resolves "auto", builds the call's `_Plan`,
-    then runs the engine on blocks of replicates.  With several blocks,
-    each block is a task (engine, (plan, start, count)) of `_fan_out` over
-    `workers` (one runs them in this process); the plan is O(n) doubles, a
-    small part of a block's work.
+    allocates the result, zeroed, and runs the engine on blocks of
+    replicates, each a task (engine, (plan, start, count, rows)) of
+    `_fan_out` over `workers`, with `rows` the block's rows of the result.
+    The plan is O(n) doubles, a small part of a block's work.  When the
+    tasks go to forked workers the result is one shared anonymous mapping,
+    so each worker writes its rows in place and pipes back only None (a
+    process forked later shares it too); else it is numpy's zeroed arrays.
+    A failed or dead worker raises here before the result is returned.
     The per-step engines take blocks of _BLOCK_SIZE.  The events engine
-    takes as many rows as _EVENTS_SCRATCH bytes of its per-row scratch
-    allow, and at most count / workers, so that every worker gets a block,
-    as long as each such block holds _BLOCK_SIZE rows: an ensemble of fewer
-    than 2 _BLOCK_SIZE rows runs as one block.  A one-block run returns the
-    engine's own arrays, with no pool; more blocks are copied into the
-    result one by one as they come in, and dropped.  Returns (checkpoints,
-    engine, {field: C-contiguous array of shape (count, len(checkpoints))}).
+    takes as many rows as _EVENTS_SCRATCH bytes of its rows allow, and at
+    most count / workers, so that every worker gets a block, as long as
+    each such block holds _BLOCK_SIZE rows: an ensemble of fewer than
+    2 _BLOCK_SIZE rows runs as one block.  Returns (checkpoints, engine,
+    {field: C-contiguous array of shape (count, len(checkpoints))}).
     """
     for name, value, least in (("n_steps", n_steps, 1), ("n_replicates", count, 1),
                                ("replicate_index", start, 0)):
@@ -595,7 +594,9 @@ def _run(params, n_steps, seed, checkpoints, mode, record, start, count, workers
     engine, fields = _ENGINES[mode]
     unknown = set(record) - set(fields)
     if unknown:
-        raise ValueError(f"mode {mode!r} cannot record {sorted(unknown)}; it records {fields}")
+        raise ValueError(
+            f"mode {mode!r} cannot record {sorted(unknown)}; it records {tuple(fields)}"
+        )
     plan = _plan(params, n_steps, seed, cps, record)
     if mode == "events":
         size = max(1, _EVENTS_SCRATCH // _events_row_bytes(len(cps), record))
@@ -607,23 +608,22 @@ def _run(params, n_steps, seed, checkpoints, mode, record, start, count, workers
         size = _BLOCK_SIZE
     end = start + count
     blocks = [(s, min(size, end - s)) for s in range(start, end, size)]
-    if len(blocks) == 1:
-        part = engine(plan, start, count)
-        return cps, mode, {name: part[name] for name in record}
-    arrays = {}
-
-    def place(s, part):
+    shape = (count, len(cps))
+    if workers > 1 and len(blocks) > 1 and hasattr(os, "fork"):  # `_fan_out` forks
+        cells = math.prod(shape)
+        nbytes = sum(cells * np.dtype(fields[name]).itemsize for name in record)
+        shared = mmap.mmap(-1, max(1, nbytes))  # zero-filled; no length 0
+        arrays, at = {}, 0
         for name in record:
-            if name not in arrays:
-                arrays[name] = np.empty((count, len(cps)), dtype=part[name].dtype)
-            arrays[name][s - start : s - start + len(part[name])] = part[name]
-
-    # each block is placed, and dropped, as its result comes in; a worker
-    # runs at most `workers` blocks ahead of the next one to place, so a
-    # late block holds back the others rather than the result piling up
-    parts = _fan_out([(engine, (plan, s, c)) for s, c in blocks], workers, ahead=workers)
-    for s, _ in blocks:
-        place(s, next(parts))
+            arrays[name] = np.frombuffer(shared, fields[name], cells, at).reshape(shape)
+            at += arrays[name].nbytes
+    else:
+        arrays = {name: np.zeros(shape, fields[name]) for name in record}
+    tasks = [
+        (engine, (plan, s, c, {name: x[s - start : s - start + c] for name, x in arrays.items()}))
+        for s, c in blocks
+    ]
+    list(_fan_out(tasks, workers))  # Nones; the first failure raises here
     return cps, mode, arrays
 
 
@@ -670,7 +670,7 @@ def _pool_size(n_tasks: int, per_cpu: int = 1) -> int:
     return 1 if cpus < 2 else min(per_cpu * cpus, n_tasks)
 
 
-def _fan_out(tasks, workers: int, order=None, ahead=None):
+def _fan_out(tasks, workers: int, order=None):
     """The results of `tasks`, handed over in task order as they arrive,
     run over `workers` forked processes.
 
@@ -679,23 +679,17 @@ def _fan_out(tasks, workers: int, order=None, ahead=None):
     caller deciding with its own rule whether a run is worth a pool.  A
     task is a pair (function, arguments); the workers inherit the task
     list through the fork, so only results (and exceptions) pickle, each
-    back over its worker's own pipe.  An idle worker is sent the index of
-    the next task in `order` (indices into `tasks`; task order by default)
-    over a pipe of its own, which so never holds more than one index, and
-    this process reads every reply pipe as data comes (poll), so no
-    worker waits on a full pipe while another is drained.  With `ahead`
-    (and task order) a worker is sent task i only once i < want + ahead,
-    want the next task whose result is to be handed over: a late task then
-    idles the others, and this process holds at most `ahead` results,
-    where without it a late first task leaves every later result waiting
-    here.  `_run` bounds its blocks so; the report's gates and `erwalk
-    exact`'s points are small results, and a bound would idle workers
-    behind a slow gate.  The results come back in task order, so a caller
-    that writes them in that order writes what it would have written
-    running them itself.  With fewer
-    than two workers or tasks, or where `os.fork` does not exist, the
-    tasks run in this process, in task order, each when its result is
-    asked for.
+    back over its worker's own pipe.  A block of `run_ensemble` writes its
+    rows of a shared mapping in place, so its result is None.  An idle
+    worker is sent the index of the next task in `order` (indices into
+    `tasks`; task order by default) over a pipe of its own, which so never
+    holds more than one index, and this process reads every reply pipe as
+    data comes (poll), so no worker waits on a full pipe while another is
+    drained.  The results come back in task order, so a caller that writes
+    them in that order writes what it would have written running them
+    itself.  With fewer than two workers or tasks, or where `os.fork` does
+    not exist, the tasks run in this process, in task order, each when its
+    result is asked for.
 
     The first task in task order that raises re-raises here with its type
     and message; a worker that ends without reporting its task raises
@@ -719,7 +713,7 @@ def _fan_out(tasks, workers: int, order=None, ahead=None):
 
     def feed():
         # hand idle workers the next tasks, or close them once none is left
-        while idle and not (pending and ahead is not None and pending[-1] >= want + ahead):
+        while idle:
             idle.pop().assign(pending.pop() if pending else None)
 
     _flush_std()  # what this process has printed is not the workers' to write
@@ -764,9 +758,8 @@ def _fan_out(tasks, workers: int, order=None, ahead=None):
                     w.close()
                     status = os.waitpid(w.pid, 0)[1]
                     if not asked:
-                        doing = "idle" if w.task is None else f"running task {w.task}"
                         raise RuntimeError(
-                            f"a fan-out worker ended {doing}, exit"
+                            f"a fan-out worker ended running task {w.task}, exit"
                             f" status {os.waitstatus_to_exitcode(status)}"
                         )
                     continue
@@ -787,7 +780,6 @@ def _fan_out(tasks, workers: int, order=None, ahead=None):
                 if want == last and procs:  # handed over once every worker is reaped
                     break
                 want += 1
-                feed()
                 yield done.pop(want - 1)[1]
     finally:
         for w in procs.values():
@@ -851,10 +843,11 @@ def _serve(tasks, take: int, reply: int) -> None:
 
 
 def _events_row_bytes(n_checkpoints: int, record) -> int:
-    """Scratch bytes per replicate of an events block recording `record`.
+    """Bytes per replicate of an events block recording `record`.
 
-    The per-checkpoint delta arrays (sigma's always, xi's and A_n's when
-    recorded), the fill buffer and the rounds' per-row vectors.
+    The per-checkpoint deltas (xi's, sigma's and A_n's rows of the result
+    when recorded, and sigma's as scratch when not), the fill buffer and
+    the rounds' per-row vectors.
     """
     deltas = 1 + ("xi" in record) + ("a" in record)
     return 8 * (deltas * n_checkpoints + _EVENT_FILL + _EVENT_ROW_WORDS)
@@ -931,15 +924,6 @@ class EnsembleResult:
     mode: str
     checkpoints: np.ndarray
     arrays: dict = field(default_factory=dict)
-
-    def martingale(self) -> np.ndarray:
-        """Per-replicate M_n matrix (requires sigma to have been recorded).
-
-        It builds the whole replicates x checkpoints matrix, as large as
-        sigma itself.  Nothing in the package calls it: `build_report` forms
-        M_n one block of rows at a time.
-        """
-        return self.arrays["sigma"] * _martingale_factor(self.checkpoints, self.params.rate)
 
 
 def run_ensemble(

@@ -28,7 +28,13 @@ from erwalk.analysis import (
     stagnation_profile,
 )
 from erwalk.exact import ExactLaw, enumerate_law, exact_mean_xi, l2_diagnostic
-from erwalk.walkers import EnsembleResult, ModelParams, geometric_checkpoints, run_ensemble
+from erwalk.walkers import (
+    EnsembleResult,
+    ModelParams,
+    _martingale_factor,
+    geometric_checkpoints,
+    run_ensemble,
+)
 
 from conftest import report_slack
 
@@ -208,7 +214,7 @@ def _direct_report(res: EnsembleResult, confidence_z: float) -> dict:
     want["ci_half_xi"] = confidence_z * np.sqrt(want["var_xi"] / reps)
     want["mean_m"] = want["var_m"] = None
     if "sigma" in res.arrays:
-        m = res.martingale()
+        m = res.arrays["sigma"] * _martingale_factor(res.checkpoints, res.params.rate)
         want["mean_m"] = np.mean(m, axis=0)
         want["var_m"] = np.var(m, axis=0, ddof=1) if reps > 1 else np.zeros_like(want["mean_m"])
     return want

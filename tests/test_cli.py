@@ -26,7 +26,7 @@ from erwalk.serialize import (
 )
 from erwalk.walkers import MAX_STEPS, ModelParams, geometric_checkpoints, run_ensemble, run_walk
 
-from conftest import assert_no_child, report_slack
+from conftest import assert_no_child, report_slack, src_env
 
 
 class TestSerialize:
@@ -1185,13 +1185,6 @@ def test_critical_ratios_refuse_no_tables(tmp_path):
     assert not (tmp_path / "sub").exists()
 
 
-def _src_env():
-    """The environment with this checkout's package first on PYTHONPATH."""
-    src = str(Path(erwalk.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-
-
 # a two-sample test on 103 pooled bins, past the 40 dof of the old scipy fork
 WIDE_DIFFERENTIAL = [
     "simulate", "--p", "0.9", "--beta", "-0.5", "--n", "200", "--replicates", "2000",
@@ -1206,7 +1199,7 @@ def test_import_loads_no_heavy_scipy():
         "print('\\n'.join(sorted(sys.modules)))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=_src_env(), capture_output=True,
+        [sys.executable, "-c", code], env=src_env(), capture_output=True,
         text=True, check=True,
     )
     loaded = proc.stdout.split()
@@ -1222,7 +1215,7 @@ def test_import_loads_no_pool_module():
         "print('\\n'.join(sorted(sys.modules)))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=_src_env(), capture_output=True,
+        [sys.executable, "-c", code], env=src_env(), capture_output=True,
         text=True, check=True,
     )
     loaded = proc.stdout.split()
@@ -1257,7 +1250,7 @@ def test_runs_import_no_new_module(tmp_path):
         "sys.stderr.write(json.dumps(new))\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path)], env=_src_env(),
+        [sys.executable, "-c", code, str(tmp_path)], env=src_env(),
         capture_output=True, text=True, check=True,
     )
     new = json.loads(proc.stderr)
@@ -1294,7 +1287,7 @@ def test_simulate_peaks_at_its_result(tmp_path):
             "--differential", "--differential-n", "12", "--seed", "101", "--out", str(tmp_path)]
 
     def peak(*args):
-        proc = subprocess.run([sys.executable, "-c", code, *args], env=_src_env(),
+        proc = subprocess.run([sys.executable, "-c", code, *args], env=src_env(),
                               capture_output=True, text=True, check=True)
         return int(proc.stdout) << 10
 
@@ -1312,7 +1305,7 @@ def test_runs_without_scipy(tmp_path):
     )
     proc = subprocess.run(
         [sys.executable, "-c", code, *WIDE_DIFFERENTIAL, "--out", str(tmp_path)],
-        env=_src_env(), capture_output=True, text=True,
+        env=src_env(), capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
     assert "differential full-vs-collapsed at n = 200: p = " in proc.stdout
